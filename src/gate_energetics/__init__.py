@@ -1,107 +1,7 @@
 """Non-equilibrium energetics of a two-qubit controlled-unitary gate."""
 
-from .config import ConfigError, PhotonicConfig, RunConfig, parse_config
-from .linalg import expm_hermitian, op_distance, tensor, validate_density
-from .model import (
-    ModelParams,
-    Propagator,
-    RotationDecomposition,
-    ThermalSpec,
-    coherence_l1,
-    gate_angle,
-    h_coeffs,
-    hamiltonians,
-    propagator_analytic,
-    rotation_decomposition,
-    thermal_state,
-    trajectory_coherence,
-)
-from .photonic import (
-    OpticalParams,
-    PostselectedGate,
-    compose_circuit,
-    conditional_for_time,
-    gate_for_time,
-    hwp_u,
-    photonic_conditional_matrix,
-    postselect,
-    ppbs_transform,
-)
-from .sampler import EmpiricalTable, SampleConfig, error_report, sample_tpm, tv_distance
-from .sweep import NumericInvariantError, emit_distributions, evaluate_point, run_compare, run_sweep
-from .tpm import (
-    DiscreteDistribution,
-    OutcomeLabel,
-    OUTCOMES,
-    ThermoReport,
-    conditional_matrix,
-    delta_e_distribution,
-    entropy_distribution,
-    entropy_realizations,
-    final_probs,
-    initial_probs,
-    joint_table,
-    joint_table_from_conditional,
-    moments,
-    projectors,
-    thermo_report,
-)
+from .model import ModelParams, ThermalSpec, thermal_state
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DiscreteDistribution",
-    "EmpiricalTable",
-    "ModelParams",
-    "NumericInvariantError",
-    "OpticalParams",
-    "OutcomeLabel",
-    "OUTCOMES",
-    "PhotonicConfig",
-    "PostselectedGate",
-    "Propagator",
-    "RotationDecomposition",
-    "RunConfig",
-    "SampleConfig",
-    "ThermalSpec",
-    "ThermoReport",
-    "coherence_l1",
-    "compose_circuit",
-    "conditional_for_time",
-    "conditional_matrix",
-    "delta_e_distribution",
-    "emit_distributions",
-    "entropy_distribution",
-    "entropy_realizations",
-    "error_report",
-    "evaluate_point",
-    "expm_hermitian",
-    "final_probs",
-    "gate_angle",
-    "gate_for_time",
-    "h_coeffs",
-    "hamiltonians",
-    "hwp_u",
-    "initial_probs",
-    "joint_table",
-    "joint_table_from_conditional",
-    "moments",
-    "op_distance",
-    "parse_config",
-    "photonic_conditional_matrix",
-    "postselect",
-    "ppbs_transform",
-    "projectors",
-    "propagator_analytic",
-    "rotation_decomposition",
-    "run_compare",
-    "run_sweep",
-    "sample_tpm",
-    "tensor",
-    "thermal_state",
-    "thermo_report",
-    "trajectory_coherence",
-    "tv_distance",
-    "validate_density",
-]
+__all__ = ["ModelParams", "ThermalSpec", "thermal_state"]

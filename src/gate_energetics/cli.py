@@ -2,8 +2,9 @@
 
 Subcommands: ``sweep`` (theory curves), ``hist`` (distributions at selected
 times) and ``compare`` (Monte Carlo and photonic-imperfection error tables).
-Exit codes: 0 on success, 2 on configuration errors, 3 when a numeric
-invariant is violated while emitting output.
+Exit codes: 0 on success, 2 for any invalid input (the message names the
+offending key or flag), 3 when a numeric invariant is violated while
+emitting output.
 """
 
 from __future__ import annotations
@@ -43,21 +44,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults) with the command-line overrides, validated."""
+    if args.config is None:
+        cfg = RunConfig()
+    else:
+        try:
+            cfg = parse_config(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: {exc}") from None
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.samples is not None:
+        cfg.samples = args.samples
+    if args.photonic is not None:
+        cfg.photonic = args.photonic
+    cfg.validate()
+    return cfg
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.samples is not None:
-            cfg.samples = args.samples
-        if args.photonic is not None:
-            cfg.photonic.enabled = args.photonic
-        cfg.validate()
+        cfg = _load_config(args)
         command, _ = _COMMANDS[args.command]
         paths = command(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # _load_config reported --config; the rest only writes outputs
+        print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     except NumericInvariantError as exc:
         print(f"numeric invariant violated: {exc}", file=sys.stderr)

@@ -9,13 +9,31 @@ This sign choice makes exp(-i H t) with H = (omega/2) sigma_z advance the
 phase of |0> as e^{+i omega t / 2}, which is the convention the rest of the
 package relies on.  Two-qubit amplitudes are indexed by i = 2a + b for
 qubit values (a, b), so the order is |00>, |01>, |10>, |11>.
+
+Every numeric tolerance of the package is defined here, once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Hermiticity, unit trace and positivity of an operator
 HERMITIAN_TOL = 1e-10
+# largest entry of U^dag U - 1 for a propagator
+UNITARY_TOL = 1e-10
+# |sum - 1| of a probability group, the cell range [-tol, 1 + tol], the row and
+# column sums of a doubly stochastic table and |<e^{-dsigma}> - 1|
+PROB_SUM_TOL = 1e-12
+# distribution atoms closer than this are merged; decides output bytes
+VALUE_MERGE_TOL = 1e-12
+# |<dsigma>| below this leaves the energy-to-entropy ratio undefined; decides
+# output bytes
+RATIO_GUARD = 1e-9
+# probability allowed to sit on an undefined entropy realization before the
+# inputs are considered inconsistent
+UNDEFINED_WEIGHT_TOL = 1e-14
+# post-selection success probability treated as zero
+SUCCESS_FLOOR = 1e-15
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,7 +58,7 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_unitary(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     a = np.asarray(a)
     return op_distance(a.conj().T @ a, np.eye(a.shape[0])) <= tol
 

@@ -22,6 +22,7 @@ the target undergoes a rotation by the angle phi = Delta t around the axis
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ from .linalg import (
 )
 
 
+# below this, omega_L^2 + omega_int^2 in ``delta`` cannot overflow
+MAX_FREQUENCY = math.sqrt(sys.float_info.max) / 2.0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Angular frequencies of the local and interaction terms (omega_L = 1 units)."""
@@ -45,10 +50,12 @@ class ModelParams:
     omega_int: float = 5.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_L) and self.omega_L > 0):
-            raise ValueError(f"omega_L must be positive, got {self.omega_L}")
-        if not (math.isfinite(self.omega_int) and self.omega_int >= 0):
-            raise ValueError(f"omega_int must be non-negative, got {self.omega_int}")
+        if not 0.0 < self.omega_L < MAX_FREQUENCY:
+            raise ValueError(f"omega_L must lie in (0, {MAX_FREQUENCY:.3g}), got {self.omega_L}")
+        if not 0.0 <= self.omega_int < MAX_FREQUENCY:
+            raise ValueError(
+                f"omega_int must lie in [0, {MAX_FREQUENCY:.3g}), got {self.omega_int}"
+            )
 
     @property
     def delta(self) -> float:

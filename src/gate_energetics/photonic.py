@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import SUCCESS_FLOOR
 from .model import ModelParams, gate_angle
 
-SUCCESS_FLOOR = 1e-15
 _ARMS = ((0, 1), (2, 3))  # (H, V) mode indices of arm a and arm b
 
 
@@ -39,25 +39,22 @@ _ARMS = ((0, 1), (2, 3))  # (H, V) mode indices of arm a and arm b
 class OpticalParams:
     """Hardware parameters of the optical gate.
 
-    ``hwp_angle`` is the physical wave-plate angle; leave it None to derive
-    the angle from the target gate rotation (gamma / 4, realizing plates
-    u_{gamma/2}).  ``accidental_eps`` is the weight of a uniform accidental-
-    coincidence background mixed into the conditional probabilities.
+    ``eps`` is the weight of a uniform accidental-coincidence background
+    mixed into the conditional probabilities.
     """
 
     T_H: float = 1.0
     T_V: float = 1.0 / 3.0
     atten_H: float = 1.0 / math.sqrt(3.0)
-    hwp_angle: float | None = None
-    accidental_eps: float = 0.0
+    eps: float = 0.0
 
     def __post_init__(self):
         for name in ("T_H", "T_V", "atten_H"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not 0.0 <= self.accidental_eps < 1.0:
-            raise ValueError(f"accidental_eps must lie in [0, 1), got {self.accidental_eps}")
+        if not 0.0 <= self.eps < 1.0:
+            raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
 
 
 def ppbs_transform(t_h: float, t_v: float) -> np.ndarray:
@@ -104,7 +101,7 @@ def compose_circuit(params: OpticalParams, gamma: float) -> np.ndarray:
     splitter, H equalizers on both arms, plate u_{gamma/2} on arm b.  The
     transform is unitary without attenuation and sub-unitary otherwise.
     """
-    plate = params.hwp_angle if params.hwp_angle is not None else gamma / 4.0
+    plate = gamma / 4.0  # physical plate angle
     wave_plate = _on_arm_b(hwp_u(2.0 * plate))
     return (
         wave_plate
@@ -163,17 +160,11 @@ def photonic_conditional_matrix(gate: PostselectedGate, eps: float = 0.0) -> np.
     return (1.0 - eps) * np.abs(gate.G) ** 2 / gate.success[None, :] + eps / 4.0
 
 
-def gate_for_time(params: OpticalParams, model_params: ModelParams, t: float) -> PostselectedGate:
+def gate_for_time(params: OpticalParams, model: ModelParams, t: float) -> PostselectedGate:
     """Post-selected gate realizing the controlled rotation reached at time t."""
-    return postselect(compose_circuit(params, gate_angle(model_params, t)))
+    return postselect(compose_circuit(params, gate_angle(model, t)))
 
 
-def conditional_for_time(
-    params: OpticalParams,
-    model_params: ModelParams,
-    t: float,
-    eps: float | None = None,
-) -> np.ndarray:
-    """Conditional matrix of the optical gate at time t (eps defaults to params)."""
-    background = params.accidental_eps if eps is None else eps
-    return photonic_conditional_matrix(gate_for_time(params, model_params, t), background)
+def conditional_for_time(params: OpticalParams, model: ModelParams, t: float) -> np.ndarray:
+    """Conditional matrix of the optical gate at time t."""
+    return photonic_conditional_matrix(gate_for_time(params, model, t), params.eps)

@@ -35,7 +35,7 @@ class SampleConfig:
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit non-negative integer")
+            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,24 +5,23 @@ significant digits, comma-delimited, '\\n' line endings; re-running any
 command with the same configuration produces byte-identical files.  Time
 columns are the dimensionless omega_L * t.
 
-Sweep points are pure functions of (config, t) and may be evaluated in
-parallel; the worker count is taken from the GATE_ENERGETICS_WORKERS
-environment variable (default 1) and results are merged in time order, so
-the output does not depend on the scheduling.
+Points are evaluated one after another, in time order, as pure functions of
+(config, t).  Before anything is written, every probability group is
+checked, and every sweep row also has its conditional table checked for
+double stochasticity and its fluctuation average for |ift - 1|, all within
+``linalg.PROB_SUM_TOL``; a failure raises ``NumericInvariantError``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
+from .linalg import PROB_SUM_TOL
 from .model import propagator_analytic, thermal_state, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, error_report, sample_tpm
@@ -40,39 +39,11 @@ from .tpm import (
     thermo_report,
 )
 
-WORKERS_ENV = "GATE_ENERGETICS_WORKERS"
-
-PROB_CELL_TOL = 1e-12
-PROB_SUM_TOL = 1e-10
-
 _LABELS = [str(o) for o in OUTCOMES]
 
 
 class NumericInvariantError(Exception):
-    """A probability column or group left its allowed range before writing."""
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV}: expected a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"{WORKERS_ENV}: expected a positive integer, got {count}")
-    return count
-
-
-def _map_points(fn, cfg: RunConfig, items: list):
-    workers = worker_count()
-    bound = functools.partial(fn, cfg)
-    if workers <= 1 or len(items) <= 1:
-        return [bound(item) for item in items]
-    chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(bound, items, chunksize=chunk))
+    """A computed table or average left its allowed range before writing."""
 
 
 def _fmt(x) -> str:
@@ -89,13 +60,27 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def _require_prob_group(cells: np.ndarray, what: str) -> None:
     cells = np.asarray(cells, dtype=float)
-    if cells.min() < -PROB_CELL_TOL or cells.max() > 1.0 + PROB_CELL_TOL:
+    if cells.min() < -PROB_SUM_TOL or cells.max() > 1.0 + PROB_SUM_TOL:
         raise NumericInvariantError(
             f"{what}: probability {cells.min():.6e}..{cells.max():.6e} outside [0, 1]"
         )
     total = float(cells.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise NumericInvariantError(f"{what}: probabilities sum to {total:.12e}, not 1")
+
+
+def _require_row_invariants(pt: SweepPoint) -> None:
+    """Gate one sweep row: joint table, double stochasticity and the IFT."""
+    where = f"omega_L_t={pt.t:.6g}"
+    _require_prob_group(pt.joint.ravel(), f"joint table at {where}")
+    sums = np.concatenate([pt.cond.sum(axis=0), pt.cond.sum(axis=1)])
+    worst = float(np.abs(sums - 1.0).max())
+    if worst > PROB_SUM_TOL:
+        raise NumericInvariantError(
+            f"conditional table at {where}: a row or column sum is off by {worst:.3e}"
+        )
+    if abs(pt.report.ift - 1.0) > PROB_SUM_TOL:
+        raise NumericInvariantError(f"ift at {where}: {pt.report.ift:.12e}, not 1")
 
 
 @dataclass(eq=False)
@@ -119,9 +104,8 @@ class SweepPoint:
 
 def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
     """Exact two-point-measurement statistics of the gate at time t."""
-    mp = cfg.model_params()
-    rho0 = thermal_state(cfg.thermal_spec(), mp)
-    prop = propagator_analytic(mp, t)
+    rho0 = thermal_state(cfg.thermal, cfg.model)
+    prop = propagator_analytic(cfg.model, t)
     p_in = initial_probs(rho0)
     cond = conditional_matrix(prop)
     joint = joint_table_from_conditional(cond, p_in)
@@ -142,7 +126,7 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
         ds_moments=moments(ds_dist, cfg.moments_max),
         coherence=trajectory_coherence(prop),
         h2_sq=abs(prop.h2) ** 2,
-        report=thermo_report(joint, sigma, beta=cfg.beta_B),
+        report=thermo_report(joint, sigma, beta=cfg.thermal.beta_B),
     )
 
 
@@ -157,7 +141,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = cfg.time_grid()
-    points = _map_points(evaluate_point, cfg, [float(t) for t in grid])
+    points = [evaluate_point(cfg, float(t)) for t in grid]
 
     mom_cols = [f"dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     mom_cols += [f"ds_m{h}" for h in range(1, cfg.moments_max + 1)]
@@ -169,7 +153,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     )
     rows = []
     for pt in points:
-        _require_prob_group(pt.joint.ravel(), f"joint table at omega_L_t={pt.t:.6g}")
+        _require_row_invariants(pt)
         row = [_fmt(pt.t)]
         row += [_fmt(x) for x in pt.joint.ravel()]
         row += [_fmt(x) for x in pt.de_moments]
@@ -200,7 +184,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             "t_min": cfg.t_min,
             "t_max": cfg.t_max,
             "n_points": cfg.n_points,
-            "step": (cfg.t_max - cfg.t_min) / cfg.n_points,
+            "step": cfg.step,
             "half_open": True,
         },
         "de_mean": _peak(grid, [pt.report.de_mean for pt in points]),
@@ -226,7 +210,7 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    points = _map_points(evaluate_point, cfg, [float(t) for t in cfg.hist_times])
+    points = [evaluate_point(cfg, float(t)) for t in cfg.hist_times]
 
     header = ["omega_L_t", "value", "probability"]
     de_rows, ds_rows = [], []
@@ -242,19 +226,21 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     return {"hist_dE": de_path, "hist_ds": ds_path}
 
 
-def _compare_point(cfg: RunConfig, indexed_time: tuple[int, float]):
-    index, t = indexed_time
+def _compare_point(cfg: RunConfig, index: int, t: float):
     pt = evaluate_point(cfg, t)
-    mp = cfg.model_params()
-    rho0 = thermal_state(cfg.thermal_spec(), mp)
-    prop = propagator_analytic(mp, t)
-    # per-point seed keeps the points independent and the merge order-free
+    rho0 = thermal_state(cfg.thermal, cfg.model)
+    prop = propagator_analytic(cfg.model, t)
+    # per-point seed keeps each point's draws independent of the others
     emp = sample_tpm(rho0, prop, SampleConfig(cfg.samples, cfg.seed + index, t))
     freq = emp.frequencies
     emp_moments = moments(delta_e_distribution(freq), cfg.moments_max)
     photonic_err = None
-    if cfg.photonic.enabled:
-        imperfect = conditional_for_time(cfg.optical_params(), mp, t)
+    if cfg.photonic:
+        try:
+            imperfect = conditional_for_time(cfg.optical, cfg.model, t)
+        except ValueError as exc:
+            # a gate that blocks an input passes every range check
+            raise ConfigError(f"photonic: {exc} at omega_L_t={t:.6g}") from None
         photonic_err = np.abs(pt.cond - imperfect)
     return pt, freq, emp_moments, photonic_err
 
@@ -264,7 +250,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = cfg.time_grid()
-    results = _map_points(_compare_point, cfg, list(enumerate(float(t) for t in grid)))
+    results = [_compare_point(cfg, index, float(t)) for index, t in enumerate(grid)]
 
     for pt, freq, _, _ in results:
         _require_prob_group(freq.ravel(), f"empirical table at omega_L_t={pt.t:.6g}")
@@ -295,7 +281,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     _write_csv(mc_path, header, rows)
     paths = {"mc_error": mc_path}
 
-    if cfg.photonic.enabled:
+    if cfg.photonic:
         ph_header = ["omega_L_t"] + [f"err_c_{b}_{a}" for b in _LABELS for a in _LABELS]
         ph_rows = [
             [_fmt(pt.t)] + [_fmt(x) for x in err.ravel()]

@@ -22,16 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROJ_0, PROJ_1, is_unitary, tensor, validate_density
+from .linalg import (
+    PROB_SUM_TOL,
+    PROJ_0,
+    PROJ_1,
+    RATIO_GUARD,
+    UNDEFINED_WEIGHT_TOL,
+    UNITARY_TOL,
+    VALUE_MERGE_TOL,
+    is_unitary,
+    tensor,
+    validate_density,
+)
 from .model import Propagator
-
-UNITARY_TOL = 1e-10
-PROB_SUM_TOL = 1e-12
-VALUE_MERGE_TOL = 1e-12
-RATIO_GUARD = 1e-9
-# probability allowed to sit on an undefined entropy realization before the
-# inputs are considered inconsistent
-UNDEFINED_WEIGHT_TOL = 1e-14
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from gate_energetics import cli
+from gate_energetics import cli, sweep
 from gate_energetics.config import DEFAULT_T_MAX, ConfigError, RunConfig, parse_config
-from gate_energetics.sweep import (
-    NumericInvariantError,
-    _require_prob_group,
-    worker_count,
-)
+from gate_energetics.sweep import NumericInvariantError, _require_prob_group
 
 
 def read_csv(path):
@@ -30,15 +28,15 @@ def column(header, rows, name):
 
 def test_default_config_values():
     cfg = RunConfig()
-    assert cfg.omega_int == 5.0
-    assert cfg.alpha == 0.2
-    assert cfg.beta_B == 0.5
+    assert cfg.model.omega_int == 5.0
+    assert cfg.thermal.alpha == 0.2
+    assert cfg.thermal.beta_B == 0.5
     assert cfg.t_max == pytest.approx(3.0 * math.pi / math.sqrt(26.0))
     assert cfg.n_points == 200
     assert cfg.hist_times == (0.31, 0.62)
     assert cfg.samples == 10**6
     assert cfg.seed == 42
-    assert not cfg.photonic.enabled
+    assert not cfg.photonic
     cfg.validate()
 
 
@@ -61,12 +59,12 @@ def test_parse_config_overrides(tmp_path):
         "\n"
     )
     cfg = parse_config(path)
-    assert cfg.omega_int == 4.0
+    assert cfg.model.omega_int == 4.0
     assert cfg.n_points == 16
     assert cfg.hist_times == (0.1, 0.2)
-    assert cfg.photonic.enabled
-    assert cfg.photonic.T_H == 0.985
-    assert cfg.alpha == 0.2  # untouched default
+    assert cfg.photonic
+    assert cfg.optical.T_H == 0.985
+    assert cfg.thermal.alpha == 0.2  # untouched default
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -102,34 +100,25 @@ def test_parse_config_rejects_bad_value(tmp_path):
         ("seed", -1),
     ],
 )
-def test_validate_rejects_bad_fields(field, value):
-    cfg = RunConfig()
-    setattr(cfg, field, value)
+def test_validate_rejects_bad_fields(tmp_path, field, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{field} = {value}\n")
     with pytest.raises(ConfigError, match=field):
-        cfg.validate()
+        parse_config(path).validate()
 
 
-def test_validate_rejects_inverted_time_window():
-    cfg = RunConfig(t_min=2.0, t_max=1.0)
+def test_validate_rejects_inverted_time_window(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("t_min = 2.0\nt_max = 1.0\n")
     with pytest.raises(ConfigError, match="t_min"):
-        cfg.validate()
+        parse_config(path).validate()
 
 
-def test_validate_rejects_bad_photonic_ranges():
-    cfg = RunConfig()
-    cfg.photonic.T_V = 1.5
+def test_validate_rejects_bad_photonic_ranges(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("photonic.T_V = 1.5\n")
     with pytest.raises(ConfigError, match="photonic.T_V"):
-        cfg.validate()
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GATE_ENERGETICS_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GATE_ENERGETICS_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GATE_ENERGETICS_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
+        parse_config(path).validate()
 
 
 def test_prob_group_guard():
@@ -203,16 +192,6 @@ def test_sweep_byte_identical_rerun(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out_b)]) == 0
     for name in ("sweep.csv", "realizations.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = small_config(tmp_path)
-    out_serial, out_parallel = tmp_path / "serial", tmp_path / "parallel"
-    monkeypatch.delenv("GATE_ENERGETICS_WORKERS", raising=False)
-    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out_serial)]) == 0
-    monkeypatch.setenv("GATE_ENERGETICS_WORKERS", "2")
-    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out_parallel)]) == 0
-    assert (out_serial / "sweep.csv").read_bytes() == (out_parallel / "sweep.csv").read_bytes()
 
 
 def test_hist_outputs(tmp_path):
@@ -309,3 +288,58 @@ def test_cli_maps_numeric_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
     code = cli.main(["sweep", "--out", str(tmp_path / "out")])
     assert code == 3
     assert "forced failure" in capsys.readouterr().err
+
+
+SMALL = "n_points = 4\nsamples = 100\n"
+
+
+@pytest.mark.parametrize(
+    "command,config,flags,key",
+    [
+        ("compare", SMALL + "photonic.atten_H = 0\n", ["--photonic"], "photonic"),
+        ("compare", SMALL + "photonic.T_H = 0.5\nphotonic.T_V = 0.5\n", ["--photonic"], "photonic"),
+        ("sweep", "t_min = -1e308\nt_max = 1e308\n", [], "t_min"),
+        ("sweep", "t_max = 1e308\n", [], "t_max"),
+        ("sweep", "omega_int = 1e300\n", [], "omega_int"),
+        ("compare", SMALL + "seed = 18446744073709551615\n", [], "seed"),
+        ("compare", SMALL, ["--seed", "18446744073709551615"], "seed"),
+        ("sweep", None, [], "--config"),
+        ("sweep", "seed = 1\nseed = 2\n", [], "line 2: duplicate key 'seed'"),
+        ("sweep", "n_points = 4\n", ["--out", os.path.join(os.devnull, "out")], "--out"),
+    ],
+    ids=[
+        "atten_H-blocks",
+        "two-photon-interference-blocks",
+        "step-overflow",
+        "phase-overflow",
+        "omega_int-overflow",
+        "last-seed-from-file",
+        "last-seed-from-flag",
+        "missing-config",
+        "duplicate-key",
+        "unwritable-out",
+    ],
+)
+def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
+    path = tmp_path / "run.cfg"
+    if config is not None:
+        path.write_text(config)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *flags]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_cli_gates_ift_with_exit_3(tmp_path, monkeypatch, capsys):
+    real = sweep.thermo_report
+
+    def off_by_a_little(j, sigma, beta):
+        report = real(j, sigma, beta)
+        return dataclasses.replace(report, ift=report.ift + 1e-9)
+
+    monkeypatch.setattr(sweep, "thermo_report", off_by_a_little)
+    code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "ift" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()

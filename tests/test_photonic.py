@@ -95,13 +95,6 @@ def test_compose_subunitary_with_attenuation():
     assert singular.min() < 1.0
 
 
-def test_compose_hwp_angle_override():
-    base = compose_circuit(OpticalParams(), 0.8)
-    # plates u_{gamma/2} correspond to a physical plate angle of gamma/4
-    override = compose_circuit(OpticalParams(hwp_angle=0.2), 123.0)
-    assert op_distance(base, override) == 0.0
-
-
 def test_postselect_ideal_control_sigma_z():
     gate = postselect(compose_circuit(OpticalParams(), 0.0))
     assert op_distance(3.0 * gate.G, 3.0 * CZ_OVER_3) <= 1e-12
@@ -148,7 +141,7 @@ def test_conditional_columns_sum_to_one(params):
     for optical in (
         OpticalParams(),
         OpticalParams(T_H=0.985),
-        OpticalParams(T_H=0.9, T_V=0.4, atten_H=0.7, accidental_eps=0.1),
+        OpticalParams(T_H=0.9, T_V=0.4, atten_H=0.7, eps=0.1),
     ):
         cond = conditional_for_time(optical, params, 0.47)
         assert np.max(np.abs(cond.sum(axis=0) - 1.0)) <= 1e-12
