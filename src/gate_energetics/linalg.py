@@ -54,8 +54,9 @@ def op_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether a matrix, or every matrix of a (..., n, n) stack, is Hermitian within ``tol``."""
     a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= tol)
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -85,21 +86,23 @@ def expm_hermitian(h: np.ndarray, s: float, tol: float = HERMITIAN_TOL) -> np.nd
 
 
 def validate_density(r: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate a density operator and return it as a complex array.
+    """Validate a density operator, or a (..., n, n) stack of them, and return it as a complex array.
 
     Checks, in order: Hermiticity within ``tol``, unit trace within ``tol``
     and positivity (smallest eigenvalue >= -tol).  Raises ValueError naming
-    the violated invariant.
+    the violated invariant, with the worst value of a stack.
     """
     r = np.asarray(r, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
     if not is_hermitian(r, tol):
         raise ValueError(f"density operator is not Hermitian within {tol:g}")
-    trace = complex(np.trace(r))
-    if abs(trace - 1.0) > tol:
+    traces = np.trace(r, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0)
+    if np.max(off) > tol:
+        trace = traces.flat[np.argmax(off)]
         raise ValueError(f"density operator trace is {trace.real:.12g}, not 1")
-    lowest = float(np.linalg.eigvalsh(r)[0])
+    lowest = float(np.linalg.eigvalsh(r)[..., 0].min())
     if lowest < -tol:
         raise ValueError(f"density operator has negative eigenvalue {lowest:.3e}")
     return r

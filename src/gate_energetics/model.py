@@ -107,6 +107,39 @@ def propagator_analytic(p: ModelParams, t: float) -> Propagator:
     return Propagator(t=t, h1=h1, h2=h2, U=u)
 
 
+def _complex_product(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai) (br + i bi)."""
+    # numpy's vectorised complex multiply fuses these products with FMA, which
+    # moves last bits; separate float operations round like the scalar
+    # complex multiply in propagator_analytic
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """``propagator_analytic`` at every time: h2 of shape (T,) and U of shape (T, 4, 4).
+
+    Each entry equals the scalar one bit for bit.
+    """
+    t = np.asarray(times, dtype=float)
+    d = p.delta
+    sin = np.sin(d * t)
+    h1 = np.cos(d * t), (p.omega_L / (2 * d)) * sin
+    h2 = np.zeros_like(t), -(p.omega_int / (2 * d)) * sin
+    phase = np.exp(1j * (-0.5 * p.omega_L * t))
+    u = np.zeros((t.size, 4, 4), dtype=complex)
+    u[:, 0, 0] = np.exp(1j * (p.omega_L * t))
+    u[:, 1, 1] = 1.0
+    for (row, col), (re, im) in (
+        ((2, 2), _complex_product(phase.real, phase.imag, *h1)),
+        ((3, 2), _complex_product(phase.real, phase.imag, *h2)),
+        ((3, 3), _complex_product(phase.real, phase.imag, h1[0], -h1[1])),
+    ):
+        u[:, row, col].real = re
+        u[:, row, col].imag = im
+    u[:, 2, 3] = u[:, 3, 2]
+    return h2[0] + 1j * h2[1], u
+
+
 @dataclass(frozen=True, eq=False)
 class RotationDecomposition:
     """Axis-angle form of the conditioned target rotation."""
@@ -188,6 +221,15 @@ def trajectory_coherence(prop: Propagator, outcome: int = 2) -> float:
     """Coherence generated from the basis state ``outcome`` (default |10>)."""
     psi = prop.U[:, outcome]
     return coherence_l1(np.outer(psi, psi.conj()))
+
+
+def trajectory_coherence_grid(u: np.ndarray, outcome: int = 2) -> np.ndarray:
+    """``trajectory_coherence`` of each propagator in a (T, 4, 4) stack."""
+    psi = np.ascontiguousarray(u[:, :, outcome])
+    # the same broadcast product np.outer runs on one state
+    r = validate_density(psi[:, :, None] * psi.conj()[:, None, :])
+    total = np.abs(r).reshape(len(r), -1).sum(axis=1)
+    return total - np.abs(np.diagonal(r, axis1=1, axis2=2)).sum(axis=1)
 
 
 def gate_angle(p: ModelParams, t: float) -> float:

@@ -5,16 +5,21 @@ significant digits, comma-delimited, '\\n' line endings; re-running any
 command with the same configuration produces byte-identical files.  Time
 columns are the dimensionless omega_L * t.
 
-Points are evaluated one after another, in time order, as pure functions of
-(config, t).  Before anything is written, every probability group is
-checked, and every sweep row also has its conditional table checked for
-double stochasticity and its fluctuation average for |ift - 1|, all within
-``linalg.PROB_SUM_TOL``; a failure raises ``NumericInvariantError``.
+``evaluate_grid`` computes the statistics of all times of a grid at once, as
+arrays with one row per time; ``sweep``, ``hist`` and the theory side of
+``compare`` all go through it.  ``evaluate_point`` is the same computation
+for one time, kept as the reference that the grid must equal bit for bit.
+Before anything is written, every probability group is checked, and every
+sweep row also has its conditional table checked for double stochasticity
+and its fluctuation average for |ift - 1|, all within
+``linalg.PROB_SUM_TOL``; the first failing row, in time order, raises
+``NumericInvariantError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,21 +27,36 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .linalg import PROB_SUM_TOL
-from .model import propagator_analytic, thermal_state, trajectory_coherence
+from .model import (
+    propagator_analytic,
+    propagator_grid,
+    thermal_state,
+    trajectory_coherence,
+    trajectory_coherence_grid,
+)
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, error_report, sample_tpm
 from .tpm import (
+    AtomRows,
     DiscreteDistribution,
     OUTCOMES,
+    ThermoReport,
+    conditional_grid,
     conditional_matrix,
     delta_e_distribution,
+    delta_e_grid,
     entropy_distribution,
+    entropy_grid,
     entropy_realizations,
+    entropy_realizations_grid,
     final_probs,
+    final_probs_grid,
     initial_probs,
+    joint_grid,
     joint_table_from_conditional,
     moments,
     thermo_report,
+    thermo_report_grid,
 )
 
 _LABELS = [str(o) for o in OUTCOMES]
@@ -46,16 +66,26 @@ class NumericInvariantError(Exception):
     """A computed table or average left its allowed range before writing."""
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return ""
-    return format(float(x), ".11e")
+# rows formatted per write; bounds the memory the formatted text takes
+_CSV_CHUNK_ROWS = 2048
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv_lines(table: np.ndarray) -> list[str]:
+    """One line of '%.11e' cells per row; a non-finite cell is left empty."""
+    fmt = ",".join(["%.11e"] * table.shape[1]) + "\n"
+    finite = np.isfinite(table).all(axis=1).tolist()
+    return [
+        fmt % tuple(row) if ok
+        else ",".join("%.11e" % x if math.isfinite(x) else "" for x in row) + "\n"
+        for row, ok in zip(table.tolist(), finite)
+    ]
+
+
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            f.writelines(_csv_lines(table[start : start + _CSV_CHUNK_ROWS]))
 
 
 def _require_prob_group(cells: np.ndarray, what: str) -> None:
@@ -67,20 +97,6 @@ def _require_prob_group(cells: np.ndarray, what: str) -> None:
     total = float(cells.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise NumericInvariantError(f"{what}: probabilities sum to {total:.12e}, not 1")
-
-
-def _require_row_invariants(pt: SweepPoint) -> None:
-    """Gate one sweep row: joint table, double stochasticity and the IFT."""
-    where = f"omega_L_t={pt.t:.6g}"
-    _require_prob_group(pt.joint.ravel(), f"joint table at {where}")
-    sums = np.concatenate([pt.cond.sum(axis=0), pt.cond.sum(axis=1)])
-    worst = float(np.abs(sums - 1.0).max())
-    if worst > PROB_SUM_TOL:
-        raise NumericInvariantError(
-            f"conditional table at {where}: a row or column sum is off by {worst:.3e}"
-        )
-    if abs(pt.report.ift - 1.0) > PROB_SUM_TOL:
-        raise NumericInvariantError(f"ift at {where}: {pt.report.ift:.12e}, not 1")
 
 
 @dataclass(eq=False)
@@ -130,6 +146,105 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SweepGrid:
+    """``SweepPoint`` of every time of a grid, one row per time.
+
+    ``rho0`` and ``p_in`` are shared by all rows; the report's fields are
+    arrays, with NaN where the ratio is undefined.
+    """
+
+    t: np.ndarray
+    rho0: np.ndarray
+    p_in: np.ndarray
+    U: np.ndarray
+    p_fin: np.ndarray
+    cond: np.ndarray
+    joint: np.ndarray
+    sigma: np.ndarray
+    de_dist: AtomRows
+    ds_dist: AtomRows
+    de_moments: np.ndarray
+    ds_moments: np.ndarray
+    coherence: np.ndarray
+    h2_sq: np.ndarray
+    report: ThermoReport
+
+
+def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
+    """``evaluate_point`` at every time, computed for all times at once.
+
+    Every field equals the field of ``evaluate_point(cfg, t)`` at each t,
+    bit for bit.
+    """
+    t = np.asarray(times, dtype=float)
+    rho0 = thermal_state(cfg.thermal, cfg.model)
+    p_in = initial_probs(rho0)
+    h2, u = propagator_grid(cfg.model, t)
+    cond = conditional_grid(u)
+    joint = joint_grid(cond, p_in)
+    p_fin = final_probs_grid(joint)
+    sigma = entropy_realizations_grid(p_in, p_fin)
+    de_dist = delta_e_grid(joint)
+    ds_dist = entropy_grid(joint, sigma)
+    de_moments = de_dist.moments(cfg.moments_max)
+    return SweepGrid(
+        t=t,
+        rho0=rho0,
+        p_in=p_in,
+        U=u,
+        p_fin=p_fin,
+        cond=cond,
+        joint=joint,
+        sigma=sigma,
+        de_dist=de_dist,
+        ds_dist=ds_dist,
+        de_moments=de_moments,
+        ds_moments=ds_dist.moments(cfg.moments_max),
+        coherence=trajectory_coherence_grid(u),
+        # Python's float power, as in evaluate_point: numpy squares by
+        # multiplying, which rounds differently in the last bit
+        h2_sq=np.array([abs(h) ** 2 for h in h2.tolist()]),
+        report=thermo_report_grid(joint, sigma, cfg.thermal.beta_B, de_moments[:, 0]),
+    )
+
+
+def _outside_prob_range(cells: np.ndarray, totals: np.ndarray, atoms=True) -> np.ndarray:
+    """The rows ``_require_prob_group`` rejects.
+
+    Row i's group is the cells of ``cells[i]`` under ``atoms`` (all of them
+    by default) and ``totals[i]`` is their sum.
+    """
+    lo = np.min(cells, axis=1, where=atoms, initial=np.inf)
+    hi = np.max(cells, axis=1, where=atoms, initial=-np.inf)
+    return (lo < -PROB_SUM_TOL) | (hi > 1.0 + PROB_SUM_TOL) | (np.abs(totals - 1.0) > PROB_SUM_TOL)
+
+
+def _require_row_invariants(g: SweepGrid) -> None:
+    """Gate every sweep row: joint table, double stochasticity and the IFT.
+
+    The first failing row, in time order, raises with its own message.
+    """
+    joint = g.joint.reshape(len(g.t), 16)
+    sums = np.concatenate([g.cond.sum(axis=1), g.cond.sum(axis=2)], axis=1)
+    worst = np.abs(sums - 1.0).max(axis=1)
+    ift = g.report.ift
+    suspect = (
+        _outside_prob_range(joint, joint.sum(axis=1))
+        | (worst > PROB_SUM_TOL)
+        | (np.abs(ift - 1.0) > PROB_SUM_TOL)
+    )
+    for i in np.flatnonzero(suspect):
+        where = f"omega_L_t={g.t[i]:.6g}"
+        _require_prob_group(joint[i], f"joint table at {where}")
+        if worst[i] > PROB_SUM_TOL:
+            raise NumericInvariantError(
+                f"conditional table at {where}: a row or column sum is off by {worst[i]:.3e}"
+            )
+        if abs(ift[i] - 1.0) > PROB_SUM_TOL:
+            raise NumericInvariantError(f"ift at {where}: {ift[i]:.12e}, not 1")
+
+
 def _peak(grid: np.ndarray, values) -> dict:
     values = np.asarray(values, dtype=float)
     idx = int(np.nanargmax(values))
@@ -140,8 +255,9 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write sweep.csv, realizations.csv and summary.json for the time grid."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.time_grid()
-    points = [evaluate_point(cfg, float(t)) for t in grid]
+    g = evaluate_grid(cfg, cfg.time_grid())
+    _require_row_invariants(g)
+    n, report = len(g.t), g.report
 
     mom_cols = [f"dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     mom_cols += [f"ds_m{h}" for h in range(1, cfg.moments_max + 1)]
@@ -151,34 +267,18 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         + mom_cols
         + ["c_l1_10", "ift", "landauer_lhs", "ds_mean", "ratio"]
     )
-    rows = []
-    for pt in points:
-        _require_row_invariants(pt)
-        row = [_fmt(pt.t)]
-        row += [_fmt(x) for x in pt.joint.ravel()]
-        row += [_fmt(x) for x in pt.de_moments]
-        row += [_fmt(x) for x in pt.ds_moments]
-        row += [
-            _fmt(pt.coherence),
-            _fmt(pt.report.ift),
-            _fmt(pt.report.landauer_lhs),
-            _fmt(pt.report.ds_mean),
-            _fmt(pt.report.ratio),
-        ]
-        rows.append(row)
+    columns = [report.ift, report.landauer_lhs, report.ds_mean, report.ratio]
+    table = np.column_stack(
+        [g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence, *columns]
+    )
     sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path, header, rows)
+    _write_csv(sweep_path, header, table)
 
     real_header = ["omega_L_t"] + [f"dsig_{a}_{b}" for a in _LABELS for b in _LABELS]
-    real_rows = []
-    for pt in points:
-        cells = [_fmt(x) if np.isfinite(x) else "" for x in pt.sigma.ravel()]
-        real_rows.append([_fmt(pt.t)] + cells)
     real_path = out / "realizations.csv"
-    _write_csv(real_path, real_header, real_rows)
+    _write_csv(real_path, real_header, np.column_stack([g.t, g.sigma.reshape(n, 16)]))
 
-    ratios = [pt.report.ratio for pt in points]
-    defined = [(t, r) for t, r in zip(grid, ratios) if r is not None]
+    defined = ~np.isnan(report.ratio)
     summary = {
         "grid": {
             "t_min": cfg.t_min,
@@ -187,14 +287,10 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             "step": cfg.step,
             "half_open": True,
         },
-        "de_mean": _peak(grid, [pt.report.de_mean for pt in points]),
-        "h2_sq": _peak(grid, [pt.h2_sq for pt in points]),
-        "coherence_l1_10": _peak(grid, [pt.coherence for pt in points]),
-        "ratio": (
-            _peak(np.array([t for t, _ in defined]), [r for _, r in defined])
-            if defined
-            else None
-        ),
+        "de_mean": _peak(g.t, report.de_mean),
+        "h2_sq": _peak(g.t, g.h2_sq),
+        "coherence_l1_10": _peak(g.t, g.coherence),
+        "ratio": _peak(g.t[defined], report.ratio[defined]) if defined.any() else None,
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -210,84 +306,64 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    points = [evaluate_point(cfg, float(t)) for t in cfg.hist_times]
+    g = evaluate_grid(cfg, cfg.hist_times)
+    dists = {"dE": g.de_dist, "ds": g.ds_dist}
+
+    suspect = np.zeros(len(g.t), dtype=bool)
+    for d in dists.values():
+        suspect |= _outside_prob_range(d.probs, d.sums(), d.atoms)
+    for i in np.flatnonzero(suspect):
+        for name, d in dists.items():
+            _require_prob_group(d.row(i).probs, f"{name} histogram at omega_L_t={g.t[i]:.6g}")
 
     header = ["omega_L_t", "value", "probability"]
-    de_rows, ds_rows = [], []
-    for pt in points:
-        for dist, rows, name in ((pt.de_dist, de_rows, "dE"), (pt.ds_dist, ds_rows, "ds")):
-            _require_prob_group(dist.probs, f"{name} histogram at omega_L_t={pt.t:.6g}")
-            for value, prob in zip(dist.values, dist.probs):
-                rows.append([_fmt(pt.t), _fmt(value), _fmt(prob)])
-    de_path = out / "hist_dE.csv"
-    ds_path = out / "hist_ds.csv"
-    _write_csv(de_path, header, de_rows)
-    _write_csv(ds_path, header, ds_rows)
-    return {"hist_dE": de_path, "hist_ds": ds_path}
-
-
-def _compare_point(cfg: RunConfig, index: int, t: float):
-    pt = evaluate_point(cfg, t)
-    rho0 = thermal_state(cfg.thermal, cfg.model)
-    prop = propagator_analytic(cfg.model, t)
-    # per-point seed keeps each point's draws independent of the others
-    emp = sample_tpm(rho0, prop, SampleConfig(cfg.samples, cfg.seed + index, t))
-    freq = emp.frequencies
-    emp_moments = moments(delta_e_distribution(freq), cfg.moments_max)
-    photonic_err = None
-    if cfg.photonic:
-        try:
-            imperfect = conditional_for_time(cfg.optical, cfg.model, t)
-        except ValueError as exc:
-            # a gate that blocks an input passes every range check
-            raise ConfigError(f"photonic: {exc} at omega_L_t={t:.6g}") from None
-        photonic_err = np.abs(pt.cond - imperfect)
-    return pt, freq, emp_moments, photonic_err
+    paths = {}
+    for name, d in dists.items():
+        table = np.column_stack([np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms]])
+        paths[f"hist_{name}"] = out / f"hist_{name}.csv"
+        _write_csv(paths[f"hist_{name}"], header, table)
+    return paths
 
 
 def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write mc_error.csv (and photonic_error.csv when enabled) over the grid."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.time_grid()
-    results = [_compare_point(cfg, index, float(t)) for index, t in enumerate(grid)]
+    g = evaluate_grid(cfg, cfg.time_grid())
+    n = len(g.t)
+    freq = np.empty((n, 4, 4))
+    imperfect = np.empty((n, 4, 4))
+    for index, t in enumerate(g.t.tolist()):
+        # per-point seed keeps each point's draws independent of the others
+        sample = SampleConfig(cfg.samples, cfg.seed + index, t)
+        freq[index] = sample_tpm(g.rho0, g.U[index], sample).frequencies
+        if cfg.photonic:
+            try:
+                imperfect[index] = conditional_for_time(cfg.optical, cfg.model, t)
+            except ValueError as exc:
+                # a gate that blocks an input passes every range check
+                raise ConfigError(f"photonic: {exc} at omega_L_t={t:.6g}") from None
 
-    for pt, freq, _, _ in results:
-        _require_prob_group(freq.ravel(), f"empirical table at omega_L_t={pt.t:.6g}")
-    times = np.array([pt.t for pt, _, _, _ in results])
-    cell_errors = error_report(
-        times,
-        np.array([pt.joint.ravel() for pt, _, _, _ in results]),
-        times,
-        np.array([freq.ravel() for _, freq, _, _ in results]),
-    )
-    moment_errors = error_report(
-        times,
-        np.array([pt.de_moments for pt, _, _, _ in results]),
-        times,
-        np.array([emp_moments for _, _, emp_moments, _ in results]),
-    )
+    cells = freq.reshape(n, 16)
+    for i in np.flatnonzero(_outside_prob_range(cells, cells.sum(axis=1))):
+        _require_prob_group(cells[i], f"empirical table at omega_L_t={g.t[i]:.6g}")
+    cell_errors = error_report(g.t, g.joint.reshape(n, 16), g.t, cells)
+    emp_moments = delta_e_grid(freq).moments(cfg.moments_max)
+    moment_errors = error_report(g.t, g.de_moments, g.t, emp_moments)
 
     header = (
         ["omega_L_t"]
         + [f"err_j_{a}_{b}" for a in _LABELS for b in _LABELS]
         + [f"err_dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     )
-    rows = [
-        [_fmt(t)] + [_fmt(x) for x in cells] + [_fmt(x) for x in moms]
-        for t, cells, moms in zip(times, cell_errors, moment_errors)
-    ]
     mc_path = out / "mc_error.csv"
-    _write_csv(mc_path, header, rows)
+    _write_csv(mc_path, header, np.column_stack([g.t, cell_errors, moment_errors]))
     paths = {"mc_error": mc_path}
 
     if cfg.photonic:
         ph_header = ["omega_L_t"] + [f"err_c_{b}_{a}" for b in _LABELS for a in _LABELS]
-        ph_rows = [
-            [_fmt(pt.t)] + [_fmt(x) for x in err.ravel()]
-            for pt, _, _, err in results
-        ]
+        errors = np.abs(g.cond - imperfect).reshape(n, 16)
         ph_path = out / "photonic_error.csv"
-        _write_csv(ph_path, ph_header, ph_rows)
+        _write_csv(ph_path, ph_header, np.column_stack([g.t, errors]))
         paths["photonic_error"] = ph_path
     return paths

@@ -63,6 +63,8 @@ class OutcomeLabel:
 
 OUTCOMES = tuple(OutcomeLabel(a, b) for a in (0, 1) for b in (0, 1))
 OUTCOME_ENERGIES = np.array([o.energy for o in OUTCOMES], dtype=float)
+# energy change dE[in, fin] = E_fin - E_in of each pair of outcomes
+ENERGY_CHANGE = OUTCOME_ENERGIES[None, :] - OUTCOME_ENERGIES[:, None]
 
 
 def projectors() -> tuple[np.ndarray, ...]:
@@ -117,14 +119,18 @@ def final_probs(j: np.ndarray) -> np.ndarray:
     return _checked_table(j).sum(axis=0)
 
 
-def _checked_table(j: np.ndarray) -> np.ndarray:
+def _checked_table(j: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """A joint table (with ``stacked``, a (T, 4, 4) stack of them) that is
+    non-negative and sums to 1 within ``PROB_SUM_TOL``."""
     j = np.asarray(j, dtype=float)
-    if j.shape != (4, 4):
+    if j.ndim != 2 + stacked or j.shape[-2:] != (4, 4):
         raise ValueError(f"joint table must be 4x4, got shape {j.shape}")
     if j.min() < -PROB_SUM_TOL:
         raise ValueError(f"joint table has negative entry {j.min():.3e}")
-    if abs(j.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"joint table sums to {j.sum():.12g}, not 1")
+    totals = j.sum(axis=(-2, -1))
+    off = np.abs(totals - 1.0)
+    if np.max(off) > PROB_SUM_TOL:
+        raise ValueError(f"joint table sums to {totals.flat[np.argmax(off)]:.12g}, not 1")
     return j
 
 
@@ -193,9 +199,7 @@ def delta_e_distribution(j: np.ndarray) -> DiscreteDistribution:
     The support is a subset of {-4, -2, 0, +2, +4}; under the gate dynamics
     (which never flips the control) it collapses to {-2, 0, +2}.
     """
-    j = _checked_table(j)
-    de = OUTCOME_ENERGIES[None, :] - OUTCOME_ENERGIES[:, None]
-    return DiscreteDistribution.from_atoms(de, j)
+    return DiscreteDistribution.from_atoms(ENERGY_CHANGE, _checked_table(j))
 
 
 def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
@@ -215,8 +219,8 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
 
 
 def _defined_weights(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    if sigma.shape != (4, 4):
-        raise ValueError(f"entropy realizations must be 4x4, got {sigma.shape}")
+    if sigma.shape != j.shape:
+        raise ValueError(f"entropy realizations must have shape {j.shape}, got {sigma.shape}")
     defined = np.isfinite(sigma)
     stray = j[~defined]
     if stray.size and stray.max(initial=0.0) > UNDEFINED_WEIGHT_TOL:
@@ -244,6 +248,8 @@ class ThermoReport:
 
     ``ratio`` is None when |<dsigma>| falls below the guard threshold: the
     energy-to-entropy ratio diverges there and has no stable numeric value.
+    From ``thermo_report_grid`` every field is an array with one entry per
+    time, and an undefined ratio is NaN.
     """
 
     de_mean: float
@@ -270,6 +276,197 @@ def thermo_report(j: np.ndarray, sigma: np.ndarray, beta: float) -> ThermoReport
     ift = float(np.sum(j[defined] * np.exp(-sigma[defined])))
     lhs = beta * de_mean
     ratio = de_mean / ds_mean if abs(ds_mean) > RATIO_GUARD else None
+    return ThermoReport(
+        de_mean=de_mean,
+        ds_mean=ds_mean,
+        ift=ift,
+        landauer_lhs=lhs,
+        landauer_slack=lhs - ds_mean,
+        ratio=ratio,
+    )
+
+
+# --- whole grids ---------------------------------------------------------
+#
+# Each function below takes a stack of T tables and equals its scalar
+# counterpart above at every row, bit for bit: the same float operations run
+# in the same order, with the same checks, over all rows at once.
+
+
+def conditional_grid(u: np.ndarray) -> np.ndarray:
+    """``conditional_matrix`` of each unitary in a (T, 4, 4) stack."""
+    u = np.asarray(u, dtype=complex)
+    off = np.abs(np.swapaxes(u, 1, 2).conj() @ u - np.eye(4)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(off <= UNITARY_TOL))
+    if bad.size:
+        raise ValueError(f"propagator {bad[0]} is not unitary within {UNITARY_TOL:g}")
+    return np.abs(u) ** 2
+
+
+def joint_grid(cond: np.ndarray, p_in: np.ndarray) -> np.ndarray:
+    """``joint_table_from_conditional`` of each conditional table in a (T, 4, 4) stack."""
+    return np.swapaxes(cond, 1, 2) * p_in[:, None]
+
+
+def final_probs_grid(j: np.ndarray) -> np.ndarray:
+    """``final_probs`` of each joint table, shape (T, 4)."""
+    return _checked_table(j, stacked=True).sum(axis=1)
+
+
+def entropy_realizations_grid(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
+    """``entropy_realizations`` with one p_fin row per time, shape (T, 4, 4)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.log(p_in)[None, :, None] - np.log(p_fin)[:, None, :]
+    sigma[:, p_in <= 0.0, :] = np.nan
+    return np.where((p_fin <= 0.0)[:, None, :], np.nan, sigma)
+
+
+@dataclass(frozen=True, eq=False)
+class AtomRows:
+    """One finitely supported distribution per row, checked as ``DiscreteDistribution``.
+
+    Row i holds the increasing atoms values[i, :counts[i]] with probabilities
+    probs[i, :counts[i]]; the cells after them are zero.
+    """
+
+    values: np.ndarray
+    probs: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        if not np.all(self.counts > 0):
+            raise ValueError("a distribution has no atom of positive probability")
+        if np.any((np.diff(self.values, axis=1) <= 0) & self.atoms[:, 1:]):
+            raise ValueError("values must be strictly increasing")
+        lowest = np.min(self.probs, where=self.atoms, initial=np.inf)
+        if lowest < 0.0:
+            raise ValueError(f"negative probability {lowest:.3e}")
+        sums = self.sums()
+        off = np.abs(sums - 1.0)
+        if np.max(off) > PROB_SUM_TOL:
+            total = sums[np.argmax(off)]
+            raise ValueError(f"probabilities sum to {total:.12g}, not 1")
+
+    @property
+    def atoms(self) -> np.ndarray:
+        """Mask of the cells that hold an atom."""
+        return np.arange(self.values.shape[1]) < self.counts[:, None]
+
+    def _groups(self):
+        """(rows, k) for each atom count k: the rows that hold exactly k atoms."""
+        for k in np.flatnonzero(np.bincount(self.counts)):
+            yield np.flatnonzero(self.counts == k), int(k)
+
+    def row(self, i: int) -> DiscreteDistribution:
+        k = self.counts[i]
+        return DiscreteDistribution(values=self.values[i, :k], probs=self.probs[i, :k])
+
+    def sums(self) -> np.ndarray:
+        """Total probability of each row, summed as ``probs.sum()`` of one distribution."""
+        out = np.empty(len(self.counts))
+        for rows, k in self._groups():
+            out[rows] = self.probs[rows, :k].sum(axis=1)
+        return out
+
+    def moments(self, h_max: int) -> np.ndarray:
+        """``moments`` of each row, shape (T, h_max)."""
+        if h_max < 1:
+            raise ValueError(f"h_max must be at least 1, got {h_max}")
+        out = np.empty((len(self.counts), h_max))
+        for rows, k in self._groups():
+            probs, values = self.probs[rows, None, :k], self.values[rows, :k, None]
+            for h in range(1, h_max + 1):
+                # a (1, k) @ (k, 1) product per row runs the BLAS dot product
+                # that np.dot runs on one distribution; no row is padded, so
+                # each adds its own k terms in the same order
+                out[rows, h - 1] = (probs @ values**h)[:, 0, 0]
+        return out
+
+
+def merge_atom_rows(values, weights, merge_tol: float = VALUE_MERGE_TOL) -> AtomRows:
+    """``DiscreteDistribution.from_atoms`` of each row of (T, K) values and weights.
+
+    All rows go through from_atoms' loop together, one sorted column per
+    step, with its anchor rule, its zero-weight guard and its arithmetic, so
+    every row merges exactly as it would alone.
+    """
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(v, axis=1, kind="stable")
+    # one contiguous row per sorted column: merged[k] holds the open atom once
+    # atom k is in it, and an atom that starts a new one closes the one before
+    v = np.take_along_axis(v, order, axis=1).T.copy()
+    w = np.take_along_axis(w, order, axis=1).T.copy()
+    merged_v, merged_w = v.copy(), w.copy()
+    starts = np.ones(v.shape, dtype=bool)
+    anchor = v[0]
+    # a zero-weight pair divides by zero, but its mean is never selected; the
+    # infinite values of entropy_grid give inf - inf, which compares false and
+    # so starts a new atom of zero weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, len(v)):
+            val, wt, last_v, last_w = v[k], w[k], merged_v[k - 1], merged_w[k - 1]
+            merge = val - anchor <= merge_tol
+            mean = (last_v * last_w + val * wt) / (last_w + wt)
+            merged_v[k] = np.where(merge, np.where(wt + last_w > 0, mean, last_v), val)
+            merged_w[k] = np.where(merge, last_w + wt, wt)
+            anchor = np.where(merge, anchor, val)
+            starts[k] = ~merge
+    closes = np.ones(v.shape, dtype=bool)
+    closes[:-1] = starts[1:]
+    keep = (closes & (merged_w > 0.0)).T
+    counts = keep.sum(axis=1)
+    slot = np.arange(len(v)) < counts[:, None]
+    out_v = np.zeros(slot.shape)
+    out_p = np.zeros(slot.shape)
+    out_v[slot] = merged_v.T[keep]
+    out_p[slot] = merged_w.T[keep]
+    return AtomRows(values=out_v, probs=out_p, counts=counts)
+
+
+def delta_e_grid(j: np.ndarray) -> AtomRows:
+    """``delta_e_distribution`` of each joint table in a (T, 4, 4) stack."""
+    j = _checked_table(j, stacked=True)
+    n = len(j)
+    return merge_atom_rows(np.broadcast_to(ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
+
+
+def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
+    """``entropy_distribution`` of each joint table and its realizations."""
+    j = _checked_table(j, stacked=True)
+    defined = _defined_weights(j, sigma)
+    n = len(j)
+    # an undefined realization sorts last with zero weight, which adds no
+    # atom, the same as leaving it out
+    values = np.where(defined, sigma, np.inf).reshape(n, 16)
+    return merge_atom_rows(values, np.where(defined, j, 0.0).reshape(n, 16))
+
+
+def thermo_report_grid(
+    j: np.ndarray, sigma: np.ndarray, beta: float, de_mean: np.ndarray
+) -> ThermoReport:
+    """``thermo_report`` of each row, given the mean of each row's dE distribution.
+
+    Every field is a (T,) array; an undefined ratio is NaN.
+    """
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    j = _checked_table(j, stacked=True)
+    defined = _defined_weights(j, sigma)
+    n = len(j)
+    cells, sigma, defined = j.reshape(n, 16), sigma.reshape(n, 16), defined.reshape(n, 16)
+    with np.errstate(invalid="ignore"):
+        ds_terms = cells * sigma
+        ift_terms = cells * np.exp(-sigma)
+    ds_mean = ds_terms.sum(axis=1)
+    ift = ift_terms.sum(axis=1)
+    for i in np.flatnonzero(~defined.all(axis=1)):
+        # the scalar path sums only the defined terms, which groups them differently
+        ds_mean[i] = ds_terms[i, defined[i]].sum()
+        ift[i] = ift_terms[i, defined[i]].sum()
+    lhs = beta * de_mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.abs(ds_mean) > RATIO_GUARD, de_mean / ds_mean, np.nan)
     return ThermoReport(
         de_mean=de_mean,
         ds_mean=ds_mean,

@@ -331,15 +331,34 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
     assert "Traceback" not in err
 
 
+def _perturb_grid(monkeypatch, change):
+    """Make run_sweep see the grid ``change(grid)`` returns."""
+    real = sweep.evaluate_grid
+    monkeypatch.setattr(sweep, "evaluate_grid", lambda cfg, times: change(real(cfg, times)))
+
+
 def test_cli_gates_ift_with_exit_3(tmp_path, monkeypatch, capsys):
-    real = sweep.thermo_report
+    def off_by_a_little(grid):
+        report = dataclasses.replace(grid.report, ift=grid.report.ift + 1e-9)
+        return dataclasses.replace(grid, report=report)
 
-    def off_by_a_little(j, sigma, beta):
-        report = real(j, sigma, beta)
-        return dataclasses.replace(report, ift=report.ift + 1e-9)
-
-    monkeypatch.setattr(sweep, "thermo_report", off_by_a_little)
+    _perturb_grid(monkeypatch, off_by_a_little)
     code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "ift" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsys):
+    def leaky(grid):
+        cond = grid.cond.copy()
+        cond[5, 3, 2] += 1e-9  # column and row sums of one table move off 1
+        return dataclasses.replace(grid, cond=cond)
+
+    _perturb_grid(monkeypatch, leaky)
+    code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "conditional table" in err
+    assert f"omega_L_t={RunConfig(n_points=12).time_grid()[5]:.6g}" in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
