@@ -60,8 +60,9 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``tol``."""
     a = np.asarray(a)
-    return op_distance(a.conj().T @ a, np.eye(a.shape[0])) <= tol
+    return op_distance(np.swapaxes(a, -1, -2).conj() @ a, np.eye(a.shape[-1])) <= tol
 
 
 def eigh_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):

@@ -211,25 +211,24 @@ def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
     return validate_density(rho)
 
 
-def coherence_l1(rho: np.ndarray) -> float:
-    """l1-norm of coherence: sum of |rho_ij| over all off-diagonal entries."""
+def coherence_l1(rho: np.ndarray):
+    """l1-norm of coherence: sum of |rho_ij| over all off-diagonal entries.
+
+    For a (T, n, n) stack of density operators, one value per operator.
+    """
     r = validate_density(rho)
-    return float(np.sum(np.abs(r)) - np.sum(np.abs(np.diag(r))))
+    return np.abs(r).sum(axis=(-2, -1)) - np.abs(np.diagonal(r, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def trajectory_coherence(prop: Propagator, outcome: int = 2) -> float:
-    """Coherence generated from the basis state ``outcome`` (default |10>)."""
-    psi = prop.U[:, outcome]
-    return coherence_l1(np.outer(psi, psi.conj()))
+def trajectory_coherence(u, outcome: int = 2):
+    """Coherence generated from the basis state ``outcome`` (default |10>).
 
-
-def trajectory_coherence_grid(u: np.ndarray, outcome: int = 2) -> np.ndarray:
-    """``trajectory_coherence`` of each propagator in a (T, 4, 4) stack."""
-    psi = np.ascontiguousarray(u[:, :, outcome])
-    # the same broadcast product np.outer runs on one state
-    r = validate_density(psi[:, :, None] * psi.conj()[:, None, :])
-    total = np.abs(r).reshape(len(r), -1).sum(axis=1)
-    return total - np.abs(np.diagonal(r, axis1=1, axis2=2)).sum(axis=1)
+    Accepts a Propagator, a 4x4 unitary or a (T, 4, 4) stack of unitaries.
+    """
+    u = u.U if isinstance(u, Propagator) else np.asarray(u, dtype=complex)
+    psi = np.ascontiguousarray(u[..., :, outcome])
+    # the broadcast product np.outer runs on one state
+    return coherence_l1(psi[..., :, None] * psi.conj()[..., None, :])
 
 
 def gate_angle(p: ModelParams, t: float) -> float:

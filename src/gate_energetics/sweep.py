@@ -12,7 +12,8 @@ for one time, kept as the reference that the grid must equal bit for bit.
 Before anything is written, every probability group is checked, and every
 sweep row also has its conditional table checked for double stochasticity
 and its fluctuation average for |ift - 1|, all within
-``linalg.PROB_SUM_TOL``; the first failing row, in time order, raises
+``linalg.PROB_SUM_TOL``.  The checks run one after another over all rows;
+the first failing row of a check, in time order, raises
 ``NumericInvariantError``.
 """
 
@@ -27,13 +28,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .linalg import PROB_SUM_TOL
-from .model import (
-    propagator_analytic,
-    propagator_grid,
-    thermal_state,
-    trajectory_coherence,
-    trajectory_coherence_grid,
-)
+from .model import propagator_analytic, propagator_grid, thermal_state, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, error_report, sample_tpm
 from .tpm import (
@@ -41,18 +36,14 @@ from .tpm import (
     DiscreteDistribution,
     OUTCOMES,
     ThermoReport,
-    conditional_grid,
     conditional_matrix,
     delta_e_distribution,
     delta_e_grid,
     entropy_distribution,
     entropy_grid,
     entropy_realizations,
-    entropy_realizations_grid,
     final_probs,
-    final_probs_grid,
     initial_probs,
-    joint_grid,
     joint_table_from_conditional,
     moments,
     thermo_report,
@@ -66,37 +57,41 @@ class NumericInvariantError(Exception):
     """A computed table or average left its allowed range before writing."""
 
 
-# rows formatted per write; bounds the memory the formatted text takes
-_CSV_CHUNK_ROWS = 2048
-
-
-def _csv_lines(table: np.ndarray) -> list[str]:
-    """One line of '%.11e' cells per row; a non-finite cell is left empty."""
+def _csv_lines(table: np.ndarray):
+    """One line of '%.11e' cells per row, made as it is written; a non-finite
+    cell is left empty."""
     fmt = ",".join(["%.11e"] * table.shape[1]) + "\n"
-    finite = np.isfinite(table).all(axis=1).tolist()
-    return [
-        fmt % tuple(row) if ok
-        else ",".join("%.11e" % x if math.isfinite(x) else "" for x in row) + "\n"
-        for row, ok in zip(table.tolist(), finite)
-    ]
+    for row, ok in zip(table, np.isfinite(table).all(axis=1).tolist()):
+        cells = row.tolist()
+        yield fmt % tuple(cells) if ok else ",".join(
+            "%.11e" % x if math.isfinite(x) else "" for x in cells
+        ) + "\n"
 
 
 def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            f.writelines(_csv_lines(table[start : start + _CSV_CHUNK_ROWS]))
+        f.writelines(_csv_lines(table))
 
 
-def _require_prob_group(cells: np.ndarray, what: str) -> None:
-    cells = np.asarray(cells, dtype=float)
-    if cells.min() < -PROB_SUM_TOL or cells.max() > 1.0 + PROB_SUM_TOL:
-        raise NumericInvariantError(
-            f"{what}: probability {cells.min():.6e}..{cells.max():.6e} outside [0, 1]"
-        )
-    total = float(cells.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise NumericInvariantError(f"{what}: probabilities sum to {total:.12e}, not 1")
+def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray | None = None) -> None:
+    """Gate a probability group: its cells must lie in [0, 1] and sum to 1.
+
+    With times ``t``, row i of ``cells`` is the group at ``t[i]`` and the
+    first failing row raises.
+    """
+    cells = np.asarray(cells, dtype=float).reshape(1 if t is None else len(t), -1)
+    lo, hi, totals = cells.min(axis=1), cells.max(axis=1), cells.sum(axis=1)
+    outside = (lo < -PROB_SUM_TOL) | (hi > 1.0 + PROB_SUM_TOL)
+    bad = np.flatnonzero(outside | (np.abs(totals - 1.0) > PROB_SUM_TOL))
+    if bad.size:
+        i = bad[0]
+        where = what if t is None else f"{what} at omega_L_t={t[i]:.6g}"
+        if outside[i]:
+            raise NumericInvariantError(
+                f"{where}: probability {lo[i]:.6e}..{hi[i]:.6e} outside [0, 1]"
+            )
+        raise NumericInvariantError(f"{where}: probabilities sum to {totals[i]:.12e}, not 1")
 
 
 @dataclass(eq=False)
@@ -181,10 +176,10 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     rho0 = thermal_state(cfg.thermal, cfg.model)
     p_in = initial_probs(rho0)
     h2, u = propagator_grid(cfg.model, t)
-    cond = conditional_grid(u)
-    joint = joint_grid(cond, p_in)
-    p_fin = final_probs_grid(joint)
-    sigma = entropy_realizations_grid(p_in, p_fin)
+    cond = conditional_matrix(u)
+    joint = joint_table_from_conditional(cond, p_in)
+    p_fin = final_probs(joint)
+    sigma = entropy_realizations(p_in, p_fin)
     de_dist = delta_e_grid(joint)
     ds_dist = entropy_grid(joint, sigma)
     de_moments = de_dist.moments(cfg.moments_max)
@@ -201,7 +196,7 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
         ds_dist=ds_dist,
         de_moments=de_moments,
         ds_moments=ds_dist.moments(cfg.moments_max),
-        coherence=trajectory_coherence_grid(u),
+        coherence=trajectory_coherence(u),
         # Python's float power, as in evaluate_point: numpy squares by
         # multiplying, which rounds differently in the last bit
         h2_sq=np.array([abs(h) ** 2 for h in h2.tolist()]),
@@ -209,40 +204,26 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     )
 
 
-def _outside_prob_range(cells: np.ndarray, totals: np.ndarray, atoms=True) -> np.ndarray:
-    """The rows ``_require_prob_group`` rejects.
-
-    Row i's group is the cells of ``cells[i]`` under ``atoms`` (all of them
-    by default) and ``totals[i]`` is their sum.
-    """
-    lo = np.min(cells, axis=1, where=atoms, initial=np.inf)
-    hi = np.max(cells, axis=1, where=atoms, initial=-np.inf)
-    return (lo < -PROB_SUM_TOL) | (hi > 1.0 + PROB_SUM_TOL) | (np.abs(totals - 1.0) > PROB_SUM_TOL)
-
-
 def _require_row_invariants(g: SweepGrid) -> None:
     """Gate every sweep row: joint table, double stochasticity and the IFT.
 
-    The first failing row, in time order, raises with its own message.
+    Each check runs over all rows in turn; its first failing row raises.
     """
-    joint = g.joint.reshape(len(g.t), 16)
+    _require_prob_group(g.joint, "joint table", g.t)
     sums = np.concatenate([g.cond.sum(axis=1), g.cond.sum(axis=2)], axis=1)
     worst = np.abs(sums - 1.0).max(axis=1)
+    bad = np.flatnonzero(worst > PROB_SUM_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericInvariantError(
+            f"conditional table at omega_L_t={g.t[i]:.6g}: "
+            f"a row or column sum is off by {worst[i]:.3e}"
+        )
     ift = g.report.ift
-    suspect = (
-        _outside_prob_range(joint, joint.sum(axis=1))
-        | (worst > PROB_SUM_TOL)
-        | (np.abs(ift - 1.0) > PROB_SUM_TOL)
-    )
-    for i in np.flatnonzero(suspect):
-        where = f"omega_L_t={g.t[i]:.6g}"
-        _require_prob_group(joint[i], f"joint table at {where}")
-        if worst[i] > PROB_SUM_TOL:
-            raise NumericInvariantError(
-                f"conditional table at {where}: a row or column sum is off by {worst[i]:.3e}"
-            )
-        if abs(ift[i] - 1.0) > PROB_SUM_TOL:
-            raise NumericInvariantError(f"ift at {where}: {ift[i]:.12e}, not 1")
+    bad = np.flatnonzero(np.abs(ift - 1.0) > PROB_SUM_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericInvariantError(f"ift at omega_L_t={g.t[i]:.6g}: {ift[i]:.12e}, not 1")
 
 
 def _peak(grid: np.ndarray, values) -> dict:
@@ -308,14 +289,6 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     g = evaluate_grid(cfg, cfg.hist_times)
     dists = {"dE": g.de_dist, "ds": g.ds_dist}
-
-    suspect = np.zeros(len(g.t), dtype=bool)
-    for d in dists.values():
-        suspect |= _outside_prob_range(d.probs, d.sums(), d.atoms)
-    for i in np.flatnonzero(suspect):
-        for name, d in dists.items():
-            _require_prob_group(d.row(i).probs, f"{name} histogram at omega_L_t={g.t[i]:.6g}")
-
     header = ["omega_L_t", "value", "probability"]
     paths = {}
     for name, d in dists.items():
@@ -344,9 +317,8 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
                 # a gate that blocks an input passes every range check
                 raise ConfigError(f"photonic: {exc} at omega_L_t={t:.6g}") from None
 
+    _require_prob_group(freq, "empirical table", g.t)
     cells = freq.reshape(n, 16)
-    for i in np.flatnonzero(_outside_prob_range(cells, cells.sum(axis=1))):
-        _require_prob_group(cells[i], f"empirical table at omega_L_t={g.t[i]:.6g}")
     cell_errors = error_report(g.t, g.joint.reshape(n, 16), g.t, cells)
     emp_moments = delta_e_grid(freq).moments(cfg.moments_max)
     moment_errors = error_report(g.t, g.de_moments, g.t, emp_moments)

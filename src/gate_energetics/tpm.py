@@ -93,20 +93,24 @@ def _as_unitary(u) -> np.ndarray:
 def conditional_matrix(u) -> np.ndarray:
     """Transition probabilities c[fin, in] = |<fin|U|in>|^2 of the evolution.
 
-    Accepts a Propagator or a raw 4x4 unitary.  For any unitary the result
-    is doubly stochastic; for this gate the in = 00 and 01 columns are exact
-    unit columns and the (10, 11) block is [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].
+    Accepts a Propagator, a raw 4x4 unitary or a (T, 4, 4) stack of them.
+    For any unitary the result is doubly stochastic; for this gate the
+    in = 00 and 01 columns are exact unit columns and the (10, 11) block is
+    [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].
     """
     return np.abs(_as_unitary(u)) ** 2
 
 
 def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarray:
-    """Joint table j[in, fin] = c[fin, in] * p_in[in] from any conditional model."""
+    """Joint table j[in, fin] = c[fin, in] * p_in[in] from any conditional model.
+
+    ``cond`` may be a (T, 4, 4) stack; each table gets the same ``p_in``.
+    """
     cond = np.asarray(cond, dtype=float)
     p_in = np.asarray(p_in, dtype=float)
-    if cond.shape != (4, 4) or p_in.shape != (4,):
+    if cond.ndim not in (2, 3) or cond.shape[-2:] != (4, 4) or p_in.shape != (4,):
         raise ValueError("conditional matrix must be 4x4 and p_in length 4")
-    return cond.T * p_in[:, None]
+    return np.swapaxes(cond, -1, -2) * p_in[:, None]
 
 
 def joint_table(rho0: np.ndarray, u) -> np.ndarray:
@@ -115,15 +119,15 @@ def joint_table(rho0: np.ndarray, u) -> np.ndarray:
 
 
 def final_probs(j: np.ndarray) -> np.ndarray:
-    """Second-measurement marginal p_fin[m] = sum_n j[n, m]."""
-    return _checked_table(j).sum(axis=0)
+    """Second-measurement marginal p_fin[m] = sum_n j[n, m], one row per table of a stack."""
+    return _checked_table(j).sum(axis=-2)
 
 
-def _checked_table(j: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """A joint table (with ``stacked``, a (T, 4, 4) stack of them) that is
-    non-negative and sums to 1 within ``PROB_SUM_TOL``."""
+def _checked_table(j: np.ndarray) -> np.ndarray:
+    """A joint table, or a (T, 4, 4) stack of them, that is non-negative and
+    sums to 1 within ``PROB_SUM_TOL``."""
     j = np.asarray(j, dtype=float)
-    if j.ndim != 2 + stacked or j.shape[-2:] != (4, 4):
+    if j.ndim not in (2, 3) or j.shape[-2:] != (4, 4):
         raise ValueError(f"joint table must be 4x4, got shape {j.shape}")
     if j.min() < -PROB_SUM_TOL:
         raise ValueError(f"joint table has negative entry {j.min():.3e}")
@@ -132,6 +136,24 @@ def _checked_table(j: np.ndarray, stacked: bool = False) -> np.ndarray:
     if np.max(off) > PROB_SUM_TOL:
         raise ValueError(f"joint table sums to {totals.flat[np.argmax(off)]:.12g}, not 1")
     return j
+
+
+def _check_atoms(values, probs, atoms, totals) -> None:
+    """The checks of a distribution, on one or more rows of atoms.
+
+    The cells under the mask ``atoms`` hold the atoms of each row: their
+    values must increase strictly and their probabilities be non-negative,
+    and each row's total (``totals``) must lie within PROB_SUM_TOL of 1.
+    """
+    if np.any((np.diff(values, axis=-1) <= 0) & atoms[..., 1:]):
+        raise ValueError("values must be strictly increasing")
+    lowest = np.min(probs, where=atoms, initial=np.inf)
+    if lowest < 0.0:
+        raise ValueError(f"negative probability {lowest:.3e}")
+    totals = np.ravel(totals)
+    off = np.abs(totals - 1.0)
+    if np.max(off) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.12g}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +168,7 @@ class DiscreteDistribution:
         p = np.asarray(self.probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise ValueError("values and probs must be 1-d arrays of equal length")
-        if np.any(np.diff(v) <= 0):
-            raise ValueError("values must be strictly increasing")
-        if p.min() < 0.0:
-            raise ValueError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
+        _check_atoms(v, p, np.ones(v.shape, dtype=bool), p.sum())
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
 
@@ -207,15 +224,15 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
 
     Entries where either probability vanishes are undefined and returned as
     NaN; under the dynamics considered here they always carry zero joint
-    probability.
+    probability.  ``p_fin`` may hold one row per time, giving a (T, 4, 4)
+    stack.
     """
     p_in = np.asarray(p_in, dtype=float)
     p_fin = np.asarray(p_fin, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.log(p_in)[:, None] - np.log(p_fin)[None, :]
-    sigma[p_in <= 0.0, :] = np.nan
-    sigma[:, p_fin <= 0.0] = np.nan
-    return sigma
+        sigma = np.log(p_in)[:, None] - np.log(p_fin)[..., None, :]
+    sigma[..., p_in <= 0.0, :] = np.nan
+    return np.where((p_fin <= 0.0)[..., None, :], np.nan, sigma)
 
 
 def _defined_weights(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -288,37 +305,11 @@ def thermo_report(j: np.ndarray, sigma: np.ndarray, beta: float) -> ThermoReport
 
 # --- whole grids ---------------------------------------------------------
 #
-# Each function below takes a stack of T tables and equals its scalar
-# counterpart above at every row, bit for bit: the same float operations run
-# in the same order, with the same checks, over all rows at once.
-
-
-def conditional_grid(u: np.ndarray) -> np.ndarray:
-    """``conditional_matrix`` of each unitary in a (T, 4, 4) stack."""
-    u = np.asarray(u, dtype=complex)
-    off = np.abs(np.swapaxes(u, 1, 2).conj() @ u - np.eye(4)).max(axis=(1, 2))
-    bad = np.flatnonzero(~(off <= UNITARY_TOL))
-    if bad.size:
-        raise ValueError(f"propagator {bad[0]} is not unitary within {UNITARY_TOL:g}")
-    return np.abs(u) ** 2
-
-
-def joint_grid(cond: np.ndarray, p_in: np.ndarray) -> np.ndarray:
-    """``joint_table_from_conditional`` of each conditional table in a (T, 4, 4) stack."""
-    return np.swapaxes(cond, 1, 2) * p_in[:, None]
-
-
-def final_probs_grid(j: np.ndarray) -> np.ndarray:
-    """``final_probs`` of each joint table, shape (T, 4)."""
-    return _checked_table(j, stacked=True).sum(axis=1)
-
-
-def entropy_realizations_grid(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
-    """``entropy_realizations`` with one p_fin row per time, shape (T, 4, 4)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.log(p_in)[None, :, None] - np.log(p_fin)[:, None, :]
-    sigma[:, p_in <= 0.0, :] = np.nan
-    return np.where((p_fin <= 0.0)[:, None, :], np.nan, sigma)
+# The table functions above take one table or a (T, 4, 4) stack of them.
+# Distributions of a stack have ragged supports and get a row-wise form: each
+# function below equals its scalar counterpart above at every row, bit for
+# bit, running the same float operations in the same order, with the same
+# checks, over all rows at once.
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,56 +325,31 @@ class AtomRows:
     counts: np.ndarray
 
     def __post_init__(self):
-        if not np.all(self.counts > 0):
-            raise ValueError("a distribution has no atom of positive probability")
-        if np.any((np.diff(self.values, axis=1) <= 0) & self.atoms[:, 1:]):
-            raise ValueError("values must be strictly increasing")
-        lowest = np.min(self.probs, where=self.atoms, initial=np.inf)
-        if lowest < 0.0:
-            raise ValueError(f"negative probability {lowest:.3e}")
-        sums = self.sums()
-        off = np.abs(sums - 1.0)
-        if np.max(off) > PROB_SUM_TOL:
-            total = sums[np.argmax(off)]
-            raise ValueError(f"probabilities sum to {total:.12g}, not 1")
+        atoms = self.atoms
+        _check_atoms(self.values, self.probs, atoms, np.sum(self.probs, axis=1, where=atoms))
 
     @property
     def atoms(self) -> np.ndarray:
         """Mask of the cells that hold an atom."""
         return np.arange(self.values.shape[1]) < self.counts[:, None]
 
-    def _groups(self):
-        """(rows, k) for each atom count k: the rows that hold exactly k atoms."""
-        for k in np.flatnonzero(np.bincount(self.counts)):
-            yield np.flatnonzero(self.counts == k), int(k)
-
-    def row(self, i: int) -> DiscreteDistribution:
-        k = self.counts[i]
-        return DiscreteDistribution(values=self.values[i, :k], probs=self.probs[i, :k])
-
-    def sums(self) -> np.ndarray:
-        """Total probability of each row, summed as ``probs.sum()`` of one distribution."""
-        out = np.empty(len(self.counts))
-        for rows, k in self._groups():
-            out[rows] = self.probs[rows, :k].sum(axis=1)
-        return out
-
     def moments(self, h_max: int) -> np.ndarray:
         """``moments`` of each row, shape (T, h_max)."""
         if h_max < 1:
             raise ValueError(f"h_max must be at least 1, got {h_max}")
         out = np.empty((len(self.counts), h_max))
-        for rows, k in self._groups():
+        for k in np.flatnonzero(np.bincount(self.counts)):
+            rows = np.flatnonzero(self.counts == k)
             probs, values = self.probs[rows, None, :k], self.values[rows, :k, None]
             for h in range(1, h_max + 1):
                 # a (1, k) @ (k, 1) product per row runs the BLAS dot product
-                # that np.dot runs on one distribution; no row is padded, so
-                # each adds its own k terms in the same order
+                # that np.dot runs on one distribution; rows are grouped by k,
+                # so none is padded and each adds its own k terms in order
                 out[rows, h - 1] = (probs @ values**h)[:, 0, 0]
         return out
 
 
-def merge_atom_rows(values, weights, merge_tol: float = VALUE_MERGE_TOL) -> AtomRows:
+def merge_atom_rows(values, weights) -> AtomRows:
     """``DiscreteDistribution.from_atoms`` of each row of (T, K) values and weights.
 
     All rows go through from_atoms' loop together, one sorted column per
@@ -406,7 +372,7 @@ def merge_atom_rows(values, weights, merge_tol: float = VALUE_MERGE_TOL) -> Atom
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, len(v)):
             val, wt, last_v, last_w = v[k], w[k], merged_v[k - 1], merged_w[k - 1]
-            merge = val - anchor <= merge_tol
+            merge = val - anchor <= VALUE_MERGE_TOL
             mean = (last_v * last_w + val * wt) / (last_w + wt)
             merged_v[k] = np.where(merge, np.where(wt + last_w > 0, mean, last_v), val)
             merged_w[k] = np.where(merge, last_w + wt, wt)
@@ -426,14 +392,14 @@ def merge_atom_rows(values, weights, merge_tol: float = VALUE_MERGE_TOL) -> Atom
 
 def delta_e_grid(j: np.ndarray) -> AtomRows:
     """``delta_e_distribution`` of each joint table in a (T, 4, 4) stack."""
-    j = _checked_table(j, stacked=True)
+    j = _checked_table(j)
     n = len(j)
     return merge_atom_rows(np.broadcast_to(ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
 
 
 def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
     """``entropy_distribution`` of each joint table and its realizations."""
-    j = _checked_table(j, stacked=True)
+    j = _checked_table(j)
     defined = _defined_weights(j, sigma)
     n = len(j)
     # an undefined realization sorts last with zero weight, which adds no
@@ -451,7 +417,7 @@ def thermo_report_grid(
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    j = _checked_table(j, stacked=True)
+    j = _checked_table(j)
     defined = _defined_weights(j, sigma)
     n = len(j)
     cells, sigma, defined = j.reshape(n, 16), sigma.reshape(n, 16), defined.reshape(n, 16)

@@ -362,3 +362,18 @@ def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsy
     assert "conditional table" in err
     assert f"omega_L_t={RunConfig(n_points=12).time_grid()[5]:.6g}" in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_cli_gates_joint_table_at_its_first_failing_time(tmp_path, monkeypatch, capsys):
+    def heavy(grid):
+        joint = grid.joint.copy()
+        joint[[7, 9], 2, 3] += 1e-9  # two tables sum past 1
+        return dataclasses.replace(grid, joint=joint)
+
+    _perturb_grid(monkeypatch, heavy)
+    code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "joint table" in err and "sum to" in err
+    assert f"omega_L_t={RunConfig(n_points=12).time_grid()[7]:.6g}:" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -5,6 +5,11 @@ before the grid engine replaced it; every later version must reproduce them.
 Like ``benchmarks/digests.json`` they pin the bytes of the numpy/OpenBLAS
 build they were recorded with: a different build may move the last digit of
 a cell and needs a deliberate re-record, not a loosened check.
+
+Recorded with CPython 3.11.7 and numpy 2.4.6 (its wheel bundles OpenBLAS
+0.3.31.188.0, built with DYNAMIC_ARCH) on an x86-64 Intel Xeon with AVX-512.
+OpenBLAS and numpy both pick their kernels by CPU at run time, so the same
+wheel on a CPU without AVX-512 may still round differently.
 """
 
 import hashlib
