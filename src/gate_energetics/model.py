@@ -193,7 +193,12 @@ class ThermalSpec:
 
 def _single_qubit_gibbs(beta: float, omega_L: float) -> np.ndarray:
     # e^{-beta omega_L sigma_z} / Tr[...], diagonal in the logical basis
-    weights = np.exp(-beta * omega_L * np.array([-1.0, 1.0]))
+    # beta * omega_L may itself overflow to inf; past 1e300 the populations
+    # are exactly 0 and 1 anyway, and the shifted exponents stay finite
+    x = np.clip(-beta * omega_L * np.array([-1.0, 1.0]), -1e300, 1e300)
+    # exp overflows above log(float max) ~ 709.78; shift only by the excess
+    # over 700, so ordinary inputs (shift 0) keep their bits exactly
+    weights = np.exp(x - max(x.max() - 700.0, 0.0))
     return np.diag(weights / weights.sum()).astype(complex)
 
 

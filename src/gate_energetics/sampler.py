@@ -3,12 +3,11 @@
 Each shot mimics the experiment: the input basis state is drawn from the
 diagonal of rho_0 (the duty-cycle mixing of the state preparation), the
 collapsed state evolves under the gate, and the second measurement outcome
-is drawn from the conditional transition probabilities.
-
-Shots are processed in fixed-size blocks, each with its own PCG64 stream
-spawned from the 64-bit seed.  The block structure is independent of how
-blocks are scheduled, so the counts are reproducible bit-for-bit no matter
-how the work is partitioned across workers.
+is drawn from the conditional transition probabilities.  A shot therefore
+lands in joint cell (in, fin) with probability j[in, fin], independently of
+the other shots, so the counts of n shots are exactly Multinomial(n, j) over
+the 16 joint cells.  They are drawn in one call from one PCG64 generator per
+seed, at a cost that does not depend on n.
 """
 
 from __future__ import annotations
@@ -18,22 +17,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tpm import conditional_matrix, initial_probs
-
-BLOCK_SIZE = 1 << 20
+from .tpm import joint_table
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Shot count, RNG seed and the evolution time the run belongs to."""
+    """Shot count and RNG seed of one Monte Carlo run."""
 
     n_samples: int = 10**6
     seed: int = 42
-    t: float = 0.0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
+        # Generator.multinomial counts in int64
+        if not 1 <= self.n_samples < 2**63:
+            raise ValueError(f"n_samples must be in [1, 2**63), got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
 
@@ -50,33 +47,12 @@ class EmpiricalTable:
         return self.counts / self.n
 
 
-def _cumulative(p: np.ndarray) -> np.ndarray:
-    c = np.cumsum(p)
-    c[-1] = 1.0  # uniform draws lie in [0, 1); the last edge must close the range
-    return c
-
-
 def sample_tpm(rho0: np.ndarray, u, cfg: SampleConfig) -> EmpiricalTable:
     """Sample cfg.n_samples two-point-measurement shots; deterministic per seed."""
-    p_in = initial_probs(rho0)
-    cond = conditional_matrix(u)
-    cum_in = _cumulative(p_in)
-    cum_fin = np.cumsum(cond, axis=0).T.copy()  # row per input state
-    cum_fin[:, -1] = 1.0
-
-    n = cfg.n_samples
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
-    counts = np.zeros((4, 4), dtype=np.int64)
-    remaining = n
-    for block in range(n_blocks):
-        size = min(BLOCK_SIZE, remaining)
-        remaining -= size
-        rng = np.random.default_rng(streams[block])
-        ins = np.searchsorted(cum_in, rng.random(size), side="right")
-        fins = (rng.random(size)[:, None] >= cum_fin[ins]).sum(axis=1)
-        counts += np.bincount(ins * 4 + fins, minlength=16).reshape(4, 4)
-    return EmpiricalTable(counts=counts, n=n)
+    j = joint_table(rho0, u).ravel()
+    # multinomial rejects pvals whose sum exceeds 1 by float noise
+    counts = np.random.default_rng(cfg.seed).multinomial(cfg.n_samples, j / j.sum())
+    return EmpiricalTable(counts=counts.reshape(4, 4), n=cfg.n_samples)
 
 
 class TVResult(NamedTuple):

@@ -308,7 +308,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     imperfect = np.empty((n, 4, 4))
     for index, t in enumerate(g.t.tolist()):
         # per-point seed keeps each point's draws independent of the others
-        sample = SampleConfig(cfg.samples, cfg.seed + index, t)
+        sample = SampleConfig(cfg.samples, cfg.seed + index)
         freq[index] = sample_tpm(g.rho0, g.U[index], sample).frequencies
         if cfg.photonic:
             try:

@@ -248,7 +248,7 @@ def test_c10_photonic_imperfection():
 def test_c11_monte_carlo_convergence(tmp_path):
     prop = propagator_analytic(PARAMS, T_STAR)
     j = joint_table(RHO0, prop)
-    table = sample_tpm(RHO0, prop, SampleConfig(10**6, 42, T_STAR))
+    table = sample_tpm(RHO0, prop, SampleConfig(10**6, 42))
     tv, max_cell = tv_distance(table, j)
     sampling_ok = max_cell <= 0.005 and tv <= 0.01
 

@@ -97,6 +97,7 @@ def test_parse_config_rejects_bad_value(tmp_path):
         ("n_points", 1),
         ("moments_max", 0),
         ("samples", 0),
+        ("samples", 2**63),
         ("seed", -1),
     ],
 )
@@ -377,3 +378,37 @@ def test_cli_gates_joint_table_at_its_first_failing_time(tmp_path, monkeypatch, 
     assert "joint table" in err and "sum to" in err
     assert f"omega_L_t={RunConfig(n_points=12).time_grid()[7]:.6g}:" in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "physics,command,code",
+    [
+        ("omega_L = 2000\n", "sweep", 3),
+        ("omega_L = 2000\n", "hist", 0),
+        ("omega_L = 2000\n", "compare", 0),
+        ("omega_L = 1e10\nbeta_B = 1e300\n", "hist", 0),
+    ],
+    ids=["sweep", "hist", "compare", "product-overflow-hist"],
+)
+def test_gibbs_weight_overflow_ends_without_traceback(tmp_path, capsys, physics, command, code):
+    # beta_B * omega_L = 1000 is past the point where exp overflows (at 1e310
+    # the product itself is inf); the target population 1/(1 + e^2000)
+    # underflows to 0, so the sweep's IFT sum loses its terms and the gate
+    # reports it
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL + physics)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("ift" in err) == (code == 3)
+
+
+def test_compare_cost_does_not_grow_with_samples(tmp_path):
+    # a per-shot sampler would not finish 10^12 shots per point
+    path = tmp_path / "run.cfg"
+    path.write_text("n_points = 4\nsamples = 1000000000000\n")
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "mc_error.csv")
+    assert len(rows) == 4
+    assert all(0.0 <= float(x) <= 1.0 for row in rows for x in row[1:])

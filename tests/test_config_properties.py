@@ -60,7 +60,7 @@ OUT_OF_RANGE = {
             _floats_outside(NEGATIVE, math.nextafter(DEFAULT_T_MAX, 4.0)), min_size=1, max_size=3
         ).map(", ".join),
     ),
-    "samples": _ints_below(1),
+    "samples": st.one_of(_ints_below(1), st.integers(min_value=2**63).map(str)),
     "seed": st.one_of(
         st.integers(max_value=-1).map(str),
         st.integers(min_value=2**64 - 199).map(str),
