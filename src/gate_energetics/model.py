@@ -236,12 +236,18 @@ def trajectory_coherence(u, outcome: int = 2):
     return coherence_l1(psi[..., :, None] * psi.conj()[..., None, :])
 
 
-def gate_angle(p: ModelParams, t: float) -> float:
+def gate_angle(p: ModelParams, t):
     """Equivalent controlled-rotation angle gamma = atan2(|h2|, |h1|) in [0, pi/2].
 
     The conditional phases dropped here do not affect any of the local
     measurement statistics, so a gate implementing controlled-u_gamma
     reproduces the full two-point-measurement energetics of the propagator.
+    An array of times gives the array of their angles, each computed in
+    Python floats as for one time.
     """
-    h1, h2 = h_coeffs(p, t)
-    return math.atan2(abs(h2), abs(h1))
+    times = np.asarray(t, dtype=float)
+    gamma = []
+    for s in times.ravel().tolist():
+        h1, h2 = h_coeffs(p, s)
+        gamma.append(math.atan2(abs(h2), abs(h1)))
+    return np.array(gamma).reshape(times.shape) if times.ndim else gamma[0]

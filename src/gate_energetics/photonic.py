@@ -20,6 +20,13 @@ fixed convention changes only unobservable phases of G.  On (H, V) the
 wave-plate identities use sigma_z = diag(+1, -1), the standard
 polarisation ordering (note this differs from the logical-qubit sigma_z
 in linalg).  A plate at physical angle chi implements u at angle 2 chi.
+
+Every step from the time to the conditional matrix takes one time or an
+array of T times and then returns (T, 4, 4) stacks, equal row for row to
+the one-time results: the 16 permanents are taken over fixed index arrays,
+their products go through ``model._complex_product`` and the plate's cos and
+sin are Python-float math per angle, so no row depends on vectorised
+rounding.  A stack that blocks an input raises at its first blocked row.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SUCCESS_FLOOR
-from .model import ModelParams, gate_angle
+from .model import ModelParams, _complex_product, gate_angle
 
 _ARMS = ((0, 1), (2, 3))  # (H, V) mode indices of arm a and arm b
 
@@ -74,19 +81,30 @@ def ppbs_transform(t_h: float, t_v: float) -> np.ndarray:
     return m
 
 
-def hwp_u(theta: float) -> np.ndarray:
+def hwp_u(theta) -> np.ndarray:
     """Polarisation action u_theta = [[cos, sin], [sin, -cos]] of a half-wave plate.
 
-    Satisfies u_theta u_theta = 1 and u_theta sigma_z u_theta = u_{2 theta}
-    (sigma_z = diag(+1, -1) on (H, V)).
+    An array of T angles gives a (T, 2, 2) stack.  Satisfies u_theta u_theta
+    = 1 and u_theta sigma_z u_theta = u_{2 theta} (sigma_z = diag(+1, -1) on
+    (H, V)).
     """
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    angles = theta.ravel().tolist()
+    # Python's cos and sin per angle: numpy's vectorised ones may round
+    # differently in the last bit, and the output bytes depend on it
+    c = np.array([math.cos(x) for x in angles]).reshape(theta.shape)
+    s = np.array([math.sin(x) for x in angles]).reshape(theta.shape)
+    u = np.empty(theta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = c
+    u[..., 0, 1] = u[..., 1, 0] = s
+    u[..., 1, 1] = -c
+    return u
 
 
 def _on_arm_b(u2: np.ndarray) -> np.ndarray:
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = u2
+    m = np.zeros(u2.shape[:-2] + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = 1.0
+    m[..., 2:, 2:] = u2
     return m
 
 
@@ -94,14 +112,15 @@ def _equalizers(atten_h: float) -> np.ndarray:
     return np.diag([atten_h, 1.0, atten_h, 1.0]).astype(complex)
 
 
-def compose_circuit(params: OpticalParams, gamma: float) -> np.ndarray:
+def compose_circuit(params: OpticalParams, gamma) -> np.ndarray:
     """Full mode transform of the gate targeting a controlled-u_gamma rotation.
 
     Composition (rightmost first): plate u_{gamma/2} on arm b, beam
     splitter, H equalizers on both arms, plate u_{gamma/2} on arm b.  The
-    transform is unitary without attenuation and sub-unitary otherwise.
+    transform is unitary without attenuation and sub-unitary otherwise.  An
+    array of T angles gives a (T, 4, 4) stack.
     """
-    plate = gamma / 4.0  # physical plate angle
+    plate = np.asarray(gamma, dtype=float) / 4.0  # physical plate angle
     wave_plate = _on_arm_b(hwp_u(2.0 * plate))
     return (
         wave_plate
@@ -119,52 +138,72 @@ class PostselectedGate:
     success: np.ndarray
 
 
+# the modes (a,p) and (b,q) that hold the photons of basis state 2 p + q
+_MODE_A = np.array([0, 0, 1, 1])
+_MODE_B = np.array([2, 3, 2, 3])
+
+
+def _entries(m: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Real and imaginary parts of m[..., rows[k], cols[l]] as (..., 4, 4) arrays."""
+    return m.real[..., rows[:, None], cols], m.imag[..., rows[:, None], cols]
+
+
 def postselect(m: np.ndarray) -> PostselectedGate:
     """Two-photon coincidence amplitudes of the mode transform.
 
     G[(p', q'), (p, q)] is the permanent of the 2x2 submatrix connecting the
     input modes ((a,p), (b,q)) to the output modes ((a,p'), (b,q')): the
     direct term keeps each photon in its arm, the exchange term swaps them.
+    A (T, 4, 4) stack of transforms gives a stack of gates.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
         raise ValueError(f"mode transform must be 4x4, got shape {m.shape}")
-    g = np.zeros((4, 4), dtype=complex)
-    for p_out in (0, 1):
-        for q_out in (0, 1):
-            row_a, row_b = _ARMS[0][p_out], _ARMS[1][q_out]
-            for p in (0, 1):
-                for q in (0, 1):
-                    col_a, col_b = _ARMS[0][p], _ARMS[1][q]
-                    g[2 * p_out + q_out, 2 * p + q] = (
-                        m[row_a, col_a] * m[row_b, col_b]
-                        + m[row_a, col_b] * m[row_b, col_a]
-                    )
-    return PostselectedGate(G=g, success=(np.abs(g) ** 2).sum(axis=0))
+    a, b = _MODE_A, _MODE_B
+    direct = _complex_product(*_entries(m, a, a), *_entries(m, b, b))
+    exchange = _complex_product(*_entries(m, a, b), *_entries(m, b, a))
+    g = np.empty(m.shape, dtype=complex)
+    g.real = direct[0] + exchange[0]
+    g.imag = direct[1] + exchange[1]
+    return PostselectedGate(G=g, success=(np.abs(g) ** 2).sum(axis=-2))
 
 
-def photonic_conditional_matrix(gate: PostselectedGate, eps: float = 0.0) -> np.ndarray:
+def photonic_conditional_matrix(
+    gate: PostselectedGate, eps: float = 0.0, t=None
+) -> np.ndarray:
     """Conditional outcome probabilities of the post-selected gate.
 
     c[fin, in] = (1 - eps) |G[fin, in]|^2 / success[in] + eps / 4: the
     coincidence statistics renormalized by the per-input success
     probability, mixed with a uniform accidental background of weight eps.
-    Columns sum to 1 by construction.
+    Columns sum to 1 by construction.  A stack of gates gives a stack of
+    matrices; the first gate that blocks an input raises, named by its time
+    in ``t`` when given and by its row otherwise.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    blocked = np.flatnonzero(gate.success <= SUCCESS_FLOOR)
-    if blocked.size:
-        labels = ", ".join(format(i, "02b") for i in blocked)
-        raise ValueError(f"gate blocks basis input(s) {labels}: post-selection never succeeds")
-    return (1.0 - eps) * np.abs(gate.G) ** 2 / gate.success[None, :] + eps / 4.0
+    blocked = (gate.success <= SUCCESS_FLOOR).reshape(-1, 4)
+    rows = np.flatnonzero(blocked.any(axis=1))
+    if rows.size:
+        i = rows[0]
+        labels = ", ".join(format(k, "02b") for k in np.flatnonzero(blocked[i]))
+        if t is not None:
+            where = f" at omega_L_t={np.ravel(t)[i]:.6g}"
+        else:
+            where = f" in row {i}" if gate.success.ndim > 1 else ""
+        raise ValueError(
+            f"gate blocks basis input(s) {labels}: post-selection never succeeds{where}"
+        )
+    return (1.0 - eps) * np.abs(gate.G) ** 2 / gate.success[..., None, :] + eps / 4.0
 
 
-def gate_for_time(params: OpticalParams, model: ModelParams, t: float) -> PostselectedGate:
-    """Post-selected gate realizing the controlled rotation reached at time t."""
+def gate_for_time(params: OpticalParams, model: ModelParams, t) -> PostselectedGate:
+    """Post-selected gate realizing the controlled rotation reached at time t,
+    or a stack of them for an array of times."""
     return postselect(compose_circuit(params, gate_angle(model, t)))
 
 
-def conditional_for_time(params: OpticalParams, model: ModelParams, t: float) -> np.ndarray:
-    """Conditional matrix of the optical gate at time t."""
-    return photonic_conditional_matrix(gate_for_time(params, model, t), params.eps)
+def conditional_for_time(params: OpticalParams, model: ModelParams, t) -> np.ndarray:
+    """Conditional matrix of the optical gate at time t, or the (T, 4, 4) stack
+    of them for an array of T times."""
+    return photonic_conditional_matrix(gate_for_time(params, model, t), params.eps, t)

@@ -7,7 +7,9 @@ columns are the dimensionless omega_L * t.
 
 ``evaluate_grid`` computes the statistics of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
-``compare`` all go through it.  ``evaluate_point`` is the same computation
+``compare`` all go through it.  ``compare`` then makes one sampler call and,
+with the photonic model, one photonic call for the whole grid.
+``evaluate_point`` is the same computation
 for one time, kept as the reference that the grid must equal bit for bit.
 Before anything is written, every probability group is checked, and every
 sweep row also has its conditional table checked for double stochasticity
@@ -304,18 +306,14 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     g = evaluate_grid(cfg, cfg.time_grid())
     n = len(g.t)
-    freq = np.empty((n, 4, 4))
-    imperfect = np.empty((n, 4, 4))
-    for index, t in enumerate(g.t.tolist()):
-        # per-point seed keeps each point's draws independent of the others
-        sample = SampleConfig(cfg.samples, cfg.seed + index)
-        freq[index] = sample_tpm(g.rho0, g.U[index], sample).frequencies
-        if cfg.photonic:
-            try:
-                imperfect[index] = conditional_for_time(cfg.optical, cfg.model, t)
-            except ValueError as exc:
-                # a gate that blocks an input passes every range check
-                raise ConfigError(f"photonic: {exc} at omega_L_t={t:.6g}") from None
+    if cfg.photonic:
+        try:
+            imperfect = conditional_for_time(cfg.optical, cfg.model, g.t)
+        except ValueError as exc:
+            # a gate that blocks an input passes every range check
+            raise ConfigError(f"photonic: {exc}") from None
+    # point i draws with seed + i, independently of the other points
+    freq = sample_tpm(g.rho0, g.U, SampleConfig(cfg.samples, cfg.seed)).frequencies
 
     _require_prob_group(freq, "empirical table", g.t)
     cells = freq.reshape(n, 16)

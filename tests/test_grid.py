@@ -6,6 +6,7 @@ the output bytes depend on it, so every field is compared with
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,9 +19,19 @@ from gate_energetics.linalg import validate_density
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
+    gate_angle,
     propagator_analytic,
     trajectory_coherence,
 )
+from gate_energetics.photonic import (
+    OpticalParams,
+    PostselectedGate,
+    conditional_for_time,
+    gate_for_time,
+    photonic_conditional_matrix,
+    ppbs_transform,
+)
+from gate_energetics.sampler import SampleConfig, sample_tpm
 from gate_energetics.sweep import evaluate_grid, evaluate_point
 from gate_energetics.tpm import DiscreteDistribution, merge_atom_rows
 
@@ -197,3 +208,96 @@ def test_grid_keeps_every_scalar_check(name):
     call, message = STACKED_CHECKS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# the photonic layer one time at a time: a 4x4 mode transform per time and
+# four nested loops over the two-photon permanents
+_ARMS = ((0, 1), (2, 3))  # (H, V) mode indices of arm a and arm b
+
+
+def _postselect_loops(m):
+    g = np.zeros((4, 4), dtype=complex)
+    for p_out in (0, 1):
+        for q_out in (0, 1):
+            row_a, row_b = _ARMS[0][p_out], _ARMS[1][q_out]
+            for p in (0, 1):
+                for q in (0, 1):
+                    col_a, col_b = _ARMS[0][p], _ARMS[1][q]
+                    g[2 * p_out + q_out, 2 * p + q] = (
+                        m[row_a, col_a] * m[row_b, col_b] + m[row_a, col_b] * m[row_b, col_a]
+                    )
+    return g
+
+
+def _gate_per_time(optical, model, t):
+    theta = 2.0 * (gate_angle(model, t) / 4.0)
+    c, s = math.cos(theta), math.sin(theta)
+    plate = np.eye(4, dtype=complex)
+    plate[2:, 2:] = [[c, s], [s, -c]]
+    equalizers = np.diag([optical.atten_H, 1.0, optical.atten_H, 1.0]).astype(complex)
+    return _postselect_loops(plate @ equalizers @ ppbs_transform(optical.T_H, optical.T_V) @ plate)
+
+
+def _conditional_per_time(optical, g):
+    success = (np.abs(g) ** 2).sum(axis=0)
+    return (1.0 - optical.eps) * np.abs(g) ** 2 / success[None, :] + optical.eps / 4.0
+
+
+IMPERFECT = OpticalParams(T_H=0.985, eps=0.01)
+# optics and the name of a grid case above
+PHOTONIC_CASES = {
+    "default-optics": (OpticalParams(), "default-grid"),
+    "imperfect-transmission": (IMPERFECT, "default-grid"),
+    "lossy-asymmetric": (
+        OpticalParams(T_H=0.9, T_V=0.4, atten_H=0.7, eps=0.1),
+        "default-grid",
+    ),
+    "contains-zero": (IMPERFECT, "contains-zero"),
+    "t_min-and-omega_int-perturbed": (IMPERFECT, "t_min-and-omega_int-perturbed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHOTONIC_CASES))
+def test_stacked_photonic_equals_per_time_loops_exactly(name):
+    optical, grid = PHOTONIC_CASES[name]
+    cfg, times = CASES[grid]
+    gates = gate_for_time(optical, cfg.model, times)
+    cond = conditional_for_time(optical, cfg.model, times)
+    assert cond.shape == (len(times), 4, 4)
+    for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
+        g = _gate_per_time(optical, cfg.model, t)
+        assert _same(gates.G[i], g), (name, t, "G")
+        assert _same(cond[i], _conditional_per_time(optical, g)), (name, t, "cond")
+
+
+def test_stacked_gate_names_its_blocked_row():
+    g = np.stack([np.eye(4, dtype=complex)] * 3)
+    g[1, :, 2] = 0.0
+    gate = PostselectedGate(G=g, success=(np.abs(g) ** 2).sum(axis=-2))
+    with pytest.raises(ValueError, match=r"input\(s\) 10: .* in row 1$"):
+        photonic_conditional_matrix(gate)
+
+
+def test_stacked_conditional_names_the_first_blocked_time():
+    # equal transmissions: two-photon interference empties the HH and VV
+    # coincidences at t = 0 only
+    optical = OpticalParams(T_H=0.5, T_V=0.5)
+    with pytest.raises(ValueError, match=r"input\(s\) 00, 11: .* at omega_L_t=0$"):
+        conditional_for_time(optical, DEFAULT.model, np.array([0.3, 0.0, 0.6]))
+
+
+@pytest.mark.parametrize("n_samples", [1000, 10**12])
+def test_stacked_sampler_rows_equal_single_calls(n_samples):
+    g = evaluate_grid(SMALL, SMALL.time_grid())
+    table = sample_tpm(g.rho0, g.U, SampleConfig(n_samples, 42))
+    assert table.counts.shape == (8, 4, 4)
+    for i in range(8):
+        single = sample_tpm(g.rho0, g.U[i], SampleConfig(n_samples, 42 + i))
+        assert np.array_equal(table.counts[i], single.counts), i
+
+
+def test_stacked_sampler_rejects_a_last_seed_beyond_64_bits():
+    g = evaluate_grid(SMALL, SMALL.time_grid())
+    assert sample_tpm(g.rho0, g.U, SampleConfig(100, 2**64 - 8)).counts.shape == (8, 4, 4)
+    with pytest.raises(ValueError, match="last seed"):
+        sample_tpm(g.rho0, g.U, SampleConfig(100, 2**64 - 7))
