@@ -1,9 +1,15 @@
 """Sweep orchestration and deterministic CSV/JSON emission.
 
-All numeric cells are written in fixed scientific notation with 12
-significant digits, comma-delimited, '\\n' line endings; re-running any
-command with the same configuration produces byte-identical files.  Time
-columns are the dimensionless omega_L * t.
+CSV files are comma-delimited with '\\n' line endings; re-running any command
+with the same configuration produces byte-identical files.  Time columns are
+the dimensionless omega_L * t.  Every numeric cell is exactly Python's
+``'%.11e' % x``: a '-' for a negative value (-0.0 included), one digit, '.',
+11 digits, 'e', the exponent's sign and its digits, at least two (three
+for an exponent of 100 or more in magnitude).  A non-finite value leaves its cell empty.
+Rows are formatted in blocks of ``_BLOCK_ROWS`` with numpy array operations
+(``_csv_block``): each cell is scaled to a 12-digit integer in double-double
+arithmetic, and a cell that this cannot round with certainty is formatted by
+'%' itself.
 
 ``evaluate_grid`` computes the statistics of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
@@ -22,7 +28,6 @@ the first failing row of a check, in time order, raises
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,21 +64,141 @@ class NumericInvariantError(Exception):
     """A computed table or average left its allowed range before writing."""
 
 
-def _csv_lines(table: np.ndarray):
-    """One line of '%.11e' cells per row, made as it is written; a non-finite
-    cell is left empty."""
-    fmt = ",".join(["%.11e"] * table.shape[1]) + "\n"
-    for row, ok in zip(table, np.isfinite(table).all(axis=1).tolist()):
-        cells = row.tolist()
-        yield fmt % tuple(cells) if ok else ",".join(
-            "%.11e" % x if math.isfinite(x) else "" for x in cells
-        ) + "\n"
+# --- CSV cells ------------------------------------------------------------
+#
+# A cell is laid out in 20 bytes, as five 4-byte words: "-d.d", "dddd",
+# "dddd", "dde+" and "ddd,".  A NUL marks a byte the cell does not use (the
+# sign of a non-negative value, the hundreds digit of an exponent below 100,
+# every byte but the separator of a non-finite cell); deleting the NULs
+# leaves the text of '%.11e' % x.
+
+_BLOCK_ROWS = 1024
+# |x| in [_FAST_MIN, _FAST_MAX) is scaled by 10**(11 - e) double-doubles for
+# e in [_E_LO, _E_HI]: its decimal exponent lies in [-281, 280], and its
+# log10 estimate within one of that
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_E_LO, _E_HI = -282, 282
+# a scaled value whose fraction lies this close to 1/2 may be a tie or may
+# round the other way in exact arithmetic: '%' formats it instead
+_TIE_MARGIN = 1e-9
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: 26-bit halves of a double
+
+
+def _pow10_table() -> np.ndarray:
+    """Row e - _E_LO holds 10**(11 - e) as the double-double (hi, lo), with
+    hi split into its Veltkamp halves: columns hi, hi_hi, hi_lo, lo.
+
+    hi is 10**k correctly rounded and lo the correctly rounded remainder,
+    both from exact integer arithmetic.
+    """
+    hi, lo = [], []
+    for e in range(_E_LO, _E_HI + 1):
+        k = 11 - e
+        if k >= 0:
+            p = 10**k
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:
+            d = 10**-k
+            hi.append(1 / d)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * d) / d / den)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return np.column_stack([hi, hi_hi, hi - hi_hi, lo])
+
+
+_POW10 = _pow10_table()
+
+
+def _words(cells) -> np.ndarray:
+    """Cells of 4 bytes each, as native uint32 words."""
+    return np.frombuffer(b"".join(cells), np.uint32)
+
+
+# the 5 words of a cell, each looked up by the index in its comment
+_PAIRS = np.frombuffer(b"".join(b"%02d" % n for n in range(100)), np.uint16)
+_HEAD = _words(  # "-d.d": the first two digits + 100 * (x < 0)
+    sign + b"%d.%d" % divmod(n, 10) for sign in (b"\0", b"-") for n in range(100)
+)
+_QUAD = np.stack(  # "dddd": four digits
+    np.broadcast_arrays(_PAIRS[:, None], _PAIRS[None, :]), axis=-1
+).view(np.uint32).ravel()
+_TAIL = _words(  # "dde+": the last two digits + 100 * (exponent < 0)
+    b"%02de" % n + sign for sign in (b"+", b"-") for n in range(100)
+)
+_EXP = _words(  # "ddd,": |exponent|
+    b"%d," % n if n >= 100 else b"\0%02d," % n for n in range(1000)
+)
+_EMPTY = _words([b"\0" * 19 + b","])
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 12-digit integer mantissa m and exponent e of '%.11e' % |x|.
+
+    |x| is scaled by 10**(11 - e) in double-double arithmetic (Dekker's
+    exact product against ``_POW10``) and rounded to an integer.  A cell
+    outside the fast range, or whose scaled fraction is within
+    ``_TIE_MARGIN`` of 1/2, or whose estimate of e was off, takes m and e
+    from Python's correctly rounded '%' instead.  Zero and non-finite cells
+    get m = e = 0.
+    """
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # false for 0, inf and nan
+    a[~fast] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    p_hi, hi_hi, hi_lo, p_lo = np.moveaxis(_POW10.take(e - _E_LO, axis=0), -1, 0)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * p_hi
+    lo = (((a_hi * hi_hi - hi) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * p_lo
+    whole = np.floor(hi)
+    frac = (hi - whole) + lo
+    m = (whole + np.floor(frac + 0.5)).astype(np.int64)
+    carry = m == 10**12
+    m[carry] = 10**11
+    e += carry
+    fast &= (hi >= 1e11) & (hi < 1e12) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    m[~fast] = 0
+    e[~fast] = 0
+    m_flat, e_flat, x_flat = m.reshape(-1), e.reshape(-1), x.reshape(-1)
+    for i in np.flatnonzero(~fast & np.isfinite(x) & (x != 0)).tolist():
+        cell = "%.11e" % abs(x_flat[i])
+        m_flat[i], e_flat[i] = int(cell[0] + cell[2:13]), int(cell[14:])
+    return m, e
+
+
+def _csv_block(x: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float block: '%.11e' cells, a non-finite cell
+    left empty."""
+    m, e = _decimal(x)
+    words = np.empty(x.shape + (5,), np.uint32)
+    top, rest = np.divmod(m, 10**10)
+    words[..., 0] = _HEAD[top + 100 * np.signbit(x)]
+    quad, rest = np.divmod(rest, 10**6)
+    words[..., 1] = _QUAD[quad]
+    quad, rest = np.divmod(rest, 100)
+    words[..., 2] = _QUAD[quad]
+    words[..., 3] = _TAIL[rest + 100 * (e < 0)]
+    words[..., 4] = _EXP[np.abs(e)]
+    words[~np.isfinite(x)] = _EMPTY
+    text = words.view(np.uint8).reshape(len(x), -1)
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(_csv_lines(table))
+    """Write the header and the rows of ``table``, formatted in blocks of
+    ``_BLOCK_ROWS`` rows."""
+    table = np.ascontiguousarray(table, dtype=float)
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, len(table), _BLOCK_ROWS):
+            f.write(_csv_block(table[start:start + _BLOCK_ROWS]))
 
 
 def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray | None = None) -> None:
