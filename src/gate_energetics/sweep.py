@@ -4,12 +4,12 @@ CSV files are comma-delimited with '\\n' line endings; re-running any command
 with the same configuration produces byte-identical files.  Time columns are
 the dimensionless omega_L * t.  Every numeric cell is exactly Python's
 ``'%.11e' % x``: a '-' for a negative value (-0.0 included), one digit, '.',
-11 digits, 'e', the exponent's sign and its digits, at least two (three
-for an exponent of 100 or more in magnitude).  A non-finite value leaves its cell empty.
-Rows are formatted in blocks of ``_BLOCK_ROWS`` with numpy array operations
-(``_csv_block``): each cell is scaled to a 12-digit integer in double-double
-arithmetic, and a cell that this cannot round with certainty is formatted by
-'%' itself.
+11 digits, 'e', the exponent's sign and its digits, at least two (three for
+an exponent of 100 or more in magnitude).  A non-finite value leaves its
+cell empty.  Rows are formatted in blocks of ``_BLOCK_ROWS`` with numpy
+array operations (``_csv_block``): each cell is scaled to a 12-digit integer
+in double-double arithmetic, and a cell that this cannot round with
+certainty is formatted by '%' itself.
 
 ``evaluate_grid`` computes the statistics of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
@@ -119,7 +119,7 @@ def _words(cells) -> np.ndarray:
 
 # the 5 words of a cell, each looked up by the index in its comment
 _PAIRS = np.frombuffer(b"".join(b"%02d" % n for n in range(100)), np.uint16)
-_HEAD = _words(  # "-d.d": the first two digits + 100 * (x < 0)
+_HEAD = _words(  # "-d.d": the first two digits + 100 * signbit(x)
     sign + b"%d.%d" % divmod(n, 10) for sign in (b"\0", b"-") for n in range(100)
 )
 _QUAD = np.stack(  # "dddd": four digits
@@ -128,8 +128,8 @@ _QUAD = np.stack(  # "dddd": four digits
 _TAIL = _words(  # "dde+": the last two digits + 100 * (exponent < 0)
     b"%02de" % n + sign for sign in (b"+", b"-") for n in range(100)
 )
-_EXP = _words(  # "ddd,": |exponent|
-    b"%d," % n if n >= 100 else b"\0%02d," % n for n in range(1000)
+_EXP = _words(  # "ddd,": |exponent|, at most 324 for a double
+    b"%d," % n if n >= 100 else b"\0%02d," % n for n in range(325)
 )
 _EMPTY = _words([b"\0" * 19 + b","])
 
