@@ -37,9 +37,7 @@ SUCCESS_FLOOR = 1e-15
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
-PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
 
 

@@ -31,7 +31,6 @@ from .linalg import (
     IDENTITY_2,
     PROJ_1,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     tensor,
     validate_density,
@@ -78,47 +77,23 @@ def h_coeffs(p: ModelParams, t: float) -> tuple[complex, complex]:
     return h1, h2
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """Time-t unitary together with the block amplitudes that parametrize it."""
-
-    t: float
-    h1: complex
-    h2: complex
-    U: np.ndarray
-
-
-def propagator_analytic(p: ModelParams, t: float) -> Propagator:
-    """Closed-form propagator exp(-i H_tot t).
-
-    Acts as |00> -> e^{i omega_L t}|00>, |01> -> |01>, and on the
-    (|10>, |11>) block as e^{-i omega_L t / 2} [[h1, h2], [h2, h1*]].
-    Entries outside that pattern are exactly zero.
-    """
-    h1, h2 = h_coeffs(p, t)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = np.exp(1j * p.omega_L * t)
-    u[1, 1] = 1.0
-    phase = np.exp(-0.5j * p.omega_L * t)
-    u[2, 2] = phase * h1
-    u[3, 2] = phase * h2
-    u[2, 3] = phase * h2
-    u[3, 3] = phase * np.conj(h1)
-    return Propagator(t=t, h1=h1, h2=h2, U=u)
-
-
 def _complex_product(ar, ai, br, bi):
     """Real and imaginary parts of (ar + i ai) (br + i bi)."""
     # numpy's vectorised complex multiply fuses these products with FMA, which
-    # moves last bits; separate float operations round like the scalar
-    # complex multiply in propagator_analytic
+    # moves last bits; separate float operations round like Python's scalar
+    # complex multiply
     return ar * br - ai * bi, ar * bi + ai * br
 
 
 def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """``propagator_analytic`` at every time: h2 of shape (T,) and U of shape (T, 4, 4).
+    """Closed-form propagator exp(-i H_tot t) at every time: h2 of shape (T,)
+    and U of shape (T, 4, 4).
 
-    Each entry equals the scalar one bit for bit.
+    U acts as |00> -> e^{i omega_L t}|00>, |01> -> |01>, and on the
+    (|10>, |11>) block as e^{-i omega_L t / 2} [[h1, h2], [h2, h1*]]; entries
+    outside that pattern are exactly zero.  Each entry equals, bit for bit,
+    the one-time propagator of tests/reference.py, which builds it from
+    ``h_coeffs`` with Python's complex arithmetic.
     """
     t = np.asarray(times, dtype=float)
     d = p.delta
@@ -138,34 +113,6 @@ def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
         u[:, row, col].imag = im
     u[:, 2, 3] = u[:, 3, 2]
     return h2[0] + 1j * h2[1], u
-
-
-@dataclass(frozen=True, eq=False)
-class RotationDecomposition:
-    """Axis-angle form of the conditioned target rotation."""
-
-    zeta: float
-    phi: float
-    axis: np.ndarray
-
-    def rotation(self) -> np.ndarray:
-        """Reconstruct the 2x2 rotation cos(phi) 1 - i sin(phi) (n . sigma)."""
-        n_sigma = self.axis[0] * SIGMA_X + self.axis[1] * SIGMA_Y + self.axis[2] * SIGMA_Z
-        return math.cos(self.phi) * IDENTITY_2 - 1j * math.sin(self.phi) * n_sigma
-
-
-def rotation_decomposition(p: ModelParams, t: float) -> RotationDecomposition:
-    """Axis and angle of the target rotation conditioned on the control in |1>.
-
-    The reconstructed rotation equals the (|10>, |11>) block of the
-    propagator up to the e^{-i omega_L t / 2} prefactor.  Requires
-    omega_int > 0; the axis is degenerate otherwise.
-    """
-    if p.omega_int <= 0:
-        raise ValueError("rotation axis is degenerate for omega_int = 0")
-    zeta = math.acos(p.omega_L / (2 * p.delta))
-    axis = np.array([math.sin(zeta), 0.0, math.cos(zeta)])
-    return RotationDecomposition(zeta=zeta, phi=p.delta * t, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -216,24 +163,18 @@ def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
     return validate_density(rho)
 
 
-def coherence_l1(rho: np.ndarray):
-    """l1-norm of coherence: sum of |rho_ij| over all off-diagonal entries.
-
-    For a (T, n, n) stack of density operators, one value per operator.
-    """
-    r = validate_density(rho)
-    return np.abs(r).sum(axis=(-2, -1)) - np.abs(np.diagonal(r, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
 def trajectory_coherence(u, outcome: int = 2):
-    """Coherence generated from the basis state ``outcome`` (default |10>).
+    """l1-norm of coherence generated from the basis state ``outcome`` (default |10>).
 
-    Accepts a Propagator, a 4x4 unitary or a (T, 4, 4) stack of unitaries.
+    The sum of |rho_ij| over the off-diagonal entries of rho = psi psi^dag,
+    psi = U|outcome>, for a 4x4 unitary or for each unitary of a (T, 4, 4)
+    stack.  The unitaries are not checked here: ``evaluate_grid`` has checked
+    the same stack in ``conditional_matrix``.
     """
-    u = u.U if isinstance(u, Propagator) else np.asarray(u, dtype=complex)
-    psi = np.ascontiguousarray(u[..., :, outcome])
-    # the broadcast product np.outer runs on one state
-    return coherence_l1(psi[..., :, None] * psi.conj()[..., None, :])
+    psi = np.ascontiguousarray(np.asarray(u, dtype=complex)[..., :, outcome])
+    rho = psi[..., :, None] * psi.conj()[..., None, :]
+    total = np.abs(rho).sum(axis=(-2, -1))
+    return total - np.abs(np.diagonal(rho, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def gate_angle(p: ModelParams, t):

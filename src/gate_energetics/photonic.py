@@ -70,9 +70,6 @@ def ppbs_transform(t_h: float, t_v: float) -> np.ndarray:
     Each polarisation couples the two arms independently:
     a_p -> sqrt(T_p) a_p + i sqrt(1 - T_p) b_p and symmetrically for b_p.
     """
-    for name, value in (("T_H", t_h), ("T_V", t_v)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     m = np.zeros((4, 4), dtype=complex)
     for pol, T in ((0, t_h), (1, t_v)):
         a, b = _ARMS[0][pol], _ARMS[1][pol]
@@ -168,31 +165,23 @@ def postselect(m: np.ndarray) -> PostselectedGate:
     return PostselectedGate(G=g, success=(np.abs(g) ** 2).sum(axis=-2))
 
 
-def photonic_conditional_matrix(
-    gate: PostselectedGate, eps: float = 0.0, t=None
-) -> np.ndarray:
-    """Conditional outcome probabilities of the post-selected gate.
+def photonic_conditional_matrix(gate: PostselectedGate, eps: float, t) -> np.ndarray:
+    """Conditional outcome probabilities of the post-selected gate at time(s) ``t``.
 
     c[fin, in] = (1 - eps) |G[fin, in]|^2 / success[in] + eps / 4: the
     coincidence statistics renormalized by the per-input success
     probability, mixed with a uniform accidental background of weight eps.
     Columns sum to 1 by construction.  A stack of gates gives a stack of
-    matrices; the first gate that blocks an input raises, named by its time
-    in ``t`` when given and by its row otherwise.
+    matrices; the first gate that blocks an input raises, named by its time.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     blocked = (gate.success <= SUCCESS_FLOOR).reshape(-1, 4)
     rows = np.flatnonzero(blocked.any(axis=1))
     if rows.size:
         i = rows[0]
         labels = ", ".join(format(k, "02b") for k in np.flatnonzero(blocked[i]))
-        if t is not None:
-            where = f" at omega_L_t={np.ravel(t)[i]:.6g}"
-        else:
-            where = f" in row {i}" if gate.success.ndim > 1 else ""
         raise ValueError(
-            f"gate blocks basis input(s) {labels}: post-selection never succeeds{where}"
+            f"gate blocks basis input(s) {labels}: post-selection never succeeds"
+            f" at omega_L_t={np.ravel(t)[i]:.6g}"
         )
     return (1.0 - eps) * np.abs(gate.G) ** 2 / gate.success[..., None, :] + eps / 4.0
 

@@ -19,7 +19,6 @@ independent of each other.  A last seed of 2^64 or more is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,37 +72,3 @@ def sample_tpm(rho0: np.ndarray, u, cfg: SampleConfig) -> EmpiricalTable:
         ]
     )
     return EmpiricalTable(counts=counts.reshape(j.shape), n=cfg.n_samples)
-
-
-class TVResult(NamedTuple):
-    tv: float
-    max_cell: float
-
-
-def tv_distance(e: EmpiricalTable, j: np.ndarray) -> TVResult:
-    """Total-variation distance and largest per-cell error between counts/n and j."""
-    if e.n == 0:
-        raise ValueError("empirical table holds no samples")
-    j = np.asarray(j, dtype=float)
-    if j.shape != e.counts.shape:
-        raise ValueError(f"shape mismatch: {e.counts.shape} vs {j.shape}")
-    diff = np.abs(e.frequencies - j)
-    return TVResult(tv=0.5 * float(diff.sum()), max_cell=float(diff.max()))
-
-
-def error_report(
-    theory_times: np.ndarray,
-    theory_values: np.ndarray,
-    estimate_times: np.ndarray,
-    estimate_values: np.ndarray,
-) -> np.ndarray:
-    """Per-time absolute errors |theory - estimate| on a shared time grid."""
-    t_a = np.asarray(theory_times, dtype=float)
-    t_b = np.asarray(estimate_times, dtype=float)
-    if t_a.shape != t_b.shape or not np.array_equal(t_a, t_b):
-        raise ValueError("time grids are not aligned")
-    a = np.asarray(theory_values, dtype=float)
-    b = np.asarray(estimate_values, dtype=float)
-    if a.shape != b.shape or a.shape[0] != t_a.shape[0]:
-        raise ValueError(f"value shapes {a.shape} and {b.shape} do not match the grid")
-    return np.abs(a - b)

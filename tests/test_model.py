@@ -7,17 +7,15 @@ from gate_energetics.linalg import expm_hermitian, is_hermitian, op_distance
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
-    coherence_l1,
     gate_angle,
     h_coeffs,
     hamiltonians,
-    propagator_analytic,
-    rotation_decomposition,
     thermal_state,
     trajectory_coherence,
 )
 
 from conftest import T_STAR
+from reference import coherence_l1, propagator_analytic, rotation_decomposition
 
 
 def test_params_validation():
@@ -200,13 +198,13 @@ def test_coherence_matches_closed_form(params, sweep_grid):
 
 def test_coherence_value_at_quarter(params):
     prop = propagator_analytic(params, T_STAR)
-    assert trajectory_coherence(prop) == pytest.approx(5.0 / 13.0, abs=1e-12)
+    assert trajectory_coherence(prop.U) == pytest.approx(5.0 / 13.0, abs=1e-12)
 
 
 def test_coherence_same_for_both_rotating_trajectories(params, sweep_grid):
     for t in sweep_grid[::10]:
         prop = propagator_analytic(params, t)
-        assert abs(trajectory_coherence(prop, 2) - trajectory_coherence(prop, 3)) <= 1e-12
+        assert abs(trajectory_coherence(prop.U, 2) - trajectory_coherence(prop.U, 3)) <= 1e-12
 
 
 def test_coherence_stationary_points(params):

@@ -2,22 +2,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gate_energetics.model import propagator_analytic
-from gate_energetics.sampler import (
-    EmpiricalTable,
-    SampleConfig,
-    error_report,
-    sample_tpm,
-    tv_distance,
-)
-from gate_energetics.tpm import (
-    delta_e_distribution,
-    initial_probs,
-    joint_table,
-    moments,
-)
+from gate_energetics.sampler import EmpiricalTable, SampleConfig, sample_tpm
+from gate_energetics.tpm import initial_probs, joint_table
 
 from conftest import T_STAR
+from reference import delta_e_distribution, moments, propagator_analytic, tv_distance
 
 J_10_11 = 0.5623527527923118
 
@@ -32,7 +21,7 @@ def test_config_validation():
 
 
 def test_all_counts_diagonal_at_zero_time(params, rho0):
-    table = sample_tpm(rho0, propagator_analytic(params, 0.0), SampleConfig(10_000, 7))
+    table = sample_tpm(rho0, propagator_analytic(params, 0.0).U, SampleConfig(10_000, 7))
     assert table.n == 10_000
     assert table.counts.sum() == 10_000
     assert np.trace(table.counts) == 10_000
@@ -41,31 +30,31 @@ def test_all_counts_diagonal_at_zero_time(params, rho0):
 def test_same_seed_same_counts(params, rho0):
     prop = propagator_analytic(params, T_STAR)
     cfg = SampleConfig(50_000, 42)
-    a = sample_tpm(rho0, prop, cfg)
-    b = sample_tpm(rho0, prop, cfg)
+    a = sample_tpm(rho0, prop.U, cfg)
+    b = sample_tpm(rho0, prop.U, cfg)
     assert np.array_equal(a.counts, b.counts)
 
 
 def test_different_seeds_differ(params, rho0):
     prop = propagator_analytic(params, T_STAR)
-    a = sample_tpm(rho0, prop, SampleConfig(50_000, 1))
-    b = sample_tpm(rho0, prop, SampleConfig(50_000, 2))
+    a = sample_tpm(rho0, prop.U, SampleConfig(50_000, 1))
+    b = sample_tpm(rho0, prop.U, SampleConfig(50_000, 2))
     assert not np.array_equal(a.counts, b.counts)
 
 
 def test_trillion_shot_run_is_deterministic(params, rho0):
     prop = propagator_analytic(params, 0.4)
     cfg = SampleConfig(10**12 + 12_345, 11)
-    a = sample_tpm(rho0, prop, cfg)
-    b = sample_tpm(rho0, prop, cfg)
+    a = sample_tpm(rho0, prop.U, cfg)
+    b = sample_tpm(rho0, prop.U, cfg)
     assert a.counts.sum() == cfg.n_samples
     assert np.array_equal(a.counts, b.counts)
 
 
 def test_million_shot_convergence(params, rho0):
     prop = propagator_analytic(params, T_STAR)
-    table = sample_tpm(rho0, prop, SampleConfig(10**6, 42))
-    j = joint_table(rho0, prop)
+    table = sample_tpm(rho0, prop.U, SampleConfig(10**6, 42))
+    j = joint_table(rho0, prop.U)
     assert abs(table.frequencies[2, 3] - J_10_11) <= 0.005
     tv, max_cell = tv_distance(table, j)
     assert max_cell <= 0.005
@@ -76,23 +65,23 @@ def test_row_marginals_converge(params, rho0):
     prop = propagator_analytic(params, T_STAR)
     p_in = initial_probs(rho0)
     for n in (10**4, 10**5, 10**6):
-        table = sample_tpm(rho0, prop, SampleConfig(n, 42))
+        table = sample_tpm(rho0, prop.U, SampleConfig(n, 42))
         err = np.max(np.abs(table.counts.sum(axis=1) / n - p_in))
         assert err <= 5.0 * np.sqrt(0.25 / n)
 
 
 def test_ten_million_shot_concentration(params, rho0):
     prop = propagator_analytic(params, T_STAR)
-    table = sample_tpm(rho0, prop, SampleConfig(10**7, 42))
-    assert tv_distance(table, joint_table(rho0, prop)).max_cell <= 0.002
+    table = sample_tpm(rho0, prop.U, SampleConfig(10**7, 42))
+    assert tv_distance(table, joint_table(rho0, prop.U)).max_cell <= 0.002
 
 
 def test_two_stage_matches_joint_chi_square(params, rho0):
     # goodness-of-fit of the sampled counts against the exact joint table
     n = 10**5
     prop = propagator_analytic(params, T_STAR)
-    j = joint_table(rho0, prop)
-    counts = sample_tpm(rho0, prop, SampleConfig(n, 42)).counts
+    j = joint_table(rho0, prop.U)
+    counts = sample_tpm(rho0, prop.U, SampleConfig(n, 42)).counts
     support = j > 0
     expected = n * j[support]
     statistic = float((((counts[support] - expected) ** 2) / expected).sum())
@@ -102,7 +91,7 @@ def test_two_stage_matches_joint_chi_square(params, rho0):
 
 def test_tv_distance_of_rounded_exact_table(params, rho0):
     n = 10**6
-    j = joint_table(rho0, propagator_analytic(params, T_STAR))
+    j = joint_table(rho0, propagator_analytic(params, T_STAR).U)
     table = EmpiricalTable(counts=np.rint(j * n).astype(np.int64), n=n)
     assert tv_distance(table, j).tv <= 1e-5
 
@@ -120,23 +109,12 @@ def test_tv_distance_rejects_empty_table():
         tv_distance(EmpiricalTable(np.zeros((4, 4), dtype=np.int64), 0), np.eye(4) / 4)
 
 
-def test_error_report_identical_curves():
-    times = np.linspace(0.0, 1.0, 7)
-    values = np.outer(np.sin(times), np.arange(1, 4))
-    assert np.all(error_report(times, values, times, values) == 0.0)
-
-
-def test_error_report_rejects_misaligned_grids():
-    with pytest.raises(ValueError, match="aligned"):
-        error_report(np.array([0.0, 1.0]), np.zeros(2), np.array([0.0, 1.1]), np.zeros(2))
-
-
 def test_sampled_moment_error_grows_with_order(params, rho0):
     # at the transition peak the 5th moment amplifies the sampling noise
     n = 10**6
     prop = propagator_analytic(params, T_STAR)
-    exact = moments(delta_e_distribution(joint_table(rho0, prop)), 5)
-    freq = sample_tpm(rho0, prop, SampleConfig(n, 123)).frequencies
+    exact = moments(delta_e_distribution(joint_table(rho0, prop.U)), 5)
+    freq = sample_tpm(rho0, prop.U, SampleConfig(n, 123)).frequencies
     sampled = moments(delta_e_distribution(freq), 5)
     errors = np.abs(exact - sampled)
     assert errors[4] >= errors[0]
