@@ -317,12 +317,17 @@ def test_stacked_conditional_names_the_first_blocked_time():
 
 @pytest.mark.parametrize("n_samples", [1000, 10**12])
 def test_stacked_sampler_rows_equal_single_calls(n_samples):
+    # row i must be numpy's own default_rng(seed + i) draw; the seeds cross
+    # 2^32 (one entropy word to two) and end at the last 64-bit seed
     g = evaluate_grid(SMALL, SMALL.time_grid())
-    table = sample_tpm(g.rho0, g.U, SampleConfig(n_samples, 42))
-    assert table.counts.shape == (8, 4, 4)
-    for i in range(8):
-        single = sample_tpm(g.rho0, g.U[i], SampleConfig(n_samples, 42 + i))
-        assert np.array_equal(table.counts[i], single.counts), i
+    rows = tpm.joint_table(g.rho0, g.U).reshape(8, 16)
+    pvals = rows / rows.sum(axis=1, keepdims=True)
+    for seed in (42, 2**32 - 4, 2**64 - 8):
+        table = sample_tpm(g.rho0, g.U, SampleConfig(n_samples, seed))
+        assert table.counts.shape == (8, 4, 4)
+        for i in range(8):
+            expected = np.random.default_rng(seed + i).multinomial(n_samples, pvals[i])
+            assert np.array_equal(table.counts[i].ravel(), expected), (seed, i)
 
 
 def test_stacked_sampler_rejects_a_last_seed_beyond_64_bits():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gate_energetics.sampler import EmpiricalTable, SampleConfig, sample_tpm
+from gate_energetics.sampler import EmpiricalTable, SampleConfig, _pcg64_states, sample_tpm
 from gate_energetics.tpm import initial_probs, joint_table
 
 from conftest import T_STAR
@@ -18,6 +18,23 @@ def test_config_validation():
         SampleConfig(n_samples=2**63)
     with pytest.raises(ValueError):
         SampleConfig(seed=-1)
+
+
+# every 1- and 2-word seed class: small seeds, both sides of 2^32 and of 2^63,
+# the top of the range, and random 64-bit seeds
+SEED_TABLE = (
+    list(range(2048))
+    + [2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+    + np.random.default_rng(20261018).integers(0, 2**64, 4096, dtype=np.uint64).tolist()
+)
+
+
+def test_pcg64_states_equal_default_rng():
+    states = _pcg64_states(np.array(SEED_TABLE, dtype=np.uint64))
+    assert len(states) == len(SEED_TABLE)
+    for seed, (state, inc) in zip(SEED_TABLE, states):
+        expected = np.random.default_rng(seed).bit_generator.state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"]), seed
 
 
 def test_all_counts_diagonal_at_zero_time(params, rho0):
