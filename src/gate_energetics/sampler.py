@@ -75,8 +75,7 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     has one word, and a missing word hashes the same as a zero word.
     """
     words = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
-    words[0] = seeds & np.uint64(_MASK32)
-    words[1] = seeds >> np.uint64(32)
+    words[:2] = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
     pool = _hashmix(words, _HASH_A, 0, _POOL)
     k = _POOL
     for src, dst in enumerate(_OTHERS):
@@ -85,11 +84,11 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], _HASH_A, k, len(dst))
         pool[dst] = mixed ^ mixed >> _XSHIFT
         k += len(dst)
-    out = _hashmix(pool[_READ_ORDER], _HASH_B, 0, _STATE_WORDS).astype(np.uint64)
-    # little-endian word pairs: uint64 m = out[2m] | out[2m + 1] << 32
-    state_hi, state_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    out = _hashmix(pool[_READ_ORDER], _HASH_B, 0, _STATE_WORDS)
+    # generate_state(4, np.uint64) pairs the 8 words little-endian
+    words64 = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
     states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
+    for s_hi, s_lo, q_hi, q_lo in words64.tolist():
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         # pcg_setseq_128_srandom_r: a step from state 0 (giving inc), add
         # initstate, a second step
