@@ -20,8 +20,8 @@ def test_config_validation():
         SampleConfig(seed=-1)
 
 
-# every 1- and 2-word seed class: small seeds, both sides of 2^32 and of 2^63,
-# the top of the range, and random 64-bit seeds
+# seeds of one and of two 32-bit words: small seeds, 2^31, both sides of
+# 2^32, 2^63, the top of the range, and random 64-bit seeds
 SEED_TABLE = (
     list(range(2048))
     + [2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
