@@ -9,11 +9,12 @@ the other shots, so the counts of n shots are exactly Multinomial(n, j) over
 the 16 joint cells.  They are drawn in one ``Generator.multinomial`` call
 from a PCG64 stream, at a cost that does not depend on n.
 
-``sample_tpm`` also takes a (T, 4, 4) stack of unitaries, as ``compare``
-passes its whole time grid: one ``joint_table`` call validates rho_0 and the
-stack once, and row i is drawn from the PCG64 stream of seed ``seed + i``,
-so each row equals the single-unitary run at that seed and the rows are
-independent of each other.  A last seed of 2^64 or more is rejected.
+``sample_tpm`` draws from a joint table or from a (T, 4, 4) stack of them,
+as ``compare`` passes the joint tables of its whole time grid, which
+``sweep.evaluate_grid`` has already gated.  Row i is drawn from the PCG64
+stream of seed ``seed + i``, so each row equals the single-table run at that
+seed and the rows are independent of each other.  A last seed of 2^64 or
+more is rejected.
 
 Row i's stream is exactly that of ``np.random.default_rng(seed + i)``, but
 no generator is built per row.  ``_pcg64_states`` computes every row's
@@ -28,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tpm import joint_table
 
 # numpy's SeedSequence: a pool of 4 uint32 words, filled by hashmix (with the
 # INIT_A/MULT_A constant chain) and mix, read out by the INIT_B/MULT_B chain
@@ -124,13 +123,15 @@ class EmpiricalTable:
         return self.counts / self.n
 
 
-def sample_tpm(rho0: np.ndarray, u, cfg: SampleConfig) -> EmpiricalTable:
-    """Sample cfg.n_samples two-point-measurement shots; deterministic per seed.
+def sample_tpm(j: np.ndarray, cfg: SampleConfig) -> EmpiricalTable:
+    """Sample cfg.n_samples two-point-measurement shots of the joint table j;
+    deterministic per seed.
 
-    ``u`` may be a (T, 4, 4) stack of unitaries: row i is then drawn from seed
-    ``cfg.seed + i`` and equals the single-unitary run at that seed.
+    ``j`` may be a (T, 4, 4) stack of joint tables: row i is then drawn from
+    seed ``cfg.seed + i`` and equals the single-table run at that seed.  The
+    tables are not checked here.
     """
-    j = joint_table(rho0, u)
+    j = np.asarray(j, dtype=float)
     rows = j.reshape(-1, 16)
     last_seed = cfg.seed + len(rows) - 1
     if last_seed >= 2**64:

@@ -13,15 +13,20 @@ certainty is formatted by '%' itself.
 
 ``evaluate_grid`` computes the statistics of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
-``compare`` all go through it.  ``compare`` then makes one sampler call and,
-with the photonic model, one photonic call for the whole grid.  The tests
-keep a per-point form of the same computation in tests/reference.py, and
-the grid must equal it bit for bit.
-Before anything is written, every probability group is checked, and every
-sweep row also has its conditional table checked for double stochasticity
-and its fluctuation average for |ift - 1|, all within
-``linalg.PROB_SUM_TOL``.  The checks run one after another over all rows;
-the first failing row of a check, in time order, raises
+``compare`` all go through it.  ``compare`` then makes one sampler call on
+the grid's joint tables and, with the photonic model, one photonic call for
+the whole grid.  The tests keep a per-point form of the same computation in
+tests/reference.py, and the grid must equal it bit for bit.
+
+Each table is checked once, where it is built, so a failed check stops every
+command before it writes a file.  ``evaluate_grid`` gates the joint tables
+(cells in [0, 1], sums 1 within ``linalg.PROB_SUM_TOL``) and the weight on
+undefined entropy realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) for
+``sweep``, ``hist`` and ``compare`` alike; the ``tpm`` statistics and the
+sampler then trust those tables.  ``sweep`` also gates every row's
+conditional table for double stochasticity and its fluctuation average for
+|ift - 1|, and ``compare`` gates the sampled frequencies.  Each check runs
+over all rows; its first failing row, in time order, raises
 ``NumericInvariantError``.
 """
 
@@ -34,13 +39,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .linalg import PROB_SUM_TOL
+from .linalg import PROB_SUM_TOL, UNDEFINED_WEIGHT_TOL
 from .model import propagator_grid, thermal_state, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, sample_tpm
 from .tpm import (
+    OUTCOME_LABELS,
     AtomRows,
-    OUTCOMES,
     ThermoReport,
     conditional_matrix,
     delta_e_grid,
@@ -52,7 +57,8 @@ from .tpm import (
     thermo_report_grid,
 )
 
-_LABELS = [str(o) for o in OUTCOMES]
+# "<row>_<col>" of the 16 cells of a 4x4 table, in row-major order
+_CELL_LABELS = [f"{a}_{b}" for a in OUTCOME_LABELS for b in OUTCOME_LABELS]
 
 
 class NumericInvariantError(Exception):
@@ -196,24 +202,36 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
             f.write(_csv_block(table[start:start + _BLOCK_ROWS]))
 
 
-def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray | None = None) -> None:
-    """Gate a probability group: its cells must lie in [0, 1] and sum to 1.
+def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
+    """Gate one probability group per time: its cells must lie in [0, 1] and sum to 1.
 
-    With times ``t``, row i of ``cells`` is the group at ``t[i]`` and the
-    first failing row raises.
+    Row i of ``cells`` is the group at ``t[i]``; the first failing row raises.
     """
-    cells = np.asarray(cells, dtype=float).reshape(1 if t is None else len(t), -1)
+    cells = np.asarray(cells, dtype=float).reshape(len(t), -1)
     lo, hi, totals = cells.min(axis=1), cells.max(axis=1), cells.sum(axis=1)
     outside = (lo < -PROB_SUM_TOL) | (hi > 1.0 + PROB_SUM_TOL)
     bad = np.flatnonzero(outside | (np.abs(totals - 1.0) > PROB_SUM_TOL))
     if bad.size:
         i = bad[0]
-        where = what if t is None else f"{what} at omega_L_t={t[i]:.6g}"
+        where = f"{what} at omega_L_t={t[i]:.6g}"
         if outside[i]:
             raise NumericInvariantError(
                 f"{where}: probability {lo[i]:.6e}..{hi[i]:.6e} outside [0, 1]"
             )
         raise NumericInvariantError(f"{where}: probabilities sum to {totals[i]:.12e}, not 1")
+
+
+def _require_defined_weights(joint: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> None:
+    """Gate the joint tables against weight on undefined (NaN) entropy
+    realizations, which the statistics leave out; the first failing row raises."""
+    stray = np.max(joint, axis=(-2, -1), where=~np.isfinite(sigma), initial=0.0)
+    bad = np.flatnonzero(stray > UNDEFINED_WEIGHT_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericInvariantError(
+            f"undefined entropy realizations at omega_L_t={t[i]:.6g} "
+            f"carry probability {stray[i]:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +265,9 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     """The statistics of every time of ``times``, computed for all times at once.
 
     Row i of every field equals, bit for bit, the field of the per-point
-    reference ``evaluate_point(cfg, times[i])`` of tests/reference.py.
+    reference ``evaluate_point(cfg, times[i])`` of tests/reference.py.  The
+    joint tables and the weight on undefined realizations are gated here,
+    before any statistic is built from them.
     """
     t = np.asarray(times, dtype=float)
     rho0 = thermal_state(cfg.thermal, cfg.model)
@@ -255,8 +275,10 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     h2, u = propagator_grid(cfg.model, t)
     cond = conditional_matrix(u)
     joint = joint_table_from_conditional(cond, p_in)
+    _require_prob_group(joint, "joint table", t)
     p_fin = final_probs(joint)
     sigma = entropy_realizations(p_in, p_fin)
+    _require_defined_weights(joint, sigma, t)
     de_dist = delta_e_grid(joint)
     ds_dist = entropy_grid(joint, sigma)
     de_moments = de_dist.moments(cfg.moments_max)
@@ -282,11 +304,10 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
 
 
 def _require_row_invariants(g: SweepGrid) -> None:
-    """Gate every sweep row: joint table, double stochasticity and the IFT.
+    """Gate every sweep row: double stochasticity and the IFT.
 
     Each check runs over all rows in turn; its first failing row raises.
     """
-    _require_prob_group(g.joint, "joint table", g.t)
     sums = np.concatenate([g.cond.sum(axis=1), g.cond.sum(axis=2)], axis=1)
     worst = np.abs(sums - 1.0).max(axis=1)
     bad = np.flatnonzero(worst > PROB_SUM_TOL)
@@ -321,7 +342,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     mom_cols += [f"ds_m{h}" for h in range(1, cfg.moments_max + 1)]
     header = (
         ["omega_L_t"]
-        + [f"j_{a}_{b}" for a in _LABELS for b in _LABELS]
+        + [f"j_{c}" for c in _CELL_LABELS]
         + mom_cols
         + ["c_l1_10", "ift", "landauer_lhs", "ds_mean", "ratio"]
     )
@@ -332,7 +353,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     sweep_path = out / "sweep.csv"
     _write_csv(sweep_path, header, table)
 
-    real_header = ["omega_L_t"] + [f"dsig_{a}_{b}" for a in _LABELS for b in _LABELS]
+    real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
     real_path = out / "realizations.csv"
     _write_csv(real_path, real_header, np.column_stack([g.t, g.sigma.reshape(n, 16)]))
 
@@ -388,7 +409,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             # a gate that blocks an input passes every range check
             raise ConfigError(f"photonic: {exc}") from None
     # point i draws with seed + i, independently of the other points
-    freq = sample_tpm(g.rho0, g.U, SampleConfig(cfg.samples, cfg.seed)).frequencies
+    freq = sample_tpm(g.joint, cfg=SampleConfig(cfg.samples, cfg.seed)).frequencies
 
     _require_prob_group(freq, "empirical table", g.t)
     cells = freq.reshape(n, 16)
@@ -397,7 +418,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
 
     header = (
         ["omega_L_t"]
-        + [f"err_j_{a}_{b}" for a in _LABELS for b in _LABELS]
+        + [f"err_j_{c}" for c in _CELL_LABELS]
         + [f"err_dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     )
     mc_path = out / "mc_error.csv"
@@ -405,7 +426,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     paths = {"mc_error": mc_path}
 
     if cfg.photonic:
-        ph_header = ["omega_L_t"] + [f"err_c_{b}_{a}" for b in _LABELS for a in _LABELS]
+        ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
         errors = np.abs(g.cond - imperfect).reshape(n, 16)
         ph_path = out / "photonic_error.csv"
         _write_csv(ph_path, ph_header, np.column_stack([g.t, errors]))

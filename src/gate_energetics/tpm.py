@@ -22,43 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PROB_SUM_TOL,
-    RATIO_GUARD,
-    UNDEFINED_WEIGHT_TOL,
-    UNITARY_TOL,
-    VALUE_MERGE_TOL,
-    is_unitary,
-    validate_density,
-)
+from .linalg import PROB_SUM_TOL, RATIO_GUARD, UNITARY_TOL, VALUE_MERGE_TOL, is_unitary
 
 
-@dataclass(frozen=True)
-class OutcomeLabel:
-    """Local measurement outcome (psi_A, phi_B) with its energy label."""
-
-    psi_a: int
-    phi_b: int
-
-    def __post_init__(self):
-        if self.psi_a not in (0, 1) or self.phi_b not in (0, 1):
-            raise ValueError("outcome bits must be 0 or 1")
-
-    @property
-    def index(self) -> int:
-        return 2 * self.psi_a + self.phi_b
-
-    @property
-    def energy(self) -> int:
-        """Energy label eps(psi_A) + eps(phi_B) in {-2, 0, +2}."""
-        return (2 * self.psi_a - 1) + (2 * self.phi_b - 1)
-
-    def __str__(self) -> str:
-        return f"{self.psi_a}{self.phi_b}"
-
-
-OUTCOMES = tuple(OutcomeLabel(a, b) for a in (0, 1) for b in (0, 1))
-OUTCOME_ENERGIES = np.array([o.energy for o in OUTCOMES], dtype=float)
+# outcome m = 2 psi_A + phi_B, labelled by its bits, and its energy label
+# eps(psi_A) + eps(phi_B) in {-2, 0, +2}
+OUTCOME_LABELS = ("00", "01", "10", "11")
+OUTCOME_ENERGIES = np.array([-2.0, 0.0, 0.0, 2.0])
 # energy change dE[in, fin] = E_fin - E_in of each pair of outcomes
 ENERGY_CHANGE = OUTCOME_ENERGIES[None, :] - OUTCOME_ENERGIES[:, None]
 
@@ -67,9 +37,9 @@ def initial_probs(rho0: np.ndarray) -> np.ndarray:
     """Outcome probabilities of the first measurement, p[n] = Tr[rho0 Pi_n].
 
     Only the diagonal of rho0 enters: the first projective measurement
-    dephases any coherence in the measured basis.
+    dephases any coherence in the measured basis.  rho0 is not checked
+    here: ``model.thermal_state`` has validated it.
     """
-    rho0 = validate_density(rho0)
     return np.clip(np.diag(rho0).real, 0.0, None)
 
 
@@ -103,29 +73,9 @@ def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarr
     return np.swapaxes(cond, -1, -2) * p_in[:, None]
 
 
-def joint_table(rho0: np.ndarray, u) -> np.ndarray:
-    """Joint probabilities of the two measurements under unitary evolution."""
-    return joint_table_from_conditional(conditional_matrix(u), initial_probs(rho0))
-
-
 def final_probs(j: np.ndarray) -> np.ndarray:
     """Second-measurement marginal p_fin[m] = sum_n j[n, m], one row per table of a stack."""
-    return _checked_table(j).sum(axis=-2)
-
-
-def _checked_table(j: np.ndarray) -> np.ndarray:
-    """A joint table, or a (T, 4, 4) stack of them, that is non-negative and
-    sums to 1 within ``PROB_SUM_TOL``."""
-    j = np.asarray(j, dtype=float)
-    if j.ndim not in (2, 3) or j.shape[-2:] != (4, 4):
-        raise ValueError(f"joint table must be 4x4, got shape {j.shape}")
-    if j.min() < -PROB_SUM_TOL:
-        raise ValueError(f"joint table has negative entry {j.min():.3e}")
-    totals = j.sum(axis=(-2, -1))
-    off = np.abs(totals - 1.0)
-    if np.max(off) > PROB_SUM_TOL:
-        raise ValueError(f"joint table sums to {totals.flat[np.argmax(off)]:.12g}, not 1")
-    return j
+    return np.asarray(j, dtype=float).sum(axis=-2)
 
 
 def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
@@ -142,16 +92,6 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
         sigma = np.log(p_in)[:, None] - np.log(p_fin)[..., None, :]
     sigma[..., p_in <= 0.0, :] = np.nan
     return np.where((p_fin <= 0.0)[..., None, :], np.nan, sigma)
-
-
-def _defined_weights(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    if sigma.shape != j.shape:
-        raise ValueError(f"entropy realizations must have shape {j.shape}, got {sigma.shape}")
-    defined = np.isfinite(sigma)
-    stray = j[~defined]
-    if stray.size and stray.max(initial=0.0) > UNDEFINED_WEIGHT_TOL:
-        raise ValueError("undefined entropy realizations carry nonzero probability")
-    return defined
 
 
 @dataclass(frozen=True)
@@ -175,6 +115,9 @@ class ThermoReport:
 #
 # The table functions above take one table or a (T, 4, 4) stack of them.
 # Distributions of a stack have ragged supports and get a row-wise form.
+# None of the functions below checks its joint tables: ``sweep.evaluate_grid``
+# gates each stack once, as soon as it is built.  ``AtomRows`` checks the
+# distributions it holds.
 # tests/reference.py keeps the one-table form of each function below: a
 # Python merge loop per distribution and sums over the defined cells.  Each
 # function here equals it at every row, bit for bit, by running the same
@@ -275,16 +218,17 @@ def delta_e_grid(j: np.ndarray) -> AtomRows:
     The support is a subset of {-4, -2, 0, +2, +4}; under the gate dynamics
     (which never flips the control) it collapses to {-2, 0, +2}.
     """
-    j = _checked_table(j)
     n = len(j)
     return merge_atom_rows(np.broadcast_to(ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
 
 
 def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
     """Distribution of the entropy production of each joint table, aggregated over
-    equal values of its realizations ``sigma``."""
-    j = _checked_table(j)
-    defined = _defined_weights(j, sigma)
+    equal values of its realizations ``sigma``.
+
+    Undefined (NaN) realizations are left out; their weight must be zero.
+    """
+    defined = np.isfinite(sigma)
     n = len(j)
     # an undefined realization sorts last with zero weight, which adds no
     # atom, the same as leaving it out
@@ -300,10 +244,10 @@ def thermo_report_grid(
 
     ift is the exponential average <e^{-dsigma}>, equal to 1 for any doubly
     stochastic conditional model; landauer_slack = beta <dE> - <dsigma> is
-    the margin of the Landauer-like bound.
+    the margin of the Landauer-like bound.  The averages sum over the
+    defined realizations only.
     """
-    j = _checked_table(j)
-    defined = _defined_weights(j, sigma)
+    defined = np.isfinite(sigma)
     n = len(j)
     cells, sigma, defined = j.reshape(n, 16), sigma.reshape(n, 16), defined.reshape(n, 16)
     with np.errstate(invalid="ignore"):

@@ -31,7 +31,6 @@ from gate_energetics.model import ModelParams, h_coeffs, thermal_state
 from gate_energetics.sampler import EmpiricalTable
 from gate_energetics.tpm import (
     ENERGY_CHANGE,
-    OUTCOMES,
     ThermoReport,
     conditional_matrix,
     entropy_realizations,
@@ -105,7 +104,12 @@ def coherence_l1(rho: np.ndarray):
 def projectors() -> tuple[np.ndarray, ...]:
     """The four local projectors |psi><psi|_A (x) |phi><phi|_B, in index order."""
     singles = (PROJ_0, PROJ_1)
-    return tuple(tensor(singles[o.psi_a], singles[o.phi_b]) for o in OUTCOMES)
+    return tuple(tensor(*(singles[bit] for bit in divmod(m, 2))) for m in range(4))
+
+
+def joint_table(rho0: np.ndarray, u) -> np.ndarray:
+    """Joint probabilities of the two measurements under a unitary or a stack of them."""
+    return joint_table_from_conditional(conditional_matrix(u), initial_probs(rho0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,12 +33,12 @@ from gate_energetics.tpm import (
     entropy_realizations,
     final_probs,
     initial_probs,
-    joint_table,
     joint_table_from_conditional,
 )
 
 from reference import (
     delta_e_distribution,
+    joint_table,
     moments,
     propagator_analytic,
     thermo_report,
@@ -252,7 +252,7 @@ def test_c10_photonic_imperfection():
 def test_c11_monte_carlo_convergence(tmp_path):
     prop = propagator_analytic(PARAMS, T_STAR)
     j = joint_table(RHO0, prop.U)
-    table = sample_tpm(RHO0, prop.U, SampleConfig(10**6, 42))
+    table = sample_tpm(j, SampleConfig(10**6, 42))
     tv, max_cell = tv_distance(table, j)
     sampling_ok = max_cell <= 0.005 and tv <= 0.01
 

@@ -123,11 +123,12 @@ def test_validate_rejects_bad_photonic_ranges(tmp_path):
 
 
 def test_prob_group_guard():
-    _require_prob_group(np.array([0.5, 0.5]), "ok group")
-    with pytest.raises(NumericInvariantError, match="sum"):
-        _require_prob_group(np.array([0.5, 0.4]), "short group")
-    with pytest.raises(NumericInvariantError, match="outside"):
-        _require_prob_group(np.array([1.2, -0.2]), "wild group")
+    t = np.array([0.25])
+    _require_prob_group(np.array([0.5, 0.5]), "ok group", t)
+    with pytest.raises(NumericInvariantError, match="at omega_L_t=0.25: .*sum"):
+        _require_prob_group(np.array([0.5, 0.4]), "short group", t)
+    with pytest.raises(NumericInvariantError, match="at omega_L_t=0.25: .*outside"):
+        _require_prob_group(np.array([1.2, -0.2]), "wild group", t)
 
 
 # --- subcommands ---------------------------------------------------------
@@ -372,19 +373,46 @@ def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
-def test_cli_gates_joint_table_at_its_first_failing_time(tmp_path, monkeypatch, capsys):
-    def heavy(grid):
-        joint = grid.joint.copy()
-        joint[[7, 9], 2, 3] += 1e-9  # two tables sum past 1
-        return dataclasses.replace(grid, joint=joint)
+# a stack that evaluate_grid builds, the change to rows 2 and 3 of it, and
+# the message of the gate that must stop it
+JOINT_GATES = {
+    # two tables sum past 1
+    "joint-sum": ("joint_table_from_conditional", lambda x: x + 1e-9, "joint table at"),
+    # two tables put weight on a realization left undefined
+    "undefined-weight": (
+        "entropy_realizations",
+        lambda x: np.nan,
+        "undefined entropy realizations at",
+    ),
+}
 
-    _perturb_grid(monkeypatch, heavy)
-    code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
-    assert code == 3
+
+@pytest.mark.parametrize(
+    "command,gate",
+    [(command, gate) for gate in JOINT_GATES for command in ("sweep", "hist", "compare")],
+    ids=lambda value: value,
+)
+def test_cli_gates_joint_table_at_its_first_failing_time(
+    tmp_path, monkeypatch, capsys, command, gate
+):
+    name, change, message = JOINT_GATES[gate]
+    real = getattr(sweep, name)
+
+    def changed(*args):
+        a = real(*args).copy()
+        a[[2, 3], 2, 3] = change(a[[2, 3], 2, 3])
+        return a
+
+    monkeypatch.setattr(sweep, name, changed)
+    path = small_config(tmp_path, "hist_times = 0.1, 0.2, 0.3, 0.4\n")
+    cfg = parse_config(path)
+    times = cfg.hist_times if command == "hist" else cfg.time_grid()
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "joint table" in err and "sum to" in err
-    assert f"omega_L_t={RunConfig(n_points=12).time_grid()[7]:.6g}:" in err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert err.startswith(f"numeric invariant violated: {message} omega_L_t={times[2]:.6g}")
+    assert "Traceback" not in err
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ with ``np.array_equal``, never within a tolerance.
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from gate_energetics.photonic import (
     ppbs_transform,
 )
 from gate_energetics.sampler import SampleConfig, sample_tpm
-from gate_energetics.sweep import evaluate_grid
+from gate_energetics.sweep import NumericInvariantError, evaluate_grid
 from gate_energetics.tpm import merge_atom_rows
 
 from reference import (
@@ -168,11 +169,12 @@ def test_src_defines_nothing_only_the_tests_use():
 
 
 SMALL = dataclasses.replace(DEFAULT, n_points=8)
+SMALL_TIMES = SMALL.time_grid()
 
 
 def _grid_array(field, index, change):
     """One array of a small grid, copied, with ``change`` applied to one cell."""
-    a = getattr(evaluate_grid(SMALL, SMALL.time_grid()), field).copy()
+    a = getattr(evaluate_grid(SMALL, SMALL_TIMES), field).copy()
     a[index] = change(a[index])
     return a
 
@@ -181,52 +183,84 @@ def _atom_rows(values, probs):
     return tpm.AtomRows(values=np.array(values), probs=np.array(probs), counts=np.array([2, 2]))
 
 
+def _evaluate_with_changed(name, index, change):
+    """``evaluate_grid`` on the small grid, with ``change`` applied to one cell
+    of the stack that ``sweep.<name>`` builds."""
+    real = getattr(sweep, name)
+
+    def changed(*args):
+        a = real(*args).copy()
+        a[index] = change(a[index])
+        return a
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, name, changed)
+        evaluate_grid(SMALL, SMALL_TIMES)
+
+
+def _at(row, message):
+    """The pattern of a gate's message about the small grid's row ``row``."""
+    return re.escape(f" at omega_L_t={SMALL_TIMES[row]:.6g}") + ".*" + message
+
+
 def _evaluate_with_scaled_propagator():
     """``evaluate_grid`` on a propagator stack whose row 5 is no longer unitary."""
-    h2, u = propagator_grid(SMALL.model, SMALL.time_grid())
+    h2, u = propagator_grid(SMALL.model, SMALL_TIMES)
     u[5, 3, 2] *= 1.01
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "propagator_grid", lambda p, times: (h2, u))
-        evaluate_grid(SMALL, SMALL.time_grid())
+        evaluate_grid(SMALL, SMALL_TIMES)
 
 
-# each check of the grid path, failed by one row of a stack
+# each check of the grid path, failed by one row of a stack; the joint
+# tables are gated once, in evaluate_grid, before any statistic is built
 STACKED_CHECKS = {
     "unitarity": (
         lambda: tpm.conditional_matrix(_grid_array("U", (3, 2, 2), lambda x: 1.001 * x)),
+        ValueError,
         "propagator is not unitary",
     ),
     "joint-sum": (
-        lambda: tpm.final_probs(_grid_array("joint", (2, 0, 0), lambda x: x + 1e-9)),
-        "sums to",
+        lambda: _evaluate_with_changed(
+            "joint_table_from_conditional", (2, 0, 0), lambda x: x + 1e-9
+        ),
+        NumericInvariantError,
+        _at(2, "sum to"),
     ),
     "joint-negative": (
-        lambda: tpm.final_probs(_grid_array("joint", (2, 2, 3), lambda x: -x)),
-        "negative entry",
+        lambda: _evaluate_with_changed("joint_table_from_conditional", (2, 2, 3), lambda x: -x),
+        NumericInvariantError,
+        _at(2, r"probability -\S+ outside \[0, 1\]"),
     ),
     "undefined-weight": (
-        lambda: tpm.entropy_grid(
-            evaluate_grid(SMALL, SMALL.time_grid()).joint,
-            _grid_array("sigma", (4, 2, 3), lambda x: np.nan),
-        ),
-        "undefined entropy realizations",
+        lambda: _evaluate_with_changed("entropy_realizations", (4, 2, 3), lambda x: np.nan),
+        NumericInvariantError,
+        "undefined entropy realizations" + _at(4, "carry probability"),
     ),
     # trajectory_coherence trusts its stack: a bad one must stop before it
-    "unitarity-before-coherence": (_evaluate_with_scaled_propagator, "propagator is not unitary"),
+    "unitarity-before-coherence": (
+        _evaluate_with_scaled_propagator,
+        ValueError,
+        "propagator is not unitary",
+    ),
     "density-positivity": (
         lambda: validate_density(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])])),
+        ValueError,
         "negative eigenvalue",
     ),
     "atoms-increasing": (
         lambda: _atom_rows([[0.0, 1.0], [1.0, 1.0]], [[0.5, 0.5]] * 2),
+        ValueError,
         "strictly increasing",
     ),
     "atoms-negative": (
         lambda: _atom_rows([[0.0, 1.0]] * 2, [[0.5, 0.5], [1.5, -0.5]]),
+        ValueError,
         "negative probability",
     ),
     "atoms-sum": (
         lambda: _atom_rows([[0.0, 1.0]] * 2, [[0.5, 0.5], [0.5, 0.6]]),
+        ValueError,
         "sum to 1.1",
     ),
 }
@@ -234,8 +268,8 @@ STACKED_CHECKS = {
 
 @pytest.mark.parametrize("name", sorted(STACKED_CHECKS))
 def test_grid_keeps_every_scalar_check(name):
-    call, message = STACKED_CHECKS[name]
-    with pytest.raises(ValueError, match=message):
+    call, error, message = STACKED_CHECKS[name]
+    with pytest.raises(error, match=message):
         call()
 
 
@@ -319,11 +353,11 @@ def test_stacked_conditional_names_the_first_blocked_time():
 def test_stacked_sampler_rows_equal_single_calls(n_samples):
     # row i must be numpy's own default_rng(seed + i) draw; the seeds cross
     # 2^32 (one entropy word to two) and end at the last 64-bit seed
-    g = evaluate_grid(SMALL, SMALL.time_grid())
-    rows = tpm.joint_table(g.rho0, g.U).reshape(8, 16)
+    g = evaluate_grid(SMALL, SMALL_TIMES)
+    rows = g.joint.reshape(8, 16)
     pvals = rows / rows.sum(axis=1, keepdims=True)
     for seed in (42, 2**32 - 4, 2**64 - 8):
-        table = sample_tpm(g.rho0, g.U, SampleConfig(n_samples, seed))
+        table = sample_tpm(g.joint, SampleConfig(n_samples, seed))
         assert table.counts.shape == (8, 4, 4)
         for i in range(8):
             expected = np.random.default_rng(seed + i).multinomial(n_samples, pvals[i])
@@ -331,7 +365,7 @@ def test_stacked_sampler_rows_equal_single_calls(n_samples):
 
 
 def test_stacked_sampler_rejects_a_last_seed_beyond_64_bits():
-    g = evaluate_grid(SMALL, SMALL.time_grid())
-    assert sample_tpm(g.rho0, g.U, SampleConfig(100, 2**64 - 8)).counts.shape == (8, 4, 4)
+    g = evaluate_grid(SMALL, SMALL_TIMES)
+    assert sample_tpm(g.joint, SampleConfig(100, 2**64 - 8)).counts.shape == (8, 4, 4)
     with pytest.raises(ValueError, match="last seed"):
-        sample_tpm(g.rho0, g.U, SampleConfig(100, 2**64 - 7))
+        sample_tpm(g.joint, SampleConfig(100, 2**64 - 7))

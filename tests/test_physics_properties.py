@@ -64,6 +64,6 @@ def test_propagator_matches_eigendecomposition(omega_L, omega_int, alpha, beta_B
 @given(**PHYSICS, n=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1))
 def test_sampler_counts(omega_L, omega_int, alpha, beta_B, t, n, seed):
     _, g = _grid(omega_L, omega_int, alpha, beta_B, t)
-    table = sample_tpm(g.rho0, g.U[-1], SampleConfig(n, seed))
+    table = sample_tpm(g.joint[-1], SampleConfig(n, seed))
     assert table.counts.sum() == n
     assert np.all(table.counts[g.joint[-1] == 0.0] == 0)

@@ -3,10 +3,16 @@ import pytest
 import scipy.stats
 
 from gate_energetics.sampler import EmpiricalTable, SampleConfig, _pcg64_states, sample_tpm
-from gate_energetics.tpm import initial_probs, joint_table
+from gate_energetics.tpm import initial_probs
 
 from conftest import T_STAR
-from reference import delta_e_distribution, moments, propagator_analytic, tv_distance
+from reference import (
+    delta_e_distribution,
+    joint_table,
+    moments,
+    propagator_analytic,
+    tv_distance,
+)
 
 J_10_11 = 0.5623527527923118
 
@@ -38,40 +44,41 @@ def test_pcg64_states_equal_default_rng():
 
 
 def test_all_counts_diagonal_at_zero_time(params, rho0):
-    table = sample_tpm(rho0, propagator_analytic(params, 0.0).U, SampleConfig(10_000, 7))
+    j = joint_table(rho0, propagator_analytic(params, 0.0).U)
+    table = sample_tpm(j, SampleConfig(10_000, 7))
     assert table.n == 10_000
     assert table.counts.sum() == 10_000
     assert np.trace(table.counts) == 10_000
 
 
 def test_same_seed_same_counts(params, rho0):
-    prop = propagator_analytic(params, T_STAR)
+    j = joint_table(rho0, propagator_analytic(params, T_STAR).U)
     cfg = SampleConfig(50_000, 42)
-    a = sample_tpm(rho0, prop.U, cfg)
-    b = sample_tpm(rho0, prop.U, cfg)
+    a = sample_tpm(j, cfg)
+    b = sample_tpm(j, cfg)
     assert np.array_equal(a.counts, b.counts)
 
 
 def test_different_seeds_differ(params, rho0):
-    prop = propagator_analytic(params, T_STAR)
-    a = sample_tpm(rho0, prop.U, SampleConfig(50_000, 1))
-    b = sample_tpm(rho0, prop.U, SampleConfig(50_000, 2))
+    j = joint_table(rho0, propagator_analytic(params, T_STAR).U)
+    a = sample_tpm(j, SampleConfig(50_000, 1))
+    b = sample_tpm(j, SampleConfig(50_000, 2))
     assert not np.array_equal(a.counts, b.counts)
 
 
 def test_trillion_shot_run_is_deterministic(params, rho0):
-    prop = propagator_analytic(params, 0.4)
+    j = joint_table(rho0, propagator_analytic(params, 0.4).U)
     cfg = SampleConfig(10**12 + 12_345, 11)
-    a = sample_tpm(rho0, prop.U, cfg)
-    b = sample_tpm(rho0, prop.U, cfg)
+    a = sample_tpm(j, cfg)
+    b = sample_tpm(j, cfg)
     assert a.counts.sum() == cfg.n_samples
     assert np.array_equal(a.counts, b.counts)
 
 
 def test_million_shot_convergence(params, rho0):
     prop = propagator_analytic(params, T_STAR)
-    table = sample_tpm(rho0, prop.U, SampleConfig(10**6, 42))
     j = joint_table(rho0, prop.U)
+    table = sample_tpm(j, SampleConfig(10**6, 42))
     assert abs(table.frequencies[2, 3] - J_10_11) <= 0.005
     tv, max_cell = tv_distance(table, j)
     assert max_cell <= 0.005
@@ -79,18 +86,19 @@ def test_million_shot_convergence(params, rho0):
 
 
 def test_row_marginals_converge(params, rho0):
-    prop = propagator_analytic(params, T_STAR)
+    j = joint_table(rho0, propagator_analytic(params, T_STAR).U)
     p_in = initial_probs(rho0)
     for n in (10**4, 10**5, 10**6):
-        table = sample_tpm(rho0, prop.U, SampleConfig(n, 42))
+        table = sample_tpm(j, SampleConfig(n, 42))
         err = np.max(np.abs(table.counts.sum(axis=1) / n - p_in))
         assert err <= 5.0 * np.sqrt(0.25 / n)
 
 
 def test_ten_million_shot_concentration(params, rho0):
     prop = propagator_analytic(params, T_STAR)
-    table = sample_tpm(rho0, prop.U, SampleConfig(10**7, 42))
-    assert tv_distance(table, joint_table(rho0, prop.U)).max_cell <= 0.002
+    j = joint_table(rho0, prop.U)
+    table = sample_tpm(j, SampleConfig(10**7, 42))
+    assert tv_distance(table, j).max_cell <= 0.002
 
 
 def test_two_stage_matches_joint_chi_square(params, rho0):
@@ -98,7 +106,7 @@ def test_two_stage_matches_joint_chi_square(params, rho0):
     n = 10**5
     prop = propagator_analytic(params, T_STAR)
     j = joint_table(rho0, prop.U)
-    counts = sample_tpm(rho0, prop.U, SampleConfig(n, 42)).counts
+    counts = sample_tpm(j, SampleConfig(n, 42)).counts
     support = j > 0
     expected = n * j[support]
     statistic = float((((counts[support] - expected) ** 2) / expected).sum())
@@ -130,8 +138,9 @@ def test_sampled_moment_error_grows_with_order(params, rho0):
     # at the transition peak the 5th moment amplifies the sampling noise
     n = 10**6
     prop = propagator_analytic(params, T_STAR)
-    exact = moments(delta_e_distribution(joint_table(rho0, prop.U)), 5)
-    freq = sample_tpm(rho0, prop.U, SampleConfig(n, 123)).frequencies
+    j = joint_table(rho0, prop.U)
+    exact = moments(delta_e_distribution(j), 5)
+    freq = sample_tpm(j, SampleConfig(n, 123)).frequencies
     sampled = moments(delta_e_distribution(freq), 5)
     errors = np.abs(exact - sampled)
     assert errors[4] >= errors[0]
