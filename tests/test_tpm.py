@@ -6,6 +6,7 @@ import scipy.stats
 
 from gate_energetics.linalg import op_distance
 from gate_energetics.model import hamiltonians
+from gate_energetics.sweep import NumericInvariantError, _require_defined_weights
 from gate_energetics.tpm import (
     OUTCOME_ENERGIES,
     OUTCOME_LABELS,
@@ -281,6 +282,16 @@ def test_entropy_mean_equals_shannon_difference(params, rho0, sweep_grid):
         d = entropy_distribution(j, entropy_realizations(p_in, p_fin))
         expected = scipy.stats.entropy(p_fin) - scipy.stats.entropy(p_in)
         assert d.mean == pytest.approx(expected, abs=1e-12)
+
+
+def test_entropy_distribution_rejects_weight_on_undefined():
+    # the statistics leave NaN realizations out, so a table that puts weight
+    # on one is refused by the gate evaluate_grid runs before any statistic
+    j = np.full((1, 4, 4), 1.0 / 16.0)
+    sigma = np.zeros((1, 4, 4))
+    sigma[0, 0, 0] = np.nan
+    with pytest.raises(NumericInvariantError, match="undefined"):
+        _require_defined_weights(j, sigma, np.zeros(1))
 
 
 def test_moments_zero_at_t0(params, rho0):
