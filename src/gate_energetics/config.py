@@ -79,8 +79,6 @@ class RunConfig:
         require(self.thermal.beta_B > 0, "beta_B", "must be positive")
         _build("samples", SampleConfig, n_samples=self.samples)
         _build("seed", SampleConfig, seed=self.seed)
-        # compare samples point i with seed + i
-        _build("seed + n_points - 1", SampleConfig, seed=self.seed + self.n_points - 1)
 
     def time_grid(self) -> np.ndarray:
         """Uniform sweep grid over the half-open interval [t_min, t_max).

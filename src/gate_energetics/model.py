@@ -69,14 +69,6 @@ def hamiltonians(p: ModelParams):
     return h_local, h_int, h_local + h_int
 
 
-def h_coeffs(p: ModelParams, t: float) -> tuple[complex, complex]:
-    """Block amplitudes (h1, h2) of the conditioned target rotation at time t."""
-    d = p.delta
-    h1 = math.cos(d * t) + 1j * (p.omega_L / (2 * d)) * math.sin(d * t)
-    h2 = -1j * (p.omega_int / (2 * d)) * math.sin(d * t)
-    return h1, h2
-
-
 def _complex_product(ar, ai, br, bi):
     """Real and imaginary parts of (ar + i ai) (br + i bi)."""
     # numpy's vectorised complex multiply fuses these products with FMA, which
@@ -92,8 +84,8 @@ def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
     U acts as |00> -> e^{i omega_L t}|00>, |01> -> |01>, and on the
     (|10>, |11>) block as e^{-i omega_L t / 2} [[h1, h2], [h2, h1*]]; entries
     outside that pattern are exactly zero.  Each entry equals, bit for bit,
-    the one-time propagator of tests/reference.py, which builds it from
-    ``h_coeffs`` with Python's complex arithmetic.
+    the one-time propagator of tests/reference.py, which builds it with
+    Python's complex arithmetic.
     """
     t = np.asarray(times, dtype=float)
     d = p.delta
@@ -183,12 +175,15 @@ def gate_angle(p: ModelParams, t):
     The conditional phases dropped here do not affect any of the local
     measurement statistics, so a gate implementing controlled-u_gamma
     reproduces the full two-point-measurement energetics of the propagator.
-    An array of times gives the array of their angles, each computed in
-    Python floats as for one time.
+    An array of times gives the array of their angles.  |h1| and |h2| round
+    as Python's abs of the complex amplitudes does (``hypot``); only atan2
+    runs per time, in Python floats, since numpy's arctan2 may round
+    differently in the last bit.
     """
     times = np.asarray(t, dtype=float)
-    gamma = []
-    for s in times.ravel().tolist():
-        h1, h2 = h_coeffs(p, s)
-        gamma.append(math.atan2(abs(h2), abs(h1)))
+    d = p.delta
+    sin = np.sin(d * times)
+    h1 = np.hypot(np.cos(d * times), (p.omega_L / (2 * d)) * sin)
+    h2 = np.abs((p.omega_int / (2 * d)) * sin)
+    gamma = [math.atan2(a, b) for a, b in zip(h2.ravel().tolist(), h1.ravel().tolist())]
     return np.array(gamma).reshape(times.shape) if times.ndim else gamma[0]

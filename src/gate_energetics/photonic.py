@@ -86,11 +86,7 @@ def hwp_u(theta) -> np.ndarray:
     (H, V)).
     """
     theta = np.asarray(theta, dtype=float)
-    angles = theta.ravel().tolist()
-    # Python's cos and sin per angle: numpy's vectorised ones may round
-    # differently in the last bit, and the output bytes depend on it
-    c = np.array([math.cos(x) for x in angles]).reshape(theta.shape)
-    s = np.array([math.sin(x) for x in angles]).reshape(theta.shape)
+    c, s = np.cos(theta), np.sin(theta)
     u = np.empty(theta.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = c
     u[..., 0, 1] = u[..., 1, 0] = s

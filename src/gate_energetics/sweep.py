@@ -296,9 +296,9 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
         de_moments=de_moments,
         ds_moments=ds_dist.moments(cfg.moments_max),
         coherence=trajectory_coherence(u),
-        # Python's float power, as for one time: numpy squares by
+        # libm pow, as Python's ** for one time: numpy's ** 2 squares by
         # multiplying, which rounds differently in the last bit
-        h2_sq=np.array([abs(h) ** 2 for h in h2.tolist()]),
+        h2_sq=np.float_power(np.abs(h2), 2.0),
         report=thermo_report_grid(joint, sigma, cfg.thermal.beta_B, de_moments[:, 0]),
     )
 
@@ -408,7 +408,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         except ValueError as exc:
             # a gate that blocks an input passes every range check
             raise ConfigError(f"photonic: {exc}") from None
-    # point i draws with seed + i, independently of the other points
+    # the points draw in grid order from the one stream of the seed
     freq = sample_tpm(g.joint, cfg=SampleConfig(cfg.samples, cfg.seed)).frequencies
 
     _require_prob_group(freq, "empirical table", g.t)

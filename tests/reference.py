@@ -27,7 +27,7 @@ from gate_energetics.linalg import (
     VALUE_MERGE_TOL,
     tensor,
 )
-from gate_energetics.model import ModelParams, h_coeffs, thermal_state
+from gate_energetics.model import ModelParams, thermal_state
 from gate_energetics.sampler import EmpiricalTable
 from gate_energetics.tpm import (
     ENERGY_CHANGE,
@@ -41,6 +41,14 @@ from gate_energetics.tpm import (
 
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def h_coeffs(p: ModelParams, t: float) -> tuple[complex, complex]:
+    """Block amplitudes (h1, h2) of the conditioned target rotation at time t."""
+    d = p.delta
+    h1 = math.cos(d * t) + 1j * (p.omega_L / (2 * d)) * math.sin(d * t)
+    h2 = -1j * (p.omega_int / (2 * d)) * math.sin(d * t)
+    return h1, h2
 
 
 @dataclass(frozen=True, eq=False)

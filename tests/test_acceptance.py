@@ -15,7 +15,6 @@ from gate_energetics.linalg import expm_hermitian, op_distance
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
-    h_coeffs,
     hamiltonians,
     thermal_state,
     trajectory_coherence,
@@ -38,6 +37,7 @@ from gate_energetics.tpm import (
 
 from reference import (
     delta_e_distribution,
+    h_coeffs,
     joint_table,
     moments,
     propagator_analytic,

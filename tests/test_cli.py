@@ -310,8 +310,8 @@ SMALL = "n_points = 4\nsamples = 100\n"
         ("sweep", "t_min = -1e308\nt_max = 1e308\n", [], "t_min"),
         ("sweep", "t_max = 1e308\n", [], "t_max"),
         ("sweep", "omega_int = 1e300\n", [], "omega_int"),
-        ("compare", SMALL + "seed = 18446744073709551615\n", [], "seed"),
-        ("compare", SMALL, ["--seed", "18446744073709551615"], "seed"),
+        ("compare", SMALL + "seed = 18446744073709551616\n", [], "seed"),
+        ("compare", SMALL, ["--seed", "18446744073709551616"], "seed"),
         ("sweep", None, [], "--config"),
         ("sweep", "seed = 1\nseed = 2\n", [], "line 2: duplicate key 'seed'"),
         ("sweep", "n_points = 4\n", ["--out", os.path.join(os.devnull, "out")], "--out"),
@@ -338,6 +338,17 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+def test_compare_accepts_the_last_64_bit_seed_on_any_grid(tmp_path):
+    # every point draws from the stream of the one seed, so no seed past it
+    # needs to exist
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL)
+    argv = ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--seed", str(2**64 - 1)]) == 0
+    _, rows = read_csv(tmp_path / "out" / "mc_error.csv")
+    assert len(rows) == 4
 
 
 def _perturb_grid(monkeypatch, change):

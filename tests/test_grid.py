@@ -37,6 +37,7 @@ from reference import (
     DiscreteDistribution,
     entropy_distribution,
     evaluate_point,
+    h_coeffs,
     propagator_analytic,
     thermo_report,
 )
@@ -292,8 +293,13 @@ def _postselect_loops(m):
     return g
 
 
+def _angle_per_time(model, t):
+    h1, h2 = h_coeffs(model, t)
+    return math.atan2(abs(h2), abs(h1))
+
+
 def _gate_per_time(optical, model, t):
-    theta = 2.0 * (gate_angle(model, t) / 4.0)
+    theta = 2.0 * (_angle_per_time(model, t) / 4.0)
     c, s = math.cos(theta), math.sin(theta)
     plate = np.eye(4, dtype=complex)
     plate[2:, 2:] = [[c, s], [s, -c]]
@@ -318,6 +324,17 @@ PHOTONIC_CASES = {
     "contains-zero": (IMPERFECT, "contains-zero"),
     "t_min-and-omega_int-perturbed": (IMPERFECT, "t_min-and-omega_int-perturbed"),
 }
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ModelParams(), ModelParams(0.3, 7.0), ModelParams(1.0, 0.0), ModelParams(2000.0, 5.0)],
+    ids=["default", "slow-local", "no-interaction", "fast-local"],
+)
+def test_gate_angle_of_a_grid_equals_per_time_reference(model):
+    times = np.linspace(-40.0, 40.0, 20_001)
+    expected = [_angle_per_time(model, t) for t in times.tolist()]
+    assert np.array_equal(gate_angle(model, times), expected)
 
 
 @pytest.mark.parametrize("name", sorted(PHOTONIC_CASES))
@@ -351,21 +368,16 @@ def test_stacked_conditional_names_the_first_blocked_time():
 
 @pytest.mark.parametrize("n_samples", [1000, 10**12])
 def test_stacked_sampler_rows_equal_single_calls(n_samples):
-    # row i must be numpy's own default_rng(seed + i) draw; the seeds cross
-    # 2^32 (one entropy word to two) and end at the last 64-bit seed
+    # the rows are drawn in order from the one stream of the seed: row i is
+    # the i-th 1-D multinomial draw of numpy's own default_rng(seed), at
+    # seeds of one and of two 32-bit words up to the last 64-bit seed
     g = evaluate_grid(SMALL, SMALL_TIMES)
     rows = g.joint.reshape(8, 16)
     pvals = rows / rows.sum(axis=1, keepdims=True)
-    for seed in (42, 2**32 - 4, 2**64 - 8):
+    for seed in (42, 2**32 - 4, 2**64 - 8, 2**64 - 1):
         table = sample_tpm(g.joint, SampleConfig(n_samples, seed))
         assert table.counts.shape == (8, 4, 4)
+        rng = np.random.default_rng(seed)
         for i in range(8):
-            expected = np.random.default_rng(seed + i).multinomial(n_samples, pvals[i])
+            expected = rng.multinomial(n_samples, pvals[i])
             assert np.array_equal(table.counts[i].ravel(), expected), (seed, i)
-
-
-def test_stacked_sampler_rejects_a_last_seed_beyond_64_bits():
-    g = evaluate_grid(SMALL, SMALL_TIMES)
-    assert sample_tpm(g.joint, SampleConfig(100, 2**64 - 8)).counts.shape == (8, 4, 4)
-    with pytest.raises(ValueError, match="last seed"):
-        sample_tpm(g.joint, SampleConfig(100, 2**64 - 7))

@@ -8,14 +8,13 @@ from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
     gate_angle,
-    h_coeffs,
     hamiltonians,
     thermal_state,
     trajectory_coherence,
 )
 
 from conftest import T_STAR
-from reference import coherence_l1, propagator_analytic, rotation_decomposition
+from reference import coherence_l1, h_coeffs, propagator_analytic, rotation_decomposition
 
 
 def test_params_validation():
