@@ -11,22 +11,28 @@ array operations (``_csv_block``): each cell is scaled to a 12-digit integer
 in double-double arithmetic, and a cell that this cannot round with
 certainty is formatted by '%' itself.
 
-``evaluate_grid`` computes the statistics of all times of a grid at once, as
+``evaluate_grid`` builds the tables of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
-``compare`` all go through it.  ``compare`` then makes one sampler call on
-the grid's joint tables and, with the photonic model, one photonic call for
-the whole grid.  The tests keep a per-point form of the same computation in
+``compare`` all go through it.  The statistics of a ``SweepGrid`` are built
+on their first read, so each command pays only for what it writes: ``sweep``
+reads the moments, the coherence, ``h2_sq`` and the report; ``hist`` only
+the two distributions; ``compare`` only the joint and conditional tables
+and the dE moments.  ``compare`` then makes one sampler call on the grid's
+joint tables and, with the photonic model, one photonic call for the whole
+grid.  The tests keep a per-point form of the same computation in
 tests/reference.py, and the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
-command before it writes a file.  ``evaluate_grid`` gates the joint tables
-(cells in [0, 1], sums 1 within ``linalg.PROB_SUM_TOL``) and the weight on
-undefined entropy realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) for
-``sweep``, ``hist`` and ``compare`` alike; the ``tpm`` statistics and the
-sampler then trust those tables.  ``sweep`` also gates every row's
-conditional table for double stochasticity and its fluctuation average for
-|ift - 1|, and ``compare`` gates the sampled frequencies.  Each check runs
-over all rows; its first failing row, in time order, raises
+command before it writes a file.  ``evaluate_grid`` gates, for ``sweep``,
+``hist`` and ``compare`` alike: every conditional table for double
+stochasticity, the joint tables (cells in [0, 1], sums 1 within
+``linalg.PROB_SUM_TOL``), the weight on undefined entropy realizations (at
+most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation average ift
+against its closed form.  The ``tpm`` statistics and the sampler then trust
+those tables; ``AtomRows`` checks the distributions it holds, and every
+command reads each statistic it writes before it opens its first file.
+``compare`` also gates the sampled frequencies.  Each check runs over all
+rows; its first failing row, in time order, raises
 ``NumericInvariantError``.
 """
 
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +56,11 @@ from .tpm import (
     ThermoReport,
     conditional_matrix,
     delta_e_grid,
+    delta_e_moments,
     entropy_grid,
     entropy_realizations,
     final_probs,
+    ift_grid,
     initial_probs,
     joint_table_from_conditional,
     thermo_report_grid,
@@ -234,94 +243,136 @@ def _require_defined_weights(joint: np.ndarray, sigma: np.ndarray, t: np.ndarray
         )
 
 
+def _require_doubly_stochastic(cond: np.ndarray, t: np.ndarray) -> None:
+    """Gate every conditional table: its row and column sums must be 1."""
+    sums = np.concatenate([cond.sum(axis=1), cond.sum(axis=2)], axis=1)
+    worst = np.abs(sums - 1.0).max(axis=1)
+    bad = np.flatnonzero(worst > PROB_SUM_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericInvariantError(
+            f"conditional table at omega_L_t={t[i]:.6g}: "
+            f"a row or column sum is off by {worst[i]:.3e}"
+        )
+
+
+def _require_ift(
+    ift: np.ndarray, cond: np.ndarray, p_in: np.ndarray, p_fin: np.ndarray, t: np.ndarray
+) -> None:
+    """Gate the fluctuation average of every row against its closed form.
+
+    With an input of full support the closed form is 1.  An input without
+    full support leaves the realizations from its empty outcomes undefined,
+    and <e^{-dsigma}> = sum_fin p_fin[fin] sum_{in: p_in[in] > 0} c[fin, in]
+    (absolute irreversibility; Murashita, Funo & Ueda, PRE 90, 042110 (2014)).
+    """
+    support = p_in > 0.0
+    if support.all():
+        expected = np.ones_like(ift)
+    else:
+        expected = (p_fin * cond[:, :, support].sum(axis=2)).sum(axis=1)
+    bad = np.flatnonzero(np.abs(ift - expected) > PROB_SUM_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericInvariantError(
+            f"ift at omega_L_t={t[i]:.6g}: {ift[i]:.12e}, not {expected[i]:.12e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Exact two-point-measurement statistics of every time of a grid, one row per time.
 
-    ``rho0`` and ``p_in`` are shared by all rows; the report's fields are
-    arrays, with NaN where the ratio is undefined.  Each row equals, field by
-    field and bit for bit, the per-point reference ``evaluate_point`` of
-    tests/reference.py at that time.
+    ``rho0`` and ``p_in`` are shared by all rows.  The fields are the gated
+    tables; the statistics below them are built on their first read and
+    kept.  The report's fields are arrays, with NaN where the ratio is
+    undefined.  Each row equals, field by field and bit for bit, the
+    per-point reference ``evaluate_point`` of tests/reference.py at that time.
     """
 
     t: np.ndarray
     rho0: np.ndarray
     p_in: np.ndarray
     U: np.ndarray
-    p_fin: np.ndarray
+    h2: np.ndarray
     cond: np.ndarray
     joint: np.ndarray
+    p_fin: np.ndarray
     sigma: np.ndarray
-    de_dist: AtomRows
-    ds_dist: AtomRows
-    de_moments: np.ndarray
-    ds_moments: np.ndarray
-    coherence: np.ndarray
-    h2_sq: np.ndarray
-    report: ThermoReport
+    ift: np.ndarray
+    beta: float
+    moments_max: int
+
+    @cached_property
+    def de_dist(self) -> AtomRows:
+        return delta_e_grid(self.joint)
+
+    @cached_property
+    def ds_dist(self) -> AtomRows:
+        return entropy_grid(self.joint, self.sigma)
+
+    @cached_property
+    def de_moments(self) -> np.ndarray:
+        return delta_e_moments(self.de_dist, self.moments_max)
+
+    @cached_property
+    def ds_moments(self) -> np.ndarray:
+        return self.ds_dist.moments(self.moments_max)
+
+    @cached_property
+    def coherence(self) -> np.ndarray:
+        return trajectory_coherence(self.U)
+
+    @cached_property
+    def h2_sq(self) -> np.ndarray:
+        # libm pow, as Python's ** for one time: numpy's ** 2 squares by
+        # multiplying, which rounds differently in the last bit
+        return np.float_power(np.abs(self.h2), 2.0)
+
+    @cached_property
+    def report(self) -> ThermoReport:
+        return thermo_report_grid(
+            self.joint, self.sigma, self.beta, self.de_moments[:, 0], self.ift
+        )
 
 
 def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
-    """The statistics of every time of ``times``, computed for all times at once.
+    """The gated tables of every time of ``times``, built for all times at once.
 
-    Row i of every field equals, bit for bit, the field of the per-point
-    reference ``evaluate_point(cfg, times[i])`` of tests/reference.py.  The
-    joint tables and the weight on undefined realizations are gated here,
-    before any statistic is built from them.
+    Row i of every field and statistic equals, bit for bit, the field of the
+    per-point reference ``evaluate_point(cfg, times[i])`` of
+    tests/reference.py.  Each table is gated as soon as it is built, before
+    anything is built from it: the conditional tables for double
+    stochasticity, the joint tables, the weight on undefined realizations
+    and ift.
     """
     t = np.asarray(times, dtype=float)
     rho0 = thermal_state(cfg.thermal, cfg.model)
     p_in = initial_probs(rho0)
     h2, u = propagator_grid(cfg.model, t)
     cond = conditional_matrix(u)
+    _require_doubly_stochastic(cond, t)
     joint = joint_table_from_conditional(cond, p_in)
     _require_prob_group(joint, "joint table", t)
     p_fin = final_probs(joint)
     sigma = entropy_realizations(p_in, p_fin)
     _require_defined_weights(joint, sigma, t)
-    de_dist = delta_e_grid(joint)
-    ds_dist = entropy_grid(joint, sigma)
-    de_moments = de_dist.moments(cfg.moments_max)
+    ift = ift_grid(joint, sigma)
+    _require_ift(ift, cond, p_in, p_fin, t)
     return SweepGrid(
         t=t,
         rho0=rho0,
         p_in=p_in,
         U=u,
-        p_fin=p_fin,
+        h2=h2,
         cond=cond,
         joint=joint,
+        p_fin=p_fin,
         sigma=sigma,
-        de_dist=de_dist,
-        ds_dist=ds_dist,
-        de_moments=de_moments,
-        ds_moments=ds_dist.moments(cfg.moments_max),
-        coherence=trajectory_coherence(u),
-        # libm pow, as Python's ** for one time: numpy's ** 2 squares by
-        # multiplying, which rounds differently in the last bit
-        h2_sq=np.float_power(np.abs(h2), 2.0),
-        report=thermo_report_grid(joint, sigma, cfg.thermal.beta_B, de_moments[:, 0]),
+        ift=ift,
+        beta=cfg.thermal.beta_B,
+        moments_max=cfg.moments_max,
     )
-
-
-def _require_row_invariants(g: SweepGrid) -> None:
-    """Gate every sweep row: double stochasticity and the IFT.
-
-    Each check runs over all rows in turn; its first failing row raises.
-    """
-    sums = np.concatenate([g.cond.sum(axis=1), g.cond.sum(axis=2)], axis=1)
-    worst = np.abs(sums - 1.0).max(axis=1)
-    bad = np.flatnonzero(worst > PROB_SUM_TOL)
-    if bad.size:
-        i = bad[0]
-        raise NumericInvariantError(
-            f"conditional table at omega_L_t={g.t[i]:.6g}: "
-            f"a row or column sum is off by {worst[i]:.3e}"
-        )
-    ift = g.report.ift
-    bad = np.flatnonzero(np.abs(ift - 1.0) > PROB_SUM_TOL)
-    if bad.size:
-        i = bad[0]
-        raise NumericInvariantError(f"ift at omega_L_t={g.t[i]:.6g}: {ift[i]:.12e}, not 1")
 
 
 def _peak(grid: np.ndarray, values) -> dict:
@@ -335,7 +386,6 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     g = evaluate_grid(cfg, cfg.time_grid())
-    _require_row_invariants(g)
     n, report = len(g.t), g.report
 
     mom_cols = [f"dE_m{h}" for h in range(1, cfg.moments_max + 1)]
@@ -350,13 +400,6 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     table = np.column_stack(
         [g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence, *columns]
     )
-    sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path, header, table)
-
-    real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
-    real_path = out / "realizations.csv"
-    _write_csv(real_path, real_header, np.column_stack([g.t, g.sigma.reshape(n, 16)]))
-
     defined = ~np.isnan(report.ratio)
     summary = {
         "grid": {
@@ -371,6 +414,12 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         "coherence_l1_10": _peak(g.t, g.coherence),
         "ratio": _peak(g.t[defined], report.ratio[defined]) if defined.any() else None,
     }
+
+    sweep_path = out / "sweep.csv"
+    _write_csv(sweep_path, header, table)
+    real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
+    real_path = out / "realizations.csv"
+    _write_csv(real_path, real_header, np.column_stack([g.t, g.sigma.reshape(n, 16)]))
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {"sweep": sweep_path, "realizations": real_path, "summary": summary_path}
@@ -414,7 +463,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     _require_prob_group(freq, "empirical table", g.t)
     cells = freq.reshape(n, 16)
     cell_errors = np.abs(g.joint.reshape(n, 16) - cells)
-    moment_errors = np.abs(g.de_moments - delta_e_grid(freq).moments(cfg.moments_max))
+    moment_errors = np.abs(g.de_moments - delta_e_moments(delta_e_grid(freq), cfg.moments_max))
 
     header = (
         ["omega_L_t"]

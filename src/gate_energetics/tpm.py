@@ -31,6 +31,11 @@ OUTCOME_LABELS = ("00", "01", "10", "11")
 OUTCOME_ENERGIES = np.array([-2.0, 0.0, 0.0, 2.0])
 # energy change dE[in, fin] = E_fin - E_in of each pair of outcomes
 ENERGY_CHANGE = OUTCOME_ENERGIES[None, :] - OUTCOME_ENERGIES[:, None]
+# the values dE can take, in increasing order, written out: deriving them with
+# np.unique would import numpy.ma when the module loads
+ENERGY_LATTICE = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
+# the flat cells of a joint table at each lattice value, in index order
+_LATTICE_CELLS = [np.flatnonzero(ENERGY_CHANGE.ravel() == v).tolist() for v in ENERGY_LATTICE]
 
 
 def initial_probs(rho0: np.ndarray) -> np.ndarray:
@@ -119,9 +124,13 @@ class ThermoReport:
 # gates each stack once, as soon as it is built.  ``AtomRows`` checks the
 # distributions it holds.
 # tests/reference.py keeps the one-table form of each function below: a
-# Python merge loop per distribution and sums over the defined cells.  Each
-# function here equals it at every row, bit for bit, by running the same
-# float operations in the same order over all rows at once.
+# Python merge loop per distribution, np.dot moments and sums over the
+# defined cells.  Each function here equals it at every row, bit for bit.
+# The dsigma functions run the same float operations in the same order over
+# all rows at once.  The dE functions add the cells of each of the five
+# lattice values as columns instead: on the lattice every product is exact,
+# so the shorter path rounds the same (see ``delta_e_grid`` and
+# ``delta_e_moments``).
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +165,13 @@ class AtomRows:
         return np.arange(self.values.shape[1]) < self.counts[:, None]
 
     def moments(self, h_max: int) -> np.ndarray:
-        """Raw moments sum_k p_k v_k^h of orders h = 1..h_max of each row, shape (T, h_max)."""
+        """Raw moments sum_k p_k v_k^h of orders h = 1..h_max of each row, shape (T, h_max).
+
+        Each row's sum is the BLAS dot product np.dot runs on one
+        distribution, whose rounding of inexact products an ordered sum does
+        not reproduce; the dsigma moments take this path, the dE moments the
+        exact ``delta_e_moments``.
+        """
         out = np.empty((len(self.counts), h_max))
         for k in np.flatnonzero(np.bincount(self.counts)):
             rows = np.flatnonzero(self.counts == k)
@@ -177,6 +192,7 @@ def merge_atom_rows(values, weights) -> AtomRows:
     floating-point noise cannot split an atom; zero-weight atoms are dropped,
     which defines the support.  All rows go through the merge loop together,
     one sorted column per step, so every row merges exactly as it would alone.
+    Only ``entropy_grid`` needs it: the dE values lie on a fixed lattice.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -215,11 +231,49 @@ def merge_atom_rows(values, weights) -> AtomRows:
 def delta_e_grid(j: np.ndarray) -> AtomRows:
     """Distribution of the energy change dE = E_fin - E_in of each joint table in a stack.
 
-    The support is a subset of {-4, -2, 0, +2, +4}; under the gate dynamics
-    (which never flips the control) it collapses to {-2, 0, +2}.
+    The support is a subset of ``ENERGY_LATTICE``, {-4, -2, 0, +2, +4}; under
+    the gate dynamics (which never flips the control) it collapses to
+    {-2, 0, +2}.  Each lattice value, in increasing order, gets the sum of its
+    cells, added in index order from the first one; values of zero weight are
+    dropped.  This equals ``merge_atom_rows`` on the 16 (dE, j) atoms bit for
+    bit: the merge adds a group's weights in the same order, and the weighted
+    mean of equal values v it takes as the atom's value is exactly v, because
+    scaling by v = 0 or +-2^k rounds nothing.  Rows hold at most five atoms.
     """
-    n = len(j)
-    return merge_atom_rows(np.broadcast_to(ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
+    cells = np.asarray(j, dtype=float).reshape(len(j), 16).T
+    weights = np.empty((len(ENERGY_LATTICE), cells.shape[1]))
+    for w, index in zip(weights, _LATTICE_CELLS):
+        w[:] = cells[index[0]]
+        for k in index[1:]:
+            w += cells[k]
+    keep = (weights > 0.0).T
+    counts = keep.sum(axis=1)
+    slot = np.arange(len(ENERGY_LATTICE)) < counts[:, None]
+    values = np.zeros(keep.shape)
+    probs = np.zeros(keep.shape)
+    values[slot] = np.broadcast_to(ENERGY_LATTICE, keep.shape)[keep]
+    probs[slot] = weights.T[keep]
+    return AtomRows(values=values, probs=probs, counts=counts)
+
+
+def delta_e_moments(d: AtomRows, h_max: int) -> np.ndarray:
+    """Raw moments of orders h = 1..h_max of each row of a ``delta_e_grid``
+    distribution, shape (T, h_max).
+
+    Each is the ordered sum 0.0 + p_1 v_1^h + p_2 v_2^h + ... over the row's
+    cells, the padding included.  It equals ``AtomRows.moments`` bit for bit:
+    every v^h on the lattice is 0 or +-2^k, so every product is exact, the
+    BLAS dot product over at most five terms adds them in the same order
+    from 0.0, and a padding cell adds +-0, which changes no sum.
+    """
+    probs, values = d.probs.T, d.values.T
+    out = np.zeros((h_max, len(d.counts)))
+    power = np.ones_like(values)
+    for acc in out:
+        power = power * values  # exact on the lattice, as v**h
+        for term in probs * power:
+            acc += term
+    return out.T
 
 
 def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
@@ -236,29 +290,44 @@ def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
     return merge_atom_rows(values, np.where(defined, j, 0.0).reshape(n, 16))
 
 
-def thermo_report_grid(
-    j: np.ndarray, sigma: np.ndarray, beta: float, de_mean: np.ndarray
-) -> ThermoReport:
-    """Fluctuation-theorem and Landauer-bound bookkeeping of each row at inverse
-    temperature beta, given the mean of each row's dE distribution.
-
-    ift is the exponential average <e^{-dsigma}>, equal to 1 for any doubly
-    stochastic conditional model; landauer_slack = beta <dE> - <dsigma> is
-    the margin of the Landauer-like bound.  The averages sum over the
-    defined realizations only.
-    """
-    defined = np.isfinite(sigma)
-    n = len(j)
-    cells, sigma, defined = j.reshape(n, 16), sigma.reshape(n, 16), defined.reshape(n, 16)
-    with np.errstate(invalid="ignore"):
-        ds_terms = cells * sigma
-        ift_terms = cells * np.exp(-sigma)
-    ds_mean = ds_terms.sum(axis=1)
-    ift = ift_terms.sum(axis=1)
+def _sum_defined(terms: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """Row sums of (T, 16) ``terms`` over the cells where ``defined`` holds."""
+    out = terms.sum(axis=1)
     for i in np.flatnonzero(~defined.all(axis=1)):
         # the reference sums only the defined terms, which groups them differently
-        ds_mean[i] = ds_terms[i, defined[i]].sum()
-        ift[i] = ift_terms[i, defined[i]].sum()
+        out[i] = terms[i, defined[i]].sum()
+    return out
+
+
+def ift_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The exponential average <e^{-dsigma}> of each row, over its defined realizations.
+
+    It is 1 for a doubly stochastic conditional model and an input of full
+    support.  Where inputs of zero population make realizations undefined it
+    is 1 - lambda, lambda the weight of absolutely irreversible outcomes
+    (Murashita, Funo & Ueda, PRE 90, 042110 (2014)).
+    """
+    n = len(j)
+    sigma = sigma.reshape(n, 16)
+    with np.errstate(invalid="ignore"):
+        terms = j.reshape(n, 16) * np.exp(-sigma)
+    return _sum_defined(terms, np.isfinite(sigma))
+
+
+def thermo_report_grid(
+    j: np.ndarray, sigma: np.ndarray, beta: float, de_mean: np.ndarray, ift: np.ndarray
+) -> ThermoReport:
+    """Fluctuation-theorem and Landauer-bound bookkeeping of each row at inverse
+    temperature beta, given the mean of each row's dE distribution and its
+    ``ift_grid``.
+
+    landauer_slack = beta <dE> - <dsigma> is the margin of the Landauer-like
+    bound.  <dsigma> sums over the defined realizations only.
+    """
+    n = len(j)
+    sigma = sigma.reshape(n, 16)
+    with np.errstate(invalid="ignore"):
+        ds_mean = _sum_defined(j.reshape(n, 16) * sigma, np.isfinite(sigma))
     lhs = beta * de_mean
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(ds_mean) > RATIO_GUARD, de_mean / ds_mean, np.nan)

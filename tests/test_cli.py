@@ -1,7 +1,8 @@
-import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -351,37 +352,84 @@ def test_compare_accepts_the_last_64_bit_seed_on_any_grid(tmp_path):
     assert len(rows) == 4
 
 
-def _perturb_grid(monkeypatch, change):
-    """Make run_sweep see the grid ``change(grid)`` returns."""
-    real = sweep.evaluate_grid
-    monkeypatch.setattr(sweep, "evaluate_grid", lambda cfg, times: change(real(cfg, times)))
+def _perturb_stack(monkeypatch, name, change):
+    """Make evaluate_grid see ``change`` applied to the stack ``sweep.<name>`` returns."""
+    real = getattr(sweep, name)
+
+    def changed(*args):
+        a = real(*args).copy()
+        change(a)
+        return a
+
+    monkeypatch.setattr(sweep, name, changed)
+
+
+GATED_PHYSICS = {
+    "default": "",
+    # the target population 1/(1 + e^2000) underflows to 0: the input lacks
+    # full support, and ift is gated against its closed form, not 1
+    "absolutely-irreversible": "omega_L = 2000\n",
+}
+# six times for hist and for the other commands, so that row 5 exists
+SIX_TIMES = "n_points = 6\nsamples = 100\nhist_times = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3\n"
+
+
+def _gated_run(tmp_path, command, physics):
+    """Run ``command`` on a small grid; its exit code and its grid's times."""
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(SIX_TIMES + physics)
+    cfg = parse_config(path)
+    times = cfg.hist_times if command == "hist" else cfg.time_grid()
+    out = tmp_path / f"{command}-out"
+    code = cli.main([command, "--config", str(path), "--out", str(out)])
+    assert not list(out.glob("*")), command
+    return code, times
 
 
 def test_cli_gates_ift_with_exit_3(tmp_path, monkeypatch, capsys):
-    def off_by_a_little(grid):
-        report = dataclasses.replace(grid.report, ift=grid.report.ift + 1e-9)
-        return dataclasses.replace(grid, report=report)
+    # every realization 1e-9 too large moves ift by about 1e-9 at every time
+    def shift(sigma):
+        sigma += 1e-9
 
-    _perturb_grid(monkeypatch, off_by_a_little)
-    code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert "ift" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    _perturb_stack(monkeypatch, "entropy_realizations", shift)
+    for physics_name, physics in GATED_PHYSICS.items():
+        for command in ("sweep", "hist", "compare"):
+            code, times = _gated_run(tmp_path / physics_name, command, physics)
+            err = capsys.readouterr().err
+            assert code == 3, (physics_name, command)
+            assert err.startswith(f"numeric invariant violated: ift at omega_L_t={times[0]:.6g}")
+            assert "Traceback" not in err
 
 
 def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsys):
-    def leaky(grid):
-        cond = grid.cond.copy()
+    def leak(cond):
         cond[5, 3, 2] += 1e-9  # column and row sums of one table move off 1
-        return dataclasses.replace(grid, cond=cond)
 
-    _perturb_grid(monkeypatch, leaky)
-    code = cli.main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "out")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "conditional table" in err
-    assert f"omega_L_t={RunConfig(n_points=12).time_grid()[5]:.6g}" in err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    _perturb_stack(monkeypatch, "conditional_matrix", leak)
+    for command in ("sweep", "hist", "compare"):
+        code, times = _gated_run(tmp_path, command, "")
+        err = capsys.readouterr().err
+        assert code == 3, command
+        assert err.startswith(
+            f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
+        )
+        assert "Traceback" not in err
+
+
+def test_importing_the_cli_loads_no_lazy_numpy_submodule():
+    # numpy loads numpy.ma and numpy.random on first use; the CLI's start-up
+    # must not pay for them (np.unique at import would load numpy.ma, and
+    # only the sampler needs numpy.random)
+    code = (
+        "import sys, gate_energetics.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['numpy', 'ma'], ['numpy', 'random'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # a stack that evaluate_grid builds, the change to rows 2 and 3 of it, and
@@ -429,7 +477,7 @@ def test_cli_gates_joint_table_at_its_first_failing_time(
 @pytest.mark.parametrize(
     "physics,command,code",
     [
-        ("omega_L = 2000\n", "sweep", 3),
+        ("omega_L = 2000\n", "sweep", 0),
         ("omega_L = 2000\n", "hist", 0),
         ("omega_L = 2000\n", "compare", 0),
         ("omega_L = 1e10\nbeta_B = 1e300\n", "hist", 0),
@@ -439,8 +487,8 @@ def test_cli_gates_joint_table_at_its_first_failing_time(
 def test_gibbs_weight_overflow_ends_without_traceback(tmp_path, capsys, physics, command, code):
     # beta_B * omega_L = 1000 is past the point where exp overflows (at 1e310
     # the product itself is inf); the target population 1/(1 + e^2000)
-    # underflows to 0, so the sweep's IFT sum loses its terms and the gate
-    # reports it
+    # underflows to 0, so ift = 1 - lambda with lambda ~ 1e-5 the weight of
+    # the absolutely irreversible outcomes, which the IFT gate accepts
     path = tmp_path / "run.cfg"
     path.write_text(SMALL + physics)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code

@@ -13,15 +13,24 @@ a cell and needs a deliberate re-record, not a loosened check.
 
 Recorded with CPython 3.11.7 and numpy 2.4.6 (its wheel bundles OpenBLAS
 0.3.31.188.0, built with DYNAMIC_ARCH) on an x86-64 Intel Xeon with AVX-512.
-OpenBLAS and numpy both pick their kernels by CPU at run time, so the same
-wheel on a CPU without AVX-512 may still round differently.
+OpenBLAS and numpy both pick their kernels by CPU at run time.  The digests
+also hold with numpy's dispatch capped at X86_V3 (AVX2 and FMA3) and
+OpenBLAS's Haswell kernels, the level of a host without AVX-512; a test
+below runs the commands at that level.  Hosts below X86_V3 write different
+``realizations.csv`` bytes: there ``np.log`` takes numpy's baseline path,
+which rounds some values differently from its AVX2 and AVX-512 paths.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from gate_energetics import cli
+import gate_energetics
+from gate_energetics import cli, sweep, tpm
 
 COMPARE_CONFIG = "n_points = 12\nsamples = 2000\nphotonic.T_H = 0.985\nphotonic.eps = 0.01\n"
 
@@ -42,8 +51,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_outputs_match_golden_digests(command, tmp_path):
+def _digests(command, tmp_path) -> dict[str, str]:
+    """Run ``command`` at its golden config; the SHA-256 of each golden file."""
     out = tmp_path / "out"
     argv = [command, "--out", str(out)]
     if command == "compare":
@@ -51,5 +60,50 @@ def test_outputs_match_golden_digests(command, tmp_path):
         config.write_text(COMPARE_CONFIG)
         argv += ["--config", str(config), "--photonic"]
     assert cli.main(argv) == 0
-    actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[command]}
-    assert actual == GOLDEN[command]
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[command]}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_outputs_match_golden_digests(command, tmp_path):
+    assert _digests(command, tmp_path) == GOLDEN[command]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a statistic the command does not write was built")
+
+
+@pytest.mark.parametrize("command", ["compare", "hist"])
+def test_commands_build_only_the_statistics_they_write(command, tmp_path, monkeypatch):
+    # hist writes the two distributions, compare the joint and conditional
+    # tables and the dE moments: neither needs a dsigma moment or a coherence
+    monkeypatch.setattr(tpm.AtomRows, "moments", _refuse)
+    monkeypatch.setattr(sweep, "trajectory_coherence", _refuse)
+    assert _digests(command, tmp_path) == GOLDEN[command]
+
+
+# numpy's dispatch capped at X86_V3 (AVX2, FMA3) and OpenBLAS's Haswell
+# kernels: a host without AVX-512
+AVX2_HOST = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+_RUN_GOLDEN = """
+import json, sys
+from pathlib import Path
+import test_golden
+print(json.dumps({c: test_golden._digests(c, Path(sys.argv[1]) / c) for c in test_golden.GOLDEN}))
+"""
+
+
+def test_golden_digests_hold_at_the_avx2_dispatch_level(tmp_path):
+    # both settings act when numpy and OpenBLAS load, so they need a fresh
+    # interpreter
+    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(gate_energetics.__file__))]
+    env = dict(os.environ, **AVX2_HOST, PYTHONPATH=os.pathsep.join(path + sys.path))
+    for command in GOLDEN:
+        (tmp_path / command).mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_GOLDEN, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN

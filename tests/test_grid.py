@@ -102,7 +102,8 @@ def test_undefined_realizations_match_the_scalar_tables():
     joint = tpm.joint_table_from_conditional(conds, p_in)
     sigma = tpm.entropy_realizations(p_in, tpm.final_probs(joint))
     ds_rows = tpm.entropy_grid(joint, sigma)
-    report = tpm.thermo_report_grid(joint, sigma, 0.5, tpm.delta_e_grid(joint).moments(1)[:, 0])
+    de_mean = tpm.delta_e_moments(tpm.delta_e_grid(joint), 1)[:, 0]
+    report = tpm.thermo_report_grid(joint, sigma, 0.5, de_mean, tpm.ift_grid(joint, sigma))
     for i, cond in enumerate(conds):
         j = tpm.joint_table_from_conditional(cond, p_in)
         s = tpm.entropy_realizations(p_in, tpm.final_probs(j))
@@ -112,6 +113,19 @@ def test_undefined_realizations_match_the_scalar_tables():
         scalar = thermo_report(j, s, 0.5)
         for field in ("de_mean", "ds_mean", "ift", "landauer_slack"):
             assert _same(getattr(report, field)[i], getattr(scalar, field)), field
+
+
+def test_ift_of_an_input_without_full_support_is_one_minus_lambda():
+    # at omega_L = 2000 the target population 1/(1 + e^2000) underflows to 0;
+    # lambda, the weight of the final outcomes reached from the empty inputs,
+    # is what the average over the defined realizations misses
+    cfg = RunConfig(model=ModelParams(omega_L=2000.0))
+    g = evaluate_grid(cfg, cfg.time_grid())
+    empty = g.p_in == 0.0
+    assert empty.any()
+    lam = (g.p_fin * g.cond[:, :, empty].sum(axis=2)).sum(axis=1)
+    assert np.abs(g.ift - 1.0).max() > 1e-6
+    assert np.abs(g.ift - (1.0 - lam)).max() <= 1e-14
 
 
 # values on a coarse lattice plus offsets below, at and above the merge
@@ -135,6 +149,67 @@ def test_merged_rows_equal_from_atoms(rows):
         ref = DiscreteDistribution.from_atoms(values[i], weights[i])
         assert _same_dist(merged, i, ref)
         assert _same(merged.moments(3)[i], [ref.moment(h) for h in (1, 2, 3)])
+
+
+# the dE distribution on its lattice against the generic merge of its 16
+# atoms: the sweep grids of many shapes, then random joint tables with empty
+# cells and empty inputs, then sampled frequencies
+LATTICE_GRIDS = {
+    "default-20000": RunConfig(n_points=20_000),
+    "slow-local": RunConfig(model=ModelParams(0.3, 7.0)),
+    "extreme-alpha": RunConfig(thermal=ThermalSpec(alpha=1e-6, beta_B=3.0)),
+    "omega_int-zero": RunConfig(model=ModelParams(omega_int=0.0)),
+}
+
+
+def _bits(a) -> np.ndarray:
+    """The IEEE bits of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_lattice_equals_merge(j):
+    n = len(j)
+    merged = merge_atom_rows(np.broadcast_to(tpm.ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
+    lattice = tpm.delta_e_grid(j)
+    width = lattice.values.shape[1]
+    assert width == 5
+    assert np.array_equal(lattice.counts, merged.counts)
+    # the merge pads its rows to 16 cells, the lattice to 5
+    assert not merged.values[:, width:].any() and not merged.probs[:, width:].any()
+    assert np.array_equal(_bits(lattice.values), _bits(merged.values[:, :width]))
+    assert np.array_equal(_bits(lattice.probs), _bits(merged.probs[:, :width]))
+    assert np.array_equal(_bits(tpm.delta_e_moments(lattice, 5)), _bits(merged.moments(5)))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_GRIDS))
+def test_delta_e_lattice_equals_merge_on_sweep_grids(name):
+    cfg = LATTICE_GRIDS[name]
+    _assert_lattice_equals_merge(evaluate_grid(cfg, cfg.time_grid()).joint)
+
+
+def _random_joint_stack(rng, rows):
+    """Joint tables of random column-stochastic tables with empty cells, at an
+    input with one or two empty outcomes."""
+    cond = rng.random((rows, 4, 4)) * (rng.random((rows, 4, 4)) < 0.6)
+    cond[:, np.arange(4), np.arange(4)] += 0.1  # no empty column
+    cond /= cond.sum(axis=1, keepdims=True)
+    p_in = rng.random(4)
+    p_in[rng.choice(4, size=rng.integers(1, 3), replace=False)] = 0.0
+    return tpm.joint_table_from_conditional(cond, p_in / p_in.sum())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_delta_e_lattice_equals_merge_on_random_joint_stacks(seed):
+    _assert_lattice_equals_merge(_random_joint_stack(np.random.default_rng(seed), 200))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_delta_e_lattice_equals_merge_on_frequency_tables(seed):
+    rng = np.random.default_rng(1000 + seed)
+    pvals = _random_joint_stack(rng, 1).reshape(16)
+    shots = int(rng.choice([1, 7, 100, 10**6, 10**12]))
+    counts = rng.multinomial(shots, pvals / pvals.sum(), size=200)
+    _assert_lattice_equals_merge((counts / shots).reshape(200, 4, 4))
 
 
 # benchmarks/checks.py builds its propagator oracle from the first three, and
