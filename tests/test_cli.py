@@ -370,7 +370,7 @@ GATED_PHYSICS = {
     # full support, and ift is gated against its closed form, not 1
     "absolutely-irreversible": "omega_L = 2000\n",
 }
-# six times for hist and for the other commands, so that row 5 exists
+# six times for hist and for the other commands, so that rows 2 to 5 exist
 SIX_TIMES = "n_points = 6\nsamples = 100\nhist_times = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3\n"
 
 
@@ -455,23 +455,16 @@ def test_cli_gates_joint_table_at_its_first_failing_time(
     tmp_path, monkeypatch, capsys, command, gate
 ):
     name, change, message = JOINT_GATES[gate]
-    real = getattr(sweep, name)
 
-    def changed(*args):
-        a = real(*args).copy()
+    def changed(a):
         a[[2, 3], 2, 3] = change(a[[2, 3], 2, 3])
-        return a
 
-    monkeypatch.setattr(sweep, name, changed)
-    path = small_config(tmp_path, "hist_times = 0.1, 0.2, 0.3, 0.4\n")
-    cfg = parse_config(path)
-    times = cfg.hist_times if command == "hist" else cfg.time_grid()
-    out = tmp_path / "out"
-    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 3
+    _perturb_stack(monkeypatch, name, changed)
+    code, times = _gated_run(tmp_path, command, "")
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numeric invariant violated: {message} omega_L_t={times[2]:.6g}")
     assert "Traceback" not in err
-    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize(
