@@ -60,7 +60,22 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``tol``."""
     a = np.asarray(a)
-    return op_distance(np.swapaxes(a, -1, -2).conj() @ a, np.eye(a.shape[-1])) <= tol
+    n = a.shape[-1]
+    if a.ndim == 2:
+        return op_distance(a.conj().T @ a, np.eye(n)) <= tol
+    # a stack: row i of U^dag U from its entry j >= i on, with
+    # (U^dag U)[i, j] = sum_k conj(U[k, i]) U[k, j], over one contiguous
+    # time-last copy instead of one matrix product per table; U^dag U is
+    # Hermitian, so these entries hold its largest deviation
+    c = np.moveaxis(a.reshape(-1, n, n), 0, -1).copy()
+    for i in range(n):
+        g = c[0, i].conj() * c[0, i:]
+        for k in range(1, n):
+            g += c[k, i].conj() * c[k, i:]
+        g[0] -= 1.0  # the diagonal entry
+        if not np.abs(g).max(initial=0.0) <= tol:  # NaN fails too
+            return False
+    return True
 
 
 def eigh_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):

@@ -8,8 +8,9 @@ the dimensionless omega_L * t.  Every numeric cell is exactly Python's
 an exponent of 100 or more in magnitude).  A non-finite value leaves its
 cell empty.  Rows are formatted in blocks of ``_BLOCK_ROWS`` with numpy
 array operations (``_csv_block``): each cell is scaled to a 12-digit integer
-in double-double arithmetic, and a cell that this cannot round with
-certainty is formatted by '%' itself.
+by one rounded product against a correctly rounded power of ten, which
+lands within 2.3e-4 of the exact value, and a cell that this cannot round
+with certainty is formatted by '%' itself.
 
 ``evaluate_grid`` builds the tables of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
@@ -83,43 +84,21 @@ class NumericInvariantError(Exception):
 # leaves the text of '%.11e' % x.
 
 _BLOCK_ROWS = 1024
-# |x| in [_FAST_MIN, _FAST_MAX) is scaled by 10**(11 - e) double-doubles for
-# e in [_E_LO, _E_HI]: its decimal exponent lies in [-281, 280], and its
-# log10 estimate within one of that
+# |x| in [_FAST_MIN, _FAST_MAX) is scaled by 10**(11 - e) for e in
+# [_E_LO, _E_HI]: its decimal exponent lies in [-281, 280], and its log10
+# estimate within one of that
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _E_LO, _E_HI = -282, 282
-# a scaled value whose fraction lies this close to 1/2 may be a tie or may
-# round the other way in exact arithmetic: '%' formats it instead
-_TIE_MARGIN = 1e-9
-_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: 26-bit halves of a double
-
-
-def _pow10_table() -> np.ndarray:
-    """Row e - _E_LO holds 10**(11 - e) as the double-double (hi, lo), with
-    hi split into its Veltkamp halves: columns hi, hi_hi, hi_lo, lo.
-
-    hi is 10**k correctly rounded and lo the correctly rounded remainder,
-    both from exact integer arithmetic.
-    """
-    hi, lo = [], []
-    for e in range(_E_LO, _E_HI + 1):
-        k = 11 - e
-        if k >= 0:
-            p = 10**k
-            hi.append(float(p))
-            lo.append(float(p - int(hi[-1])))
-        else:
-            d = 10**-k
-            hi.append(1 / d)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * d) / d / den)
-    hi = np.array(hi)
-    c = _SPLIT * hi
-    hi_hi = c - (c - hi)
-    return np.column_stack([hi, hi_hi, hi - hi_hi, lo])
-
-
-_POW10 = _pow10_table()
+# the scaled value s = |x| * 10**(11 - e) takes two roundings of relative
+# error at most 2**-53 (the power, then the product) and is below 1e12, so it
+# is within 2.3e-4 of the exact product; a fraction of s this close to 1/2
+# may be a tie or round the other way in exact arithmetic: '%' formats it
+_TIE_MARGIN = 1e-3
+# row e - _E_LO holds 10**(11 - e) correctly rounded: Python rounds an int
+# to float, and the quotient of two ints, correctly
+_POW10 = np.array(
+    [float(10 ** (11 - e)) if e <= 11 else 1 / 10 ** (e - 11) for e in range(_E_LO, _E_HI + 1)]
+)
 
 
 def _words(cells) -> np.ndarray:
@@ -147,34 +126,29 @@ _EMPTY = _words([b"\0" * 19 + b","])
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 12-digit integer mantissa m and exponent e of '%.11e' % |x|.
 
-    |x| is scaled by 10**(11 - e) in double-double arithmetic (Dekker's
-    exact product against ``_POW10``) and rounded to an integer.  A cell
-    outside the fast range, or whose scaled fraction is within
-    ``_TIE_MARGIN`` of 1/2, or whose estimate of e was off, takes m and e
-    from Python's correctly rounded '%' instead.  Zero and non-finite cells
-    get m = e = 0.
+    |x| is scaled by one product against ``_POW10``, 10**(11 - e) correctly
+    rounded, and rounded to an integer; the scaled value is within 2.3e-4 of
+    the exact one.  A cell outside the fast range, or whose scaled fraction
+    is within ``_TIE_MARGIN`` of 1/2, or whose estimate of e was off, takes m
+    and e from Python's correctly rounded '%' instead.  Zero and non-finite
+    cells get m = e = 0.
     """
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # false for 0, inf and nan
-    a[~fast] = 1.0
+    a = np.where(fast, a, 1.0)
     e = np.log10(a)
     np.floor(e, out=e)
     e = e.astype(np.intp)
-    p_hi, hi_hi, hi_lo, p_lo = np.moveaxis(_POW10.take(e - _E_LO, axis=0), -1, 0)
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    hi = a * p_hi
-    lo = (((a_hi * hi_hi - hi) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * p_lo
-    whole = np.floor(hi)
-    frac = (hi - whole) + lo
-    m = (whole + np.floor(frac + 0.5)).astype(np.int64)
-    carry = m == 10**12
-    m[carry] = 10**11
+    s = a * _POW10.take(e - _E_LO)
+    m = np.rint(s)
+    # |s - m| is the distance of s to its nearest integer: at most
+    # 1/2 - margin when its fraction is at least the margin away from 1/2
+    fast &= (s >= 1e11) & (s < 1e12) & (np.abs(s - m) <= 0.5 - _TIE_MARGIN)
+    carry = m == 1e12  # rounded up to a new decade: 1e11 at e + 1
+    m -= 9e11 * carry
     e += carry
-    fast &= (hi >= 1e11) & (hi < 1e12) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
-    m[~fast] = 0
-    e[~fast] = 0
+    m = np.where(fast, m, 0.0).astype(np.int64)
+    e = np.where(fast, e, 0)
     m_flat, e_flat, x_flat = m.reshape(-1), e.reshape(-1), x.reshape(-1)
     for i in np.flatnonzero(~fast & np.isfinite(x) & (x != 0)).tolist():
         cell = "%.11e" % abs(x_flat[i])
@@ -187,14 +161,17 @@ def _csv_block(x: np.ndarray) -> bytes:
     left empty."""
     m, e = _decimal(x)
     words = np.empty(x.shape + (5,), np.uint32)
-    top, rest = np.divmod(m, 10**10)
-    words[..., 0] = _HEAD[top + 100 * np.signbit(x)]
-    quad, rest = np.divmod(rest, 10**6)
-    words[..., 1] = _QUAD[quad]
-    quad, rest = np.divmod(rest, 100)
-    words[..., 2] = _QUAD[quad]
-    words[..., 3] = _TAIL[rest + 100 * (e < 0)]
-    words[..., 4] = _EXP[np.abs(e)]
+    top = m // 10**10
+    rest = m - top * 10**10
+    words[..., 0] = _HEAD.take(top + 100 * np.signbit(x))
+    quad = rest // 10**6
+    rest -= quad * 10**6
+    words[..., 1] = _QUAD.take(quad)
+    quad = rest // 100
+    rest -= quad * 100
+    words[..., 2] = _QUAD.take(quad)
+    words[..., 3] = _TAIL.take(rest + 100 * (e < 0))
+    words[..., 4] = _EXP.take(np.abs(e))
     words[~np.isfinite(x)] = _EMPTY
     text = words.view(np.uint8).reshape(len(x), -1)
     text[:, -1] = ord("\n")
@@ -216,8 +193,9 @@ def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
 
     Row i of ``cells`` is the group at ``t[i]``; the first failing row raises.
     """
-    cells = np.asarray(cells, dtype=float).reshape(len(t), -1)
-    lo, hi, totals = cells.min(axis=1), cells.max(axis=1), cells.sum(axis=1)
+    # one contiguous row per cell, time last: each reduction adds whole rows
+    cells = np.asarray(cells, dtype=float).reshape(len(t), -1).T.copy()
+    lo, hi, totals = cells.min(axis=0), cells.max(axis=0), cells.sum(axis=0)
     outside = (lo < -PROB_SUM_TOL) | (hi > 1.0 + PROB_SUM_TOL)
     bad = np.flatnonzero(outside | (np.abs(totals - 1.0) > PROB_SUM_TOL))
     if bad.size:
@@ -245,8 +223,9 @@ def _require_defined_weights(joint: np.ndarray, sigma: np.ndarray, t: np.ndarray
 
 def _require_doubly_stochastic(cond: np.ndarray, t: np.ndarray) -> None:
     """Gate every conditional table: its row and column sums must be 1."""
-    sums = np.concatenate([cond.sum(axis=1), cond.sum(axis=2)], axis=1)
-    worst = np.abs(sums - 1.0).max(axis=1)
+    c = np.moveaxis(cond, 0, -1).copy()  # c[fin, in] is a contiguous row over time
+    sums = np.concatenate([c.sum(axis=0), c.sum(axis=1)])
+    worst = np.abs(sums - 1.0).max(axis=0)
     bad = np.flatnonzero(worst > PROB_SUM_TOL)
     if bad.size:
         i = bad[0]

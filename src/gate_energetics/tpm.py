@@ -148,13 +148,16 @@ class AtomRows:
     counts: np.ndarray
 
     def __post_init__(self):
-        atoms = self.atoms
-        if np.any((np.diff(self.values, axis=1) <= 0) & atoms[:, 1:]):
+        # one contiguous row per cell, time last, so that each check runs over
+        # whole rows; the rows that tpm builds are laid out so already
+        values, probs = np.ascontiguousarray(self.values.T), np.ascontiguousarray(self.probs.T)
+        atoms = np.arange(len(values))[:, None] < self.counts
+        if np.any((np.diff(values, axis=0) <= 0) & atoms[1:]):
             raise ValueError("values must be strictly increasing")
-        lowest = np.min(self.probs, where=atoms, initial=np.inf)
+        lowest = np.min(probs, where=atoms, initial=np.inf)
         if lowest < 0.0:
             raise ValueError(f"negative probability {lowest:.3e}")
-        totals = np.sum(self.probs, axis=1, where=atoms)
+        totals = np.sum(probs, axis=0, where=atoms)
         off = np.abs(totals - 1.0)
         if np.max(off) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.12g}, not 1")
@@ -196,11 +199,13 @@ def merge_atom_rows(values, weights) -> AtomRows:
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    order = np.argsort(v, axis=1, kind="stable")
-    # one contiguous row per sorted column: merged[k] holds the open atom once
-    # atom k is in it, and an atom that starts a new one closes the one before
-    v = np.take_along_axis(v, order, axis=1).T.copy()
-    w = np.take_along_axis(w, order, axis=1).T.copy()
+    n, k = v.shape
+    # the flat index of each row's atoms in sorted order; then one contiguous
+    # row per sorted column: merged[i] holds the open atom once atom i is in
+    # it, and an atom that starts a new one closes the one before
+    order = np.argsort(v, axis=1, kind="stable") + np.arange(0, n * k, k)[:, None]
+    v = v.take(order).T.copy()
+    w = w.take(order).T.copy()
     merged_v, merged_w = v.copy(), w.copy()
     starts = np.ones(v.shape, dtype=bool)
     anchor = v[0]
@@ -208,24 +213,37 @@ def merge_atom_rows(values, weights) -> AtomRows:
     # infinite values of entropy_grid give inf - inf, which compares false and
     # so starts a new atom of zero weight
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, len(v)):
-            val, wt, last_v, last_w = v[k], w[k], merged_v[k - 1], merged_w[k - 1]
+        for i in range(1, k):
+            val, wt, last_v, last_w = v[i], w[i], merged_v[i - 1], merged_w[i - 1]
             merge = val - anchor <= VALUE_MERGE_TOL
-            mean = (last_v * last_w + val * wt) / (last_w + wt)
-            merged_v[k] = np.where(merge, np.where(wt + last_w > 0, mean, last_v), val)
-            merged_w[k] = np.where(merge, last_w + wt, wt)
+            total = last_w + wt
+            mean = (last_v * last_w + val * wt) / total
+            merged_v[i] = np.where(merge, np.where(total > 0, mean, last_v), val)
+            merged_w[i] = np.where(merge, total, wt)
             anchor = np.where(merge, anchor, val)
-            starts[k] = ~merge
+            starts[i] = ~merge
     closes = np.ones(v.shape, dtype=bool)
     closes[:-1] = starts[1:]
-    keep = (closes & (merged_w > 0.0)).T
-    counts = keep.sum(axis=1)
-    slot = np.arange(len(v)) < counts[:, None]
-    out_v = np.zeros(slot.shape)
-    out_p = np.zeros(slot.shape)
-    out_v[slot] = merged_v.T[keep]
-    out_p[slot] = merged_w.T[keep]
-    return AtomRows(values=out_v, probs=out_p, counts=counts)
+    return _kept_atoms(merged_v, merged_w, closes & (merged_w > 0.0))
+
+
+def _kept_atoms(values, weights, keep) -> AtomRows:
+    """The cells of time-last (K, T) ``values`` and ``weights`` where ``keep``
+    holds, as the atoms of each time in row order.
+
+    The rows are returned as transposed views of time-last arrays, so that
+    ``AtomRows`` and ``delta_e_moments`` read them without a copy.
+    """
+    k, n = keep.shape
+    counts = np.zeros(n, dtype=np.intp)
+    out_v, out_p = np.zeros(k * n), np.zeros(k * n)
+    for row in range(k):
+        kept = np.flatnonzero(keep[row])
+        cell = counts[kept] * n + kept  # the next free slot of each time
+        out_v[cell] = values[row, kept]
+        out_p[cell] = weights[row, kept]
+        counts[kept] += 1
+    return AtomRows(values=out_v.reshape(k, n).T, probs=out_p.reshape(k, n).T, counts=counts)
 
 
 def delta_e_grid(j: np.ndarray) -> AtomRows:
@@ -240,20 +258,14 @@ def delta_e_grid(j: np.ndarray) -> AtomRows:
     mean of equal values v it takes as the atom's value is exactly v, because
     scaling by v = 0 or +-2^k rounds nothing.  Rows hold at most five atoms.
     """
-    cells = np.asarray(j, dtype=float).reshape(len(j), 16).T
+    cells = np.asarray(j, dtype=float).reshape(len(j), 16).T.copy()
     weights = np.empty((len(ENERGY_LATTICE), cells.shape[1]))
     for w, index in zip(weights, _LATTICE_CELLS):
         w[:] = cells[index[0]]
         for k in index[1:]:
             w += cells[k]
-    keep = (weights > 0.0).T
-    counts = keep.sum(axis=1)
-    slot = np.arange(len(ENERGY_LATTICE)) < counts[:, None]
-    values = np.zeros(keep.shape)
-    probs = np.zeros(keep.shape)
-    values[slot] = np.broadcast_to(ENERGY_LATTICE, keep.shape)[keep]
-    probs[slot] = weights.T[keep]
-    return AtomRows(values=values, probs=probs, counts=counts)
+    lattice = np.broadcast_to(ENERGY_LATTICE[:, None], weights.shape)
+    return _kept_atoms(lattice, weights, weights > 0.0)
 
 
 def delta_e_moments(d: AtomRows, h_max: int) -> np.ndarray:

@@ -6,7 +6,11 @@ and must equal the header plus the oracle's lines.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +54,7 @@ def bit_patterns(bits: np.ndarray) -> np.ndarray:
 
 # exponents of 3 digits, both ends of the float range, values that round up
 # to a new decade, exact ties at the 12th digit (Python rounds them half to
-# even), powers of ten and both ends of the double-double fast range
+# even), powers of ten and both ends of the range scaled by one product
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
     1.7976931348623157e308, -1.7976931348623157e308, 1e308, 1e100, 1e-100, -3.5e-250,
@@ -80,27 +84,68 @@ def test_many_random_bit_patterns_match_percent():
     assert_written_as_oracle(bit_patterns(rng.integers(0, 2**64, (12_000, 25), dtype=np.uint64)))
 
 
-def test_random_magnitudes_match_percent():
+def random_magnitude_table() -> np.ndarray:
     rng = np.random.default_rng(7)
     shape = (4000, 25)
-    table = rng.random(shape) * 10.0 ** rng.integers(-320, 309, shape) * rng.choice([-1, 1], shape)
-    assert_written_as_oracle(table)
+    return rng.random(shape) * 10.0 ** rng.integers(-320, 309, shape) * rng.choice([-1, 1], shape)
 
 
-def test_decimal_near_ties_match_percent():
-    """13-digit decimals ending in 5: the double nearest each one lies a
-    hair above or below the rounding midpoint of its 12-digit form, which a
-    scaling with only double precision misjudges about once in a hundred."""
+def near_tie_table() -> np.ndarray:
+    """13-digit decimals ending in 5: the double nearest each one lies a hair
+    above or below the rounding midpoint of its 12-digit form."""
     rng = np.random.default_rng(13)
     digits = rng.integers(10**11, 10**12, 5000).tolist()
     exponents = rng.integers(-290, 290, 5000).tolist()
-    values = [float(f"{d}5e{e}") for d, e in zip(digits, exponents)]
-    assert_written_as_oracle(np.reshape(values, (-1, 10)))
+    return np.reshape([float(f"{d}5e{e}") for d, e in zip(digits, exponents)], (-1, 10))
+
+
+def edge_tables() -> list[np.ndarray]:
+    return [np.array([EDGE_VALUES, [-v for v in EDGE_VALUES]]), np.reshape(EDGE_VALUES, (-1, 1))]
+
+
+def test_random_magnitudes_match_percent():
+    assert_written_as_oracle(random_magnitude_table())
+
+
+def test_decimal_near_ties_match_percent():
+    """The one rounded product that scales a near-tie lands within 2.3e-4 of
+    its exact value, on either side of the midpoint, so the writer cannot
+    tell which way it rounds: every one of them must reach '%' through the
+    tie margin, and a margin too narrow shows here as a wrong digit."""
+    assert_written_as_oracle(near_tie_table())
 
 
 def test_edge_values_match_percent():
-    assert_written_as_oracle([EDGE_VALUES, [-v for v in EDGE_VALUES]])
-    assert_written_as_oracle(np.reshape(EDGE_VALUES, (-1, 1)))
+    for table in edge_tables():
+        assert_written_as_oracle(table)
+
+
+def test_pow10_entries_are_correctly_rounded():
+    exponents = range(sweep._E_LO, sweep._E_HI + 1)
+    assert sweep._POW10.tolist() == [float(Fraction(10) ** (11 - e)) for e in exponents]
+
+
+def _scaling_errors(values) -> list[Fraction]:
+    """|s - exact| of the writer's scaled value s = |x| * _POW10[e - _E_LO]
+    for each x, against the exact product in rationals, at the decimal
+    exponent e of '%.11e' % x."""
+    errors = []
+    for x in np.abs(np.ravel(values)).tolist():
+        if not sweep._FAST_MIN <= x < sweep._FAST_MAX:
+            continue
+        e = int(("%.11e" % x)[14:])
+        power = sweep._POW10[e - sweep._E_LO]
+        errors.append(abs(Fraction(x * power) - Fraction(x) * Fraction(10) ** (11 - e)))
+    return errors
+
+
+@pytest.mark.parametrize("table", [random_magnitude_table, near_tie_table])
+def test_one_product_stays_inside_the_tie_margin(table):
+    """Two roundings of relative error at most 2**-53 on a value below 1e12
+    leave it within 2.3e-4 of the exact product, which the margin covers."""
+    errors = _scaling_errors(table()[:400])
+    assert len(errors) > 1000
+    assert max(errors) < 2.3e-4 < sweep._TIE_MARGIN
 
 
 @pytest.mark.parametrize(
@@ -167,3 +212,27 @@ def test_a_wrong_exponent_estimate_falls_back(monkeypatch, shift):
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
     rng = np.random.default_rng(17)
     assert_written_as_oracle(rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-50, 50, (50, 4)))
+
+
+# numpy's dispatch capped at its X86_V2 baseline (SSE4.2): np.log10 there
+# may round differently from its AVX-512 path, and an exponent estimate that
+# this puts off by one must still reach '%'
+X86_V2_HOST = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+_WRITE_AT_BASELINE = """
+from numpy._core._multiarray_umath import __cpu_features__
+import test_csv
+assert not __cpu_features__["X86_V3"], "the dispatch level was not capped"
+tables = test_csv.edge_tables() + [test_csv.near_tie_table(), test_csv.random_magnitude_table()]
+for table in tables:
+    test_csv.assert_written_as_oracle(table)
+"""
+
+
+def test_tables_match_percent_at_the_x86_v2_dispatch_level():
+    # the setting acts when numpy loads, so it needs a fresh interpreter
+    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(sweep.__file__))]
+    env = dict(os.environ, **X86_V2_HOST, PYTHONPATH=os.pathsep.join(path + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _WRITE_AT_BASELINE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

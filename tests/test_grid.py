@@ -19,8 +19,14 @@ from hypothesis import strategies as st
 import gate_energetics
 from gate_energetics import sweep, tpm
 from gate_energetics.config import RunConfig
-from gate_energetics.linalg import validate_density
-from gate_energetics.model import ModelParams, ThermalSpec, gate_angle, propagator_grid
+from gate_energetics.linalg import PROB_SUM_TOL, validate_density
+from gate_energetics.model import (
+    ModelParams,
+    ThermalSpec,
+    gate_angle,
+    propagator_grid,
+    thermal_state,
+)
 from gate_energetics.photonic import (
     OpticalParams,
     PostselectedGate,
@@ -126,6 +132,25 @@ def test_ift_of_an_input_without_full_support_is_one_minus_lambda():
     lam = (g.p_fin * g.cond[:, :, empty].sum(axis=2)).sum(axis=1)
     assert np.abs(g.ift - 1.0).max() > 1e-6
     assert np.abs(g.ift - (1.0 - lam)).max() <= 1e-14
+
+
+def test_ift_gate_holds_a_full_support_input_to_one():
+    # the imperfect optical gate's table is column-stochastic but not doubly
+    # stochastic: ift equals the closed form sum_fin p_fin sum_in c, yet is off
+    # 1 by about 1e-3, and with every input populated the gate wants 1
+    t = SMALL_TIMES
+    cond = conditional_for_time(OpticalParams(T_H=0.985), SMALL.model, t)
+    p_in = tpm.initial_probs(thermal_state(SMALL.thermal, SMALL.model))
+    joint = tpm.joint_table_from_conditional(cond, p_in)
+    p_fin = tpm.final_probs(joint)
+    ift = tpm.ift_grid(joint, tpm.entropy_realizations(p_in, p_fin))
+    assert (p_in > 0.0).all()
+    assert np.abs(ift - (p_fin * cond.sum(axis=2)).sum(axis=1)).max() <= 1e-15
+    assert np.abs(ift - 1.0).max() > 1e-4
+    first = np.flatnonzero(np.abs(ift - 1.0) > PROB_SUM_TOL)[0]
+    message = re.escape(f"ift at omega_L_t={t[first]:.6g}: ")
+    with pytest.raises(NumericInvariantError, match=message):
+        sweep._require_ift(ift, cond, p_in, p_fin, t)
 
 
 # values on a coarse lattice plus offsets below, at and above the merge
@@ -347,6 +372,55 @@ def test_grid_keeps_every_scalar_check(name):
     call, error, message = STACKED_CHECKS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+GATE_TIMES = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
+
+
+def test_double_stochasticity_gate_names_the_earlier_of_two_failing_times():
+    cond = np.tile(np.eye(4), (len(GATE_TIMES), 1, 1))
+    cond[4, 1, 1] += 1e-6
+    cond[2, 0, 0] += 1e-9
+    with pytest.raises(NumericInvariantError) as failed:
+        sweep._require_doubly_stochastic(cond, GATE_TIMES)
+    assert str(failed.value) == (
+        "conditional table at omega_L_t=0.5: a row or column sum is off by 1.000e-09"
+    )
+
+
+def _uniform_groups() -> np.ndarray:
+    return np.full((len(GATE_TIMES), 4, 4), 1 / 16)
+
+
+def test_prob_group_gate_names_the_earlier_of_two_cells_outside():
+    cells = _uniform_groups()
+    cells[3, 0, :2] = [-0.5, 0.5 + 1 / 16]
+    cells[1, 2, 2:] = [1.5, -1.5 + 1 / 16]
+    with pytest.raises(NumericInvariantError) as failed:
+        sweep._require_prob_group(cells, "joint table", GATE_TIMES)
+    assert str(failed.value) == (
+        "joint table at omega_L_t=0.25: probability -1.437500e+00..1.500000e+00 outside [0, 1]"
+    )
+
+
+def test_prob_group_gate_names_the_earlier_of_two_bad_sums():
+    cells = _uniform_groups()
+    cells[4, 3, 3] += 1e-6
+    cells[1, 0, 0] += 1e-9
+    with pytest.raises(NumericInvariantError) as failed:
+        sweep._require_prob_group(cells, "empirical table", GATE_TIMES)
+    assert str(failed.value) == (
+        "empirical table at omega_L_t=0.25: probabilities sum to 1.000000001000e+00, not 1"
+    )
+
+
+def test_prob_group_gate_names_the_earliest_failure_of_either_kind():
+    cells = _uniform_groups()
+    cells[2, 1, :2] = [-0.5, 0.5 + 1 / 16]
+    cells[1, 0, 0] += 1e-9
+    message = re.escape("at omega_L_t=0.25: probabilities sum")
+    with pytest.raises(NumericInvariantError, match=message):
+        sweep._require_prob_group(cells, "joint table", GATE_TIMES)
 
 
 # the photonic layer one time at a time: a 4x4 mode transform per time and

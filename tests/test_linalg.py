@@ -7,6 +7,7 @@ from gate_energetics.linalg import (
     PROJ_1,
     SIGMA_X,
     SIGMA_Z,
+    UNITARY_TOL,
     eigh_hermitian,
     expm_hermitian,
     is_unitary,
@@ -134,3 +135,36 @@ def test_op_distance_identity_vs_zero():
 def test_is_unitary():
     assert is_unitary(np.eye(4))
     assert not is_unitary(np.diag([1.0, 1.0, 1.0, 0.5]))
+
+
+def _off_by(u, kind, deviation):
+    """u changed so that the largest entry of U^dag U - 1 is ``deviation``,
+    on the diagonal (a scaled u) or off it (u times 1 + a real shear)."""
+    if kind == "diagonal":
+        return u * np.sqrt(1.0 + deviation)
+    shear = np.eye(len(u))
+    shear[0, 1] = shear[1, 0] = deviation / 2  # off-diagonal entries 2 * (d/2)
+    return u @ shear
+
+
+def _unitary_stack(rng, tables, n):
+    a = rng.normal(size=(tables, n, n)) + 1j * rng.normal(size=(tables, n, n))
+    return np.linalg.qr(a)[0]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kind", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("where", [0, 5, 10])
+def test_stacked_is_unitary_equals_every_table(n, kind, where):
+    """A stack is unitary iff each of its tables is, with one table just
+    inside the tolerance and another just outside it, first, in the middle
+    and last."""
+    rng = np.random.default_rng(100 * n + where)
+    stack = _unitary_stack(rng, 11, n)
+    inside = (where + 3) % len(stack)
+    stack[inside] = _off_by(stack[inside], kind, 0.9 * UNITARY_TOL)
+    assert is_unitary(stack)
+    assert all(is_unitary(u) for u in stack)
+    stack[where] = _off_by(stack[where], kind, 1.1 * UNITARY_TOL)
+    assert not is_unitary(stack)
+    assert [is_unitary(u) for u in stack] == [i != where for i in range(len(stack))]
