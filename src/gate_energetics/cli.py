@@ -33,14 +33,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="config file path")
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        cmd.add_argument("--samples", type=int, default=None, help="override the shot count")
-        cmd.add_argument(
-            "--photonic",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="enable/disable the photonic comparison",
-        )
+    # only compare samples and runs the photonic model
+    compare = sub.choices["compare"]
+    compare.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    compare.add_argument("--samples", type=int, default=None, help="override the shot count")
+    compare.add_argument(
+        "--photonic",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="enable/disable the photonic comparison",
+    )
     return parser
 
 
@@ -53,12 +55,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             cfg = parse_config(args.config)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"--config: {exc}") from None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.photonic is not None:
-        cfg.photonic = args.photonic
+    for key in ("seed", "samples", "photonic"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.validate()
     return cfg
 

@@ -19,8 +19,6 @@ import numpy as np
 
 # Hermiticity, unit trace and positivity of an operator
 HERMITIAN_TOL = 1e-10
-# largest entry of U^dag U - 1 for a propagator
-UNITARY_TOL = 1e-10
 # |sum - 1| of a probability group, the cell range [-tol, 1 + tol], the row and
 # column sums of a doubly stochastic table and |<e^{-dsigma}> - 1|
 PROB_SUM_TOL = 1e-12
@@ -46,36 +44,10 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def op_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest absolute entrywise difference between two operators."""
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Whether a matrix, or every matrix of a (..., n, n) stack, is Hermitian within ``tol``."""
     a = np.asarray(a)
     return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= tol)
-
-
-def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``tol``."""
-    a = np.asarray(a)
-    n = a.shape[-1]
-    if a.ndim == 2:
-        return op_distance(a.conj().T @ a, np.eye(n)) <= tol
-    # a stack: row i of U^dag U from its entry j >= i on, with
-    # (U^dag U)[i, j] = sum_k conj(U[k, i]) U[k, j], over one contiguous
-    # time-last copy instead of one matrix product per table; U^dag U is
-    # Hermitian, so these entries hold its largest deviation
-    c = np.moveaxis(a.reshape(-1, n, n), 0, -1).copy()
-    for i in range(n):
-        g = c[0, i].conj() * c[0, i:]
-        for k in range(1, n):
-            g += c[k, i].conj() * c[k, i:]
-        g[0] -= 1.0  # the diagonal entry
-        if not np.abs(g).max(initial=0.0) <= tol:  # NaN fails too
-            return False
-    return True
 
 
 def eigh_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):

@@ -160,8 +160,9 @@ def trajectory_coherence(u, outcome: int = 2):
 
     The sum of |rho_ij| over the off-diagonal entries of rho = psi psi^dag,
     psi = U|outcome>, for a 4x4 unitary or for each unitary of a (T, 4, 4)
-    stack.  The unitaries are not checked here: ``evaluate_grid`` has checked
-    the same stack in ``conditional_matrix``.
+    stack.  The unitaries are not checked here: ``evaluate_grid`` has gated
+    the row and column sums of the same stack's conditional tables, which
+    hold the norms of U's columns and rows, before anything reads it.
     """
     psi = np.ascontiguousarray(np.asarray(u, dtype=complex)[..., :, outcome])
     rho = psi[..., :, None] * psi.conj()[..., None, :]

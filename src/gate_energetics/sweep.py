@@ -18,22 +18,25 @@ arrays with one row per time; ``sweep``, ``hist`` and the theory side of
 on their first read, so each command pays only for what it writes: ``sweep``
 reads the moments, the coherence, ``h2_sq`` and the report; ``hist`` only
 the two distributions; ``compare`` only the joint and conditional tables
-and the dE moments.  ``compare`` then makes one sampler call on the grid's
-joint tables and, with the photonic model, one photonic call for the whole
-grid.  The tests keep a per-point form of the same computation in
-tests/reference.py, and the grid must equal it bit for bit.
+and the dE moments.  The dE moments come from the weights of the five dE
+values; only ``hist`` builds the dE atoms from them.  ``compare`` then makes
+one sampler call on the grid's joint tables and, with the photonic model,
+one photonic call for the whole grid.  The tests keep a per-point form of
+the same computation in tests/reference.py, and the grid must equal it bit
+for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
 command before it writes a file.  ``evaluate_grid`` gates, for ``sweep``,
 ``hist`` and ``compare`` alike: every conditional table for double
-stochasticity, the joint tables (cells in [0, 1], sums 1 within
-``linalg.PROB_SUM_TOL``), the weight on undefined entropy realizations (at
-most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation average ift
-against its closed form.  The ``tpm`` statistics and the sampler then trust
-those tables; ``AtomRows`` checks the distributions it holds, and every
-command reads each statistic it writes before it opens its first file.
-``compare`` also gates the sampled frequencies.  Each check runs over all
-rows; its first failing row, in time order, raises
+stochasticity, which is the only check of the propagator (every output
+reads U through these tables alone), the joint tables (cells in [0, 1],
+sums 1 within ``linalg.PROB_SUM_TOL``), the weight on undefined entropy
+realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation
+average ift against its closed form.  The ``tpm`` statistics and the
+sampler then trust those tables; ``AtomRows`` checks the distributions it
+holds, and every command reads each statistic it writes before it opens its
+first file.  ``compare`` also gates the sampled frequencies.  Each check
+runs over all rows; its first failing row, in time order, raises
 ``NumericInvariantError``.
 """
 
@@ -56,6 +59,7 @@ from .tpm import (
     AtomRows,
     ThermoReport,
     conditional_matrix,
+    delta_e_atoms,
     delta_e_grid,
     delta_e_moments,
     entropy_grid,
@@ -283,8 +287,12 @@ class SweepGrid:
     moments_max: int
 
     @cached_property
-    def de_dist(self) -> AtomRows:
+    def de_weights(self) -> np.ndarray:
         return delta_e_grid(self.joint)
+
+    @cached_property
+    def de_dist(self) -> AtomRows:
+        return delta_e_atoms(self.de_weights)
 
     @cached_property
     def ds_dist(self) -> AtomRows:
@@ -292,7 +300,7 @@ class SweepGrid:
 
     @cached_property
     def de_moments(self) -> np.ndarray:
-        return delta_e_moments(self.de_dist, self.moments_max)
+        return delta_e_moments(self.de_weights, self.moments_max)
 
     @cached_property
     def ds_moments(self) -> np.ndarray:
@@ -436,7 +444,8 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         except ValueError as exc:
             # a gate that blocks an input passes every range check
             raise ConfigError(f"photonic: {exc}") from None
-    # the points draw in grid order from the one stream of the seed
+    # the points draw in grid order from the one stream of the seed; cfg stays
+    # a keyword, because benchmarks/tracing.py reads the shot count from it
     freq = sample_tpm(g.joint, cfg=SampleConfig(cfg.samples, cfg.seed)).frequencies
 
     _require_prob_group(freq, "empirical table", g.t)

@@ -14,6 +14,11 @@ Index conventions, kept consistently:
     inputs; doubly stochastic for unitary U);
   * joint probabilities        j[in, fin] = c[fin, in] * p_in[in]  (rows are
     inputs, so row sums reproduce p_in).
+
+Every statistic reads the propagator only through |U|^2.  Nothing here
+checks U or the tables built from it: ``sweep.evaluate_grid`` gates each
+stack once, as soon as it is built.  ``AtomRows`` checks the distributions
+it holds.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROB_SUM_TOL, RATIO_GUARD, UNITARY_TOL, VALUE_MERGE_TOL, is_unitary
+from .linalg import PROB_SUM_TOL, RATIO_GUARD, VALUE_MERGE_TOL
 
 
 # outcome m = 2 psi_A + phi_B, labelled by its bits, and its energy label
@@ -48,22 +53,17 @@ def initial_probs(rho0: np.ndarray) -> np.ndarray:
     return np.clip(np.diag(rho0).real, 0.0, None)
 
 
-def _as_unitary(u) -> np.ndarray:
-    mat = np.asarray(u, dtype=complex)
-    if not is_unitary(mat, UNITARY_TOL):
-        raise ValueError(f"propagator is not unitary within {UNITARY_TOL:g}")
-    return mat
-
-
 def conditional_matrix(u) -> np.ndarray:
     """Transition probabilities c[fin, in] = |<fin|U|in>|^2 of the evolution.
 
     Accepts a 4x4 unitary or a (T, 4, 4) stack of them.
     For any unitary the result is doubly stochastic; for this gate the
     in = 00 and 01 columns are exact unit columns and the (10, 11) block is
-    [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].
+    [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].  U is not checked here:
+    ``sweep.evaluate_grid`` gates the row and column sums of these tables,
+    the norms of U's rows and columns.
     """
-    return np.abs(_as_unitary(u)) ** 2
+    return np.abs(u) ** 2
 
 
 def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarray:
@@ -120,17 +120,15 @@ class ThermoReport:
 #
 # The table functions above take one table or a (T, 4, 4) stack of them.
 # Distributions of a stack have ragged supports and get a row-wise form.
-# None of the functions below checks its joint tables: ``sweep.evaluate_grid``
-# gates each stack once, as soon as it is built.  ``AtomRows`` checks the
-# distributions it holds.
 # tests/reference.py keeps the one-table form of each function below: a
 # Python merge loop per distribution, np.dot moments and sums over the
 # defined cells.  Each function here equals it at every row, bit for bit.
 # The dsigma functions run the same float operations in the same order over
-# all rows at once.  The dE functions add the cells of each of the five
-# lattice values as columns instead: on the lattice every product is exact,
-# so the shorter path rounds the same (see ``delta_e_grid`` and
-# ``delta_e_moments``).
+# all rows at once.  The dE functions work on the weights of the five
+# lattice values instead, one time-last row per value: on the lattice every
+# product is exact, so the shorter path rounds the same (see
+# ``delta_e_grid`` and ``delta_e_moments``).  Only ``hist`` writes the dE
+# distribution, and only it builds its atoms (``delta_e_atoms``).
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +171,7 @@ class AtomRows:
         Each row's sum is the BLAS dot product np.dot runs on one
         distribution, whose rounding of inexact products an ordered sum does
         not reproduce; the dsigma moments take this path, the dE moments the
-        exact ``delta_e_moments``.
+        exact ``delta_e_moments`` of the lattice weights.
         """
         out = np.empty((len(self.counts), h_max))
         for k in np.flatnonzero(np.bincount(self.counts)):
@@ -232,7 +230,7 @@ def _kept_atoms(values, weights, keep) -> AtomRows:
     holds, as the atoms of each time in row order.
 
     The rows are returned as transposed views of time-last arrays, so that
-    ``AtomRows`` and ``delta_e_moments`` read them without a copy.
+    ``AtomRows`` reads them without a copy.
     """
     k, n = keep.shape
     counts = np.zeros(n, dtype=np.intp)
@@ -246,17 +244,15 @@ def _kept_atoms(values, weights, keep) -> AtomRows:
     return AtomRows(values=out_v.reshape(k, n).T, probs=out_p.reshape(k, n).T, counts=counts)
 
 
-def delta_e_grid(j: np.ndarray) -> AtomRows:
-    """Distribution of the energy change dE = E_fin - E_in of each joint table in a stack.
+def delta_e_grid(j: np.ndarray) -> np.ndarray:
+    """Weights of the energy change dE = E_fin - E_in of each joint table in a
+    stack, one row per value of ``ENERGY_LATTICE`` and one column per table:
+    shape (5, T).
 
-    The support is a subset of ``ENERGY_LATTICE``, {-4, -2, 0, +2, +4}; under
-    the gate dynamics (which never flips the control) it collapses to
-    {-2, 0, +2}.  Each lattice value, in increasing order, gets the sum of its
-    cells, added in index order from the first one; values of zero weight are
-    dropped.  This equals ``merge_atom_rows`` on the 16 (dE, j) atoms bit for
-    bit: the merge adds a group's weights in the same order, and the weighted
-    mean of equal values v it takes as the atom's value is exactly v, because
-    scaling by v = 0 or +-2^k rounds nothing.  Rows hold at most five atoms.
+    The lattice is {-4, -2, 0, +2, +4}; under the gate dynamics (which never
+    flips the control) only {-2, 0, +2} carry weight.  Each value gets the
+    sum of its cells, added in index order from the first one, as
+    ``merge_atom_rows`` adds the weights of an atom of the 16 (dE, j) atoms.
     """
     cells = np.asarray(j, dtype=float).reshape(len(j), 16).T.copy()
     weights = np.empty((len(ENERGY_LATTICE), cells.shape[1]))
@@ -264,27 +260,38 @@ def delta_e_grid(j: np.ndarray) -> AtomRows:
         w[:] = cells[index[0]]
         for k in index[1:]:
             w += cells[k]
+    return weights
+
+
+def delta_e_atoms(weights: np.ndarray) -> AtomRows:
+    """The dE distribution of each column of ``delta_e_grid`` weights: the
+    lattice values of positive weight, in increasing order; rows hold at most
+    five atoms.
+
+    This equals ``merge_atom_rows`` on the 16 (dE, j) atoms bit for bit: the
+    weights are its sums, and the weighted mean of equal values v that it
+    takes as the atom's value is exactly v, because scaling by v = 0 or
+    +-2^k rounds nothing.
+    """
     lattice = np.broadcast_to(ENERGY_LATTICE[:, None], weights.shape)
     return _kept_atoms(lattice, weights, weights > 0.0)
 
 
-def delta_e_moments(d: AtomRows, h_max: int) -> np.ndarray:
-    """Raw moments of orders h = 1..h_max of each row of a ``delta_e_grid``
-    distribution, shape (T, h_max).
+def delta_e_moments(weights: np.ndarray, h_max: int) -> np.ndarray:
+    """Raw moments of orders h = 1..h_max of each column of ``delta_e_grid``
+    weights, shape (T, h_max).
 
-    Each is the ordered sum 0.0 + p_1 v_1^h + p_2 v_2^h + ... over the row's
-    cells, the padding included.  It equals ``AtomRows.moments`` bit for bit:
-    every v^h on the lattice is 0 or +-2^k, so every product is exact, the
-    BLAS dot product over at most five terms adds them in the same order
-    from 0.0, and a padding cell adds +-0, which changes no sum.
+    Each is the ordered sum 0.0 + w_1 v_1^h + ... + w_5 v_5^h over the five
+    lattice values.  It equals ``AtomRows.moments`` of ``delta_e_atoms`` bit
+    for bit: every v^h on the lattice is 0 or +-2^k, so every product is
+    exact, the BLAS dot product over the atoms adds the same products in the
+    same order from 0.0, and a value of zero weight adds +-0, which changes
+    no sum.
     """
-    probs, values = d.probs.T, d.values.T
-    out = np.zeros((h_max, len(d.counts)))
-    power = np.ones_like(values)
-    for acc in out:
-        power = power * values  # exact on the lattice, as v**h
-        for term in probs * power:
-            acc += term
+    out = np.zeros((h_max, weights.shape[1]))
+    for h, acc in enumerate(out, start=1):
+        for w, v in zip(weights, ENERGY_LATTICE):
+            acc += w * v**h  # exact on the lattice
     return out.T
 
 

@@ -7,6 +7,11 @@ from gate_energetics import ModelParams, ThermalSpec, thermal_state
 T_STAR = float(np.pi / np.sqrt(26.0))
 
 
+def op_distance(a, b) -> float:
+    """Largest absolute entrywise difference between two operators."""
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
 @pytest.fixture(scope="session")
 def params() -> ModelParams:
     return ModelParams()

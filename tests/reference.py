@@ -5,8 +5,9 @@ propagator from Python's complex arithmetic, one distribution per table
 merged by a Python loop, and report sums over the defined cells only.
 ``gate_energetics.sweep.evaluate_grid`` must equal it at every time, bit for
 bit, so each function here runs the float operations that the grid path
-runs, in the same order.  The checks that the grid path makes (unitarity,
-table sums, atoms, weight on undefined realizations) are not repeated here.
+runs, in the same order.  The checks that the grid path makes (double
+stochasticity, table sums, atoms, weight on undefined realizations) are not
+repeated here.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gate_energetics.config import RunConfig
-from gate_energetics.linalg import expm_hermitian, op_distance
+from gate_energetics.linalg import expm_hermitian
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
@@ -35,6 +35,7 @@ from gate_energetics.tpm import (
     joint_table_from_conditional,
 )
 
+from conftest import op_distance
 from reference import (
     delta_e_distribution,
     h_coeffs,

@@ -417,6 +417,48 @@ def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsy
         assert "Traceback" not in err
 
 
+def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypatch, capsys):
+    # the double-stochasticity gate is the only check of the propagator
+    real = sweep.propagator_grid
+
+    def scaled(p, times):
+        h2, u = real(p, times)
+        u[5, 3, 2] *= 1.01  # one row and one column norm of a table move off 1
+        return h2, u
+
+    monkeypatch.setattr(sweep, "propagator_grid", scaled)
+    for command in ("sweep", "hist", "compare"):
+        code, times = _gated_run(tmp_path, command, "")
+        err = capsys.readouterr().err
+        assert code == 3, command
+        assert err.startswith(
+            f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
+        )
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (command, flag)
+        for command in ("sweep", "hist")
+        for flag in ("--seed", "--samples", "--photonic", "--no-photonic")
+    ],
+)
+def test_sampling_flags_belong_to_compare_only(tmp_path, capsys, command, flag):
+    # sweep and hist neither sample nor run the photonic model
+    argv = [command, "--out", str(tmp_path / "out"), flag]
+    if not flag.endswith("photonic"):
+        argv.append("1")
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_importing_the_cli_loads_no_lazy_numpy_submodule():
     # numpy loads numpy.ma and numpy.random on first use; the CLI's start-up
     # must not pay for them (np.unique at import would load numpy.ma, and

@@ -72,12 +72,24 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a statistic the command does not write was built")
 
 
-@pytest.mark.parametrize("command", ["compare", "hist"])
+# what each command must not build: hist writes the two distributions,
+# compare the joint and conditional tables and the dE moments, and sweep and
+# compare take the dE moments from the lattice weights, never from dE atoms
+_UNWRITTEN = {
+    "compare": [
+        (tpm.AtomRows, "moments"),
+        (sweep, "trajectory_coherence"),
+        (sweep, "delta_e_atoms"),
+    ],
+    "hist": [(tpm.AtomRows, "moments"), (sweep, "trajectory_coherence")],
+    "sweep": [(sweep, "delta_e_atoms")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNWRITTEN))
 def test_commands_build_only_the_statistics_they_write(command, tmp_path, monkeypatch):
-    # hist writes the two distributions, compare the joint and conditional
-    # tables and the dE moments: neither needs a dsigma moment or a coherence
-    monkeypatch.setattr(tpm.AtomRows, "moments", _refuse)
-    monkeypatch.setattr(sweep, "trajectory_coherence", _refuse)
+    for owner, name in _UNWRITTEN[command]:
+        monkeypatch.setattr(owner, name, _refuse)
     assert _digests(command, tmp_path) == GOLDEN[command]
 
 

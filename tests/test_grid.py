@@ -195,7 +195,8 @@ def _bits(a) -> np.ndarray:
 def _assert_lattice_equals_merge(j):
     n = len(j)
     merged = merge_atom_rows(np.broadcast_to(tpm.ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
-    lattice = tpm.delta_e_grid(j)
+    weights = tpm.delta_e_grid(j)
+    lattice = tpm.delta_e_atoms(weights)
     width = lattice.values.shape[1]
     assert width == 5
     assert np.array_equal(lattice.counts, merged.counts)
@@ -203,7 +204,7 @@ def _assert_lattice_equals_merge(j):
     assert not merged.values[:, width:].any() and not merged.probs[:, width:].any()
     assert np.array_equal(_bits(lattice.values), _bits(merged.values[:, :width]))
     assert np.array_equal(_bits(lattice.probs), _bits(merged.probs[:, :width]))
-    assert np.array_equal(_bits(tpm.delta_e_moments(lattice, 5)), _bits(merged.moments(5)))
+    assert np.array_equal(_bits(tpm.delta_e_moments(weights, 5)), _bits(merged.moments(5)))
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_GRIDS))
@@ -273,13 +274,6 @@ SMALL = dataclasses.replace(DEFAULT, n_points=8)
 SMALL_TIMES = SMALL.time_grid()
 
 
-def _grid_array(field, index, change):
-    """One array of a small grid, copied, with ``change`` applied to one cell."""
-    a = getattr(evaluate_grid(SMALL, SMALL_TIMES), field).copy()
-    a[index] = change(a[index])
-    return a
-
-
 def _atom_rows(values, probs):
     return tpm.AtomRows(values=np.array(values), probs=np.array(probs), counts=np.array([2, 2]))
 
@@ -304,22 +298,25 @@ def _at(row, message):
     return re.escape(f" at omega_L_t={SMALL_TIMES[row]:.6g}") + ".*" + message
 
 
-def _evaluate_with_scaled_propagator():
-    """``evaluate_grid`` on a propagator stack whose row 5 is no longer unitary."""
+def _evaluate_with_scaled_propagator(row, index, factor):
+    """``evaluate_grid`` on a propagator stack with one entry of ``row`` scaled,
+    so that the norms of one of its rows and one of its columns are off."""
     h2, u = propagator_grid(SMALL.model, SMALL_TIMES)
-    u[5, 3, 2] *= 1.01
+    u[(row, *index)] *= factor
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "propagator_grid", lambda p, times: (h2, u))
         evaluate_grid(SMALL, SMALL_TIMES)
 
 
-# each check of the grid path, failed by one row of a stack; the joint
-# tables are gated once, in evaluate_grid, before any statistic is built
+# each check of the grid path, failed by one row of a stack; the
+# conditional and joint tables are gated once, in evaluate_grid, before any
+# statistic is built, and the double-stochasticity gate is the only check
+# of the propagator
 STACKED_CHECKS = {
     "unitarity": (
-        lambda: tpm.conditional_matrix(_grid_array("U", (3, 2, 2), lambda x: 1.001 * x)),
-        ValueError,
-        "propagator is not unitary",
+        lambda: _evaluate_with_scaled_propagator(3, (2, 2), 1.001),
+        NumericInvariantError,
+        _at(3, "a row or column sum is off"),
     ),
     "joint-sum": (
         lambda: _evaluate_with_changed(
@@ -340,9 +337,9 @@ STACKED_CHECKS = {
     ),
     # trajectory_coherence trusts its stack: a bad one must stop before it
     "unitarity-before-coherence": (
-        _evaluate_with_scaled_propagator,
-        ValueError,
-        "propagator is not unitary",
+        lambda: _evaluate_with_scaled_propagator(5, (3, 2), 1.01),
+        NumericInvariantError,
+        _at(5, "a row or column sum is off"),
     ),
     "density-positivity": (
         lambda: validate_density(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])])),
@@ -386,6 +383,36 @@ def test_double_stochasticity_gate_names_the_earlier_of_two_failing_times():
     assert str(failed.value) == (
         "conditional table at omega_L_t=0.5: a row or column sum is off by 1.000e-09"
     )
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("where", [0, 5, 10])
+def test_double_stochasticity_gate_passes_a_stack_iff_every_table(kind, where):
+    """The gate passes a stack of |U|^2 tables iff it passes each of them, with
+    one column or row of U scaled just inside the tolerance in one table and
+    just outside it in another, first, in the middle and last."""
+    rng = np.random.default_rng(where)
+    u = np.linalg.qr(rng.normal(size=(11, 4, 4)) + 1j * rng.normal(size=(11, 4, 4)))[0]
+    times = 0.25 * np.arange(11)
+
+    def off_by(table, deviation):
+        # the norm squared of the column or row, a sum of the conditional table
+        line = (table, slice(None), 1) if kind == "column" else (table, 1)
+        u[line] *= np.sqrt(1.0 + deviation)
+
+    def passes(i):
+        try:
+            sweep._require_doubly_stochastic(tpm.conditional_matrix(u[i:i + 1]), times[i:i + 1])
+        except NumericInvariantError:
+            return False
+        return True
+
+    off_by((where + 3) % 11, 0.9 * PROB_SUM_TOL)
+    sweep._require_doubly_stochastic(tpm.conditional_matrix(u), times)
+    off_by(where, 1.1 * PROB_SUM_TOL)
+    with pytest.raises(NumericInvariantError, match=f"at omega_L_t={times[where]:.6g}:"):
+        sweep._require_doubly_stochastic(tpm.conditional_matrix(u), times)
+    assert [passes(i) for i in range(11)] == [i != where for i in range(11)]
 
 
 def _uniform_groups() -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gate_energetics.linalg import expm_hermitian, is_hermitian, op_distance
+from gate_energetics.linalg import expm_hermitian, is_hermitian
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
@@ -13,7 +13,7 @@ from gate_energetics.model import (
     trajectory_coherence,
 )
 
-from conftest import T_STAR
+from conftest import T_STAR, op_distance
 from reference import coherence_l1, h_coeffs, propagator_analytic, rotation_decomposition
 
 

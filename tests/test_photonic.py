@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gate_energetics.linalg import op_distance
 from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
@@ -22,7 +21,7 @@ from gate_energetics.tpm import (
     joint_table_from_conditional,
 )
 
-from conftest import T_STAR
+from conftest import T_STAR, op_distance
 from reference import delta_e_distribution, moments, propagator_analytic, thermo_report
 
 CZ_OVER_3 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex) / 3.0

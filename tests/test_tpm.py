@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from gate_energetics.linalg import op_distance
+from gate_energetics import sweep
+from gate_energetics.config import RunConfig
 from gate_energetics.model import hamiltonians
-from gate_energetics.sweep import NumericInvariantError, _require_defined_weights
+from gate_energetics.sweep import NumericInvariantError, _require_defined_weights, evaluate_grid
 from gate_energetics.tpm import (
     OUTCOME_ENERGIES,
     OUTCOME_LABELS,
@@ -18,7 +20,7 @@ from gate_energetics.tpm import (
     joint_table_from_conditional,
 )
 
-from conftest import T_STAR
+from conftest import T_STAR, op_distance
 from reference import (
     DiscreteDistribution,
     delta_e_distribution,
@@ -122,9 +124,17 @@ def test_conditional_doubly_stochastic_for_random_unitaries():
         assert np.max(np.abs(cond.sum(axis=1) - 1.0)) <= 1e-10
 
 
-def test_conditional_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        conditional_matrix(np.diag([1.0, 1.0, 1.0, 0.9]).astype(complex))
+def test_conditional_rejects_non_unitary(monkeypatch):
+    # conditional_matrix trusts U: evaluate_grid's double-stochasticity gate
+    # stops a propagator whose norms are off, naming its time
+    cfg = RunConfig(n_points=3)
+    times = cfg.time_grid()
+    u = np.stack([np.eye(4, dtype=complex)] * 3)
+    u[1] = np.diag([1.0, 1.0, 1.0, 0.9])
+    monkeypatch.setattr(sweep, "propagator_grid", lambda p, t: (np.zeros(3), u))
+    message = re.escape(f"conditional table at omega_L_t={times[1]:.6g}: a row or column sum")
+    with pytest.raises(NumericInvariantError, match=message):
+        evaluate_grid(cfg, times)
 
 
 def test_joint_diagonal_at_zero(params, rho0):
