@@ -14,16 +14,22 @@ with certainty is formatted by '%' itself.
 
 ``evaluate_grid`` builds the tables of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
-``compare`` all go through it.  The statistics of a ``SweepGrid`` are built
-on their first read, so each command pays only for what it writes: ``sweep``
-reads the moments, the coherence, ``h2_sq`` and the report; ``hist`` only
-the two distributions; ``compare`` only the joint and conditional tables
-and the dE moments.  The dE moments come from the weights of the five dE
-values; only ``hist`` builds the dE atoms from them.  ``compare`` then makes
-one sampler call on the grid's joint tables and, with the photonic model,
-one photonic call for the whole grid.  The tests keep a per-point form of
-the same computation in tests/reference.py, and the grid must equal it bit
-for bit.
+``compare`` all go through it.  ``sweep`` and ``hist`` walk their times in
+blocks of ``_GRID_ROWS``: each block is evaluated, gated, read and formatted
+to CSV bytes kept in memory, and the files are written only after the last
+block has passed every check.  Every row is computed by itself, so the bytes
+do not depend on the blocks.  ``compare`` evaluates its whole grid at once,
+because its sampler draws the whole grid from one stream in one call.
+
+The statistics of a ``SweepGrid`` are built on their first read, so each
+command pays only for what it writes: ``sweep`` reads the moments, the
+coherence, ``h2_sq`` and the report; ``hist`` only the two distributions;
+``compare`` only the joint and conditional tables and the dE moments.  The
+dE moments come from the weights of the five dE values; only ``hist`` builds
+the dE atoms from them.  ``compare`` then makes one sampler call on the
+grid's joint tables and, with the photonic model, one photonic call for the
+whole grid.  The tests keep a per-point form of the same computation in
+tests/reference.py, and the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
 command before it writes a file.  ``evaluate_grid`` gates, for ``sweep``,
@@ -37,7 +43,8 @@ sampler then trust those tables; ``AtomRows`` checks the distributions it
 holds, and every command reads each statistic it writes before it opens its
 first file.  ``compare`` also gates the sampled frequencies.  Each check
 runs over all rows; its first failing row, in time order, raises
-``NumericInvariantError``.
+``NumericInvariantError``.  When a block fails, the whole grid is evaluated
+once more, so the error is the one a single evaluation of all times raises.
 """
 
 from __future__ import annotations
@@ -153,10 +160,12 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e += carry
     m = np.where(fast, m, 0.0).astype(np.int64)
     e = np.where(fast, e, 0)
-    m_flat, e_flat, x_flat = m.reshape(-1), e.reshape(-1), x.reshape(-1)
-    for i in np.flatnonzero(~fast & np.isfinite(x) & (x != 0)).tolist():
-        cell = "%.11e" % abs(x_flat[i])
-        m_flat[i], e_flat[i] = int(cell[0] + cell[2:13]), int(cell[14:])
+    # index by (row, column), which addresses the same cell of x, m and e
+    # whatever their memory layouts
+    slow = np.nonzero(~fast & np.isfinite(x) & (x != 0))
+    for i in zip(*(axis.tolist() for axis in slow)):
+        cell = "%.11e" % abs(x[i])
+        m[i], e[i] = int(cell[0] + cell[2:13]), int(cell[14:])
     return m, e
 
 
@@ -182,14 +191,18 @@ def _csv_block(x: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write the header and the rows of ``table``, formatted in blocks of
-    ``_BLOCK_ROWS`` rows."""
-    table = np.ascontiguousarray(table, dtype=float)
+def _csv_rows(table: np.ndarray) -> list[bytes]:
+    """The CSV rows of ``table``, formatted in blocks of ``_BLOCK_ROWS`` rows."""
+    table = np.asarray(table, dtype=float)
+    starts = range(0, len(table), _BLOCK_ROWS)
+    return [_csv_block(table[start:start + _BLOCK_ROWS]) for start in starts]
+
+
+def _write_csv(path: Path, header: list[str], rows: list[bytes]) -> None:
+    """Write the header and the formatted ``rows``."""
     with path.open("wb") as f:
         f.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), _BLOCK_ROWS):
-            f.write(_csv_block(table[start:start + _BLOCK_ROWS]))
+        f.writelines(rows)
 
 
 def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
@@ -362,18 +375,63 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     )
 
 
+# Times that go through evaluate_grid at once.  Whole-grid transients, the
+# (T, 4, 4) tables and the sort buffers of entropy_grid, came from fresh
+# pages: a 20 000-point sweep faulted on about 16 000 of them.  A block's
+# buffers are freed before the next block asks for the same sizes, which the
+# allocator then serves from pages already mapped.  With the CSV bytes kept
+# in memory that sweep faulted 7.0k times at 2000 rows, 8.7k at 4096 and
+# 12.1k at 8192; blocks of 512-1024 rows faulted about 18k times, because
+# their arrays straddle glibc's 128 KiB mmap threshold.
+_GRID_ROWS = 2048
+
+
+def _grid_blocks(cfg: RunConfig, times, emit) -> list:
+    """``emit(g)`` for the ``SweepGrid`` g of each block of ``_GRID_ROWS``
+    times, in time order.
+
+    Each block is gated as a whole grid is.  If one fails, the whole grid is
+    evaluated once more, so that the error names the first failing check and
+    time of one evaluation of all times, whichever block failed first.
+    """
+    t = np.asarray(times, dtype=float)
+    try:
+        return [emit(evaluate_grid(cfg, t[i:i + _GRID_ROWS])) for i in range(0, len(t), _GRID_ROWS)]
+    except NumericInvariantError:
+        evaluate_grid(cfg, t)
+        raise
+
+
 def _peak(grid: np.ndarray, values) -> dict:
     values = np.asarray(values, dtype=float)
     idx = int(np.nanargmax(values))
     return {"argmax_omega_L_t": float(grid[idx]), "max": float(values[idx])}
 
 
+def _sweep_block(g: SweepGrid) -> tuple:
+    """The sweep.csv and realizations.csv rows of one block, and the columns
+    its summary reads."""
+    n, report = len(g.t), g.report
+    columns = [report.ift, report.landauer_lhs, report.ds_mean, report.ratio]
+    table = np.column_stack(
+        [g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence, *columns]
+    )
+    realizations = np.column_stack([g.t, g.sigma.reshape(n, 16)])
+    peaks = (report.de_mean, g.h2_sq, g.coherence, report.ratio)
+    return _csv_rows(table), _csv_rows(realizations), peaks
+
+
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Write sweep.csv, realizations.csv and summary.json for the time grid."""
+    """Write sweep.csv, realizations.csv and summary.json for the time grid.
+
+    The grid is evaluated and formatted block by block; the files are
+    written once every block has passed its checks.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    g = evaluate_grid(cfg, cfg.time_grid())
-    n, report = len(g.t), g.report
+    t = cfg.time_grid()
+    sweep_rows, real_rows, peaks = zip(*_grid_blocks(cfg, t, _sweep_block))
+    de_mean, h2_sq, coherence, ratio = (np.concatenate(column) for column in zip(*peaks))
 
     mom_cols = [f"dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     mom_cols += [f"ds_m{h}" for h in range(1, cfg.moments_max + 1)]
@@ -383,11 +441,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         + mom_cols
         + ["c_l1_10", "ift", "landauer_lhs", "ds_mean", "ratio"]
     )
-    columns = [report.ift, report.landauer_lhs, report.ds_mean, report.ratio]
-    table = np.column_stack(
-        [g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence, *columns]
-    )
-    defined = ~np.isnan(report.ratio)
+    defined = ~np.isnan(ratio)
     summary = {
         "grid": {
             "t_min": cfg.t_min,
@@ -396,20 +450,28 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             "step": cfg.step,
             "half_open": True,
         },
-        "de_mean": _peak(g.t, report.de_mean),
-        "h2_sq": _peak(g.t, g.h2_sq),
-        "coherence_l1_10": _peak(g.t, g.coherence),
-        "ratio": _peak(g.t[defined], report.ratio[defined]) if defined.any() else None,
+        "de_mean": _peak(t, de_mean),
+        "h2_sq": _peak(t, h2_sq),
+        "coherence_l1_10": _peak(t, coherence),
+        "ratio": _peak(t[defined], ratio[defined]) if defined.any() else None,
     }
 
     sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path, header, table)
+    _write_csv(sweep_path, header, [rows for block in sweep_rows for rows in block])
     real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
     real_path = out / "realizations.csv"
-    _write_csv(real_path, real_header, np.column_stack([g.t, g.sigma.reshape(n, 16)]))
+    _write_csv(real_path, real_header, [rows for block in real_rows for rows in block])
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {"sweep": sweep_path, "realizations": real_path, "summary": summary_path}
+
+
+def _hist_block(g: SweepGrid) -> list[list[bytes]]:
+    """The hist_dE.csv and hist_ds.csv rows of one block."""
+    return [
+        _csv_rows(np.column_stack([np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms]]))
+        for d in (g.de_dist, g.ds_dist)
+    ]
 
 
 def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
@@ -421,14 +483,12 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    g = evaluate_grid(cfg, cfg.hist_times)
-    dists = {"dE": g.de_dist, "ds": g.ds_dist}
+    blocks = _grid_blocks(cfg, cfg.hist_times, _hist_block)
     header = ["omega_L_t", "value", "probability"]
     paths = {}
-    for name, d in dists.items():
-        table = np.column_stack([np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms]])
+    for name, dist_rows in zip(("dE", "ds"), zip(*blocks)):
         paths[f"hist_{name}"] = out / f"hist_{name}.csv"
-        _write_csv(paths[f"hist_{name}"], header, table)
+        _write_csv(paths[f"hist_{name}"], header, [rows for block in dist_rows for rows in block])
     return paths
 
 
@@ -459,13 +519,13 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         + [f"err_dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     )
     mc_path = out / "mc_error.csv"
-    _write_csv(mc_path, header, np.column_stack([g.t, cell_errors, moment_errors]))
+    _write_csv(mc_path, header, _csv_rows(np.column_stack([g.t, cell_errors, moment_errors])))
     paths = {"mc_error": mc_path}
 
     if cfg.photonic:
         ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
         errors = np.abs(g.cond - imperfect).reshape(n, 16)
         ph_path = out / "photonic_error.csv"
-        _write_csv(ph_path, ph_header, np.column_stack([g.t, errors]))
+        _write_csv(ph_path, ph_header, _csv_rows(np.column_stack([g.t, errors])))
         paths["photonic_error"] = ph_path
     return paths

@@ -70,12 +70,13 @@ def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarr
     """Joint table j[in, fin] = c[fin, in] * p_in[in] from any conditional model.
 
     ``cond`` may be a (T, 4, 4) stack; each table gets the same ``p_in``.
+    The table is C-contiguous, so that its rows of 16 cells are views.
     """
     cond = np.asarray(cond, dtype=float)
     p_in = np.asarray(p_in, dtype=float)
     if cond.ndim not in (2, 3) or cond.shape[-2:] != (4, 4) or p_in.shape != (4,):
         raise ValueError("conditional matrix must be 4x4 and p_in length 4")
-    return np.swapaxes(cond, -1, -2) * p_in[:, None]
+    return np.multiply(np.swapaxes(cond, -1, -2), p_in[:, None], order="C")
 
 
 def final_probs(j: np.ndarray) -> np.ndarray:
@@ -176,12 +177,12 @@ class AtomRows:
         out = np.empty((len(self.counts), h_max))
         for k in np.flatnonzero(np.bincount(self.counts)):
             rows = np.flatnonzero(self.counts == k)
-            probs, values = self.probs[rows, None, :k], self.values[rows, :k, None]
+            probs, values = self.probs[rows, :k], self.values[rows, :k]
             for h in range(1, h_max + 1):
-                # a (1, k) @ (k, 1) product per row runs the BLAS dot product
-                # that np.dot runs on one distribution; rows are grouped by k,
-                # so none is padded and each adds its own k terms in order
-                out[rows, h - 1] = (probs @ values**h)[:, 0, 0]
+                # vecdot runs, per row, the BLAS dot product that np.dot runs
+                # on one distribution; rows are grouped by k, so none is
+                # padded and each adds its own k terms in order
+                out[rows, h - 1] = np.vecdot(probs, values**h)
         return out
 
 

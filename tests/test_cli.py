@@ -374,11 +374,11 @@ GATED_PHYSICS = {
 SIX_TIMES = "n_points = 6\nsamples = 100\nhist_times = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3\n"
 
 
-def _gated_run(tmp_path, command, physics):
+def _gated_run(tmp_path, command, physics, grid=SIX_TIMES):
     """Run ``command`` on a small grid; its exit code and its grid's times."""
     tmp_path.mkdir(exist_ok=True)
     path = tmp_path / f"{command}.cfg"
-    path.write_text(SIX_TIMES + physics)
+    path.write_text(grid + physics)
     cfg = parse_config(path)
     times = cfg.hist_times if command == "hist" else cfg.time_grid()
     out = tmp_path / f"{command}-out"
@@ -506,6 +506,51 @@ def test_cli_gates_joint_table_at_its_first_failing_time(
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numeric invariant violated: {message} omega_L_t={times[2]:.6g}")
+    assert "Traceback" not in err
+
+
+# twenty times, which blocks of 7 split into 7 + 7 + 6
+HIST_TWENTY = tuple(0.05 * k for k in range(1, 21))
+TWENTY_TIMES = f"n_points = 20\nsamples = 100\nhist_times = {', '.join(map(repr, HIST_TWENTY))}\n"
+# the gates that fail, by row of the grid: the double-stochasticity gate runs
+# before the joint gate, so an evaluation of all times names row 16 either way
+BLOCK_FAILURES = {"joint-early-ds-late": {"joint": 2, "ds": 16}, "ds-late": {"ds": 16}}
+
+
+@pytest.mark.parametrize("failure", sorted(BLOCK_FAILURES))
+@pytest.mark.parametrize("command", ["sweep", "hist", "compare"])
+def test_block_walk_reports_the_whole_grids_first_failure(
+    tmp_path, monkeypatch, capsys, command, failure
+):
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    grid = HIST_TWENTY if command == "hist" else RunConfig(n_points=20).time_grid()
+    rows = {gate: grid[row] for gate, row in BLOCK_FAILURES[failure].items()}
+    block = {}  # the times of the block in evaluation, as propagator_grid saw them
+    real = sweep.propagator_grid
+
+    def seen(p, times):
+        block["t"] = np.asarray(times)
+        return real(p, times)
+
+    def at(gate):
+        return block["t"] == rows[gate] if gate in rows else np.zeros(len(block["t"]), bool)
+
+    def leak(cond):
+        cond[at("ds"), 3, 2] += 1e-9
+
+    def overfill(joint):
+        joint[at("joint"), 2, 3] += 1e-9
+
+    monkeypatch.setattr(sweep, "propagator_grid", seen)
+    _perturb_stack(monkeypatch, "conditional_matrix", leak)
+    _perturb_stack(monkeypatch, "joint_table_from_conditional", overfill)
+    code, times = _gated_run(tmp_path, command, "", grid=TWENTY_TIMES)
+    assert code == 3
+    assert list(times) == list(grid)
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"numeric invariant violated: conditional table at omega_L_t={grid[16]:.6g}"
+    )
     assert "Traceback" not in err
 
 

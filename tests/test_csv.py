@@ -1,8 +1,9 @@
 """The CSV writer against Python's own '%.11e', byte for byte.
 
 ``csv_lines`` is the row-at-a-time '%' writer the vectorised one replaced;
-it is the oracle here.  Every table is written through ``sweep._write_csv``
-and must equal the header plus the oracle's lines.
+it is the oracle here.  Every table is formatted by ``sweep._csv_rows`` and
+written through ``sweep._write_csv``, and the file must equal the header plus
+the oracle's lines.
 """
 
 import math
@@ -39,7 +40,7 @@ def assert_written_as_oracle(table) -> None:
     header = [f"c{j}" for j in range(table.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        sweep._write_csv(path, header, table)
+        sweep._write_csv(path, header, sweep._csv_rows(table))
         written = path.read_bytes()
     expected = (",".join(header) + "\n" + "".join(csv_lines(table))).encode()
     if written != expected:
@@ -160,7 +161,7 @@ def test_one_product_stays_inside_the_tie_margin(table):
 )
 def test_cell_grammar(value, text, tmp_path):
     path = tmp_path / "t.csv"
-    sweep._write_csv(path, ["x"], np.array([[value]]))
+    sweep._write_csv(path, ["x"], sweep._csv_rows(np.array([[value]])))
     assert path.read_text() == f"x\n{text}\n"
 
 
@@ -189,8 +190,31 @@ def test_table_shapes(rows, cols):
 
 def test_empty_table_writes_the_header_only(tmp_path):
     path = tmp_path / "t.csv"
-    sweep._write_csv(path, ["a", "b"], np.zeros((0, 2)))
+    sweep._write_csv(path, ["a", "b"], sweep._csv_rows(np.zeros((0, 2))))
     assert path.read_bytes() == b"a,b\n"
+
+
+def layouts() -> dict[str, np.ndarray]:
+    """Blocks that are not C-contiguous, each holding cells that '%' formats:
+    values outside the fast range and near ties."""
+    table = np.vstack([np.reshape(EDGE_VALUES[:40], (5, 8)), near_tie_table()[:5, :8]])
+    return {
+        "fortran-2x2": np.asfortranarray([[1.5, 1e-300], [2.5, 3e-290]]),
+        "fortran": np.asfortranarray(table),
+        "column-slice": table[:, 1:6],
+        "column-stride": table[:, ::3],
+        "transposed": table.T,
+    }
+
+
+@pytest.mark.parametrize("layout", sorted(layouts()))
+def test_blocks_of_any_layout_match_percent(layout):
+    """The '%' cells are written back by (row, column), so a block that is
+    not C-contiguous gets them in place, not in a flattened copy."""
+    block = layouts()[layout]
+    assert not block.flags.c_contiguous
+    assert np.any((np.abs(block) < sweep._FAST_MIN) & (block != 0))
+    assert sweep._csv_block(block) == "".join(csv_lines(block)).encode()
 
 
 def test_every_cell_through_the_fallback_gives_the_same_bytes(monkeypatch):

@@ -93,6 +93,27 @@ def test_commands_build_only_the_statistics_they_write(command, tmp_path, monkey
     assert _digests(command, tmp_path) == GOLDEN[command]
 
 
+@pytest.mark.parametrize("command", ["hist", "sweep"])
+def test_block_walk_writes_the_golden_bytes(command, tmp_path, monkeypatch):
+    # the 200 sweep times go through evaluate_grid in 28 blocks of 7 and one
+    # of 4; the two hist times in one partial block
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    assert _digests(command, tmp_path) == GOLDEN[command]
+
+
+def test_hist_blocks_write_the_bytes_of_one_block(tmp_path, monkeypatch):
+    # 30 times: four blocks of 7 and one of 2, against one block of all 30
+    config = tmp_path / "hist.cfg"
+    config.write_text("hist_times = " + ", ".join(repr(0.05 * k) for k in range(1, 31)) + "\n")
+    written = []
+    for rows in (sweep._GRID_ROWS, 7):
+        monkeypatch.setattr(sweep, "_GRID_ROWS", rows)
+        out = tmp_path / f"out{rows}"
+        assert cli.main(["hist", "--config", str(config), "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in GOLDEN["hist"]])
+    assert written[0] == written[1]
+
+
 # numpy's dispatch capped at X86_V3 (AVX2, FMA3) and OpenBLAS's Haswell
 # kernels: a host without AVX-512
 AVX2_HOST = {
@@ -119,3 +140,41 @@ def test_golden_digests_hold_at_the_avx2_dispatch_level(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN
+
+
+# the full-size sweep_dense workload of the benchmark, run as it runs it,
+# with the SHA-256 of each output file it has a recorded digest for
+_RUN_SWEEP_DENSE = """
+import hashlib, json, sys
+from pathlib import Path
+import workloads
+from gate_energetics import cli
+case = workloads.build("sweep_dense", workloads.DEFAULT_SEED)
+out = Path(sys.argv[1])
+(out / "sweep_dense.cfg").write_text(case.config_text())
+assert cli.main(case.argv(str(out / "sweep_dense.cfg"), str(out / "out"))) == 0
+names = json.loads(Path(sys.argv[2]).read_text())["sweep_dense"]
+print(json.dumps({n: hashlib.sha256((out / "out" / n).read_bytes()).hexdigest() for n in names}))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="numpy's AVX2 and AVX-512 kernels of power and log, and OpenBLAS's Haswell "
+    "and SkylakeX ddot, round some values differently: at 20 000 points sweep.csv "
+    "(the dsigma moments) and realizations.csv (log) miss the AVX-512 digests",
+)
+def test_full_size_sweep_digests_hold_at_the_avx2_dispatch_level(tmp_path):
+    src = os.path.dirname(os.path.dirname(gate_energetics.__file__))
+    benchmarks = os.path.join(os.path.dirname(src), "benchmarks")
+    digests = os.path.join(benchmarks, "digests.json")
+    path = [benchmarks, src]
+    env = dict(os.environ, **AVX2_HOST, PYTHONPATH=os.pathsep.join(path + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_SWEEP_DENSE, str(tmp_path), digests],
+        env=env, capture_output=True, text=True,
+    )
+    done.check_returncode()
+    with open(digests) as recorded:
+        assert json.loads(done.stdout.splitlines()[-1]) == json.load(recorded)["sweep_dense"]
