@@ -160,10 +160,10 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e += carry
     m = np.where(fast, m, 0.0).astype(np.int64)
     e = np.where(fast, e, 0)
-    # index by (row, column), which addresses the same cell of x, m and e
-    # whatever their memory layouts
-    slow = np.nonzero(~fast & np.isfinite(x) & (x != 0))
-    for i in zip(*(axis.tolist() for axis in slow)):
+    # by (row, column), which addresses the same cell of x, m and e whatever
+    # their memory layouts; a flat index would miss when x is not C-contiguous
+    slow = np.flatnonzero(~fast & np.isfinite(x) & (x != 0))
+    for i in zip(*(axis.tolist() for axis in np.unravel_index(slow, x.shape))):
         cell = "%.11e" % abs(x[i])
         m[i], e[i] = int(cell[0] + cell[2:13]), int(cell[14:])
     return m, e

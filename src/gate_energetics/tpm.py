@@ -172,7 +172,9 @@ class AtomRows:
         Each row's sum is the BLAS dot product np.dot runs on one
         distribution, whose rounding of inexact products an ordered sum does
         not reproduce; the dsigma moments take this path, the dE moments the
-        exact ``delta_e_moments`` of the lattice weights.
+        exact ``delta_e_moments`` of the lattice weights.  The powers v^h are
+        numpy's SIMD ``power``, most of the time here; it and the ``ddot``
+        kernel OpenBLAS picks for the CPU both decide the bytes.
         """
         out = np.empty((len(self.counts), h_max))
         for k in np.flatnonzero(np.bincount(self.counts)):
