@@ -162,10 +162,10 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.where(fast, e, 0)
     # by (row, column), which addresses the same cell of x, m and e whatever
     # their memory layouts; a flat index would miss when x is not C-contiguous
-    slow = np.flatnonzero(~fast & np.isfinite(x) & (x != 0))
-    for i in zip(*(axis.tolist() for axis in np.unravel_index(slow, x.shape))):
-        cell = "%.11e" % abs(x[i])
-        m[i], e[i] = int(cell[0] + cell[2:13]), int(cell[14:])
+    slow = np.unravel_index(np.flatnonzero(~fast & np.isfinite(x) & (x != 0)), x.shape)
+    cells = ["%.11e" % v for v in np.abs(x[slow]).tolist()]
+    m[slow] = [int(cell[0] + cell[2:13]) for cell in cells]
+    e[slow] = [int(cell[14:]) for cell in cells]
     return m, e
 
 
