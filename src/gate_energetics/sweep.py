@@ -160,8 +160,9 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e += carry
     m = np.where(fast, m, 0.0).astype(np.int64)
     e = np.where(fast, e, 0)
-    # by (row, column), which addresses the same cell of x, m and e whatever
-    # their memory layouts; a flat index would miss when x is not C-contiguous
+    # the '%' cells are assigned by (row, column), the same cell of x, m and
+    # e whatever their memory layouts: when x is not C-contiguous, neither
+    # are m and e, and a flat view of them would be a copy
     slow = np.unravel_index(np.flatnonzero(~fast & np.isfinite(x) & (x != 0)), x.shape)
     cells = ["%.11e" % v for v in np.abs(x[slow]).tolist()]
     m[slow] = [int(cell[0] + cell[2:13]) for cell in cells]
