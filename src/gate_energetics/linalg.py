@@ -10,14 +10,16 @@ phase of |0> as e^{+i omega t / 2}, which is the convention the rest of the
 package relies on.  Two-qubit amplitudes are indexed by i = 2a + b for
 qubit values (a, b), so the order is |00>, |01>, |10>, |11>.
 
-Every numeric tolerance of the package is defined here, once.
+Every numeric tolerance of the package is defined here, once.  No density
+operator is checked: outputs read only the input state's populations, which
+the joint-table gate of ``sweep.evaluate_grid`` checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Hermiticity, unit trace and positivity of an operator
+# Hermiticity of an operator
 HERMITIAN_TOL = 1e-10
 # |sum - 1| of a probability group, the cell range [-tol, 1 + tol], the row and
 # column sums of a doubly stochastic table and |<e^{-dsigma}> - 1|
@@ -70,25 +72,3 @@ def expm_hermitian(h: np.ndarray, s: float, tol: float = HERMITIAN_TOL) -> np.nd
     w, v = eigh_hermitian(h, tol)
     return (v * np.exp(1j * s * w)) @ v.conj().T
 
-
-def validate_density(r: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate a density operator, or a (..., n, n) stack of them, and return it as a complex array.
-
-    Checks, in order: Hermiticity within ``tol``, unit trace within ``tol``
-    and positivity (smallest eigenvalue >= -tol).  Raises ValueError naming
-    the violated invariant, with the worst value of a stack.
-    """
-    r = np.asarray(r, dtype=complex)
-    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
-        raise ValueError(f"density operator must be square, got shape {r.shape}")
-    if not is_hermitian(r, tol):
-        raise ValueError(f"density operator is not Hermitian within {tol:g}")
-    traces = np.trace(r, axis1=-2, axis2=-1)
-    off = np.abs(traces - 1.0)
-    if np.max(off) > tol:
-        trace = traces.flat[np.argmax(off)]
-        raise ValueError(f"density operator trace is {trace.real:.12g}, not 1")
-    lowest = float(np.linalg.eigvalsh(r)[..., 0].min())
-    if lowest < -tol:
-        raise ValueError(f"density operator has negative eigenvalue {lowest:.3e}")
-    return r

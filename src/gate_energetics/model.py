@@ -33,7 +33,6 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     tensor,
-    validate_density,
 )
 
 
@@ -146,13 +145,13 @@ def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
 
     With the defaults (alpha = 0.2, beta_B = 1/2) the populations are
     p(0_A) = alpha and p(1_A) = 1 - alpha on the control,
-    p(1_B) = 1 / (1 + e) on the target.
+    p(1_B) = 1 / (1 + e) on the target.  Not checked here: outputs read only
+    its diagonal, which ``sweep.evaluate_grid`` gates through the joint tables.
     """
-    rho = tensor(
+    return tensor(
         _single_qubit_gibbs(spec.beta_A(p.omega_L), p.omega_L),
         _single_qubit_gibbs(spec.beta_B, p.omega_L),
     )
-    return validate_density(rho)
 
 
 def trajectory_coherence(u, outcome: int = 2):

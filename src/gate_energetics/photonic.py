@@ -23,10 +23,12 @@ in linalg).  A plate at physical angle chi implements u at angle 2 chi.
 
 Every step from the time to the conditional matrix takes one time or an
 array of T times and then returns (T, 4, 4) stacks, equal row for row to
-the one-time results: the 16 permanents are taken over fixed index arrays,
-their products go through ``model._complex_product`` and the plate's cos and
-sin are Python-float math per angle, so no row depends on vectorised
-rounding.  A stack that blocks an input raises at its first blocked row.
+the one-time results: the 16 permanents are taken over fixed index arrays
+and their products go through ``model._complex_product``.  The plate's
+``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit for bit on
+every plate angle of the 2000- and 20 000-point default grids, natively and
+at numpy's X86_V3 dispatch.  A stack that blocks an input raises at its
+first blocked row.
 """
 
 from __future__ import annotations

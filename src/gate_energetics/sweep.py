@@ -36,7 +36,8 @@ command before it writes a file.  ``evaluate_grid`` gates, for ``sweep``,
 ``hist`` and ``compare`` alike: every conditional table for double
 stochasticity, which is the only check of the propagator (every output
 reads U through these tables alone), the joint tables (cells in [0, 1],
-sums 1 within ``linalg.PROB_SUM_TOL``), the weight on undefined entropy
+sums 1 within ``linalg.PROB_SUM_TOL``; the only check of the input state,
+whose populations are their row sums), the weight on undefined entropy
 realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation
 average ift against its closed form.  The ``tpm`` statistics and the
 sampler then trust those tables; ``AtomRows`` checks the distributions it
@@ -280,15 +281,14 @@ def _require_ift(
 class SweepGrid:
     """Exact two-point-measurement statistics of every time of a grid, one row per time.
 
-    ``rho0`` and ``p_in`` are shared by all rows.  The fields are the gated
-    tables; the statistics below them are built on their first read and
-    kept.  The report's fields are arrays, with NaN where the ratio is
-    undefined.  Each row equals, field by field and bit for bit, the
+    ``p_in``, the input state's populations, is shared by all rows.  The
+    fields are the gated tables; the statistics below them are built on their
+    first read and kept.  The report's fields are arrays, with NaN where the
+    ratio is undefined.  Each row equals, field by field and bit for bit, the
     per-point reference ``evaluate_point`` of tests/reference.py at that time.
     """
 
     t: np.ndarray
-    rho0: np.ndarray
     p_in: np.ndarray
     U: np.ndarray
     h2: np.ndarray
@@ -344,12 +344,11 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     per-point reference ``evaluate_point(cfg, times[i])`` of
     tests/reference.py.  Each table is gated as soon as it is built, before
     anything is built from it: the conditional tables for double
-    stochasticity, the joint tables, the weight on undefined realizations
-    and ift.
+    stochasticity, the joint tables (which also check the input state), the
+    weight on undefined realizations and ift.
     """
     t = np.asarray(times, dtype=float)
-    rho0 = thermal_state(cfg.thermal, cfg.model)
-    p_in = initial_probs(rho0)
+    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
     h2, u = propagator_grid(cfg.model, t)
     cond = conditional_matrix(u)
     _require_doubly_stochastic(cond, t)
@@ -362,7 +361,6 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     _require_ift(ift, cond, p_in, p_fin, t)
     return SweepGrid(
         t=t,
-        rho0=rho0,
         p_in=p_in,
         U=u,
         h2=h2,
@@ -383,7 +381,10 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
 # allocator then serves from pages already mapped.  With the CSV bytes kept
 # in memory that sweep faulted 7.0k times at 2000 rows, 8.7k at 4096 and
 # 12.1k at 8192; blocks of 512-1024 rows faulted about 18k times, because
-# their arrays straddle glibc's 128 KiB mmap threshold.
+# their arrays straddle glibc's 128 KiB mmap threshold.  _BLOCK_ROWS, the CSV
+# block, stays apart: at 2048 CSV rows that sweep faulted 8 400 times, not
+# 6 800 (VmHWM 57.8, not 54.5 MiB), and hist at 2000 times 930, not 870,
+# since one hist block of 2048 times formats about 10 000 dsigma atom rows.
 _GRID_ROWS = 2048
 
 

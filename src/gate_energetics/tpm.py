@@ -47,10 +47,11 @@ def initial_probs(rho0: np.ndarray) -> np.ndarray:
     """Outcome probabilities of the first measurement, p[n] = Tr[rho0 Pi_n].
 
     Only the diagonal of rho0 enters: the first projective measurement
-    dephases any coherence in the measured basis.  rho0 is not checked
-    here: ``model.thermal_state`` has validated it.
+    dephases any coherence in the measured basis.  Nothing here checks the
+    populations: ``sweep.evaluate_grid`` gates the joint tables, whose row
+    sums they are, to lie in [0, 1] and sum to 1.
     """
-    return np.clip(np.diag(rho0).real, 0.0, None)
+    return np.diag(rho0).real.copy()
 
 
 def conditional_matrix(u) -> np.ndarray:
@@ -191,36 +192,38 @@ class AtomRows:
 def merge_atom_rows(values, weights) -> AtomRows:
     """Aggregate raw (value, weight) atoms, one distribution per row of (T, K) arrays.
 
-    In each row, values equal within ``VALUE_MERGE_TOL`` of the first value
-    of an atom are merged into it (weighted mean representative), so that
-    floating-point noise cannot split an atom; zero-weight atoms are dropped,
-    which defines the support.  All rows go through the merge loop together,
-    one sorted column per step, so every row merges exactly as it would alone.
-    Only ``entropy_grid`` needs it: the dE values lie on a fixed lattice.
+    Only atoms of positive weight enter: one that never occurs neither starts
+    an atom nor moves one.  In each row, values equal within
+    ``VALUE_MERGE_TOL`` of the first value of an atom are merged into it
+    (weighted mean representative), so that floating-point noise cannot split
+    an atom.  All rows go through the merge loop together, one sorted column
+    per step up to the widest support, so every row merges exactly as it
+    would alone.  Only ``entropy_grid`` needs it: dE lies on a fixed lattice.
     """
-    v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
+    occurs = w > 0.0
+    # an atom of no weight sorts last, as +inf, past every row's support
+    v = np.where(occurs, values, np.inf)
     n, k = v.shape
+    width = int(occurs.sum(axis=1).max())
     # the flat index of each row's atoms in sorted order; then one contiguous
     # row per sorted column: merged[i] holds the open atom once atom i is in
     # it, and an atom that starts a new one closes the one before
-    order = np.argsort(v, axis=1, kind="stable") + np.arange(0, n * k, k)[:, None]
+    order = np.argsort(v, axis=1, kind="stable")[:, :width] + np.arange(0, n * k, k)[:, None]
     v = v.take(order).T.copy()
     w = w.take(order).T.copy()
     merged_v, merged_w = v.copy(), w.copy()
     starts = np.ones(v.shape, dtype=bool)
     anchor = v[0]
-    # a zero-weight pair divides by zero, but its mean is never selected; the
-    # infinite values of entropy_grid give inf - inf, which compares false and
-    # so starts a new atom of zero weight
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, k):
+    # past a row's support, inf - inf compares false and so starts an atom
+    # of zero weight, which is dropped, and inf * 0 makes a mean that is
+    # never selected
+    with np.errstate(invalid="ignore"):
+        for i in range(1, width):
             val, wt, last_v, last_w = v[i], w[i], merged_v[i - 1], merged_w[i - 1]
             merge = val - anchor <= VALUE_MERGE_TOL
-            total = last_w + wt
-            mean = (last_v * last_w + val * wt) / total
-            merged_v[i] = np.where(merge, np.where(total > 0, mean, last_v), val)
-            merged_w[i] = np.where(merge, total, wt)
+            merged_v[i] = np.where(merge, (last_v * last_w + val * wt) / (last_w + wt), val)
+            merged_w[i] = np.where(merge, last_w + wt, wt)
             anchor = np.where(merge, anchor, val)
             starts[i] = ~merge
     closes = np.ones(v.shape, dtype=bool)
@@ -272,9 +275,9 @@ def delta_e_atoms(weights: np.ndarray) -> AtomRows:
     five atoms.
 
     This equals ``merge_atom_rows`` on the 16 (dE, j) atoms bit for bit: the
-    weights are its sums, and the weighted mean of equal values v that it
-    takes as the atom's value is exactly v, because scaling by v = 0 or
-    +-2^k rounds nothing.
+    weights are its sums (which a cell of zero weight leaves as they are),
+    and the weighted mean of equal values v that it takes as the atom's
+    value is exactly v, because scaling by v = 0 or +-2^k rounds nothing.
     """
     lattice = np.broadcast_to(ENERGY_LATTICE[:, None], weights.shape)
     return _kept_atoms(lattice, weights, weights > 0.0)
@@ -302,14 +305,12 @@ def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
     """Distribution of the entropy production of each joint table, aggregated over
     equal values of its realizations ``sigma``.
 
-    Undefined (NaN) realizations are left out; their weight must be zero.
+    Undefined (NaN) realizations are left out, as their weight is zeroed;
+    ``sweep.evaluate_grid`` has gated that weight to be negligible.
     """
-    defined = np.isfinite(sigma)
     n = len(j)
-    # an undefined realization sorts last with zero weight, which adds no
-    # atom, the same as leaving it out
-    values = np.where(defined, sigma, np.inf).reshape(n, 16)
-    return merge_atom_rows(values, np.where(defined, j, 0.0).reshape(n, 16))
+    weights = np.where(np.isfinite(sigma), j, 0.0).reshape(n, 16)
+    return merge_atom_rows(sigma.reshape(n, 16), weights)
 
 
 def _sum_defined(terms: np.ndarray, defined: np.ndarray) -> np.ndarray:

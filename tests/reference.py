@@ -130,27 +130,25 @@ class DiscreteDistribution:
 
     @classmethod
     def from_atoms(cls, values, weights):
-        """Aggregate raw (value, weight) atoms as ``tpm.merge_atom_rows`` does one row."""
+        """Aggregate raw (value, weight) atoms as ``tpm.merge_atom_rows`` does one
+        row: only the atoms of positive weight enter."""
         v = np.asarray(values, dtype=float).ravel()
         w = np.asarray(weights, dtype=float).ravel()
+        occurs = w > 0.0
+        v, w = v[occurs], w[occurs]
         order = np.argsort(v, kind="stable")
         merged_v: list[float] = []
         merged_w: list[float] = []
         anchor = None
         for val, wt in zip(v[order], w[order]):
             if anchor is not None and val - anchor <= VALUE_MERGE_TOL:
-                if wt + merged_w[-1] > 0:
-                    merged_v[-1] = (merged_v[-1] * merged_w[-1] + val * wt) / (merged_w[-1] + wt)
+                merged_v[-1] = (merged_v[-1] * merged_w[-1] + val * wt) / (merged_w[-1] + wt)
                 merged_w[-1] += wt
             else:
                 anchor = val
                 merged_v.append(val)
                 merged_w.append(wt)
-        keep = [i for i, wt in enumerate(merged_w) if wt > 0.0]
-        return cls(
-            values=np.array([merged_v[i] for i in keep]),
-            probs=np.array([merged_w[i] for i in keep]),
-        )
+        return cls(values=np.array(merged_v), probs=np.array(merged_w))
 
     @property
     def mean(self) -> float:

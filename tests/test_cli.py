@@ -437,6 +437,39 @@ def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypa
         assert "Traceback" not in err
 
 
+# the input state broken by less than 1e-10, just past the joint gate's
+# tolerance, and the message of the joint gate at t = 0, where each joint
+# table is diag(p_in)
+BROKEN_STATES = {
+    # the mass of |01> moves to |10>, and 5e-12 more, so the trace stays 1
+    "negative-population": (
+        lambda rho: rho + np.diag([0.0, -rho[1, 1].real - 5e-12, rho[1, 1].real + 5e-12, 0.0]),
+        "probability -5.000000e-12..6.386351e-01 outside [0, 1]",
+    ),
+    "trace-off": (
+        lambda rho: rho * (1.0 + 1e-11),
+        "probabilities sum to 1.000000000010e+00, not 1",
+    ),
+}
+# six times from t = 0 for every command
+SIX_FROM_ZERO = "n_points = 6\nsamples = 100\nhist_times = 0.0, 0.05, 0.1, 0.15, 0.2, 0.25\n"
+
+
+@pytest.mark.parametrize("state", sorted(BROKEN_STATES))
+@pytest.mark.parametrize("command", ["sweep", "hist", "compare"])
+def test_joint_gate_is_the_only_check_of_the_input_state(
+    tmp_path, monkeypatch, capsys, command, state
+):
+    change, message = BROKEN_STATES[state]
+    real = sweep.thermal_state
+    monkeypatch.setattr(sweep, "thermal_state", lambda spec, p: change(real(spec, p)))
+    code, times = _gated_run(tmp_path, command, "", grid=SIX_FROM_ZERO)
+    assert code == 3
+    assert times[0] == 0.0
+    err = capsys.readouterr().err
+    assert err == f"numeric invariant violated: joint table at omega_L_t=0: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [

@@ -19,6 +19,10 @@ OpenBLAS's Haswell kernels, the level of a host without AVX-512; a test
 below runs the commands at that level.  Hosts below X86_V3 write different
 ``realizations.csv`` bytes: there ``np.log`` takes numpy's baseline path,
 which rounds some values differently from its AVX2 and AVX-512 paths.
+The photonic wave plates take ``np.cos`` and ``np.sin`` of their angles
+(``photonic.hwp_u``); on every plate angle of the 2000- and 20 000-point
+default grids they equal ``math.cos`` and ``math.sin`` bit for bit, both
+natively and with numpy's dispatch capped at X86_V3.
 
 At full size the AVX2 level does not hold.  Two run-time kernel choices
 decide bytes of the dsigma moments ``ds_m1..ds_m5`` of ``sweep.csv``:

@@ -10,7 +10,6 @@ from gate_energetics.linalg import (
     eigh_hermitian,
     expm_hermitian,
     tensor,
-    validate_density,
 )
 
 from conftest import op_distance
@@ -96,31 +95,6 @@ def test_eigh_reconstruction():
         h = random_hermitian(rng)
         w, v = eigh_hermitian(h)
         assert op_distance((v * w) @ v.conj().T, h) <= 1e-10
-
-
-def test_validate_density_accepts_maximally_mixed():
-    validate_density(np.eye(4) / 4)
-
-
-def test_validate_density_accepts_diagonal():
-    validate_density(np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex))
-
-
-def test_validate_density_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        validate_density(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
-
-
-def test_validate_density_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
-        validate_density(np.diag([0.5, 0.4, 0.0, 0.0]).astype(complex))
-
-
-def test_validate_density_rejects_non_hermitian():
-    r = np.eye(4, dtype=complex) / 4
-    r[0, 1] = 0.1
-    with pytest.raises(ValueError, match="Hermitian"):
-        validate_density(r)
 
 
 def test_op_distance_zero_for_equal():
