@@ -4,7 +4,7 @@ Subcommands: ``sweep`` (theory curves), ``hist`` (distributions at selected
 times) and ``compare`` (Monte Carlo and photonic-imperfection error tables).
 Exit codes: 0 on success, 2 for any invalid input (the message names the
 offending key or flag), 3 when a numeric invariant fails; the message names
-the check and the first failing time, and no output file is written.
+the check and the first failing time, and no output file is left.
 """
 
 from __future__ import annotations

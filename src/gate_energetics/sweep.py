@@ -6,20 +6,30 @@ the dimensionless omega_L * t.  Every numeric cell is exactly Python's
 ``'%.11e' % x``: a '-' for a negative value (-0.0 included), one digit, '.',
 11 digits, 'e', the exponent's sign and its digits, at least two (three for
 an exponent of 100 or more in magnitude).  A non-finite value leaves its
-cell empty.  Rows are formatted in blocks of ``_BLOCK_ROWS`` with numpy
-array operations (``_csv_block``): each cell is scaled to a 12-digit integer
-by one rounded product against a correctly rounded power of ten, which
-lands within 2.3e-4 of the exact value, and a cell that this cannot round
-with certainty is formatted by '%' itself.
+cell empty.  Each file has one ``_CsvWriter``, which formats its rows in
+blocks of ``_BLOCK_ROWS`` with numpy array operations into scratch arrays
+that its first write allocates: each cell is scaled to a 12-digit integer by one rounded
+product against a correctly rounded power of ten, which lands within 2.3e-4
+of the exact value, and a cell that this cannot round with certainty is
+formatted by '%' itself, as is, once per block, a column whose cells are
+bit-identical over the block.
+
+Every file is written under a temporary name in the output directory,
+``.<name>.<12 hex digits>.tmp``, and takes its final name by ``os.replace``
+once the command has written all of its files (``_Outputs``).  On any error
+the temporary files are unlinked before the error goes on, so no final name
+appears after a failure; a process killed while it writes may leave a
+temporary file, never a final name.
 
 ``evaluate_grid`` builds the tables of all times of a grid at once, as
 arrays with one row per time; ``sweep``, ``hist`` and the theory side of
 ``compare`` all go through it.  ``sweep`` and ``hist`` walk their times in
-blocks of ``_GRID_ROWS``: each block is evaluated, gated, read and formatted
-to CSV bytes kept in memory, and the files are written only after the last
-block has passed every check.  Every row is computed by itself, so the bytes
-do not depend on the blocks.  ``compare`` evaluates its whole grid at once,
-because its sampler draws the whole grid from one stream in one call.
+blocks of ``_GRID_ROWS``: each block is evaluated, gated, read and written
+before the next, so their memory does not grow with the grid; the input
+state's populations are built once per command.  Every row is computed by
+itself, so the bytes do not depend on the blocks.  ``compare`` evaluates its
+whole grid at once, because its sampler draws the whole grid from one stream
+in one call.
 
 The statistics of a ``SweepGrid`` are built on their first read, so each
 command pays only for what it writes: ``sweep`` reads the moments, the
@@ -32,25 +42,28 @@ whole grid.  The tests keep a per-point form of the same computation in
 tests/reference.py, and the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
-command before it writes a file.  ``evaluate_grid`` gates, for ``sweep``,
-``hist`` and ``compare`` alike: every conditional table for double
-stochasticity, which is the only check of the propagator (every output
-reads U through these tables alone), the joint tables (cells in [0, 1],
-sums 1 within ``linalg.PROB_SUM_TOL``; the only check of the input state,
-whose populations are their row sums), the weight on undefined entropy
-realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation
-average ift against its closed form.  The ``tpm`` statistics and the
-sampler then trust those tables; ``AtomRows`` checks the distributions it
-holds, and every command reads each statistic it writes before it opens its
-first file.  ``compare`` also gates the sampled frequencies.  Each check
-runs over all rows; its first failing row, in time order, raises
-``NumericInvariantError``.  When a block fails, the whole grid is evaluated
-once more, so the error is the one a single evaluation of all times raises.
+command before any of its files takes its final name.  ``evaluate_grid``
+gates, for ``sweep``, ``hist`` and ``compare`` alike: every conditional
+table for double stochasticity, which is the only check of the propagator
+(every output reads U through these tables alone), the joint tables (cells
+in [0, 1], sums 1 within ``linalg.PROB_SUM_TOL``; the only check of the
+input state, whose populations are their row sums), the weight on undefined
+entropy realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the
+fluctuation average ift against its closed form.  The ``tpm`` statistics and
+the sampler then trust those tables; ``AtomRows`` checks the distributions
+it holds, and every command reads each statistic of a block before it writes
+that block.  ``compare`` also gates the sampled frequencies.  Each check runs
+over all rows; its first failing row, in time order, raises
+``NumericInvariantError``.  When a block fails, the temporary files are
+unlinked and the whole grid is evaluated once more, so the error is the one
+a single evaluation of all times raises.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -96,6 +109,12 @@ class NumericInvariantError(Exception):
 # leaves the text of '%.11e' % x.
 
 _BLOCK_ROWS = 1024
+# a piece of a block, whole rows of at most this many bytes of words (or one
+# row), is freed of its NULs and written at once.  The piece's copy and its
+# translation are alive together: 80 KiB, below glibc's 128 KiB mmap
+# threshold, so the heap serves them again from pages it already has, and
+# below one block's word of every cell at 32 columns
+_PIECE_BYTES = 40 * 1024
 # |x| in [_FAST_MIN, _FAST_MAX) is scaled by 10**(11 - e) for e in
 # [_E_LO, _E_HI]: its decimal exponent lies in [-281, 280], and its log10
 # estimate within one of that
@@ -132,79 +151,223 @@ _TAIL = _words(  # "dde+": the last two digits + 100 * (exponent < 0)
 _EXP = _words(  # "ddd,": |exponent|, at most 324 for a double
     b"%d," % n if n >= 100 else b"\0%02d," % n for n in range(325)
 )
-_EMPTY = _words([b"\0" * 19 + b","])
+_EMPTY_CELL = "\0" * 19 + ","  # a non-finite cell
+_EMPTY = _words([_EMPTY_CELL.encode()])
 
 
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 12-digit integer mantissa m and exponent e of '%.11e' % |x|.
+def _cell(x: float) -> str:
+    """The 20 bytes of one cell, laid out from '%' itself."""
+    text = "%.11e" % x
+    if text[-1] > "9":  # nan, inf, -inf
+        return _EMPTY_CELL
+    if text[-4] == "e":  # an exponent of two digits leaves its hundreds out
+        text = text[:-2] + "\0" + text[-2:]
+    return text + "," if text[0] == "-" else "\0" + text + ","
 
-    |x| is scaled by one product against ``_POW10``, 10**(11 - e) correctly
-    rounded, and rounded to an integer; the scaled value is within 2.3e-4 of
-    the exact one.  A cell outside the fast range, or whose scaled fraction
-    is within ``_TIE_MARGIN`` of 1/2, or whose estimate of e was off, takes m
-    and e from Python's correctly rounded '%' instead.  Zero and non-finite
-    cells get m = e = 0.
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The (k, 5) words of the k cells ``values``."""
+    text = "".join(map(_cell, values.tolist()))
+    return np.frombuffer(text.encode(), np.uint32).reshape(-1, 5)
+
+
+class _CsvWriter:
+    """Writes the CSV rows of one file to the binary file ``file``, block by block.
+
+    ``write`` copies each block of ``_BLOCK_ROWS`` rows into scratch arrays,
+    formats it there, and writes it in pieces of at most ``_PIECE_BYTES``,
+    each as soon as it is freed of its NULs.  The scratch is allocated by the
+    first write, for its rows or one block if that is fewer, and again only
+    if a later write has more rows, up to one block; so no array of a
+    block's size is allocated after the first block.
+    A column whose cells are bit-identical over a block is formatted once, by
+    '%', and its words are copied to every row.  Every other cell is scaled
+    to a 12-digit integer by one rounded product against a correctly rounded
+    power of ten, which lands within 2.3e-4 of the exact value; a cell that
+    this cannot round with certainty, or that is outside the fast range, is
+    formatted by '%' itself.
     """
-    a = np.abs(x)
-    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # false for 0, inf and nan
-    a = np.where(fast, a, 1.0)
-    e = np.log10(a)
-    np.floor(e, out=e)
-    e = e.astype(np.intp)
-    s = a * _POW10.take(e - _E_LO)
-    m = np.rint(s)
-    # |s - m| is the distance of s to its nearest integer: at most
-    # 1/2 - margin when its fraction is at least the margin away from 1/2
-    fast &= (s >= 1e11) & (s < 1e12) & (np.abs(s - m) <= 0.5 - _TIE_MARGIN)
-    carry = m == 1e12  # rounded up to a new decade: 1e11 at e + 1
-    m -= 9e11 * carry
-    e += carry
-    m = np.where(fast, m, 0.0).astype(np.int64)
-    e = np.where(fast, e, 0)
-    # the '%' cells are assigned by (row, column), the same cell of x, m and
-    # e whatever their memory layouts: when x is not C-contiguous, neither
-    # are m and e, and a flat view of them would be a copy
-    slow = np.unravel_index(np.flatnonzero(~fast & np.isfinite(x) & (x != 0)), x.shape)
-    cells = ["%.11e" % v for v in np.abs(x[slow]).tolist()]
-    m[slow] = [int(cell[0] + cell[2:13]) for cell in cells]
-    e[slow] = [int(cell[14:]) for cell in cells]
-    return m, e
+
+    def __init__(self, file, header: list[str]):
+        self._file = file
+        file.write((",".join(header) + "\n").encode())
+        self._columns = len(header)
+        self._block = np.empty((0, self._columns))
+
+    def _allocate(self, rows: int) -> None:
+        """Scratch for blocks of up to ``rows`` rows."""
+        cells = rows * self._columns
+        self._block = np.empty((rows, self._columns))
+        self._words = np.empty((rows, self._columns, 5), np.uint32)
+        self._text = self._words.view(np.uint8).reshape(rows, -1)
+        self._same = np.empty(self._columns, bool)
+        # the cells that vary over a block, side by side, and their words
+        self._varying = np.empty(cells)
+        self._varying_words = np.empty((cells, 5), np.uint32)
+        # per cell: |x| then the rounded mantissa; the scaled value; the exponent
+        self._a, self._s = np.empty(cells), np.empty(cells)
+        self._e = np.empty(cells, np.intp)
+        self._w = np.empty(cells, np.uint32)
+        self._sign, self._fast, self._t = (np.empty(cells, bool) for _ in range(3))
+
+    def write(self, *columns: np.ndarray) -> None:
+        """Write the rows whose cells are ``columns`` side by side; each is an
+        (n,) or (n, k) float array, and their widths add up to the header's."""
+        columns = [c if c.ndim == 2 else c[:, None] for c in columns]
+        n = len(columns[0])
+        # the scratch fits the first write's rows, and grows at most to a block
+        if len(self._block) < min(n, _BLOCK_ROWS):
+            self._allocate(min(n, _BLOCK_ROWS))
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            j = 0
+            for c in columns:
+                self._block[:rows, j:j + c.shape[1]] = c[start:start + rows]
+                j += c.shape[1]
+            self._write_block(rows)
+
+    def _write_block(self, rows: int) -> None:
+        block, words = self._block[:rows], self._words[:rows]
+        # bit-identical, so that -0.0 and 0.0 stay apart and NaN equals NaN; a
+        # column is constant only if its first and last cells are
+        bits = block.view(np.int64)
+        same = np.equal(bits[0], bits[-1], out=self._same)
+        if same.any():
+            equal = np.equal(bits, bits[0], out=self._t[:block.size].reshape(block.shape))
+            np.logical_and.reduce(equal, axis=0, out=same)
+        if not same.any():
+            self._format(block.ravel(), words.reshape(-1, 5))
+        else:
+            varying = np.flatnonzero(~same)
+            x = self._varying[:rows * varying.size].reshape(rows, -1)
+            np.take(block, varying, axis=1, out=x, mode="clip")
+            self._format(x.ravel(), self._varying_words[:x.size])
+            formatted = self._varying_words[:x.size].reshape(rows, -1, 5)
+            # copy the columns by runs of the same kind, a slice each
+            ends = [*(np.flatnonzero(same[1:] != same[:-1]) + 1).tolist(), len(same)]
+            start = done = 0
+            for end in ends:
+                if same[start]:
+                    words[:, start:end] = _cells(block[0, start:end])
+                else:
+                    words[:, start:end] = formatted[:, done:done + end - start]
+                    done += end - start
+                start = end
+        text = self._text[:rows]
+        text[:, -1] = ord("\n")
+        step = max(1, _PIECE_BYTES // text.shape[1])
+        for start in range(0, rows, step):
+            self._file.write(bytearray(text[start:start + step]).translate(None, b"\0"))
+
+    def _format(self, x: np.ndarray, words: np.ndarray) -> None:
+        """Fill the (n, 5) ``words`` with the cells of the n values ``x``.
+
+        Every array operation writes into the writer's scratch.  Each take
+        clips its indices, which numpy then need not check into a copy of
+        ``out``; a cell that '%' formats gets garbage indices on the way,
+        which the clip keeps in range.
+        """
+        n = x.size
+        a, s, e = self._a[:n], self._s[:n], self._e[:n]
+        sign, fast, t = self._sign[:n], self._fast[:n], self._t[:n]
+        np.signbit(x, out=sign)
+        np.abs(x, out=a)
+        np.greater_equal(a, _FAST_MIN, out=fast)  # false for 0, inf and nan
+        fast &= np.less(a, _FAST_MAX, out=t)
+        np.copyto(a, 1.0, where=np.logical_not(fast, out=t))
+        np.log10(a, out=s)
+        np.floor(s, out=s)
+        np.subtract(s, _E_LO, out=e, casting="unsafe")
+        np.take(_POW10, e, out=s, mode="clip")
+        s *= a
+        m = np.rint(s, out=a)
+        # |s - m| is the distance of s to its nearest integer: at most
+        # 1/2 - margin when its fraction is at least the margin away from 1/2
+        fast &= np.greater_equal(s, 1e11, out=t)
+        fast &= np.less(s, 1e12, out=t)
+        np.abs(np.subtract(s, m, out=s), out=s)
+        fast &= np.less_equal(s, 0.5 - _TIE_MARGIN, out=t)
+        carry = np.equal(m, 1e12, out=t)  # rounded up to a new decade: 1e11 at e + 1
+        np.copyto(m, 1e11, where=carry)
+        e += carry
+        e += _E_LO
+        mantissa, digits = s.view(np.int64), a.view(np.int64)
+        np.copyto(mantissa, m, casting="unsafe")
+        # 0 gets m = e = 0, a non-finite cell its empty words below, and any
+        # other cell off the fast path the words of '%'
+        slow = np.flatnonzero(np.logical_not(fast, out=t))
+        if slow.size:
+            values = x[slow]
+            mantissa[slow] = e[slow] = 0
+        # np.take buffers an out that is not contiguous: each word is looked up
+        # into w, then copied to its place in the cells
+        w = self._w[:n]
+
+        def put(word: int, table: np.ndarray, index: np.ndarray) -> None:
+            words[:, word] = np.take(table, index, out=w, mode="clip")
+
+        np.less(e, 0, out=t)
+        put(4, _EXP, np.abs(e, out=e))
+        # e is free once its word is made: it takes digits * 10**k
+        for word, (table, k) in enumerate(((_HEAD, 10), (_QUAD, 6), (_QUAD, 2))):
+            np.floor_divide(mantissa, 10**k, out=digits)
+            mantissa -= np.multiply(digits, 10**k, out=e)
+            if word == 0:
+                np.add(digits, 100, out=digits, where=sign)
+            put(word, table, digits)
+        np.add(mantissa, 100, out=mantissa, where=t)
+        put(3, _TAIL, mantissa)
+        if slow.size:
+            finite = np.isfinite(values)
+            words[slow[~finite]] = _EMPTY
+            shown = finite & (values != 0)
+            words[slow[shown]] = _cells(values[shown])
 
 
-def _csv_block(x: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D float block: '%.11e' cells, a non-finite cell
-    left empty."""
-    m, e = _decimal(x)
-    words = np.empty(x.shape + (5,), np.uint32)
-    top = m // 10**10
-    rest = m - top * 10**10
-    words[..., 0] = _HEAD.take(top + 100 * np.signbit(x))
-    quad = rest // 10**6
-    rest -= quad * 10**6
-    words[..., 1] = _QUAD.take(quad)
-    quad = rest // 100
-    rest -= quad * 100
-    words[..., 2] = _QUAD.take(quad)
-    words[..., 3] = _TAIL.take(rest + 100 * (e < 0))
-    words[..., 4] = _EXP.take(np.abs(e))
-    words[~np.isfinite(x)] = _EMPTY
-    text = words.view(np.uint8).reshape(len(x), -1)
-    text[:, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+class _Outputs:
+    """The output files of one command, written under temporary names.
 
+    ``open(name)`` creates ``.<name>.<12 hex digits>.tmp`` in the output
+    directory ``out``, which is made if it does not exist.  When the ``with``
+    block ends without an error, every file takes its final name by
+    ``os.replace``; when it raises, every temporary file is unlinked before
+    the error goes on.  A process killed in between may leave a temporary
+    file, never a final name.
+    """
 
-def _csv_rows(table: np.ndarray) -> list[bytes]:
-    """The CSV rows of ``table``, formatted in blocks of ``_BLOCK_ROWS`` rows."""
-    table = np.asarray(table, dtype=float)
-    starts = range(0, len(table), _BLOCK_ROWS)
-    return [_csv_block(table[start:start + _BLOCK_ROWS]) for start in starts]
+    def __init__(self, out_dir: str | Path):
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.paths: dict[str, Path] = {}
+        self._pending: list[tuple[Path, Path, object]] = []
 
+    def open(self, name: str):
+        """A new binary file that becomes ``out / name``; its key in ``paths``
+        is the name's stem."""
+        tmp = self.out / f".{name}.{os.urandom(6).hex()}.tmp"
+        file = tmp.open("xb")
+        self._pending.append((tmp, self.out / name, file))
+        self.paths[Path(name).stem] = self.out / name
+        return file
 
-def _write_csv(path: Path, header: list[str], rows: list[bytes]) -> None:
-    """Write the header and the formatted ``rows``."""
-    with path.open("wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        f.writelines(rows)
+    def csv(self, name: str, header: list[str]) -> _CsvWriter:
+        return _CsvWriter(self.open(name), header)
+
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            for _, _, file in self._pending:
+                file.close()
+            while exc_type is None and self._pending:
+                tmp, path, _ = self._pending[0]
+                os.replace(tmp, path)
+                del self._pending[0]
+        finally:
+            for tmp, _, file in self._pending:
+                file.close()
+                tmp.unlink(missing_ok=True)
 
 
 def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
@@ -337,6 +500,14 @@ class SweepGrid:
         )
 
 
+def _input_probs(cfg: RunConfig) -> np.ndarray:
+    """The input state's populations, read-only, so that every block of a
+    run can share them."""
+    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    p_in.flags.writeable = False
+    return p_in
+
+
 def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     """The gated tables of every time of ``times``, built for all times at once.
 
@@ -347,8 +518,11 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     stochasticity, the joint tables (which also check the input state), the
     weight on undefined realizations and ift.
     """
-    t = np.asarray(times, dtype=float)
-    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    return _evaluate(cfg, np.asarray(times, dtype=float), _input_probs(cfg))
+
+
+def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
+    """``evaluate_grid`` at the times ``t`` of the input populations ``p_in``."""
     h2, u = propagator_grid(cfg.model, t)
     cond = conditional_matrix(u)
     _require_doubly_stochastic(cond, t)
@@ -378,63 +552,60 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
 # (T, 4, 4) tables and the sort buffers of entropy_grid, came from fresh
 # pages: a 20 000-point sweep faulted on about 16 000 of them.  A block's
 # buffers are freed before the next block asks for the same sizes, which the
-# allocator then serves from pages already mapped.  With the CSV bytes kept
-# in memory that sweep faulted 7.0k times at 2000 rows, 8.7k at 4096 and
-# 12.1k at 8192; blocks of 512-1024 rows faulted about 18k times, because
-# their arrays straddle glibc's 128 KiB mmap threshold.  _BLOCK_ROWS, the CSV
-# block, stays apart: at 2048 CSV rows that sweep faulted 8 400 times, not
-# 6 800 (VmHWM 57.8, not 54.5 MiB), and hist at 2000 times 930, not 870,
-# since one hist block of 2048 times formats about 10 000 dsigma atom rows.
+# allocator then serves from pages already mapped.  With each block written
+# as it passes, the first cli.main of a 20 000-point sweep in a fresh
+# interpreter faulted 2 240 times at 2048 rows (VmHWM 38.9 MiB), 1 460 at
+# 1024 (36.1 MiB), 4 110 at 512, 3 830 at 4096 and 6 290 at 8192 (50.5 MiB);
+# its wall time at 1024 and at 2048 rows could not be told apart (6
+# alternating runs each).  _BLOCK_ROWS, the CSV block, stays apart: at 2048
+# CSV rows that sweep faulted 3 370 times (VmHWM 42.5 MiB), and hist at 2000
+# times 740 instead of 660.
 _GRID_ROWS = 2048
 
 
-def _grid_blocks(cfg: RunConfig, times, emit) -> list:
-    """``emit(g)`` for the ``SweepGrid`` g of each block of ``_GRID_ROWS``
-    times, in time order.
+def _grid_blocks(cfg: RunConfig, times, out_dir: str | Path, write) -> dict[str, Path]:
+    """``write(blocks, outputs)``, with the ``SweepGrid`` of each block of
+    ``_GRID_ROWS`` times, in time order, and the ``_Outputs`` of ``out_dir``;
+    the paths of the files it wrote.
 
-    Each block is gated as a whole grid is.  If one fails, the whole grid is
-    evaluated once more, so that the error names the first failing check and
-    time of one evaluation of all times, whichever block failed first.
+    The files take their final names once ``write`` has returned.  Each
+    block is gated as a whole grid is.  If one fails, the temporary files are
+    unlinked and the whole grid is evaluated once more, so that the error
+    names the first failing check and time of one evaluation of all times,
+    whichever block failed first.
     """
     t = np.asarray(times, dtype=float)
+    p_in = _input_probs(cfg)
+    blocks = (_evaluate(cfg, t[i:i + _GRID_ROWS], p_in) for i in range(0, len(t), _GRID_ROWS))
     try:
-        return [emit(evaluate_grid(cfg, t[i:i + _GRID_ROWS])) for i in range(0, len(t), _GRID_ROWS)]
+        with _Outputs(out_dir) as outputs:
+            write(blocks, outputs)
     except NumericInvariantError:
-        evaluate_grid(cfg, t)
+        _evaluate(cfg, t, p_in)
         raise
+    return outputs.paths
 
 
-def _peak(grid: np.ndarray, values) -> dict:
-    values = np.asarray(values, dtype=float)
-    idx = int(np.nanargmax(values))
-    return {"argmax_omega_L_t": float(grid[idx]), "max": float(values[idx])}
+class _Peak:
+    """The first maximum of a column over the blocks, NaN cells left out."""
 
+    def __init__(self):
+        self.peak: dict | None = None
 
-def _sweep_block(g: SweepGrid) -> tuple:
-    """The sweep.csv and realizations.csv rows of one block, and the columns
-    its summary reads."""
-    n, report = len(g.t), g.report
-    columns = [report.ift, report.landauer_lhs, report.ds_mean, report.ratio]
-    table = np.column_stack(
-        [g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence, *columns]
-    )
-    realizations = np.column_stack([g.t, g.sigma.reshape(n, 16)])
-    peaks = (report.de_mean, g.h2_sq, g.coherence, report.ratio)
-    return _csv_rows(table), _csv_rows(realizations), peaks
+    def update(self, t: np.ndarray, values: np.ndarray) -> None:
+        if np.isnan(values).all():
+            return
+        i = np.nanargmax(values)
+        if self.peak is None or values[i] > self.peak["max"]:
+            self.peak = {"argmax_omega_L_t": float(t[i]), "max": float(values[i])}
 
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write sweep.csv, realizations.csv and summary.json for the time grid.
 
-    The grid is evaluated and formatted block by block; the files are
-    written once every block has passed its checks.
+    The grid is evaluated, gated and written block by block; the summary
+    keeps only the running peaks of the blocks.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t = cfg.time_grid()
-    sweep_rows, real_rows, peaks = zip(*_grid_blocks(cfg, t, _sweep_block))
-    de_mean, h2_sq, coherence, ratio = (np.concatenate(column) for column in zip(*peaks))
-
     mom_cols = [f"dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     mom_cols += [f"ds_m{h}" for h in range(1, cfg.moments_max + 1)]
     header = (
@@ -443,37 +614,36 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         + mom_cols
         + ["c_l1_10", "ift", "landauer_lhs", "ds_mean", "ratio"]
     )
-    defined = ~np.isnan(ratio)
-    summary = {
-        "grid": {
-            "t_min": cfg.t_min,
-            "t_max": cfg.t_max,
-            "n_points": cfg.n_points,
-            "step": cfg.step,
-            "half_open": True,
-        },
-        "de_mean": _peak(t, de_mean),
-        "h2_sq": _peak(t, h2_sq),
-        "coherence_l1_10": _peak(t, coherence),
-        "ratio": _peak(t[defined], ratio[defined]) if defined.any() else None,
-    }
-
-    sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path, header, [rows for block in sweep_rows for rows in block])
     real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
-    real_path = out / "realizations.csv"
-    _write_csv(real_path, real_header, [rows for block in real_rows for rows in block])
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return {"sweep": sweep_path, "realizations": real_path, "summary": summary_path}
 
+    def write(blocks, outputs: _Outputs) -> None:
+        sweep_csv = outputs.csv("sweep.csv", header)
+        real_csv = outputs.csv("realizations.csv", real_header)
+        peaks = {name: _Peak() for name in ("de_mean", "h2_sq", "coherence_l1_10", "ratio")}
+        for g in blocks:
+            n, report = len(g.t), g.report
+            sweep_csv.write(
+                g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence,
+                report.ift, report.landauer_lhs, report.ds_mean, report.ratio,
+            )
+            real_csv.write(g.t, g.sigma.reshape(n, 16))
+            columns = (report.de_mean, g.h2_sq, g.coherence, report.ratio)
+            for peak, values in zip(peaks.values(), columns):
+                peak.update(g.t, values)
+        summary = {
+            "grid": {
+                "t_min": cfg.t_min,
+                "t_max": cfg.t_max,
+                "n_points": cfg.n_points,
+                "step": cfg.step,
+                "half_open": True,
+            },
+            **{name: peak.peak for name, peak in peaks.items()},
+        }
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        outputs.open("summary.json").write(text.encode())
 
-def _hist_block(g: SweepGrid) -> list[list[bytes]]:
-    """The hist_dE.csv and hist_ds.csv rows of one block."""
-    return [
-        _csv_rows(np.column_stack([np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms]]))
-        for d in (g.de_dist, g.ds_dist)
-    ]
+    return _grid_blocks(cfg, cfg.time_grid(), out_dir, write)
 
 
 def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
@@ -483,21 +653,19 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             raise ConfigError(
                 f"hist_times: {t} outside [{cfg.t_min:.6g}, {cfg.t_max:.6g}]"
             )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    blocks = _grid_blocks(cfg, cfg.hist_times, _hist_block)
     header = ["omega_L_t", "value", "probability"]
-    paths = {}
-    for name, dist_rows in zip(("dE", "ds"), zip(*blocks)):
-        paths[f"hist_{name}"] = out / f"hist_{name}.csv"
-        _write_csv(paths[f"hist_{name}"], header, [rows for block in dist_rows for rows in block])
-    return paths
+
+    def write(blocks, outputs: _Outputs) -> None:
+        files = [outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds")]
+        for g in blocks:
+            for file, d in zip(files, (g.de_dist, g.ds_dist)):
+                file.write(np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
+
+    return _grid_blocks(cfg, cfg.hist_times, out_dir, write)
 
 
 def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write mc_error.csv (and photonic_error.csv when enabled) over the grid."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     g = evaluate_grid(cfg, cfg.time_grid())
     n = len(g.t)
     if cfg.photonic:
@@ -520,14 +688,10 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         + [f"err_j_{c}" for c in _CELL_LABELS]
         + [f"err_dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     )
-    mc_path = out / "mc_error.csv"
-    _write_csv(mc_path, header, _csv_rows(np.column_stack([g.t, cell_errors, moment_errors])))
-    paths = {"mc_error": mc_path}
-
-    if cfg.photonic:
-        ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
-        errors = np.abs(g.cond - imperfect).reshape(n, 16)
-        ph_path = out / "photonic_error.csv"
-        _write_csv(ph_path, ph_header, _csv_rows(np.column_stack([g.t, errors])))
-        paths["photonic_error"] = ph_path
-    return paths
+    with _Outputs(out_dir) as outputs:
+        outputs.csv("mc_error.csv", header).write(g.t, cell_errors, moment_errors)
+        if cfg.photonic:
+            ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
+            errors = np.abs(g.cond - imperfect).reshape(n, 16)
+            outputs.csv("photonic_error.csv", ph_header).write(g.t, errors)
+    return outputs.paths

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -619,3 +620,85 @@ def test_compare_cost_does_not_grow_with_samples(tmp_path):
     _, rows = read_csv(out / "mc_error.csv")
     assert len(rows) == 4
     assert all(0.0 <= float(x) <= 1.0 for row in rows for x in row[1:])
+
+
+# --- output files ----------------------------------------------------------
+
+# the files of each command, in the order it prints their paths
+PRINTED = {
+    "sweep": ["sweep.csv", "realizations.csv", "summary.json"],
+    "hist": ["hist_dE.csv", "hist_ds.csv"],
+    "compare": ["mc_error.csv", "photonic_error.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED))
+def test_a_run_leaves_exactly_the_final_names(tmp_path, monkeypatch, capsys, command):
+    # blocks of 7 times, so that sweep and hist write their files over
+    # several blocks before they rename them
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    out = tmp_path / "out"
+    argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
+    assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(PRINTED[command])
+    assert capsys.readouterr().out.split() == [str(out / name) for name in PRINTED[command]]
+
+
+def _config(tmp_path, text: str) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["sweep", "hist"])
+def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, command):
+    # an error other than a failed gate, after two blocks have been written
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    real, calls = sweep.propagator_grid, []
+
+    def third_block_fails(p, times):
+        calls.append(len(times))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(p, times)
+
+    monkeypatch.setattr(sweep, "propagator_grid", third_block_fails)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)])
+    assert calls == [7, 7, 6]
+    assert not list(out.glob("*"))
+
+
+_PEAK_MEMORY = """
+import sys
+from gate_energetics import cli
+assert cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+status = open("/proc/self/status").read().split("\\n")
+print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    """The peak resident size of a fresh sweep at 200 000 points stays
+    within 10 MiB of the one at 20 000: no block's bytes are kept."""
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("VmHWM:") for line in status):
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    peak_kib = {}
+    for n in (20_000, 200_000):
+        config = tmp_path / f"{n}.cfg"
+        config.write_text(f"n_points = {n}\n")
+        out = tmp_path / f"out{n}"
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_MEMORY, str(config), str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        peak_kib[n] = int(done.stdout.split()[-1])
+        shutil.rmtree(out)  # 170 MB at 200 000 points
+    assert abs(peak_kib[200_000] - peak_kib[20_000]) < 10 * 1024, peak_kib

@@ -1,16 +1,17 @@
 """The CSV writer against Python's own '%.11e', byte for byte.
 
 ``csv_lines`` is the row-at-a-time '%' writer the vectorised one replaced;
-it is the oracle here.  Every table is formatted by ``sweep._csv_rows`` and
-written through ``sweep._write_csv``, and the file must equal the header plus
-the oracle's lines.
+it is the oracle here.  Every table is written through a ``sweep._CsvWriter``,
+and the file must equal the header plus the oracle's lines.
 """
 
+import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,11 @@ from gate_energetics import sweep
 BLOCK = sweep._BLOCK_ROWS
 
 
+def piece(cols: int) -> int:
+    """The rows of a piece of a table of ``cols`` columns: 20 bytes a cell."""
+    return sweep._PIECE_BYTES // (20 * cols)
+
+
 def csv_lines(table: np.ndarray):
     """One line of '%.11e' cells per row; a non-finite cell is left empty."""
     fmt = ",".join(["%.11e"] * table.shape[1]) + "\n"
@@ -35,12 +41,24 @@ def csv_lines(table: np.ndarray):
         ) + "\n"
 
 
+def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    with path.open("wb") as f:
+        sweep._CsvWriter(f, header).write(table)
+
+
+def csv_rows(table: np.ndarray) -> bytes:
+    """The rows the writer writes for ``table``, without the header."""
+    f = io.BytesIO()
+    sweep._CsvWriter(f, ["c"] * table.shape[1]).write(table)
+    return f.getvalue().split(b"\n", 1)[1]
+
+
 def assert_written_as_oracle(table) -> None:
     table = np.asarray(table, dtype=float)
     header = [f"c{j}" for j in range(table.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        sweep._write_csv(path, header, sweep._csv_rows(table))
+        write_csv(path, header, table)
         written = path.read_bytes()
     expected = (",".join(header) + "\n" + "".join(csv_lines(table))).encode()
     if written != expected:
@@ -161,8 +179,11 @@ def test_one_product_stays_inside_the_tie_margin(table):
 )
 def test_cell_grammar(value, text, tmp_path):
     path = tmp_path / "t.csv"
-    sweep._write_csv(path, ["x"], sweep._csv_rows(np.array([[value]])))
+    write_csv(path, ["x"], np.array([[value]]))
     assert path.read_text() == f"x\n{text}\n"
+    # the same cell in a column that varies, which the array path formats
+    write_csv(path, ["x"], np.array([[value], [1.0]]))
+    assert path.read_text() == f"x\n{text}\n1.00000000000e+00\n"
 
 
 @pytest.mark.parametrize("column", [0, 3, 6])
@@ -180,6 +201,7 @@ def test_row_of_only_non_finite_cells():
 
 @pytest.mark.parametrize("rows, cols", [
     (1, 1), (1, 9), (7, 1), (BLOCK - 1, 3), (BLOCK, 3), (BLOCK + 1, 3), (2 * BLOCK + 1, 1),
+    (BLOCK + 1, 32), (piece(32), 32), (piece(32) + 1, 32), (3 * piece(5), 5),
 ])
 def test_table_shapes(rows, cols):
     rng = np.random.default_rng(rows * 100 + cols)
@@ -190,8 +212,63 @@ def test_table_shapes(rows, cols):
 
 def test_empty_table_writes_the_header_only(tmp_path):
     path = tmp_path / "t.csv"
-    sweep._write_csv(path, ["a", "b"], sweep._csv_rows(np.zeros((0, 2))))
+    write_csv(path, ["a", "b"], np.zeros((0, 2)))
     assert path.read_bytes() == b"a,b\n"
+
+
+# values that fill a whole column of a block: zeros of both signs, values
+# that '%' formats (non-finite, subnormal, outside the fast range) and one
+# with a three-digit exponent inside it
+CONSTANTS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-200, -1.25]
+
+
+@pytest.mark.parametrize("value", CONSTANTS)
+def test_constant_columns_match_percent(value):
+    """A column constant over one block and not over the next, beside
+    columns that vary, that hold another constant, and that hold the
+    negated value (-0.0 beside 0.0)."""
+    rng = np.random.default_rng(23)
+    rows = 2 * BLOCK + 5
+    table = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-30, 30, (rows, 7))
+    table[:, 1] = value
+    table[BLOCK + 3, 1] = 1.5  # varies in the second block only
+    table[:BLOCK, 2] = value  # constant in the first block only
+    table[:, 4] = -value
+    table[:, 5] = 7.0
+    table[BLOCK:, 6] = value  # constant from the second block on
+    assert_written_as_oracle(table)
+
+
+def test_a_block_of_only_constant_columns():
+    assert_written_as_oracle(np.tile(CONSTANTS, (BLOCK + 3, 1)))
+
+
+def test_blocks_after_the_first_allocate_nothing_of_a_blocks_size():
+    """numpy reports its data buffers to tracemalloc.  Once the first block
+    is written, 20 more blocks of 1024 x 32 cells must raise the traced peak
+    by less than 128 KiB, which a piece's copy and its translation (80 KiB)
+    stay below.  A temporary of a block's size would raise it by at least
+    128 KiB: one word of every cell, or the copy of ``out`` that ``np.take``
+    makes when it checks its indices."""
+    rng = np.random.default_rng(29)
+    rows = 21 * BLOCK
+    table = rng.standard_normal((rows, 32)) * 10.0 ** rng.integers(-30, 30, (rows, 32))
+    table[:, 3] = 0.0  # constant over every block
+    table[: rows // 2, 9:12] = np.nan  # constant over the first blocks only
+    table[::7, 20] = np.inf  # cells that '%' formats and empty cells
+    table[::11, 21] = 1e-300
+    with open(os.devnull, "wb") as f:
+        tracemalloc.start()
+        try:
+            writer = sweep._CsvWriter(f, ["c"] * 32)
+            writer.write(table[:BLOCK])
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            writer.write(table[BLOCK:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - before < 128 * 1024
 
 
 def layouts() -> dict[str, np.ndarray]:
@@ -214,7 +291,7 @@ def test_blocks_of_any_layout_match_percent(layout):
     block = layouts()[layout]
     assert not block.flags.c_contiguous
     assert np.any((np.abs(block) < sweep._FAST_MIN) & (block != 0))
-    assert sweep._csv_block(block) == "".join(csv_lines(block)).encode()
+    assert csv_rows(block) == "".join(csv_lines(block)).encode()
 
 
 def test_every_cell_through_the_fallback_gives_the_same_bytes(monkeypatch):
@@ -233,7 +310,7 @@ def test_a_wrong_exponent_estimate_falls_back(monkeypatch, shift):
     """The decimal exponent comes from np.log10; a scaled value outside
     [1e11, 1e12) shows the estimate was off and the cell goes to '%'."""
     log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    monkeypatch.setattr(np, "log10", lambda a, out: np.add(log10(a, out=out), shift, out=out))
     rng = np.random.default_rng(17)
     assert_written_as_oracle(rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-50, 50, (50, 4)))
 
