@@ -69,7 +69,8 @@ class RunConfig:
         # the propagator takes cos, sin and exp of Delta t and omega_L t <= 2 Delta t
         largest_phase = 2.0 * self.model.delta * max(abs(self.t_min), abs(self.t_max))
         require(math.isfinite(largest_phase), window, "the phase Delta t overflows")
-        require(self.moments_max >= 1, "moments_max", "must be at least 1")
+        # the dE moments take 4.0**h, which is finite up to h = 511 (2^1022)
+        require(1 <= self.moments_max <= 511, "moments_max", "must lie in [1, 511]")
         require(
             all(math.isfinite(t) for t in self.hist_times) and len(self.hist_times) > 0,
             "hist_times",

@@ -21,8 +21,9 @@ import numpy as np
 
 # Hermiticity of an operator
 HERMITIAN_TOL = 1e-10
-# |sum - 1| of a probability group, the cell range [-tol, 1 + tol], the row and
-# column sums of a doubly stochastic table and |<e^{-dsigma}> - 1|
+# |sum - 1| of a probability group, the cell range [0, 1 + tol], the row and
+# column sums of a doubly stochastic table and |<e^{-dsigma}> - 1|; read only
+# by the gates in sweep
 PROB_SUM_TOL = 1e-12
 # distribution atoms closer than this are merged; decides output bytes
 VALUE_MERGE_TOL = 1e-12

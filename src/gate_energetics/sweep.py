@@ -46,17 +46,17 @@ command before any of its files takes its final name.  ``evaluate_grid``
 gates, for ``sweep``, ``hist`` and ``compare`` alike: every conditional
 table for double stochasticity, which is the only check of the propagator
 (every output reads U through these tables alone), the joint tables (cells
-in [0, 1], sums 1 within ``linalg.PROB_SUM_TOL``; the only check of the
-input state, whose populations are their row sums), the weight on undefined
-entropy realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the
-fluctuation average ift against its closed form.  The ``tpm`` statistics and
-the sampler then trust those tables; ``AtomRows`` checks the distributions
-it holds, and every command reads each statistic of a block before it writes
-that block.  ``compare`` also gates the sampled frequencies.  Each check runs
-over all rows; its first failing row, in time order, raises
-``NumericInvariantError``.  When a block fails, the temporary files are
-unlinked and the whole grid is evaluated once more, so the error is the one
-a single evaluation of all times raises.
+in [0, 1 + tol] and sums 1 within tol = ``linalg.PROB_SUM_TOL``; the only
+check of the input state, whose populations are their row sums), the weight
+on undefined entropy realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``)
+and the fluctuation average ift against its closed form.  These gates are
+the only checks of the tables and of every distribution built from them: the
+``tpm`` statistics and the sampler trust what passed.  ``compare`` also
+gates the sampled frequencies.  Each check runs over all rows; its first
+failing row, in time order, raises ``NumericInvariantError``.  When a block
+fails, the whole grid is evaluated once more, so the error is the one a
+single evaluation of all times raises; then the temporary files are
+unlinked.
 """
 
 from __future__ import annotations
@@ -374,11 +374,14 @@ def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
     """Gate one probability group per time: its cells must lie in [0, 1] and sum to 1.
 
     Row i of ``cells`` is the group at ``t[i]``; the first failing row raises.
+    A cell may exceed 1 by ``PROB_SUM_TOL``, but none may be negative: every
+    cell the program builds is a product or a count of non-negative numbers,
+    and a negative one would reach the merge of ``tpm`` or the sampler.
     """
     # one contiguous row per cell, time last: each reduction adds whole rows
     cells = np.asarray(cells, dtype=float).reshape(len(t), -1).T.copy()
     lo, hi, totals = cells.min(axis=0), cells.max(axis=0), cells.sum(axis=0)
-    outside = (lo < -PROB_SUM_TOL) | (hi > 1.0 + PROB_SUM_TOL)
+    outside = (lo < 0.0) | (hi > 1.0 + PROB_SUM_TOL)
     bad = np.flatnonzero(outside | (np.abs(totals - 1.0) > PROB_SUM_TOL))
     if bad.size:
         i = bad[0]
@@ -500,14 +503,6 @@ class SweepGrid:
         )
 
 
-def _input_probs(cfg: RunConfig) -> np.ndarray:
-    """The input state's populations, read-only, so that every block of a
-    run can share them."""
-    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
-    p_in.flags.writeable = False
-    return p_in
-
-
 def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     """The gated tables of every time of ``times``, built for all times at once.
 
@@ -518,7 +513,8 @@ def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     stochasticity, the joint tables (which also check the input state), the
     weight on undefined realizations and ift.
     """
-    return _evaluate(cfg, np.asarray(times, dtype=float), _input_probs(cfg))
+    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    return _evaluate(cfg, np.asarray(times, dtype=float), p_in)
 
 
 def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
@@ -552,38 +548,35 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
 # (T, 4, 4) tables and the sort buffers of entropy_grid, came from fresh
 # pages: a 20 000-point sweep faulted on about 16 000 of them.  A block's
 # buffers are freed before the next block asks for the same sizes, which the
-# allocator then serves from pages already mapped.  With each block written
-# as it passes, the first cli.main of a 20 000-point sweep in a fresh
-# interpreter faulted 2 240 times at 2048 rows (VmHWM 38.9 MiB), 1 460 at
-# 1024 (36.1 MiB), 4 110 at 512, 3 830 at 4096 and 6 290 at 8192 (50.5 MiB);
-# its wall time at 1024 and at 2048 rows could not be told apart (6
-# alternating runs each).  _BLOCK_ROWS, the CSV block, stays apart: at 2048
-# CSV rows that sweep faulted 3 370 times (VmHWM 42.5 MiB), and hist at 2000
-# times 740 instead of 660.
+# allocator then serves from pages already mapped.  The first cli.main of a
+# 20 000-point sweep in a fresh interpreter (2-vCPU Xeon, numpy 2.4.6), 12
+# rounds of one run per size in rotating order, medians: 512 rows 196 ms, 555 faults, VmHWM 33.1 MiB; 1024
+# rows 183 ms, 1 712, 36.0 MiB; 2048 rows 161 ms, 2 728, 38.7 MiB; 4096 rows
+# 156 ms, 3 889, 42.8 MiB.  2048 rows took less wall time than 1024 or 512
+# in 11 of 12 rounds, and less than 4096 in 6.  _BLOCK_ROWS, the CSV block,
+# stays apart: at 2048 CSV rows that sweep faulted 3 370 times (VmHWM 42.5
+# MiB), and hist at 2000 times 740 instead of 660.
 _GRID_ROWS = 2048
 
 
-def _grid_blocks(cfg: RunConfig, times, out_dir: str | Path, write) -> dict[str, Path]:
-    """``write(blocks, outputs)``, with the ``SweepGrid`` of each block of
-    ``_GRID_ROWS`` times, in time order, and the ``_Outputs`` of ``out_dir``;
-    the paths of the files it wrote.
+def _blocks(cfg: RunConfig, times):
+    """The ``SweepGrid`` of each block of ``_GRID_ROWS`` times, in time order.
 
-    The files take their final names once ``write`` has returned.  Each
-    block is gated as a whole grid is.  If one fails, the temporary files are
-    unlinked and the whole grid is evaluated once more, so that the error
-    names the first failing check and time of one evaluation of all times,
-    whichever block failed first.
+    The input state's populations are built once, read-only, so that every
+    block can share them.  Each block is gated as a whole grid is.  If one
+    fails, the whole grid is evaluated once more before the error goes on,
+    so that it names the first failing check and time of one evaluation of
+    all times, whichever block failed first.
     """
     t = np.asarray(times, dtype=float)
-    p_in = _input_probs(cfg)
-    blocks = (_evaluate(cfg, t[i:i + _GRID_ROWS], p_in) for i in range(0, len(t), _GRID_ROWS))
+    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    p_in.flags.writeable = False
     try:
-        with _Outputs(out_dir) as outputs:
-            write(blocks, outputs)
+        for i in range(0, len(t), _GRID_ROWS):
+            yield _evaluate(cfg, t[i:i + _GRID_ROWS], p_in)
     except NumericInvariantError:
         _evaluate(cfg, t, p_in)
         raise
-    return outputs.paths
 
 
 class _Peak:
@@ -616,11 +609,11 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     )
     real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
 
-    def write(blocks, outputs: _Outputs) -> None:
+    with _Outputs(out_dir) as outputs:
         sweep_csv = outputs.csv("sweep.csv", header)
         real_csv = outputs.csv("realizations.csv", real_header)
         peaks = {name: _Peak() for name in ("de_mean", "h2_sq", "coherence_l1_10", "ratio")}
-        for g in blocks:
+        for g in _blocks(cfg, cfg.time_grid()):
             n, report = len(g.t), g.report
             sweep_csv.write(
                 g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence,
@@ -642,8 +635,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         }
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         outputs.open("summary.json").write(text.encode())
-
-    return _grid_blocks(cfg, cfg.time_grid(), out_dir, write)
+    return outputs.paths
 
 
 def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
@@ -654,14 +646,12 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
                 f"hist_times: {t} outside [{cfg.t_min:.6g}, {cfg.t_max:.6g}]"
             )
     header = ["omega_L_t", "value", "probability"]
-
-    def write(blocks, outputs: _Outputs) -> None:
+    with _Outputs(out_dir) as outputs:
         files = [outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds")]
-        for g in blocks:
+        for g in _blocks(cfg, cfg.hist_times):
             for file, d in zip(files, (g.de_dist, g.ds_dist)):
                 file.write(np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
-
-    return _grid_blocks(cfg, cfg.hist_times, out_dir, write)
+    return outputs.paths
 
 
 def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:

@@ -16,9 +16,9 @@ Index conventions, kept consistently:
     inputs, so row sums reproduce p_in).
 
 Every statistic reads the propagator only through |U|^2.  Nothing here
-checks U or the tables built from it: ``sweep.evaluate_grid`` gates each
-stack once, as soon as it is built.  ``AtomRows`` checks the distributions
-it holds.
+checks U, the tables built from it or the distributions built from those:
+``sweep.evaluate_grid`` gates each stack once, as soon as it is built, and
+the builders below keep only atoms of positive weight, in increasing order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROB_SUM_TOL, RATIO_GUARD, VALUE_MERGE_TOL
+from .linalg import RATIO_GUARD, VALUE_MERGE_TOL
 
 
 # outcome m = 2 psi_A + phi_B, labelled by its bits, and its energy label
@@ -138,29 +138,15 @@ class AtomRows:
     """One finitely supported distribution per row.
 
     Row i holds the atoms values[i, :counts[i]] with probabilities
-    probs[i, :counts[i]]; the cells after them are zero.  The values of a row
-    must increase strictly and its probabilities be non-negative and sum to
-    1 within ``PROB_SUM_TOL``.
+    probs[i, :counts[i]]; the cells after them are zero.  Nothing here checks
+    them: ``merge_atom_rows`` and ``delta_e_atoms`` build rows whose values
+    increase strictly and whose probabilities are positive, from tables that
+    ``sweep.evaluate_grid`` has gated.
     """
 
     values: np.ndarray
     probs: np.ndarray
     counts: np.ndarray
-
-    def __post_init__(self):
-        # one contiguous row per cell, time last, so that each check runs over
-        # whole rows; the rows that tpm builds are laid out so already
-        values, probs = np.ascontiguousarray(self.values.T), np.ascontiguousarray(self.probs.T)
-        atoms = np.arange(len(values))[:, None] < self.counts
-        if np.any((np.diff(values, axis=0) <= 0) & atoms[1:]):
-            raise ValueError("values must be strictly increasing")
-        lowest = np.min(probs, where=atoms, initial=np.inf)
-        if lowest < 0.0:
-            raise ValueError(f"negative probability {lowest:.3e}")
-        totals = np.sum(probs, axis=0, where=atoms)
-        off = np.abs(totals - 1.0)
-        if np.max(off) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.12g}, not 1")
 
     @property
     def atoms(self) -> np.ndarray:
@@ -236,7 +222,9 @@ def _kept_atoms(values, weights, keep) -> AtomRows:
     holds, as the atoms of each time in row order.
 
     The rows are returned as transposed views of time-last arrays, so that
-    ``AtomRows`` reads them without a copy.
+    each step of the loop writes the times of equal count side by side; a
+    time-first layout measured the same (``entropy_grid`` and the reads of
+    ``sweep`` and ``hist``, 20 000 rows).
     """
     k, n = keep.shape
     counts = np.zeros(n, dtype=np.intp)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,7 @@ def test_parse_config_rejects_bad_value(tmp_path):
         ("beta_B", 0.0),
         ("n_points", 1),
         ("moments_max", 0),
+        ("moments_max", 512),
         ("samples", 0),
         ("samples", 2**63),
         ("seed", -1),
@@ -108,6 +110,21 @@ def test_validate_rejects_bad_fields(tmp_path, field, value):
     path.write_text(f"{field} = {value}\n")
     with pytest.raises(ConfigError, match=field):
         parse_config(path).validate()
+
+
+def test_the_largest_moments_max_writes_finite_moments(tmp_path):
+    # 4.0**511 = 2^1022 is the largest finite power of the dE lattice; past it
+    # a value of zero weight would make its moment inf * 0, a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([
+            "sweep", "--config", _config(tmp_path, "n_points = 4\nmoments_max = 511\n"),
+            "--out", str(tmp_path / "out"),
+        ])
+    assert code == 0
+    header, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert all(math.isfinite(float(x)) for x in column(header, rows, "dE_m511"))
+    assert float(column(header, rows, "dE_m511")[1]) > 0.0
 
 
 def test_validate_rejects_inverted_time_window(tmp_path):
@@ -450,6 +467,13 @@ BROKEN_STATES = {
     "trace-off": (
         lambda rho: rho * (1.0 + 1e-11),
         "probabilities sum to 1.000000000010e+00, not 1",
+    ),
+    # |11> holds -9e-13 and |10> its mass and 1.8e-12 more: the trace is
+    # 1 + 9e-13, within the tolerance, so only the cell range stops it before
+    # a negative weight reaches a distribution or the sampler
+    "negative-within-tolerance": (
+        lambda rho: np.diag([rho[0, 0], rho[1, 1], rho[2, 2] + rho[3, 3] + 1.8e-12, -9e-13]),
+        "probability -9.000000e-13..8.000000e-01 outside [0, 1]",
     ),
 }
 # six times from t = 0 for every command

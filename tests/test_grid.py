@@ -248,11 +248,9 @@ def test_delta_e_lattice_equals_merge_on_frequency_tables(seed):
     _assert_lattice_equals_merge((counts / shots).reshape(200, 4, 4))
 
 
-# benchmarks/checks.py builds its propagator oracle from the first three, and
+# benchmarks/checks.py builds its propagator oracle from the first two, and
 # cli.run is the console script
-CALLED_FROM_OUTSIDE = {
-    "linalg.eigh_hermitian", "linalg.expm_hermitian", "model.hamiltonians", "cli.run"
-}
+CALLED_FROM_OUTSIDE = {"linalg.expm_hermitian", "model.hamiltonians", "cli.run"}
 
 
 def _names_used(node) -> list[str]:
@@ -282,10 +280,6 @@ def test_src_defines_nothing_only_the_tests_use():
 
 SMALL = dataclasses.replace(DEFAULT, n_points=8)
 SMALL_TIMES = SMALL.time_grid()
-
-
-def _atom_rows(values, probs):
-    return tpm.AtomRows(values=np.array(values), probs=np.array(probs), counts=np.array([2, 2]))
 
 
 def _evaluate_with_changed(name, index, change):
@@ -350,21 +344,6 @@ STACKED_CHECKS = {
         lambda: _evaluate_with_scaled_propagator(5, (3, 2), 1.01),
         NumericInvariantError,
         _at(5, "a row or column sum is off"),
-    ),
-    "atoms-increasing": (
-        lambda: _atom_rows([[0.0, 1.0], [1.0, 1.0]], [[0.5, 0.5]] * 2),
-        ValueError,
-        "strictly increasing",
-    ),
-    "atoms-negative": (
-        lambda: _atom_rows([[0.0, 1.0]] * 2, [[0.5, 0.5], [1.5, -0.5]]),
-        ValueError,
-        "negative probability",
-    ),
-    "atoms-sum": (
-        lambda: _atom_rows([[0.0, 1.0]] * 2, [[0.5, 0.5], [0.5, 0.6]]),
-        ValueError,
-        "sum to 1.1",
     ),
 }
 

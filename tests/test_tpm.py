@@ -12,7 +12,6 @@ from gate_energetics.sweep import NumericInvariantError, _require_defined_weight
 from gate_energetics.tpm import (
     OUTCOME_ENERGIES,
     OUTCOME_LABELS,
-    AtomRows,
     conditional_matrix,
     entropy_realizations,
     final_probs,
@@ -222,11 +221,6 @@ def test_distribution_atoms_merge_within_tolerance():
     d = DiscreteDistribution.from_atoms([1.0, 1.0 + 5e-13, 2.0], [0.25, 0.25, 0.5])
     assert len(d.values) == 2
     assert d.probs[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_distribution_rejects_bad_probs():
-    with pytest.raises(ValueError, match="sum to 1.4"):
-        AtomRows(values=np.array([[0.0, 1.0]]), probs=np.array([[0.7, 0.7]]), counts=np.array([2]))
 
 
 def test_entropy_realizations_diagonal_zero_at_t0(params, rho0):
