@@ -12,7 +12,7 @@ qubit values (a, b), so the order is |00>, |01>, |10>, |11>.
 
 Every numeric tolerance of the package is defined here, once.  No density
 operator is checked: outputs read only the input state's populations, which
-the joint-table gate of ``sweep.evaluate_grid`` checks.
+the joint-table gate of ``sweep._evaluate`` checks.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
     With the defaults (alpha = 0.2, beta_B = 1/2) the populations are
     p(0_A) = alpha and p(1_A) = 1 - alpha on the control,
     p(1_B) = 1 / (1 + e) on the target.  Not checked here: outputs read only
-    its diagonal, which ``sweep.evaluate_grid`` gates through the joint tables.
+    its diagonal, which ``sweep._evaluate`` gates through the joint tables.
     """
     return tensor(
         _single_qubit_gibbs(spec.beta_A(p.omega_L), p.omega_L),
@@ -159,7 +159,7 @@ def trajectory_coherence(u, outcome: int = 2):
 
     The sum of |rho_ij| over the off-diagonal entries of rho = psi psi^dag,
     psi = U|outcome>, for a 4x4 unitary or for each unitary of a (T, 4, 4)
-    stack.  The unitaries are not checked here: ``evaluate_grid`` has gated
+    stack.  The unitaries are not checked here: ``sweep._evaluate`` has gated
     the row and column sums of the same stack's conditional tables, which
     hold the norms of U's columns and rows, before anything reads it.
     """

@@ -10,12 +10,12 @@ the 16 joint cells.  They are drawn in one ``Generator.multinomial`` call
 from a PCG64 stream, at a cost that does not depend on n.
 
 ``sample_tpm`` draws from a joint table or from a (T, 4, 4) stack of them,
-as ``compare`` passes the joint tables of its whole time grid, which
-``sweep.evaluate_grid`` has already gated.  The rows of a stack are drawn in
-order from the one PCG64 stream of ``np.random.default_rng(seed)``: row i is
-the i-th multinomial draw of that stream, so row 0 equals the single-table
-run at the same seed.  numpy fixes both PCG64 and its multinomial algorithm,
-and its version pins the output bytes.
+which ``sweep._evaluate`` has gated, with the ``Generator`` it is given.
+``compare`` makes one, ``np.random.default_rng(seed)``, for all of its
+blocks, so row i of the grid is the i-th multinomial draw of the one PCG64
+stream of the seed, whatever the blocks, and row 0 equals the single-table
+run at the same seed.  numpy fixes both PCG64 and its multinomial
+algorithm, and its version pins the output bytes.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ class EmpiricalTable:
         return self.counts / self.n
 
 
-def sample_tpm(j: np.ndarray, cfg: SampleConfig) -> EmpiricalTable:
-    """Sample cfg.n_samples two-point-measurement shots of the joint table j;
-    deterministic per seed.
+def sample_tpm(j: np.ndarray, rng: np.random.Generator, cfg: SampleConfig) -> EmpiricalTable:
+    """Sample cfg.n_samples two-point-measurement shots of the joint table j
+    from ``rng``, which the caller seeds (``cfg.seed`` is not read).
 
     ``j`` may be a (T, 4, 4) stack of joint tables: its rows are then drawn
-    in order from the stream of ``cfg.seed``.  The tables are not checked here.
+    in order.  The tables are not checked here.
     """
     j = np.asarray(j, dtype=float)
     rows = j.reshape(-1, 16)
     # multinomial rejects pvals whose sum exceeds 1 by float noise
     pvals = rows / rows.sum(axis=1, keepdims=True)
-    counts = np.random.default_rng(cfg.seed).multinomial(cfg.n_samples, pvals)
+    counts = rng.multinomial(cfg.n_samples, pvals)
     return EmpiricalTable(counts=counts.reshape(j.shape), n=cfg.n_samples)

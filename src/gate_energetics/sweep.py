@@ -6,13 +6,8 @@ the dimensionless omega_L * t.  Every numeric cell is exactly Python's
 ``'%.11e' % x``: a '-' for a negative value (-0.0 included), one digit, '.',
 11 digits, 'e', the exponent's sign and its digits, at least two (three for
 an exponent of 100 or more in magnitude).  A non-finite value leaves its
-cell empty.  Each file has one ``_CsvWriter``, which formats its rows in
-blocks of ``_BLOCK_ROWS`` with numpy array operations into scratch arrays
-that its first write allocates: each cell is scaled to a 12-digit integer by one rounded
-product against a correctly rounded power of ten, which lands within 2.3e-4
-of the exact value, and a cell that this cannot round with certainty is
-formatted by '%' itself, as is, once per block, a column whose cells are
-bit-identical over the block.
+cell empty.  Each file has one ``_CsvWriter``, which formats it with numpy
+array operations.
 
 Every file is written under a temporary name in the output directory,
 ``.<name>.<12 hex digits>.tmp``, and takes its final name by ``os.replace``
@@ -21,42 +16,41 @@ the temporary files are unlinked before the error goes on, so no final name
 appears after a failure; a process killed while it writes may leave a
 temporary file, never a final name.
 
-``evaluate_grid`` builds the tables of all times of a grid at once, as
-arrays with one row per time; ``sweep``, ``hist`` and the theory side of
-``compare`` all go through it.  ``sweep`` and ``hist`` walk their times in
-blocks of ``_GRID_ROWS``: each block is evaluated, gated, read and written
-before the next, so their memory does not grow with the grid; the input
-state's populations are built once per command.  Every row is computed by
-itself, so the bytes do not depend on the blocks.  ``compare`` evaluates its
-whole grid at once, because its sampler draws the whole grid from one stream
-in one call.
-
-The statistics of a ``SweepGrid`` are built on their first read, so each
-command pays only for what it writes: ``sweep`` reads the moments, the
-coherence, ``h2_sq`` and the report; ``hist`` only the two distributions;
-``compare`` only the joint and conditional tables and the dE moments.  The
-dE moments come from the weights of the five dE values; only ``hist`` builds
-the dE atoms from them.  ``compare`` then makes one sampler call on the
-grid's joint tables and, with the photonic model, one photonic call for the
-whole grid.  The tests keep a per-point form of the same computation in
-tests/reference.py, and the grid must equal it bit for bit.
+Every command walks its times through ``_blocks``, in blocks of
+``_GRID_ROWS``: ``_evaluate`` builds and gates the tables of a block, one
+row per time, and the command reads and writes them before the next block,
+so memory does not grow with the grid.  Every row is computed by itself, so
+the bytes do not depend on the blocks.  The first ``cli.main`` of
+``compare --photonic`` in a fresh interpreter (1000 shots, T_H = 0.985,
+eps = 0.01; 2-vCPU Xeon, numpy 2.4.6) peaks at VmHWM 45.2 MiB at 20 000
+points and 47.3 MiB at 200 000 (73.2 and 442.2 MiB when it evaluated its
+grid in one piece).  The statistics of a ``SweepGrid`` are built on their
+first read, so each command pays only for what it writes: ``sweep`` the
+moments, the coherence, ``h2_sq`` and the report; ``hist`` the two
+distributions; ``compare`` the joint and conditional tables and the dE
+moments, and per block one photonic call, one sampler draw from the one
+generator of the seed and the gate of the sampled frequencies.  The tests
+keep a per-point form of the same computation in tests/reference.py, and
+the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
-command before any of its files takes its final name.  ``evaluate_grid``
-gates, for ``sweep``, ``hist`` and ``compare`` alike: every conditional
-table for double stochasticity, which is the only check of the propagator
-(every output reads U through these tables alone), the joint tables (cells
-in [0, 1 + tol] and sums 1 within tol = ``linalg.PROB_SUM_TOL``; the only
-check of the input state, whose populations are their row sums), the weight
-on undefined entropy realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``)
-and the fluctuation average ift against its closed form.  These gates are
-the only checks of the tables and of every distribution built from them: the
-``tpm`` statistics and the sampler trust what passed.  ``compare`` also
-gates the sampled frequencies.  Each check runs over all rows; its first
-failing row, in time order, raises ``NumericInvariantError``.  When a block
+command before any of its files takes its final name.  ``_evaluate`` gates,
+for every command: every conditional table for double stochasticity, which
+is the only check of the propagator (every output reads U through these
+tables alone), the joint tables (cells in [0, 1 + tol] and sums 1 within
+tol = ``linalg.PROB_SUM_TOL``; the only check of the input state, whose
+populations are their row sums), the weight on undefined entropy
+realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation
+average ift against its closed form.  These gates are the only checks of
+the tables and of every distribution built from them.  Each check's first
+failing row, in time order, raises ``NumericInvariantError``; when a block
 fails, the whole grid is evaluated once more, so the error is the one a
-single evaluation of all times raises; then the temporary files are
-unlinked.
+single evaluation of all times raises.  The dsigma moments of ``sweep``
+(finite: a high order can overflow) and the sampled frequencies of
+``compare`` are gated as the command reads a block, and a photonic input
+blocked in a block ends ``compare`` with exit 2 there: these name the first
+failing time of the first block that fails them, without evaluating the
+blocks after it.
 """
 
 from __future__ import annotations
@@ -443,6 +437,17 @@ def _require_ift(
         )
 
 
+def _require_finite_moments(moments: np.ndarray, t: np.ndarray) -> None:
+    """Gate the (T, h_max) dsigma moments: the first non-finite one in row
+    order, then in order h, raises."""
+    bad = np.flatnonzero(~np.isfinite(moments))
+    if bad.size:
+        i, h = divmod(bad[0], moments.shape[1])
+        raise NumericInvariantError(
+            f"ds_m{h + 1} at omega_L_t={t[i]:.6g}: {moments[i, h]} is not finite"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Exact two-point-measurement statistics of every time of a grid, one row per time.
@@ -484,7 +489,11 @@ class SweepGrid:
 
     @cached_property
     def ds_moments(self) -> np.ndarray:
-        return self.ds_dist.moments(self.moments_max)
+        # the gate stops an overflowed power (inf, or NaN from inf - inf) silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = self.ds_dist.moments(self.moments_max)
+        _require_finite_moments(moments, self.t)
+        return moments
 
     @cached_property
     def coherence(self) -> np.ndarray:
@@ -503,22 +512,10 @@ class SweepGrid:
         )
 
 
-def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
-    """The gated tables of every time of ``times``, built for all times at once.
-
-    Row i of every field and statistic equals, bit for bit, the field of the
-    per-point reference ``evaluate_point(cfg, times[i])`` of
-    tests/reference.py.  Each table is gated as soon as it is built, before
-    anything is built from it: the conditional tables for double
-    stochasticity, the joint tables (which also check the input state), the
-    weight on undefined realizations and ift.
-    """
-    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
-    return _evaluate(cfg, np.asarray(times, dtype=float), p_in)
-
-
 def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
-    """``evaluate_grid`` at the times ``t`` of the input populations ``p_in``."""
+    """The tables of every time of ``t`` from the input populations ``p_in``,
+    each gated as soon as it is built; row i equals, bit for bit,
+    ``evaluate_point(cfg, t[i])`` of tests/reference.py."""
     h2, u = propagator_grid(cfg.model, t)
     cond = conditional_matrix(u)
     _require_doubly_stochastic(cond, t)
@@ -544,7 +541,7 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
     )
 
 
-# Times that go through evaluate_grid at once.  Whole-grid transients, the
+# Times that go through _evaluate at once.  Whole-grid transients, the
 # (T, 4, 4) tables and the sort buffers of entropy_grid, came from fresh
 # pages: a 20 000-point sweep faulted on about 16 000 of them.  A block's
 # buffers are freed before the next block asks for the same sizes, which the
@@ -560,13 +557,13 @@ _GRID_ROWS = 2048
 
 
 def _blocks(cfg: RunConfig, times):
-    """The ``SweepGrid`` of each block of ``_GRID_ROWS`` times, in time order.
+    """The ``SweepGrid`` of each block of ``_GRID_ROWS`` times, in time order:
+    the one evaluation path of every command.
 
     The input state's populations are built once, read-only, so that every
-    block can share them.  Each block is gated as a whole grid is.  If one
-    fails, the whole grid is evaluated once more before the error goes on,
-    so that it names the first failing check and time of one evaluation of
-    all times, whichever block failed first.
+    block can share them.  If a block fails a gate, the whole grid is
+    evaluated once more before the error goes on, so that it names the
+    first failing check and time of one evaluation of all times.
     """
     t = np.asarray(times, dtype=float)
     p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
@@ -655,33 +652,32 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
 
 
 def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Write mc_error.csv (and photonic_error.csv when enabled) over the grid."""
-    g = evaluate_grid(cfg, cfg.time_grid())
-    n = len(g.t)
-    if cfg.photonic:
-        try:
-            imperfect = conditional_for_time(cfg.optical, cfg.model, g.t)
-        except ValueError as exc:
-            # a gate that blocks an input passes every range check
-            raise ConfigError(f"photonic: {exc}") from None
-    # the points draw in grid order from the one stream of the seed; cfg stays
-    # a keyword, because benchmarks/tracing.py reads the shot count from it
-    freq = sample_tpm(g.joint, cfg=SampleConfig(cfg.samples, cfg.seed)).frequencies
-
-    _require_prob_group(freq, "empirical table", g.t)
-    cells = freq.reshape(n, 16)
-    cell_errors = np.abs(g.joint.reshape(n, 16) - cells)
-    moment_errors = np.abs(g.de_moments - delta_e_moments(delta_e_grid(freq), cfg.moments_max))
-
+    """Write mc_error.csv (and photonic_error.csv when enabled) over the grid,
+    block by block; the blocks draw in grid order from one generator."""
     header = (
         ["omega_L_t"]
         + [f"err_j_{c}" for c in _CELL_LABELS]
         + [f"err_dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     )
+    ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
+    shots = SampleConfig(cfg.samples, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     with _Outputs(out_dir) as outputs:
-        outputs.csv("mc_error.csv", header).write(g.t, cell_errors, moment_errors)
-        if cfg.photonic:
-            ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
-            errors = np.abs(g.cond - imperfect).reshape(n, 16)
-            outputs.csv("photonic_error.csv", ph_header).write(g.t, errors)
+        mc_csv = outputs.csv("mc_error.csv", header)
+        ph_csv = outputs.csv("photonic_error.csv", ph_header) if cfg.photonic else None
+        for g in _blocks(cfg, cfg.time_grid()):
+            if cfg.photonic:
+                try:
+                    imperfect = conditional_for_time(cfg.optical, cfg.model, g.t)
+                except ValueError as exc:
+                    # a gate that blocks an input passes every range check
+                    raise ConfigError(f"photonic: {exc}") from None
+            # cfg stays a keyword: benchmarks/tracing.py reads the shot count from it
+            freq = sample_tpm(g.joint, rng, cfg=shots).frequencies
+            _require_prob_group(freq, "empirical table", g.t)
+            sampled = delta_e_moments(delta_e_grid(freq), cfg.moments_max)
+            cell_errors = np.abs(g.joint - freq).reshape(-1, 16)
+            mc_csv.write(g.t, cell_errors, np.abs(g.de_moments - sampled))
+            if cfg.photonic:
+                ph_csv.write(g.t, np.abs(g.cond - imperfect).reshape(-1, 16))
     return outputs.paths

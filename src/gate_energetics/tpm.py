@@ -17,7 +17,7 @@ Index conventions, kept consistently:
 
 Every statistic reads the propagator only through |U|^2.  Nothing here
 checks U, the tables built from it or the distributions built from those:
-``sweep.evaluate_grid`` gates each stack once, as soon as it is built, and
+``sweep._evaluate`` gates each stack once, as soon as it is built, and
 the builders below keep only atoms of positive weight, in increasing order.
 """
 
@@ -48,7 +48,7 @@ def initial_probs(rho0: np.ndarray) -> np.ndarray:
 
     Only the diagonal of rho0 enters: the first projective measurement
     dephases any coherence in the measured basis.  Nothing here checks the
-    populations: ``sweep.evaluate_grid`` gates the joint tables, whose row
+    populations: ``sweep._evaluate`` gates the joint tables, whose row
     sums they are, to lie in [0, 1] and sum to 1.
     """
     return np.diag(rho0).real.copy()
@@ -61,7 +61,7 @@ def conditional_matrix(u) -> np.ndarray:
     For any unitary the result is doubly stochastic; for this gate the
     in = 00 and 01 columns are exact unit columns and the (10, 11) block is
     [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].  U is not checked here:
-    ``sweep.evaluate_grid`` gates the row and column sums of these tables,
+    ``sweep._evaluate`` gates the row and column sums of these tables,
     the norms of U's rows and columns.
     """
     return np.abs(u) ** 2
@@ -141,7 +141,7 @@ class AtomRows:
     probs[i, :counts[i]]; the cells after them are zero.  Nothing here checks
     them: ``merge_atom_rows`` and ``delta_e_atoms`` build rows whose values
     increase strictly and whose probabilities are positive, from tables that
-    ``sweep.evaluate_grid`` has gated.
+    ``sweep._evaluate`` has gated.
     """
 
     values: np.ndarray
@@ -294,7 +294,7 @@ def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
     equal values of its realizations ``sigma``.
 
     Undefined (NaN) realizations are left out, as their weight is zeroed;
-    ``sweep.evaluate_grid`` has gated that weight to be negligible.
+    ``sweep._evaluate`` has gated that weight to be negligible.
     """
     n = len(j)
     weights = np.where(np.isfinite(sigma), j, 0.0).reshape(n, 16)

@@ -3,11 +3,12 @@
 ``evaluate_point`` computes the statistics of one time with scalar code: the
 propagator from Python's complex arithmetic, one distribution per table
 merged by a Python loop, and report sums over the defined cells only.
-``gate_energetics.sweep.evaluate_grid`` must equal it at every time, bit for
-bit, so each function here runs the float operations that the grid path
-runs, in the same order.  The checks that the grid path makes (double
-stochasticity, table sums, atoms, weight on undefined realizations) are not
-repeated here.
+The grid path, ``gate_energetics.sweep._evaluate``, must equal it at every
+time, bit for bit, so each function here runs the float operations that the
+grid path runs, in the same order.  The checks that the grid path makes
+(double stochasticity, table sums, atoms, weight on undefined realizations)
+are not repeated here.  ``evaluate_grid`` runs the grid path itself on a
+whole grid at once, for the tests that compare it with this reference.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from gate_energetics.linalg import (
 )
 from gate_energetics.model import ModelParams, thermal_state
 from gate_energetics.sampler import EmpiricalTable
+from gate_energetics.sweep import SweepGrid, _evaluate
 from gate_energetics.tpm import (
     ENERGY_CHANGE,
     ThermoReport,
@@ -239,6 +241,12 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
         h2_sq=abs(prop.h2) ** 2,
         report=thermo_report(joint, sigma, beta=cfg.thermal.beta_B),
     )
+
+
+def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
+    """The gated tables of every time of ``times``, as one block of the grid path."""
+    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    return _evaluate(cfg, np.asarray(times, dtype=float), p_in)
 
 
 class TVResult(NamedTuple):

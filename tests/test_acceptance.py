@@ -253,7 +253,7 @@ def test_c10_photonic_imperfection():
 def test_c11_monte_carlo_convergence(tmp_path):
     prop = propagator_analytic(PARAMS, T_STAR)
     j = joint_table(RHO0, prop.U)
-    table = sample_tpm(j, SampleConfig(10**6, 42))
+    table = sample_tpm(j, np.random.default_rng(42), SampleConfig(10**6, 42))
     tv, max_cell = tv_distance(table, j)
     sampling_ok = max_cell <= 0.005 and tv <= 0.01
 

@@ -127,6 +127,23 @@ def test_the_largest_moments_max_writes_finite_moments(tmp_path):
     assert float(column(header, rows, "dE_m511")[1]) > 0.0
 
 
+def test_overflowing_dsigma_moments_exit_3_without_a_warning(tmp_path, capsys):
+    # at omega_L = 2000 the largest |dsigma| at the second time is 14.59, so
+    # its powers overflow from order 265 on (at t = 0 every one is 0); the
+    # gate names the first failing time and its lowest failing order, and
+    # no numpy warning escapes on the way
+    out = tmp_path / "out"
+    config = _config(tmp_path, "n_points = 4\nomega_L = 2000\nmoments_max = 511\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["sweep", "--config", config, "--out", str(out)])
+    assert code == 3
+    t1 = RunConfig(n_points=4).time_grid()[1]
+    err = capsys.readouterr().err
+    assert err == f"numeric invariant violated: ds_m265 at omega_L_t={t1:.6g}: inf is not finite\n"
+    assert not list(out.glob("*"))
+
+
 def test_validate_rejects_inverted_time_window(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("t_min = 2.0\nt_max = 1.0\n")
@@ -371,7 +388,7 @@ def test_compare_accepts_the_last_64_bit_seed_on_any_grid(tmp_path):
 
 
 def _perturb_stack(monkeypatch, name, change):
-    """Make evaluate_grid see ``change`` applied to the stack ``sweep.<name>`` returns."""
+    """Make ``sweep._evaluate`` see ``change`` applied to the stack ``sweep.<name>`` returns."""
     real = getattr(sweep, name)
 
     def changed(*args):
@@ -532,7 +549,7 @@ def test_importing_the_cli_loads_no_lazy_numpy_submodule():
     assert done.stdout.strip() == "[]"
 
 
-# a stack that evaluate_grid builds, the change to rows 2 and 3 of it, and
+# a stack that sweep._evaluate builds, the change to rows 2 and 3 of it, and
 # the message of the gate that must stop it
 JOINT_GATES = {
     # two tables sum past 1
@@ -674,9 +691,10 @@ def _config(tmp_path, text: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["sweep", "hist"])
+@pytest.mark.parametrize("command", ["sweep", "hist", "compare"])
 def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, command):
     # an error other than a failed gate, after two blocks have been written
+    # (by compare with the photonic model, so that both of its files are)
     monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
     real, calls = sweep.propagator_grid, []
 
@@ -688,8 +706,9 @@ def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, comman
 
     monkeypatch.setattr(sweep, "propagator_grid", third_block_fails)
     out = tmp_path / "out"
+    argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
     with pytest.raises(KeyboardInterrupt):
-        cli.main([command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)])
+        cli.main(argv + (["--photonic"] if command == "compare" else []))
     assert calls == [7, 7, 6]
     assert not list(out.glob("*"))
 
@@ -697,15 +716,23 @@ def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, comman
 _PEAK_MEMORY = """
 import sys
 from gate_energetics import cli
-assert cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert cli.main([*sys.argv[3:], "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 status = open("/proc/self/status").read().split("\\n")
 print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
+# each command's argv and config lines; compare --photonic at the
+# compare_photonic benchmark shape
+_GROWN_COMMANDS = {
+    "sweep": ([], ""),
+    "compare": (["--photonic"], "samples = 1000\nphotonic.T_H = 0.985\nphotonic.eps = 0.01\n"),
+}
 
 
-def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
-    """The peak resident size of a fresh sweep at 200 000 points stays
-    within 10 MiB of the one at 20 000: no block's bytes are kept."""
+@pytest.mark.parametrize("command", sorted(_GROWN_COMMANDS))
+def test_sweep_and_compare_memory_does_not_grow_with_the_grid(tmp_path, command):
+    """The peak resident size of a fresh sweep or compare --photonic at
+    200 000 points stays within 10 MiB of the one at 20 000: no block's
+    tables or bytes are kept."""
     try:
         with open("/proc/self/status") as status:
             if not any(line.startswith("VmHWM:") for line in status):
@@ -714,15 +741,16 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
         pytest.skip("no /proc/self/status")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     peak_kib = {}
+    flags, lines = _GROWN_COMMANDS[command]
     for n in (20_000, 200_000):
         config = tmp_path / f"{n}.cfg"
-        config.write_text(f"n_points = {n}\n")
+        config.write_text(f"n_points = {n}\n" + lines)
         out = tmp_path / f"out{n}"
         done = subprocess.run(
-            [sys.executable, "-c", _PEAK_MEMORY, str(config), str(out)],
+            [sys.executable, "-c", _PEAK_MEMORY, str(config), str(out), command, *flags],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
         peak_kib[n] = int(done.stdout.split()[-1])
-        shutil.rmtree(out)  # 170 MB at 200 000 points
+        shutil.rmtree(out)  # up to 170 MB at 200 000 points
     assert abs(peak_kib[200_000] - peak_kib[20_000]) < 10 * 1024, peak_kib

@@ -110,10 +110,12 @@ def test_commands_build_only_the_statistics_they_write(command, tmp_path, monkey
     assert _digests(command, tmp_path) == GOLDEN[command]
 
 
-@pytest.mark.parametrize("command", ["hist", "sweep"])
+@pytest.mark.parametrize("command", ["compare", "hist", "sweep"])
 def test_block_walk_writes_the_golden_bytes(command, tmp_path, monkeypatch):
-    # the 200 sweep times go through evaluate_grid in 28 blocks of 7 and one
-    # of 4; the two hist times in one partial block
+    # the 200 sweep times go through sweep._evaluate in 28 blocks of 7 and one
+    # of 4; the 12 compare times in blocks of 7 and 5, which draw in turn
+    # from the one generator of the seed; the two hist times in one partial
+    # block
     monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
     assert _digests(command, tmp_path) == GOLDEN[command]
 

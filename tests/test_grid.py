@@ -1,7 +1,8 @@
 """The grid engine against its per-point reference, compared exactly.
 
-``evaluate_grid`` must equal ``evaluate_point`` of tests/reference.py at every
-time bit for bit: the output bytes depend on it, so every field is compared
+The grid path, ``sweep._evaluate`` (run on a whole grid by ``evaluate_grid`` of
+tests/reference.py), must equal ``evaluate_point`` of tests/reference.py at
+every time bit for bit: the output bytes depend on it, so every field is compared
 with ``np.array_equal``, never within a tolerance.
 """
 
@@ -36,12 +37,13 @@ from gate_energetics.photonic import (
     ppbs_transform,
 )
 from gate_energetics.sampler import SampleConfig, sample_tpm
-from gate_energetics.sweep import NumericInvariantError, evaluate_grid
+from gate_energetics.sweep import NumericInvariantError
 from gate_energetics.tpm import merge_atom_rows
 
 from reference import (
     DiscreteDistribution,
     entropy_distribution,
+    evaluate_grid,
     evaluate_point,
     h_coeffs,
     propagator_analytic,
@@ -313,7 +315,7 @@ def _evaluate_with_scaled_propagator(row, index, factor):
 
 
 # each check of the grid path, failed by one row of a stack; the
-# conditional and joint tables are gated once, in evaluate_grid, before any
+# conditional and joint tables are gated once, in sweep._evaluate, before any
 # statistic is built, and the double-stochasticity gate is the only check
 # of the propagator
 STACKED_CHECKS = {
@@ -530,13 +532,19 @@ def test_stacked_conditional_names_the_first_blocked_time():
 def test_stacked_sampler_rows_equal_single_calls(n_samples):
     # the rows are drawn in order from the one stream of the seed: row i is
     # the i-th 1-D multinomial draw of numpy's own default_rng(seed), at
-    # seeds of one and of two 32-bit words up to the last 64-bit seed
+    # seeds of one and of two 32-bit words up to the last 64-bit seed, in
+    # one draw of the stack and in blocks of 3 + 5 rows from one generator,
+    # as compare draws its blocks
     g = evaluate_grid(SMALL, SMALL_TIMES)
     rows = g.joint.reshape(8, 16)
     pvals = rows / rows.sum(axis=1, keepdims=True)
     for seed in (42, 2**32 - 4, 2**64 - 8, 2**64 - 1):
-        table = sample_tpm(g.joint, SampleConfig(n_samples, seed))
+        cfg = SampleConfig(n_samples, seed)
+        table = sample_tpm(g.joint, np.random.default_rng(seed), cfg)
         assert table.counts.shape == (8, 4, 4)
+        blocks = np.random.default_rng(seed)
+        walked = [sample_tpm(block, blocks, cfg).counts for block in (g.joint[:3], g.joint[3:])]
+        assert np.array_equal(np.concatenate(walked), table.counts), seed
         rng = np.random.default_rng(seed)
         for i in range(8):
             expected = rng.multinomial(n_samples, pvals[i])

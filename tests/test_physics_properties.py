@@ -16,9 +16,9 @@ from gate_energetics.config import RunConfig
 from gate_energetics.linalg import PROB_SUM_TOL, expm_hermitian
 from gate_energetics.model import ModelParams, ThermalSpec, hamiltonians
 from gate_energetics.sampler import SampleConfig, sample_tpm
-from gate_energetics.sweep import evaluate_grid
 
 from conftest import op_distance
+from reference import evaluate_grid
 
 PHYSICS = dict(
     omega_L=st.floats(0.1, 10.0),
@@ -69,6 +69,6 @@ def test_propagator_matches_eigendecomposition(omega_L, omega_int, alpha, beta_B
 @given(**PHYSICS, n=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1))
 def test_sampler_counts(omega_L, omega_int, alpha, beta_B, t, n, seed):
     _, g = _grid(omega_L, omega_int, alpha, beta_B, t)
-    table = sample_tpm(g.joint[-1], SampleConfig(n, seed))
+    table = sample_tpm(g.joint[-1], np.random.default_rng(seed), SampleConfig(n, seed))
     assert table.counts.sum() == n
     assert np.all(table.counts[g.joint[-1] == 0.0] == 0)

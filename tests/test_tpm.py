@@ -8,7 +8,7 @@ import scipy.stats
 from gate_energetics import sweep
 from gate_energetics.config import RunConfig
 from gate_energetics.model import hamiltonians
-from gate_energetics.sweep import NumericInvariantError, _require_defined_weights, evaluate_grid
+from gate_energetics.sweep import NumericInvariantError, _require_defined_weights
 from gate_energetics.tpm import (
     OUTCOME_ENERGIES,
     OUTCOME_LABELS,
@@ -24,6 +24,7 @@ from reference import (
     DiscreteDistribution,
     delta_e_distribution,
     entropy_distribution,
+    evaluate_grid,
     joint_table,
     moments,
     projectors,
@@ -124,7 +125,7 @@ def test_conditional_doubly_stochastic_for_random_unitaries():
 
 
 def test_conditional_rejects_non_unitary(monkeypatch):
-    # conditional_matrix trusts U: evaluate_grid's double-stochasticity gate
+    # conditional_matrix trusts U: the grid path's double-stochasticity gate
     # stops a propagator whose norms are off, naming its time
     cfg = RunConfig(n_points=3)
     times = cfg.time_grid()
@@ -290,7 +291,7 @@ def test_entropy_mean_equals_shannon_difference(params, rho0, sweep_grid):
 
 def test_entropy_distribution_rejects_weight_on_undefined():
     # the statistics leave NaN realizations out, so a table that puts weight
-    # on one is refused by the gate evaluate_grid runs before any statistic
+    # on one is refused by the gate the grid path runs before any statistic
     j = np.full((1, 4, 4), 1.0 / 16.0)
     sigma = np.zeros((1, 4, 4))
     sigma[0, 0, 0] = np.nan
