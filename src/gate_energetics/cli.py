@@ -3,8 +3,9 @@
 Subcommands: ``sweep`` (theory curves), ``hist`` (distributions at selected
 times) and ``compare`` (Monte Carlo and photonic-imperfection error tables).
 Exit codes: 0 on success, 2 for any invalid input (the message names the
-offending key or flag), 3 when a numeric invariant fails; the message names
-the check and the first failing time, and no output file is left.
+offending key or flag), 3 when a numeric invariant fails: the first block of
+times that fails a check ends the run, the message names that block's first
+failing check and time, and no output file is left.
 """
 
 from __future__ import annotations

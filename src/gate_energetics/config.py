@@ -86,9 +86,13 @@ class RunConfig:
 
         The half-open convention keeps the grid free of the exact period
         endpoint, so peak searches land on the first oscillation rather
-        than tying with the repeated extremum at t_max.
+        than tying with the repeated extremum at t_max.  A grid that numpy
+        cannot allocate is a ``ConfigError``.
         """
-        return self.t_min + self.step * np.arange(self.n_points)
+        try:
+            return self.t_min + self.step * np.arange(self.n_points)
+        except MemoryError as exc:
+            raise ConfigError(f"n_points: {self.n_points} times: {exc}") from None
 
 
 def _build(key: str, factory, **kwargs):

@@ -42,15 +42,14 @@ tol = ``linalg.PROB_SUM_TOL``; the only check of the input state, whose
 populations are their row sums), the weight on undefined entropy
 realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation
 average ift against its closed form.  These gates are the only checks of
-the tables and of every distribution built from them.  Each check's first
-failing row, in time order, raises ``NumericInvariantError``; when a block
-fails, the whole grid is evaluated once more, so the error is the one a
-single evaluation of all times raises.  The dsigma moments of ``sweep``
-(finite: a high order can overflow) and the sampled frequencies of
-``compare`` are gated as the command reads a block, and a photonic input
-blocked in a block ends ``compare`` with exit 2 there: these name the first
-failing time of the first block that fails them, without evaluating the
-blocks after it.
+the tables and of every distribution built from them, and a NaN fails each.
+The dsigma moments of ``sweep`` (finite: a high order can overflow) and the
+sampled frequencies of ``compare`` are gated as the command reads a block.
+One rule holds for every gate: the first block that fails one ends the
+command with ``NumericInvariantError``, which names the block's first
+failing check, in the order above, and that check's first failing time; no
+later block is evaluated.  A photonic input blocked in a block ends
+``compare`` there with exit 2.
 """
 
 from __future__ import annotations
@@ -375,8 +374,9 @@ def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
     # one contiguous row per cell, time last: each reduction adds whole rows
     cells = np.asarray(cells, dtype=float).reshape(len(t), -1).T.copy()
     lo, hi, totals = cells.min(axis=0), cells.max(axis=0), cells.sum(axis=0)
-    outside = (lo < 0.0) | (hi > 1.0 + PROB_SUM_TOL)
-    bad = np.flatnonzero(outside | (np.abs(totals - 1.0) > PROB_SUM_TOL))
+    # each test is written so that NaN fails it
+    outside = ~((lo >= 0.0) & (hi <= 1.0 + PROB_SUM_TOL))
+    bad = np.flatnonzero(outside | ~(np.abs(totals - 1.0) <= PROB_SUM_TOL))
     if bad.size:
         i = bad[0]
         where = f"{what} at omega_L_t={t[i]:.6g}"
@@ -391,7 +391,7 @@ def _require_defined_weights(joint: np.ndarray, sigma: np.ndarray, t: np.ndarray
     """Gate the joint tables against weight on undefined (NaN) entropy
     realizations, which the statistics leave out; the first failing row raises."""
     stray = np.max(joint, axis=(-2, -1), where=~np.isfinite(sigma), initial=0.0)
-    bad = np.flatnonzero(stray > UNDEFINED_WEIGHT_TOL)
+    bad = np.flatnonzero(~(stray <= UNDEFINED_WEIGHT_TOL))
     if bad.size:
         i = bad[0]
         raise NumericInvariantError(
@@ -405,7 +405,7 @@ def _require_doubly_stochastic(cond: np.ndarray, t: np.ndarray) -> None:
     c = np.moveaxis(cond, 0, -1).copy()  # c[fin, in] is a contiguous row over time
     sums = np.concatenate([c.sum(axis=0), c.sum(axis=1)])
     worst = np.abs(sums - 1.0).max(axis=0)
-    bad = np.flatnonzero(worst > PROB_SUM_TOL)
+    bad = np.flatnonzero(~(worst <= PROB_SUM_TOL))
     if bad.size:
         i = bad[0]
         raise NumericInvariantError(
@@ -429,7 +429,7 @@ def _require_ift(
         expected = np.ones_like(ift)
     else:
         expected = (p_fin * cond[:, :, support].sum(axis=2)).sum(axis=1)
-    bad = np.flatnonzero(np.abs(ift - expected) > PROB_SUM_TOL)
+    bad = np.flatnonzero(~(np.abs(ift - expected) <= PROB_SUM_TOL))
     if bad.size:
         i = bad[0]
         raise NumericInvariantError(
@@ -561,19 +561,13 @@ def _blocks(cfg: RunConfig, times):
     the one evaluation path of every command.
 
     The input state's populations are built once, read-only, so that every
-    block can share them.  If a block fails a gate, the whole grid is
-    evaluated once more before the error goes on, so that it names the
-    first failing check and time of one evaluation of all times.
+    block can share them.  A block that fails a gate ends the walk.
     """
     t = np.asarray(times, dtype=float)
     p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
     p_in.flags.writeable = False
-    try:
-        for i in range(0, len(t), _GRID_ROWS):
-            yield _evaluate(cfg, t[i:i + _GRID_ROWS], p_in)
-    except NumericInvariantError:
-        _evaluate(cfg, t, p_in)
-        raise
+    for i in range(0, len(t), _GRID_ROWS):
+        yield _evaluate(cfg, t[i:i + _GRID_ROWS], p_in)
 
 
 class _Peak:

@@ -165,6 +165,10 @@ def test_prob_group_guard():
         _require_prob_group(np.array([0.5, 0.4]), "short group", t)
     with pytest.raises(NumericInvariantError, match="at omega_L_t=0.25: .*outside"):
         _require_prob_group(np.array([1.2, -0.2]), "wild group", t)
+    # NaN fails every comparison of the gate, wherever it sits
+    for cells in ([np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(NumericInvariantError, match="at omega_L_t=0.25: .*nan outside"):
+            _require_prob_group(np.array(cells), "nan group", t)
 
 
 # --- subcommands ---------------------------------------------------------
@@ -351,6 +355,9 @@ SMALL = "n_points = 4\nsamples = 100\n"
         ("sweep", None, [], "--config"),
         ("sweep", "seed = 1\nseed = 2\n", [], "line 2: duplicate key 'seed'"),
         ("sweep", "n_points = 4\n", ["--out", os.path.join(os.devnull, "out")], "--out"),
+        # a grid of 6.94 EiB, which numpy refuses at once on any host
+        ("sweep", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
+        ("compare", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
     ],
     ids=[
         "atten_H-blocks",
@@ -363,6 +370,8 @@ SMALL = "n_points = 4\nsamples = 100\n"
         "missing-config",
         "duplicate-key",
         "unwritable-out",
+        "unallocatable-grid-sweep",
+        "unallocatable-grid-compare",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
@@ -470,6 +479,26 @@ def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypa
             f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
         )
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("physics", sorted(GATED_PHYSICS))
+@pytest.mark.parametrize("command", ["sweep", "hist", "compare"])
+def test_cli_gates_a_nan_conditional_cell_with_exit_3(
+    tmp_path, monkeypatch, capsys, command, physics
+):
+    # NaN fails every comparison of the gates, so the first gate it reaches
+    # names it, without a traceback from the sampler
+    def poison(cond):
+        cond[3, 1, 2] = np.nan
+
+    _perturb_stack(monkeypatch, "conditional_matrix", poison)
+    code, times = _gated_run(tmp_path, command, GATED_PHYSICS[physics])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"numeric invariant violated: conditional table at omega_L_t={times[3]:.6g}"
+    )
+    assert "Traceback" not in err
 
 
 # the input state broken by less than 1e-10, just past the joint gate's
@@ -587,28 +616,37 @@ def test_cli_gates_joint_table_at_its_first_failing_time(
 # twenty times, which blocks of 7 split into 7 + 7 + 6
 HIST_TWENTY = tuple(0.05 * k for k in range(1, 21))
 TWENTY_TIMES = f"n_points = 20\nsamples = 100\nhist_times = {', '.join(map(repr, HIST_TWENTY))}\n"
-# the gates that fail, by row of the grid: the double-stochasticity gate runs
-# before the joint gate, so an evaluation of all times names row 16 either way
-BLOCK_FAILURES = {"joint-early-ds-late": {"joint": 2, "ds": 16}, "ds-late": {"ds": 16}}
+# the gates that fail, by row of the grid: the first block that fails ends
+# the run, and within it the double-stochasticity gate runs before the joint
+# gate; the gate and row named, and the blocks propagator_grid sees
+BLOCK_FAILURES = {
+    "joint-early-ds-late": ({"joint": 2, "ds": 16}, ("joint", 2), [7]),
+    "ds-late": ({"ds": 16}, ("ds", 16), [7, 7, 6]),
+    "joint-and-ds-in-one-block": ({"joint": 2, "ds": 5}, ("ds", 5), [7]),
+}
+GATE_MESSAGES = {"joint": "joint table", "ds": "conditional table"}
 
 
 @pytest.mark.parametrize("failure", sorted(BLOCK_FAILURES))
 @pytest.mark.parametrize("command", ["sweep", "hist", "compare"])
-def test_block_walk_reports_the_whole_grids_first_failure(
+def test_block_walk_reports_the_first_failing_blocks_first_failure(
     tmp_path, monkeypatch, capsys, command, failure
 ):
     monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
     grid = HIST_TWENTY if command == "hist" else RunConfig(n_points=20).time_grid()
-    rows = {gate: grid[row] for gate, row in BLOCK_FAILURES[failure].items()}
+    failing, (gate, row), blocks = BLOCK_FAILURES[failure]
+    rows = {name: grid[i] for name, i in failing.items()}
     block = {}  # the times of the block in evaluation, as propagator_grid saw them
+    sizes = []  # the size of every block propagator_grid saw
     real = sweep.propagator_grid
 
     def seen(p, times):
         block["t"] = np.asarray(times)
+        sizes.append(len(times))
         return real(p, times)
 
-    def at(gate):
-        return block["t"] == rows[gate] if gate in rows else np.zeros(len(block["t"]), bool)
+    def at(name):
+        return block["t"] == rows[name] if name in rows else np.zeros(len(block["t"]), bool)
 
     def leak(cond):
         cond[at("ds"), 3, 2] += 1e-9
@@ -622,9 +660,11 @@ def test_block_walk_reports_the_whole_grids_first_failure(
     code, times = _gated_run(tmp_path, command, "", grid=TWENTY_TIMES)
     assert code == 3
     assert list(times) == list(grid)
+    # no block after the failing one, and no evaluation of the whole grid
+    assert sizes == blocks
     err = capsys.readouterr().err
     assert err.startswith(
-        f"numeric invariant violated: conditional table at omega_L_t={grid[16]:.6g}"
+        f"numeric invariant violated: {GATE_MESSAGES[gate]} at omega_L_t={grid[row]:.6g}"
     )
     assert "Traceback" not in err
 
@@ -715,16 +755,30 @@ def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, comman
 
 _PEAK_MEMORY = """
 import sys
-from gate_energetics import cli
-assert cli.main([*sys.argv[3:], "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+from gate_energetics import cli, sweep
+from gate_energetics.config import parse_config
+config, out, code, argv = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+if code == 3:  # one table at the grid's last time fails the double-stochasticity gate
+    last, real = parse_config(config).time_grid()[-1], sweep.propagator_grid
+    def broken(p, times):
+        h2, u = real(p, times)
+        u[times == last, 3, 2] *= 1.01
+        return h2, u
+    sweep.propagator_grid = broken
+assert cli.main([*argv, "--config", config, "--out", out]) == code
 status = open("/proc/self/status").read().split("\\n")
 print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
-# each command's argv and config lines; compare --photonic at the
-# compare_photonic benchmark shape
+# each run's argv, config lines and exit code; compare --photonic at the
+# compare_photonic benchmark shape, and a sweep that fails in its last block
 _GROWN_COMMANDS = {
-    "sweep": ([], ""),
-    "compare": (["--photonic"], "samples = 1000\nphotonic.T_H = 0.985\nphotonic.eps = 0.01\n"),
+    "sweep": (["sweep"], "", 0),
+    "compare": (
+        ["compare", "--photonic"],
+        "samples = 1000\nphotonic.T_H = 0.985\nphotonic.eps = 0.01\n",
+        0,
+    ),
+    "failing-sweep": (["sweep"], "", 3),
 }
 
 
@@ -732,7 +786,8 @@ _GROWN_COMMANDS = {
 def test_sweep_and_compare_memory_does_not_grow_with_the_grid(tmp_path, command):
     """The peak resident size of a fresh sweep or compare --photonic at
     200 000 points stays within 10 MiB of the one at 20 000: no block's
-    tables or bytes are kept."""
+    tables or bytes are kept, and a sweep that fails in its last block
+    evaluates no more than a block at once."""
     try:
         with open("/proc/self/status") as status:
             if not any(line.startswith("VmHWM:") for line in status):
@@ -741,16 +796,19 @@ def test_sweep_and_compare_memory_does_not_grow_with_the_grid(tmp_path, command)
         pytest.skip("no /proc/self/status")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     peak_kib = {}
-    flags, lines = _GROWN_COMMANDS[command]
+    argv, lines, code = _GROWN_COMMANDS[command]
     for n in (20_000, 200_000):
         config = tmp_path / f"{n}.cfg"
         config.write_text(f"n_points = {n}\n" + lines)
         out = tmp_path / f"out{n}"
         done = subprocess.run(
-            [sys.executable, "-c", _PEAK_MEMORY, str(config), str(out), command, *flags],
+            [sys.executable, "-c", _PEAK_MEMORY, str(config), str(out), str(code), *argv],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
+        if code:
+            assert "numeric invariant violated: conditional table" in done.stderr
+            assert not list(out.glob("*"))
         peak_kib[n] = int(done.stdout.split()[-1])
         shutil.rmtree(out)  # up to 170 MB at 200 000 points
     assert abs(peak_kib[200_000] - peak_kib[20_000]) < 10 * 1024, peak_kib

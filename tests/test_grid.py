@@ -336,6 +336,24 @@ STACKED_CHECKS = {
         NumericInvariantError,
         _at(2, r"probability -\S+ outside \[0, 1\]"),
     ),
+    # NaN fails every comparison of a gate
+    "conditional-nan": (
+        lambda: _evaluate_with_changed("conditional_matrix", (3, 1, 2), lambda x: np.nan),
+        NumericInvariantError,
+        "conditional table" + _at(3, "off by nan"),
+    ),
+    "joint-nan": (
+        lambda: _evaluate_with_changed(
+            "joint_table_from_conditional", (2, 1, 1), lambda x: np.nan
+        ),
+        NumericInvariantError,
+        "joint table" + _at(2, r"probability nan\.\.nan outside"),
+    ),
+    "ift-nan": (
+        lambda: _evaluate_with_changed("ift_grid", (4,), lambda x: np.nan),
+        NumericInvariantError,
+        "ift" + _at(4, "nan, not"),
+    ),
     "undefined-weight": (
         lambda: _evaluate_with_changed("entropy_realizations", (4, 2, 3), lambda x: np.nan),
         NumericInvariantError,
