@@ -30,9 +30,6 @@ VALUE_MERGE_TOL = 1e-12
 # |<dsigma>| below this leaves the energy-to-entropy ratio undefined; decides
 # output bytes
 RATIO_GUARD = 1e-9
-# probability allowed to sit on an undefined entropy realization before the
-# inputs are considered inconsistent
-UNDEFINED_WEIGHT_TOL = 1e-14
 # post-selection success probability treated as zero
 SUCCESS_FLOOR = 1e-15
 

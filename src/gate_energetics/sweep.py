@@ -40,9 +40,9 @@ is the only check of the propagator (every output reads U through these
 tables alone), the joint tables (cells in [0, 1 + tol] and sums 1 within
 tol = ``linalg.PROB_SUM_TOL``; the only check of the input state, whose
 populations are their row sums), the weight on undefined entropy
-realizations (at most ``linalg.UNDEFINED_WEIGHT_TOL``) and the fluctuation
-average ift against its closed form.  These gates are the only checks of
-the tables and of every distribution built from them, and a NaN fails each.
+realizations (exactly 0) and the fluctuation average ift against its
+closed form.  These gates are the only checks of the tables and of every
+distribution built from them, and a NaN fails each.
 The dsigma moments of ``sweep`` (finite: a high order can overflow) and the
 sampled frequencies of ``compare`` are gated as the command reads a block.
 One rule holds for every gate: the first block that fails one ends the
@@ -64,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .linalg import PROB_SUM_TOL, UNDEFINED_WEIGHT_TOL
+from .linalg import PROB_SUM_TOL
 from .model import propagator_grid, thermal_state, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, sample_tpm
@@ -173,9 +173,8 @@ class _CsvWriter:
     first write, for its rows or one block if that is fewer, and again only
     if a later write has more rows, up to one block; so no array of a
     block's size is allocated after the first block.
-    A column whose cells are bit-identical over a block is formatted once, by
-    '%', and its words are copied to every row.  Every other cell is scaled
-    to a 12-digit integer by one rounded product against a correctly rounded
+    Every cell of a block takes one path, ``_format``: it is scaled to a
+    12-digit integer by one rounded product against a correctly rounded
     power of ten, which lands within 2.3e-4 of the exact value; a cell that
     this cannot round with certainty, or that is outside the fast range, is
     formatted by '%' itself.
@@ -193,10 +192,6 @@ class _CsvWriter:
         self._block = np.empty((rows, self._columns))
         self._words = np.empty((rows, self._columns, 5), np.uint32)
         self._text = self._words.view(np.uint8).reshape(rows, -1)
-        self._same = np.empty(self._columns, bool)
-        # the cells that vary over a block, side by side, and their words
-        self._varying = np.empty(cells)
-        self._varying_words = np.empty((cells, 5), np.uint32)
         # per cell: |x| then the rounded mantissa; the scaled value; the exponent
         self._a, self._s = np.empty(cells), np.empty(cells)
         self._e = np.empty(cells, np.intp)
@@ -217,40 +212,12 @@ class _CsvWriter:
             for c in columns:
                 self._block[:rows, j:j + c.shape[1]] = c[start:start + rows]
                 j += c.shape[1]
-            self._write_block(rows)
-
-    def _write_block(self, rows: int) -> None:
-        block, words = self._block[:rows], self._words[:rows]
-        # bit-identical, so that -0.0 and 0.0 stay apart and NaN equals NaN; a
-        # column is constant only if its first and last cells are
-        bits = block.view(np.int64)
-        same = np.equal(bits[0], bits[-1], out=self._same)
-        if same.any():
-            equal = np.equal(bits, bits[0], out=self._t[:block.size].reshape(block.shape))
-            np.logical_and.reduce(equal, axis=0, out=same)
-        if not same.any():
-            self._format(block.ravel(), words.reshape(-1, 5))
-        else:
-            varying = np.flatnonzero(~same)
-            x = self._varying[:rows * varying.size].reshape(rows, -1)
-            np.take(block, varying, axis=1, out=x, mode="clip")
-            self._format(x.ravel(), self._varying_words[:x.size])
-            formatted = self._varying_words[:x.size].reshape(rows, -1, 5)
-            # copy the columns by runs of the same kind, a slice each
-            ends = [*(np.flatnonzero(same[1:] != same[:-1]) + 1).tolist(), len(same)]
-            start = done = 0
-            for end in ends:
-                if same[start]:
-                    words[:, start:end] = _cells(block[0, start:end])
-                else:
-                    words[:, start:end] = formatted[:, done:done + end - start]
-                    done += end - start
-                start = end
-        text = self._text[:rows]
-        text[:, -1] = ord("\n")
-        step = max(1, _PIECE_BYTES // text.shape[1])
-        for start in range(0, rows, step):
-            self._file.write(bytearray(text[start:start + step]).translate(None, b"\0"))
+            self._format(self._block[:rows].ravel(), self._words[:rows].reshape(-1, 5))
+            text = self._text[:rows]
+            text[:, -1] = ord("\n")
+            step = max(1, _PIECE_BYTES // text.shape[1])
+            for i in range(0, rows, step):
+                self._file.write(bytearray(text[i:i + step]).translate(None, b"\0"))
 
     def _format(self, x: np.ndarray, words: np.ndarray) -> None:
         """Fill the (n, 5) ``words`` with the cells of the n values ``x``.
@@ -389,9 +356,14 @@ def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
 
 def _require_defined_weights(joint: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> None:
     """Gate the joint tables against weight on undefined (NaN) entropy
-    realizations, which the statistics leave out; the first failing row raises."""
+    realizations, which the statistics leave out; the first failing row raises.
+
+    Past the double-stochasticity and joint gates that weight is exactly 0,
+    so the gate needs no tolerance: a p_fin of 0 is a sum of joint cells that
+    the joint gate keeps non-negative, and a p_in of 0 zeroes its whole row.
+    """
     stray = np.max(joint, axis=(-2, -1), where=~np.isfinite(sigma), initial=0.0)
-    bad = np.flatnonzero(~(stray <= UNDEFINED_WEIGHT_TOL))
+    bad = np.flatnonzero(~(stray == 0.0))
     if bad.size:
         i = bad[0]
         raise NumericInvariantError(
@@ -536,7 +508,7 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
         p_fin=p_fin,
         sigma=sigma,
         ift=ift,
-        beta=cfg.thermal.beta_B,
+        beta=cfg.thermal.beta_B * cfg.model.omega_L,  # dE is in label units
         moments_max=cfg.moments_max,
     )
 

@@ -328,19 +328,22 @@ def ift_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def thermo_report_grid(
     j: np.ndarray, sigma: np.ndarray, beta: float, de_mean: np.ndarray, ift: np.ndarray
 ) -> ThermoReport:
-    """Fluctuation-theorem and Landauer-bound bookkeeping of each row at inverse
-    temperature beta, given the mean of each row's dE distribution and its
-    ``ift_grid``.
+    """Fluctuation-theorem and Landauer-bound bookkeeping of each row, given
+    the mean of each row's dE distribution and its ``ift_grid``.
 
+    ``beta`` multiplies the dimensionless dE labels, so it is the inverse
+    temperature of the Gibbs weights e^{-beta_B omega_L sz} in those units:
+    beta_B * omega_L.
     landauer_slack = beta <dE> - <dsigma> is the margin of the Landauer-like
-    bound.  <dsigma> sums over the defined realizations only.
+    bound.  <dsigma> sums over the defined realizations only.  A beta too
+    large for the product leaves landauer_lhs inf or NaN.
     """
     n = len(j)
     sigma = sigma.reshape(n, 16)
     with np.errstate(invalid="ignore"):
         ds_mean = _sum_defined(j.reshape(n, 16) * sigma, np.isfinite(sigma))
-    lhs = beta * de_mean
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lhs = beta * de_mean
         ratio = np.where(np.abs(ds_mean) > RATIO_GUARD, de_mean / ds_mean, np.nan)
     return ThermoReport(
         de_mean=de_mean,

@@ -239,7 +239,7 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
         ds_moments=moments(ds_dist, cfg.moments_max),
         coherence=coherence_l1(psi[:, None] * psi.conj()[None, :]),
         h2_sq=abs(prop.h2) ** 2,
-        report=thermo_report(joint, sigma, beta=cfg.thermal.beta_B),
+        report=thermo_report(joint, sigma, beta=cfg.thermal.beta_B * cfg.model.omega_L),
     )
 
 

@@ -227,6 +227,13 @@ def test_sweep_summary_peak_location(tmp_path):
     assert abs(summary["ratio"]["argmax_omega_L_t"] - t_star) <= step
 
 
+def test_summary_keeps_the_first_maximum_of_a_tie_across_blocks():
+    peak = sweep._Peak()
+    peak.update(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+    peak.update(np.array([2.0, 3.0]), np.array([3.0, np.nan]))
+    assert peak.peak == {"argmax_omega_L_t": 1.0, "max": 3.0}
+
+
 def test_sweep_byte_identical_rerun(tmp_path):
     cfg = small_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -676,12 +683,14 @@ def test_block_walk_reports_the_first_failing_blocks_first_failure(
         ("omega_L = 2000\n", "hist", 0),
         ("omega_L = 2000\n", "compare", 0),
         ("omega_L = 1e10\nbeta_B = 1e300\n", "hist", 0),
+        ("omega_L = 1e10\nbeta_B = 1e300\n", "sweep", 0),
     ],
-    ids=["sweep", "hist", "compare", "product-overflow-hist"],
+    ids=["sweep", "hist", "compare", "product-overflow-hist", "product-overflow-sweep"],
 )
 def test_gibbs_weight_overflow_ends_without_traceback(tmp_path, capsys, physics, command, code):
     # beta_B * omega_L = 1000 is past the point where exp overflows (at 1e310
-    # the product itself is inf); the target population 1/(1 + e^2000)
+    # the product itself is inf, and so is every landauer_lhs with <dE> > 0,
+    # which sweep leaves empty); the target population 1/(1 + e^2000)
     # underflows to 0, so ift = 1 - lambda with lambda ~ 1e-5 the weight of
     # the absolutely irreversible outcomes, which the IFT gate accepts
     path = tmp_path / "run.cfg"

@@ -218,7 +218,8 @@ def test_empty_table_writes_the_header_only(tmp_path):
 
 # values that fill a whole column of a block: zeros of both signs, values
 # that '%' formats (non-finite, subnormal, outside the fast range) and one
-# with a three-digit exponent inside it
+# with a three-digit exponent inside it; the writer formats such runs of
+# equal cells like any others
 CONSTANTS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-200, -1.25]
 
 
@@ -226,7 +227,7 @@ CONSTANTS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-200, -1.25]
 def test_constant_columns_match_percent(value):
     """A column constant over one block and not over the next, beside
     columns that vary, that hold another constant, and that hold the
-    negated value (-0.0 beside 0.0)."""
+    negated value (-0.0 beside 0.0), all formatted cell by cell."""
     rng = np.random.default_rng(23)
     rows = 2 * BLOCK + 5
     table = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-30, 30, (rows, 7))
@@ -240,6 +241,7 @@ def test_constant_columns_match_percent(value):
 
 
 def test_a_block_of_only_constant_columns():
+    """Every column of every block holds one value, formatted in every row."""
     assert_written_as_oracle(np.tile(CONSTANTS, (BLOCK + 3, 1)))
 
 

@@ -64,6 +64,8 @@ CASES = {
     ),
     # <dsigma> vanishes at t = 0, where the ratio is undefined
     "contains-zero": (DEFAULT, np.array([0.31, 0.0, 0.62, 1e-9])),
+    # the Landauer beta is beta_B * omega_L, not beta_B alone
+    "omega_L-three": (RunConfig(model=ModelParams(omega_L=3.0)), DEFAULT.time_grid()),
 }
 
 

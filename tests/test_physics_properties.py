@@ -58,6 +58,16 @@ def test_integral_fluctuation_theorem(omega_L, omega_int, alpha, beta_B, t):
 
 @PROPERTY
 @given(**PHYSICS)
+def test_landauer_bound(omega_L, omega_int, alpha, beta_B, t):
+    # beta_B omega_L <dE> >= <dsigma>: the Gibbs weights and the dE labels
+    # meet in the same units at any omega_L
+    _, g = _grid(omega_L, omega_int, alpha, beta_B, t)
+    tol = PROB_SUM_TOL * np.maximum(1.0, np.abs(g.report.ds_mean))
+    assert np.all(g.report.landauer_slack >= -tol)
+
+
+@PROPERTY
+@given(**PHYSICS)
 def test_propagator_matches_eigendecomposition(omega_L, omega_int, alpha, beta_B, t):
     cfg, g = _grid(omega_L, omega_int, alpha, beta_B, t)
     h_tot = hamiltonians(cfg.model)[2]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gate_energetics import sweep
+from gate_energetics import sweep, tpm
 from gate_energetics.config import RunConfig
 from gate_energetics.model import hamiltonians
 from gate_energetics.sweep import NumericInvariantError, _require_defined_weights
@@ -291,12 +291,33 @@ def test_entropy_mean_equals_shannon_difference(params, rho0, sweep_grid):
 
 def test_entropy_distribution_rejects_weight_on_undefined():
     # the statistics leave NaN realizations out, so a table that puts weight
-    # on one is refused by the gate the grid path runs before any statistic
-    j = np.full((1, 4, 4), 1.0 / 16.0)
+    # on one, however small, is refused by the gate the grid path runs before
+    # any statistic
     sigma = np.zeros((1, 4, 4))
     sigma[0, 0, 0] = np.nan
-    with pytest.raises(NumericInvariantError, match="undefined"):
-        _require_defined_weights(j, sigma, np.zeros(1))
+    for weight in (1.0 / 16.0, 1e-300):
+        j = np.full((1, 4, 4), 1.0 / 16.0)
+        j[0, 0, 0] = weight
+        with pytest.raises(NumericInvariantError, match="undefined"):
+            _require_defined_weights(j, sigma, np.zeros(1))
+    j[0, 0, 0] = 0.0
+    _require_defined_weights(j, sigma, np.zeros(1))
+
+
+@pytest.mark.parametrize("ds_mean, defined", [
+    (1e-7, True), (-1e-7, True), (1e-10, False), (-1e-10, False), (0.0, False),
+])
+def test_ratio_guard(ds_mean, defined):
+    # the ratio <dE>/<dsigma> is written only where |<dsigma>| > RATIO_GUARD
+    j = np.zeros((1, 4, 4))
+    j[0, 0, 0] = 1.0
+    sigma = np.full((1, 4, 4), ds_mean)
+    report = tpm.thermo_report_grid(j, sigma, 0.5, np.array([2.0]), np.ones(1))
+    assert report.ds_mean[0] == ds_mean
+    if defined:
+        assert report.ratio[0] == 2.0 / ds_mean
+    else:
+        assert np.isnan(report.ratio[0])
 
 
 def test_moments_zero_at_t0(params, rho0):
@@ -364,6 +385,15 @@ def test_thermo_values_quarter(params, rho0):
     assert rep.ds_mean == pytest.approx(DS_MEAN_STAR, abs=1e-12)
     assert rep.landauer_slack == pytest.approx(0.34188984250832916, abs=1e-9)
     assert rep.ratio == pytest.approx(52.333826144833516, abs=1e-6)
+
+
+@pytest.mark.parametrize("beta, lhs", [(1e308, [np.inf, 0.0]), (np.inf, [np.inf, np.nan])])
+def test_an_overflowing_landauer_lhs_is_not_finite_without_a_warning(beta, lhs):
+    # beta_B * omega_L may overflow, or beta <dE> may; every warning is an error here
+    j = np.zeros((2, 4, 4))
+    j[:, 3, 3] = 1.0
+    report = tpm.thermo_report_grid(j, np.zeros((2, 4, 4)), beta, np.array([2.0, 0.0]), np.ones(2))
+    np.testing.assert_array_equal(report.landauer_lhs, lhs)
 
 
 def test_joint_from_conditional_shape_checks():
