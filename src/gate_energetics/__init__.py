@@ -1,7 +1,7 @@
 """Non-equilibrium energetics of a two-qubit controlled-unitary gate."""
 
-from .model import ModelParams, ThermalSpec, thermal_state
+from .model import ModelParams, ThermalSpec, input_populations
 
 __version__ = "0.1.0"
 
-__all__ = ["ModelParams", "ThermalSpec", "thermal_state"]
+__all__ = ["ModelParams", "ThermalSpec", "input_populations"]

@@ -1,14 +1,19 @@
 """Physical model of the controlled-rotation gate.
 
+Basis convention used throughout the package: single-qubit states are
+ordered (|0>, |1>) with sz = diag(-1, +1), i.e. sz |1> = +|1>, so that
+exp(-i H t) with H = (omega/2) sz advances the phase of |0> as
+e^{+i omega t / 2}.  Two-qubit amplitudes are indexed by i = 2a + b for
+qubit values (a, b): |00>, |01>, |10>, |11>.  hbar = 1 and omega_L = 1 are
+the natural units used everywhere.
+
 The two qubits A (control) and B (target) evolve under the time-independent
 Hamiltonian
 
     H_tot = (omega_L / 2) (sz (x) 1 + 1 (x) sz)  +  (omega_int / 2) |1><1|_A (x) sx_B
 
-with sigma_z = diag(-1, +1) (see linalg).  hbar = 1 and omega_L = 1 are the
-natural units used everywhere.  The propagator exp(-i H_tot t) leaves |00>
-and |01> invariant up to phases and rotates the (|10>, |11>) block with
-amplitudes
+The propagator exp(-i H_tot t) leaves |00> and |01> invariant up to phases
+and rotates the (|10>, |11>) block with amplitudes
 
     h1(t) = cos(Delta t) + i (omega_L / 2 Delta) sin(Delta t),
     h2(t) = -i (omega_int / 2 Delta) sin(Delta t),
@@ -26,14 +31,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import (
-    IDENTITY_2,
-    PROJ_1,
-    SIGMA_X,
-    SIGMA_Z,
-    tensor,
-)
 
 
 # below this, omega_L^2 + omega_int^2 in ``delta`` cannot overflow
@@ -62,9 +59,12 @@ class ModelParams:
 
 
 def hamiltonians(p: ModelParams):
-    """Local, interaction and total Hamiltonians (H_L, H_int, H_tot)."""
-    h_local = 0.5 * p.omega_L * (tensor(SIGMA_Z, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_Z))
-    h_int = 0.5 * p.omega_int * tensor(PROJ_1, SIGMA_X)
+    """Local, interaction and total Hamiltonians (H_L, H_int, H_tot), complex
+    4x4: the operators ``benchmarks/checks.py`` exponentiates to check the
+    closed-form propagator."""
+    h_local = np.diag(0.5 * p.omega_L * np.array([-2.0, 0.0, 0.0, 2.0])).astype(complex)
+    h_int = np.zeros((4, 4), dtype=complex)
+    h_int[2, 3] = h_int[3, 2] = 0.5 * p.omega_int
     return h_local, h_int, h_local + h_int
 
 
@@ -130,28 +130,28 @@ class ThermalSpec:
 
 
 def _single_qubit_gibbs(beta: float, omega_L: float) -> np.ndarray:
-    # e^{-beta omega_L sigma_z} / Tr[...], diagonal in the logical basis
+    # populations (p_0, p_1) of e^{-beta omega_L sigma_z} / Tr[...]
     # beta * omega_L may itself overflow to inf; past 1e300 the populations
     # are exactly 0 and 1 anyway, and the shifted exponents stay finite
     x = np.clip(-beta * omega_L * np.array([-1.0, 1.0]), -1e300, 1e300)
     # exp overflows above log(float max) ~ 709.78; shift only by the excess
     # over 700, so ordinary inputs (shift 0) keep their bits exactly
     weights = np.exp(x - max(x.max() - 700.0, 0.0))
-    return np.diag(weights / weights.sum()).astype(complex)
+    return weights / weights.sum()
 
 
-def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
-    """Product thermal state of the two qubits, diagonal in the logical basis.
+def input_populations(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
+    """Populations p_in[2a + b] of the product thermal input state: all that
+    any statistic reads of it, as the first measurement dephases it.
 
-    With the defaults (alpha = 0.2, beta_B = 1/2) the populations are
-    p(0_A) = alpha and p(1_A) = 1 - alpha on the control,
-    p(1_B) = 1 / (1 + e) on the target.  Not checked here: outputs read only
-    its diagonal, which ``sweep._evaluate`` gates through the joint tables.
+    With the defaults (alpha = 0.2, beta_B = 1/2) p(0_A) = alpha and
+    p(1_A) = 1 - alpha on the control, p(1_B) = 1 / (1 + e) on the target.
+    Not checked here: ``sweep._evaluate`` gates the joint tables, whose row
+    sums they are.
     """
-    return tensor(
-        _single_qubit_gibbs(spec.beta_A(p.omega_L), p.omega_L),
-        _single_qubit_gibbs(spec.beta_B, p.omega_L),
-    )
+    p_a = _single_qubit_gibbs(spec.beta_A(p.omega_L), p.omega_L)
+    p_b = _single_qubit_gibbs(spec.beta_B, p.omega_L)
+    return (p_a[:, None] * p_b[None, :]).ravel()
 
 
 def trajectory_coherence(u, outcome: int = 2):

@@ -65,7 +65,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .linalg import PROB_SUM_TOL
-from .model import propagator_grid, thermal_state, trajectory_coherence
+from .model import input_populations, propagator_grid, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, sample_tpm
 from .tpm import (
@@ -80,7 +80,6 @@ from .tpm import (
     entropy_realizations,
     final_probs,
     ift_grid,
-    initial_probs,
     joint_table_from_conditional,
     thermo_report_grid,
 )
@@ -536,7 +535,7 @@ def _blocks(cfg: RunConfig, times):
     block can share them.  A block that fails a gate ends the walk.
     """
     t = np.asarray(times, dtype=float)
-    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    p_in = input_populations(cfg.thermal, cfg.model)
     p_in.flags.writeable = False
     for i in range(0, len(t), _GRID_ROWS):
         yield _evaluate(cfg, t[i:i + _GRID_ROWS], p_in)

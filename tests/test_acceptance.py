@@ -16,7 +16,6 @@ from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
     hamiltonians,
-    thermal_state,
     trajectory_coherence,
 )
 from gate_energetics.photonic import (
@@ -31,7 +30,6 @@ from gate_energetics.tpm import (
     conditional_matrix,
     entropy_realizations,
     final_probs,
-    initial_probs,
     joint_table_from_conditional,
 )
 
@@ -39,9 +37,11 @@ from conftest import op_distance
 from reference import (
     delta_e_distribution,
     h_coeffs,
+    initial_probs,
     joint_table,
     moments,
     propagator_analytic,
+    thermal_state,
     thermo_report,
     tv_distance,
 )

@@ -508,24 +508,24 @@ def test_cli_gates_a_nan_conditional_cell_with_exit_3(
     assert "Traceback" not in err
 
 
-# the input state broken by less than 1e-10, just past the joint gate's
+# the input populations broken by less than 1e-10, just past the joint gate's
 # tolerance, and the message of the joint gate at t = 0, where each joint
 # table is diag(p_in)
 BROKEN_STATES = {
-    # the mass of |01> moves to |10>, and 5e-12 more, so the trace stays 1
+    # the mass of |01> moves to |10>, and 5e-12 more, so the sum stays 1
     "negative-population": (
-        lambda rho: rho + np.diag([0.0, -rho[1, 1].real - 5e-12, rho[1, 1].real + 5e-12, 0.0]),
+        lambda p: p + np.array([0.0, -p[1] - 5e-12, p[1] + 5e-12, 0.0]),
         "probability -5.000000e-12..6.386351e-01 outside [0, 1]",
     ),
     "trace-off": (
-        lambda rho: rho * (1.0 + 1e-11),
+        lambda p: p * (1.0 + 1e-11),
         "probabilities sum to 1.000000000010e+00, not 1",
     ),
-    # |11> holds -9e-13 and |10> its mass and 1.8e-12 more: the trace is
+    # |11> holds -9e-13 and |10> its mass and 1.8e-12 more: the sum is
     # 1 + 9e-13, within the tolerance, so only the cell range stops it before
     # a negative weight reaches a distribution or the sampler
     "negative-within-tolerance": (
-        lambda rho: np.diag([rho[0, 0], rho[1, 1], rho[2, 2] + rho[3, 3] + 1.8e-12, -9e-13]),
+        lambda p: np.array([p[0], p[1], p[2] + p[3] + 1.8e-12, -9e-13]),
         "probability -9.000000e-13..8.000000e-01 outside [0, 1]",
     ),
 }
@@ -539,8 +539,8 @@ def test_joint_gate_is_the_only_check_of_the_input_state(
     tmp_path, monkeypatch, capsys, command, state
 ):
     change, message = BROKEN_STATES[state]
-    real = sweep.thermal_state
-    monkeypatch.setattr(sweep, "thermal_state", lambda spec, p: change(real(spec, p)))
+    real = sweep.input_populations
+    monkeypatch.setattr(sweep, "input_populations", lambda spec, p: change(real(spec, p)))
     code, times = _gated_run(tmp_path, command, "", grid=SIX_FROM_ZERO)
     assert code == 3
     assert times[0] == 0.0

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gate_energetics.linalg import (
-    IDENTITY_2,
-    PROJ_1,
-    SIGMA_X,
-    SIGMA_Z,
-    eigh_hermitian,
-    expm_hermitian,
-    tensor,
-)
+from gate_energetics.linalg import expm_hermitian
 
 from conftest import op_distance
+from reference import IDENTITY_2, PROJ_1, SIGMA_X, SIGMA_Z, eigh_hermitian, tensor
 
 
 def random_hermitian(rng, n=4):

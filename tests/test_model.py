@@ -2,19 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gate_energetics.linalg import expm_hermitian, is_hermitian
+from gate_energetics.linalg import expm_hermitian
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
     gate_angle,
     hamiltonians,
-    thermal_state,
+    input_populations,
     trajectory_coherence,
 )
 
+import reference
 from conftest import T_STAR, op_distance
-from reference import coherence_l1, h_coeffs, propagator_analytic, rotation_decomposition
+from reference import (
+    coherence_l1,
+    h_coeffs,
+    is_hermitian,
+    propagator_analytic,
+    rotation_decomposition,
+)
+
+# derandomized, as in test_config_properties: every run draws the same cases
+ORACLE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+# a positive float over 12 decades, 1e-6 to 1e6
+DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 
 
 def test_params_validation():
@@ -47,6 +61,25 @@ def test_local_hamiltonian_eigenvalues(params):
 def test_hamiltonians_hermitian(params):
     for h in hamiltonians(params):
         assert is_hermitian(h, 1e-14)
+
+
+@ORACLE
+@given(
+    omega_L=st.floats(0.0, 1e6, exclude_min=True),
+    omega_int=st.floats(0.0, 1e6),
+)
+@example(omega_L=1.0, omega_int=5.0)
+@example(omega_L=0.3, omega_int=7.0)
+@example(omega_L=5e-324, omega_int=0.0)  # 0.5 * omega_L rounds to 0
+@example(omega_L=1e-310, omega_int=5e-324)
+def test_hamiltonians_equal_the_tensor_built_form(omega_L, omega_int):
+    # benchmarks/checks.py exponentiates model.hamiltonians as its propagator
+    # oracle: the entries written out must keep every bit of the Pauli form,
+    # signed zeros included
+    p = ModelParams(omega_L, omega_int)
+    for h, oracle in zip(hamiltonians(p), reference.hamiltonians(p), strict=True):
+        assert h.dtype == oracle.dtype and h.shape == oracle.shape
+        assert h.tobytes() == oracle.tobytes()
 
 
 def test_h_coeffs_at_zero(params):
@@ -160,24 +193,41 @@ def test_thermal_beta_a_sign():
 
 
 def test_thermal_default_populations(params):
-    rho = thermal_state(ThermalSpec(), params)
+    p = input_populations(ThermalSpec(), params)
     # independent oracle: closed-form single-qubit populations
     p_a = np.array([0.2, 0.8])
     p_b = np.array([np.e / (1.0 + np.e), 1.0 / (1.0 + np.e)])
-    expected = np.kron(p_a, p_b)
-    assert np.allclose(np.diag(rho).real, expected, atol=1e-14)
-    assert op_distance(rho, np.diag(np.diag(rho))) == 0.0
+    assert p.dtype == float and p.shape == (4,)
+    assert np.allclose(p, np.kron(p_a, p_b), atol=1e-14)
 
 
 def test_thermal_default_marginals(params):
-    p = np.diag(thermal_state(ThermalSpec(), params)).real
+    p = input_populations(ThermalSpec(), params)
     assert p[2] + p[3] == pytest.approx(0.8, abs=1e-12)
     assert p[1] + p[3] == pytest.approx(1.0 / (1.0 + np.e), abs=1e-12)
 
 
 def test_thermal_infinite_temperature_limit(params):
-    rho = thermal_state(ThermalSpec(alpha=0.5, beta_B=0.0), params)
-    assert op_distance(rho, np.eye(4) / 4.0) <= 1e-14
+    p = input_populations(ThermalSpec(alpha=0.5, beta_B=0.0), params)
+    assert op_distance(p, np.full(4, 0.25)) <= 1e-14
+
+
+@ORACLE
+@given(alpha=st.floats(1e-9, 1.0 - 1e-9), beta_B=DECADES, omega_L=DECADES)
+@example(alpha=0.2, beta_B=0.5, omega_L=1.0)  # the default
+@example(alpha=0.2, beta_B=0.5, omega_L=0.3)  # ModelParams(0.3, 7)
+@example(alpha=0.2, beta_B=0.5, omega_L=2000.0)  # a target population underflows
+@example(alpha=1e-9, beta_B=3.0, omega_L=1.0)
+@example(alpha=0.2, beta_B=400.0, omega_L=2.0)  # beta_B omega_L > 709.78: shifted
+@example(alpha=0.2, beta_B=1e300, omega_L=1.0)  # clipped
+def test_input_populations_equal_the_diagonal_of_the_tensor_built_state(
+    alpha, beta_B, omega_L
+):
+    # the product of the two 2-vectors keeps every bit of the diagonal of
+    # the complex 4x4 rho_A (x) rho_B
+    spec, p = ThermalSpec(alpha, beta_B), ModelParams(omega_L=omega_L)
+    oracle = reference.initial_probs(reference.thermal_state(spec, p))
+    assert input_populations(spec, p).tobytes() == oracle.tobytes()
 
 
 def test_coherence_zero_for_diagonal():

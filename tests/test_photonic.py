@@ -17,12 +17,17 @@ from gate_energetics.tpm import (
     conditional_matrix,
     entropy_realizations,
     final_probs,
-    initial_probs,
     joint_table_from_conditional,
 )
 
 from conftest import T_STAR, op_distance
-from reference import delta_e_distribution, moments, propagator_analytic, thermo_report
+from reference import (
+    delta_e_distribution,
+    initial_probs,
+    moments,
+    propagator_analytic,
+    thermo_report,
+)
 
 CZ_OVER_3 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex) / 3.0
 SIGMA_Z_HV = np.diag([1.0, -1.0]).astype(complex)

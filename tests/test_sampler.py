@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from gate_energetics.linalg import PROB_SUM_TOL
 from gate_energetics.sampler import EmpiricalTable, SampleConfig, sample_tpm
-from gate_energetics.tpm import initial_probs
+from gate_energetics.sweep import NumericInvariantError, _require_prob_group
 
 from conftest import T_STAR
 from reference import (
     delta_e_distribution,
+    initial_probs,
     joint_table,
     moments,
     propagator_analytic,
@@ -97,6 +99,45 @@ def test_two_stage_matches_joint_chi_square(params, rho0):
     statistic = float((((counts[support] - expected) ** 2) / expected).sum())
     quantile = scipy.stats.chi2.ppf(0.999, int(support.sum()) - 1)
     assert statistic < quantile
+
+
+def test_draws_depend_on_the_table_only_up_to_its_scale(params, rho0, sweep_grid):
+    # sample_tpm renormalises each row of the stack, and halving is exact, so
+    # the halved tables draw the same pvals, and the same counts, from a seed
+    j = np.stack([joint_table(rho0, propagator_analytic(params, t).U) for t in sweep_grid[::20]])
+    for seed in range(5):
+        cfg = SampleConfig(10**6, seed)
+        halved = sample_tpm(0.5 * j, np.random.default_rng(seed), cfg=cfg).counts
+        assert np.array_equal(halved, sample_tpm(j, np.random.default_rng(seed), cfg=cfg).counts)
+
+
+def _at_the_joint_gate_edge(j: np.ndarray) -> np.ndarray:
+    """``j`` scaled as far past a sum of 1 as the joint gate of sweep allows."""
+    scale = 1.0 + PROB_SUM_TOL
+    while True:
+        try:
+            _require_prob_group(scale * j[None], "joint table", np.zeros(1))
+            return scale * j
+        except NumericInvariantError:
+            scale = np.nextafter(scale, 0.0)
+
+
+def test_tables_at_the_joint_gate_edge_draw(params, rho0):
+    # the joint gate lets a cell exceed 1, and a sum exceed 1, by PROB_SUM_TOL;
+    # numpy's multinomial rejects any pval above 1, so only the row
+    # renormalisation lets the point mass draw
+    point_mass = np.zeros((4, 4))
+    point_mass[0, 0] = 1.0
+    peak = joint_table(rho0, propagator_analytic(params, T_STAR).U)
+    peak[3, 2] += peak[3, 3]  # the last cell empty: the sum is all in pvals[:-1]
+    peak[3, 3] = 0.0
+    n = 10**6
+    for j in (point_mass, peak):
+        edge = _at_the_joint_gate_edge(j)
+        assert edge.sum() - 1.0 > 0.99 * PROB_SUM_TOL
+        table = sample_tpm(edge, np.random.default_rng(3), cfg=SampleConfig(n, 3))
+        assert table.counts.sum() == n
+        assert (table.counts[edge == 0.0] == 0).all()
 
 
 def test_tv_distance_of_rounded_exact_table(params, rho0):

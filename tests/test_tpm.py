@@ -15,7 +15,6 @@ from gate_energetics.tpm import (
     conditional_matrix,
     entropy_realizations,
     final_probs,
-    initial_probs,
     joint_table_from_conditional,
 )
 
@@ -25,6 +24,7 @@ from reference import (
     delta_e_distribution,
     entropy_distribution,
     evaluate_grid,
+    initial_probs,
     joint_table,
     moments,
     projectors,
