@@ -76,15 +76,17 @@ def _complex_product(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form propagator exp(-i H_tot t) at every time: h2 of shape (T,)
-    and U of shape (T, 4, 4).
+def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form propagator exp(-i H_tot t) at every time: the amplitudes
+    |h1| and |h2| of shape (T,) and U of shape (T, 4, 4).
 
     U acts as |00> -> e^{i omega_L t}|00>, |01> -> |01>, and on the
     (|10>, |11>) block as e^{-i omega_L t / 2} [[h1, h2], [h2, h1*]]; entries
-    outside that pattern are exactly zero.  Each entry equals, bit for bit,
-    the one-time propagator of tests/reference.py, which builds it with
-    Python's complex arithmetic.
+    outside that pattern are exactly zero.  Each entry of U, and |h1| and
+    |h2|, equal, bit for bit, the one-time propagator of tests/reference.py,
+    which builds them with Python's complex arithmetic: |h1| is numpy's
+    ``hypot`` of its parts, as Python's abs of a complex number, and h2 is
+    purely imaginary.
     """
     t = np.asarray(times, dtype=float)
     d = p.delta
@@ -103,7 +105,7 @@ def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
         u[:, row, col].real = re
         u[:, row, col].imag = im
     u[:, 2, 3] = u[:, 3, 2]
-    return h2[0] + 1j * h2[1], u
+    return np.hypot(*h1), np.abs(h2[1]), u
 
 
 @dataclass(frozen=True)
@@ -168,22 +170,3 @@ def trajectory_coherence(u, outcome: int = 2):
     total = np.abs(rho).sum(axis=(-2, -1))
     return total - np.abs(np.diagonal(rho, axis1=-2, axis2=-1)).sum(axis=-1)
 
-
-def gate_angle(p: ModelParams, t):
-    """Equivalent controlled-rotation angle gamma = atan2(|h2|, |h1|) in [0, pi/2].
-
-    The conditional phases dropped here do not affect any of the local
-    measurement statistics, so a gate implementing controlled-u_gamma
-    reproduces the full two-point-measurement energetics of the propagator.
-    An array of times gives the array of their angles.  |h1| and |h2| round
-    as Python's abs of the complex amplitudes does (``hypot``); only atan2
-    runs per time, in Python floats, since numpy's arctan2 may round
-    differently in the last bit.
-    """
-    times = np.asarray(t, dtype=float)
-    d = p.delta
-    sin = np.sin(d * times)
-    h1 = np.hypot(np.cos(d * times), (p.omega_L / (2 * d)) * sin)
-    h2 = np.abs((p.omega_int / (2 * d)) * sin)
-    gamma = [math.atan2(a, b) for a, b in zip(h2.ravel().tolist(), h1.ravel().tolist())]
-    return np.array(gamma).reshape(times.shape) if times.ndim else gamma[0]

@@ -21,14 +21,18 @@ wave-plate identities use sigma_z = diag(+1, -1), the standard
 polarisation ordering (note this differs from the logical-qubit sigma_z
 in linalg).  A plate at physical angle chi implements u at angle 2 chi.
 
-Every step from the time to the conditional matrix takes one time or an
-array of T times and then returns (T, 4, 4) stacks, equal row for row to
-the one-time results: the 16 permanents are taken over fixed index arrays
-and their products go through ``model._complex_product``.  The plate's
-``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit for bit on
-every plate angle of the 2000- and 20 000-point default grids, natively and
-at numpy's X86_V3 dispatch.  A stack that blocks an input raises at its
-first blocked row.
+The gate's only input from the model is the controlled rotation of the
+propagator, through its amplitudes |h1| and |h2| (``model.propagator_grid``):
+its angle gamma = atan2(|h2|, |h1|) runs per time in Python floats, as
+numpy's arctan2 may round differently in the last bit.  Every later step
+takes one angle or an array of T angles and returns (T, 4, 4) stacks, equal
+row for row to the one-time results: the fixed optics multiply all the
+plate rows at once, the 16 permanents are taken over fixed index arrays and
+their products go through ``model._complex_product``.  The plate's ``np.cos``
+and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit for bit on every plate
+angle of the 2000- and 20 000-point default grids, natively and at numpy's
+X86_V3 dispatch.  A stack that blocks an input raises at its first blocked
+row.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SUCCESS_FLOOR
-from .model import ModelParams, _complex_product, gate_angle
+from .model import _complex_product
 
 _ARMS = ((0, 1), (2, 3))  # (H, V) mode indices of arm a and arm b
 
@@ -117,12 +121,12 @@ def compose_circuit(params: OpticalParams, gamma) -> np.ndarray:
     """
     plate = np.asarray(gamma, dtype=float) / 4.0  # physical plate angle
     wave_plate = _on_arm_b(hwp_u(2.0 * plate))
-    return (
-        wave_plate
-        @ _equalizers(params.atten_H)
-        @ ppbs_transform(params.T_H, params.T_V)
-        @ wave_plate
-    )
+    # the equalizers and the beam splitter act on every plate row at once:
+    # each entry of a row times E times B is one rounded product, as W and E
+    # are real and each column of B holds one real and one imaginary entry
+    rows = wave_plate.reshape(-1, 4) @ _equalizers(params.atten_H)
+    rows = rows @ ppbs_transform(params.T_H, params.T_V)
+    return rows.reshape(wave_plate.shape) @ wave_plate
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +188,10 @@ def photonic_conditional_matrix(gate: PostselectedGate, eps: float, t) -> np.nda
     return (1.0 - eps) * np.abs(gate.G) ** 2 / gate.success[..., None, :] + eps / 4.0
 
 
-def gate_for_time(params: OpticalParams, model: ModelParams, t) -> PostselectedGate:
-    """Post-selected gate realizing the controlled rotation reached at time t,
-    or a stack of them for an array of times."""
-    return postselect(compose_circuit(params, gate_angle(model, t)))
-
-
-def conditional_for_time(params: OpticalParams, model: ModelParams, t) -> np.ndarray:
-    """Conditional matrix of the optical gate at time t, or the (T, 4, 4) stack
-    of them for an array of T times."""
-    return photonic_conditional_matrix(gate_for_time(params, model, t), params.eps, t)
+def conditional_for_time(params: OpticalParams, h1, h2, t) -> np.ndarray:
+    """Conditional matrix of the optical gate realizing the controlled rotation
+    of amplitudes |h1|, |h2| at time t, or the (T, 4, 4) stack of them for
+    arrays of T amplitudes and times."""
+    gamma = [math.atan2(b, a) for a, b in zip(np.ravel(h1).tolist(), np.ravel(h2).tolist())]
+    gate = postselect(compose_circuit(params, np.reshape(gamma, np.shape(h1))))
+    return photonic_conditional_matrix(gate, params.eps, t)

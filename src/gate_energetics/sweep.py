@@ -55,7 +55,6 @@ later block is evaluated.  A photonic input blocked in a block ends
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -433,6 +432,7 @@ class SweepGrid:
     t: np.ndarray
     p_in: np.ndarray
     U: np.ndarray
+    h1: np.ndarray
     h2: np.ndarray
     cond: np.ndarray
     joint: np.ndarray
@@ -474,7 +474,7 @@ class SweepGrid:
     def h2_sq(self) -> np.ndarray:
         # libm pow, as Python's ** for one time: numpy's ** 2 squares by
         # multiplying, which rounds differently in the last bit
-        return np.float_power(np.abs(self.h2), 2.0)
+        return np.float_power(self.h2, 2.0)
 
     @cached_property
     def report(self) -> ThermoReport:
@@ -487,7 +487,7 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
     """The tables of every time of ``t`` from the input populations ``p_in``,
     each gated as soon as it is built; row i equals, bit for bit,
     ``evaluate_point(cfg, t[i])`` of tests/reference.py."""
-    h2, u = propagator_grid(cfg.model, t)
+    h1, h2, u = propagator_grid(cfg.model, t)
     cond = conditional_matrix(u)
     _require_doubly_stochastic(cond, t)
     joint = joint_table_from_conditional(cond, p_in)
@@ -501,6 +501,7 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
         t=t,
         p_in=p_in,
         U=u,
+        h1=h1,
         h2=h2,
         cond=cond,
         joint=joint,
@@ -633,7 +634,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         for g in _blocks(cfg, cfg.time_grid()):
             if cfg.photonic:
                 try:
-                    imperfect = conditional_for_time(cfg.optical, cfg.model, g.t)
+                    imperfect = conditional_for_time(cfg.optical, g.h1, g.h2, g.t)
                 except ValueError as exc:
                     # a gate that blocks an input passes every range check
                     raise ConfigError(f"photonic: {exc}") from None

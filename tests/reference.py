@@ -9,6 +9,8 @@ grid path runs, in the same order.  The checks that the grid path makes
 (double stochasticity, table sums, atoms, weight on undefined realizations)
 are not repeated here.  ``evaluate_grid`` runs the grid path itself on a
 whole grid at once, for the tests that compare it with this reference.
+``gate_angle`` is the oracle of the angle that the photonic gate takes from
+the propagator's |h1| and |h2|.
 
 The dense operators live here only, as oracles: the Pauli matrices and their
 tensor products, the Hamiltonians built from them (the oracle of
@@ -32,6 +34,7 @@ from gate_energetics.model import (
     _single_qubit_gibbs,
     input_populations,
 )
+from gate_energetics.photonic import OpticalParams, conditional_for_time
 from gate_energetics.sampler import EmpiricalTable
 from gate_energetics.sweep import SweepGrid, _evaluate
 from gate_energetics.tpm import (
@@ -102,6 +105,24 @@ def h_coeffs(p: ModelParams, t: float) -> tuple[complex, complex]:
     h1 = math.cos(d * t) + 1j * (p.omega_L / (2 * d)) * math.sin(d * t)
     h2 = -1j * (p.omega_int / (2 * d)) * math.sin(d * t)
     return h1, h2
+
+
+def gate_angle(p: ModelParams, t: float) -> float:
+    """Equivalent controlled-rotation angle gamma = atan2(|h2|, |h1|) in [0, pi/2].
+
+    The conditional phases dropped here do not affect any local measurement
+    statistic, so a gate implementing controlled-u_gamma reproduces the full
+    two-point-measurement energetics of the propagator.
+    """
+    h1, h2 = h_coeffs(p, t)
+    return math.atan2(abs(h2), abs(h1))
+
+
+def photonic_conditional(optical: OpticalParams, p: ModelParams, t: float) -> np.ndarray:
+    """``photonic.conditional_for_time`` at one time, from the amplitudes of
+    ``h_coeffs``."""
+    h1, h2 = h_coeffs(p, t)
+    return conditional_for_time(optical, abs(h1), abs(h2), t)
 
 
 @dataclass(frozen=True, eq=False)

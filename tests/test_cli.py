@@ -473,9 +473,9 @@ def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypa
     real = sweep.propagator_grid
 
     def scaled(p, times):
-        h2, u = real(p, times)
+        h1, h2, u = real(p, times)
         u[5, 3, 2] *= 1.01  # one row and one column norm of a table move off 1
-        return h2, u
+        return h1, h2, u
 
     monkeypatch.setattr(sweep, "propagator_grid", scaled)
     for command in ("sweep", "hist", "compare"):
@@ -583,6 +583,24 @@ def test_importing_the_cli_loads_no_lazy_numpy_submodule():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy.ma costs 14 ms on first use, more than a whole compare of a few
+    # points; at omega_L = 2000 every row sums over a partial support
+    config = _config(tmp_path, "n_points = 20\nsamples = 100\nomega_L = 2000\n")
+    code = (
+        "import sys; from gate_energetics import cli; "
+        "config, out = sys.argv[1:]; "
+        "codes = [cli.main([c, '--config', config, '--out', out]) for c in ('sweep', 'hist')]; "
+        "codes.append(cli.main(['compare', '--photonic', '--config', config, '--out', out])); "
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-c", code, config, str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 # a stack that sweep._evaluate builds, the change to rows 2 and 3 of it, and
@@ -770,9 +788,9 @@ config, out, code, argv = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4
 if code == 3:  # one table at the grid's last time fails the double-stochasticity gate
     last, real = parse_config(config).time_grid()[-1], sweep.propagator_grid
     def broken(p, times):
-        h2, u = real(p, times)
+        h1, h2, u = real(p, times)
         u[times == last, 3, 2] *= 1.01
-        return h2, u
+        return h1, h2, u
     sweep.propagator_grid = broken
 assert cli.main([*argv, "--config", config, "--out", out]) == code
 status = open("/proc/self/status").read().split("\\n")

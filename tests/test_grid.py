@@ -24,16 +24,16 @@ from gate_energetics.linalg import PROB_SUM_TOL, VALUE_MERGE_TOL
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
-    gate_angle,
     input_populations,
     propagator_grid,
 )
 from gate_energetics.photonic import (
     OpticalParams,
     PostselectedGate,
+    compose_circuit,
     conditional_for_time,
-    gate_for_time,
     photonic_conditional_matrix,
+    postselect,
     ppbs_transform,
 )
 from gate_energetics.sampler import SampleConfig, sample_tpm
@@ -45,6 +45,7 @@ from reference import (
     entropy_distribution,
     evaluate_grid,
     evaluate_point,
+    gate_angle,
     h_coeffs,
     propagator_analytic,
     thermo_report,
@@ -130,6 +131,22 @@ def test_undefined_realizations_match_the_scalar_tables():
             assert _same(getattr(report, field)[i], getattr(scalar, field)), field
 
 
+def test_sums_over_defined_cells_equal_per_row_sums():
+    # one block of fully defined rows between rows of five patterns of
+    # undefined cells, 15 to 3 defined, so that each pairwise sum of 8 or more
+    # terms is grouped; the terms span 16 decades, so that any other grouping
+    # moves bits
+    rng = np.random.default_rng(7)
+    terms = rng.normal(size=(60, 16)) * 10.0 ** rng.integers(-8, 8, size=(60, 16))
+    defined = np.ones((60, 16), dtype=bool)
+    for k, n_defined in enumerate((15, 12, 9, 8, 3)):
+        cells = rng.permutation(16)[n_defined:]
+        defined[np.arange(k, 60, 7)[:, None], cells] = False
+    assert len(np.unique(defined, axis=0)) == 6
+    expected = [np.sum(terms[i][defined[i]]) for i in range(60)]
+    assert np.array_equal(_bits(tpm._sum_defined(terms, defined)), _bits(expected))
+
+
 def test_ift_of_an_input_without_full_support_is_one_minus_lambda():
     # at omega_L = 2000 the target population 1/(1 + e^2000) underflows to 0;
     # lambda, the weight of the final outcomes reached from the empty inputs,
@@ -148,7 +165,8 @@ def test_ift_gate_holds_a_full_support_input_to_one():
     # stochastic: ift equals the closed form sum_fin p_fin sum_in c, yet is off
     # 1 by about 1e-3, and with every input populated the gate wants 1
     t = SMALL_TIMES
-    cond = conditional_for_time(OpticalParams(T_H=0.985), SMALL.model, t)
+    h1, h2, _ = propagator_grid(SMALL.model, t)
+    cond = conditional_for_time(OpticalParams(T_H=0.985), h1, h2, t)
     p_in = input_populations(SMALL.thermal, SMALL.model)
     joint = tpm.joint_table_from_conditional(cond, p_in)
     p_fin = tpm.final_probs(joint)
@@ -284,6 +302,34 @@ def test_src_defines_nothing_only_the_tests_use():
     assert not unused, f"referenced nowhere in src but in their own definition: {unused}"
 
 
+def _all_names(tree) -> set[str]:
+    """The names a module's ``__all__`` exports."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def test_src_imports_nothing_it_never_reads():
+    package = Path(gate_energetics.__file__).parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _all_names(tree)
+        unread += [
+            f"{path.stem}.{alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert not unread, f"imported but never read: {unread}"
+
+
 SMALL = dataclasses.replace(DEFAULT, n_points=8)
 SMALL_TIMES = SMALL.time_grid()
 
@@ -311,10 +357,10 @@ def _at(row, message):
 def _evaluate_with_scaled_propagator(row, index, factor):
     """``evaluate_grid`` on a propagator stack with one entry of ``row`` scaled,
     so that the norms of one of its rows and one of its columns are off."""
-    h2, u = propagator_grid(SMALL.model, SMALL_TIMES)
+    h1, h2, u = propagator_grid(SMALL.model, SMALL_TIMES)
     u[(row, *index)] *= factor
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "propagator_grid", lambda p, times: (h2, u))
+        patch.setattr(sweep, "propagator_grid", lambda p, times: (h1, h2, u))
         evaluate_grid(SMALL, SMALL_TIMES)
 
 
@@ -477,13 +523,8 @@ def _postselect_loops(m):
     return g
 
 
-def _angle_per_time(model, t):
-    h1, h2 = h_coeffs(model, t)
-    return math.atan2(abs(h2), abs(h1))
-
-
 def _gate_per_time(optical, model, t):
-    theta = 2.0 * (_angle_per_time(model, t) / 4.0)
+    theta = 2.0 * (gate_angle(model, t) / 4.0)
     c, s = math.cos(theta), math.sin(theta)
     plate = np.eye(4, dtype=complex)
     plate[2:, 2:] = [[c, s], [s, -c]]
@@ -497,16 +538,19 @@ def _conditional_per_time(optical, g):
 
 
 IMPERFECT = OpticalParams(T_H=0.985, eps=0.01)
-# optics and the name of a grid case above
+COMPARE_PHOTONIC = RunConfig(n_points=2000)
+# optics and a grid case above
 PHOTONIC_CASES = {
-    "default-optics": (OpticalParams(), "default-grid"),
-    "imperfect-transmission": (IMPERFECT, "default-grid"),
+    "default-optics": (OpticalParams(), CASES["default-grid"]),
+    "imperfect-transmission": (IMPERFECT, CASES["default-grid"]),
     "lossy-asymmetric": (
         OpticalParams(T_H=0.9, T_V=0.4, atten_H=0.7, eps=0.1),
-        "default-grid",
+        CASES["default-grid"],
     ),
-    "contains-zero": (IMPERFECT, "contains-zero"),
-    "t_min-and-omega_int-perturbed": (IMPERFECT, "t_min-and-omega_int-perturbed"),
+    "contains-zero": (IMPERFECT, CASES["contains-zero"]),
+    "t_min-and-omega_int-perturbed": (IMPERFECT, CASES["t_min-and-omega_int-perturbed"]),
+    # the shape of the compare_photonic benchmark: one block of 2000 times
+    "compare-photonic": (IMPERFECT, (COMPARE_PHOTONIC, COMPARE_PHOTONIC.time_grid())),
 }
 
 
@@ -516,19 +560,25 @@ PHOTONIC_CASES = {
     ids=["default", "slow-local", "no-interaction", "fast-local"],
 )
 def test_gate_angle_of_a_grid_equals_per_time_reference(model):
+    # the photonic gate's angle atan2(|h2|, |h1|) reads the grid's amplitudes
     times = np.linspace(-40.0, 40.0, 20_001)
-    expected = [_angle_per_time(model, t) for t in times.tolist()]
-    assert np.array_equal(gate_angle(model, times), expected)
+    h1, h2, _ = propagator_grid(model, times)
+    expected = [h_coeffs(model, t) for t in times.tolist()]
+    assert np.array_equal(_bits(h1), _bits([abs(a) for a, _ in expected]))
+    assert np.array_equal(_bits(h2), _bits([abs(b) for _, b in expected]))
+    angles = [math.atan2(b, a) for a, b in zip(h1.tolist(), h2.tolist())]
+    assert angles == [gate_angle(model, t) for t in times.tolist()]
 
 
 @pytest.mark.parametrize("name", sorted(PHOTONIC_CASES))
 def test_stacked_photonic_equals_per_time_loops_exactly(name):
-    optical, grid = PHOTONIC_CASES[name]
-    cfg, times = CASES[grid]
-    gates = gate_for_time(optical, cfg.model, times)
-    cond = conditional_for_time(optical, cfg.model, times)
+    optical, (cfg, times) = PHOTONIC_CASES[name]
+    per_time = np.asarray(times, dtype=float).tolist()
+    gates = postselect(compose_circuit(optical, [gate_angle(cfg.model, t) for t in per_time]))
+    h1, h2, _ = propagator_grid(cfg.model, times)
+    cond = conditional_for_time(optical, h1, h2, times)
     assert cond.shape == (len(times), 4, 4)
-    for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
+    for i, t in enumerate(per_time):
         g = _gate_per_time(optical, cfg.model, t)
         assert _same(gates.G[i], g), (name, t, "G")
         assert _same(cond[i], _conditional_per_time(optical, g)), (name, t, "cond")
@@ -546,8 +596,10 @@ def test_stacked_conditional_names_the_first_blocked_time():
     # equal transmissions: two-photon interference empties the HH and VV
     # coincidences at t = 0 only
     optical = OpticalParams(T_H=0.5, T_V=0.5)
+    times = np.array([0.3, 0.0, 0.6])
+    h1, h2, _ = propagator_grid(DEFAULT.model, times)
     with pytest.raises(ValueError, match=r"input\(s\) 00, 11: .* at omega_L_t=0$"):
-        conditional_for_time(optical, DEFAULT.model, np.array([0.3, 0.0, 0.6]))
+        conditional_for_time(optical, h1, h2, times)
 
 
 @pytest.mark.parametrize("n_samples", [1000, 10**12])

@@ -9,7 +9,6 @@ from gate_energetics.linalg import expm_hermitian
 from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
-    gate_angle,
     hamiltonians,
     input_populations,
     trajectory_coherence,
@@ -19,6 +18,7 @@ import reference
 from conftest import T_STAR, op_distance
 from reference import (
     coherence_l1,
+    gate_angle,
     h_coeffs,
     is_hermitian,
     propagator_analytic,

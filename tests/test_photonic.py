@@ -6,8 +6,6 @@ import pytest
 from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
-    conditional_for_time,
-    gate_for_time,
     hwp_u,
     photonic_conditional_matrix,
     postselect,
@@ -23,8 +21,10 @@ from gate_energetics.tpm import (
 from conftest import T_STAR, op_distance
 from reference import (
     delta_e_distribution,
+    gate_angle,
     initial_probs,
     moments,
+    photonic_conditional,
     propagator_analytic,
     thermo_report,
 )
@@ -119,14 +119,14 @@ def test_conditional_matches_hamiltonian_model(params):
     t_max = 3.0 * math.pi / math.sqrt(26.0)
     worst = 0.0
     for t in np.linspace(0.0, t_max, 50):
-        photonic_cond = conditional_for_time(optical, params, float(t))
+        photonic_cond = photonic_conditional(optical, params, float(t))
         exact_cond = conditional_matrix(propagator_analytic(params, float(t)).U)
         worst = max(worst, op_distance(photonic_cond, exact_cond))
     assert worst <= 1e-10
 
 
 def test_conditional_uniform_at_full_background(params):
-    gate = gate_for_time(OpticalParams(), params, T_STAR)
+    gate = postselect(compose_circuit(OpticalParams(), gate_angle(params, T_STAR)))
     cond = photonic_conditional_matrix(gate, 0.999999999, T_STAR)
     assert np.allclose(cond, 0.25, atol=1e-8)
 
@@ -137,32 +137,32 @@ def test_conditional_columns_sum_to_one(params):
         OpticalParams(T_H=0.985),
         OpticalParams(T_H=0.9, T_V=0.4, atten_H=0.7, eps=0.1),
     ):
-        cond = conditional_for_time(optical, params, 0.47)
+        cond = photonic_conditional(optical, params, 0.47)
         assert np.max(np.abs(cond.sum(axis=0) - 1.0)) <= 1e-12
         assert cond.min() >= 0.0
 
 
 def test_conditional_rejects_blocked_input(params):
     with pytest.raises(ValueError, match="blocks"):
-        conditional_for_time(OpticalParams(atten_H=0.0), params, T_STAR)
+        photonic_conditional(OpticalParams(atten_H=0.0), params, T_STAR)
 
 
 def test_imperfect_peak_transition_below_ideal(params):
-    cond = conditional_for_time(OpticalParams(T_H=0.985), params, T_STAR)
+    cond = photonic_conditional(OpticalParams(T_H=0.985), params, T_STAR)
     assert cond[3, 2] < 25.0 / 26.0
 
 
 def test_imperfect_high_moment_reduced_at_peak(params, rho0):
     p_in = initial_probs(rho0)
     ideal = conditional_matrix(propagator_analytic(params, T_STAR).U)
-    imperfect = conditional_for_time(OpticalParams(T_H=0.985), params, T_STAR)
+    imperfect = photonic_conditional(OpticalParams(T_H=0.985), params, T_STAR)
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, p_in)), 5)[4]
     m5_imp = moments(delta_e_distribution(joint_table_from_conditional(imperfect, p_in)), 5)[4]
     assert m5_imp < m5_ideal
 
 
 def _imperfect_slack(params, p_in, t):
-    cond = conditional_for_time(OpticalParams(T_H=0.985), params, t)
+    cond = photonic_conditional(OpticalParams(T_H=0.985), params, t)
     j = joint_table_from_conditional(cond, p_in)
     sigma = entropy_realizations(p_in, final_probs(j))
     return thermo_report(j, sigma, beta=0.5).landauer_slack

@@ -131,7 +131,7 @@ def test_conditional_rejects_non_unitary(monkeypatch):
     times = cfg.time_grid()
     u = np.stack([np.eye(4, dtype=complex)] * 3)
     u[1] = np.diag([1.0, 1.0, 1.0, 0.9])
-    monkeypatch.setattr(sweep, "propagator_grid", lambda p, t: (np.zeros(3), u))
+    monkeypatch.setattr(sweep, "propagator_grid", lambda p, t: (np.zeros(3), np.zeros(3), u))
     message = re.escape(f"conditional table at omega_L_t={times[1]:.6g}: a row or column sum")
     with pytest.raises(NumericInvariantError, match=message):
         evaluate_grid(cfg, times)
