@@ -26,13 +26,12 @@ propagator, through its amplitudes |h1| and |h2| (``model.propagator_grid``):
 its angle gamma = atan2(|h2|, |h1|) runs per time in Python floats, as
 numpy's arctan2 may round differently in the last bit.  Every later step
 takes one angle or an array of T angles and returns (T, 4, 4) stacks, equal
-row for row to the one-time results: the fixed optics multiply all the
-plate rows at once, the 16 permanents are taken over fixed index arrays and
-their products go through ``model._complex_product``.  The plate's ``np.cos``
-and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit for bit on every plate
-angle of the 2000- and 20 000-point default grids, natively and at numpy's
-X86_V3 dispatch.  A stack that blocks an input raises at its first blocked
-row.
+row for row to the one-time results: the 16 permanents are taken over
+fixed index arrays and their products go through ``model._complex_product``.
+The plate's ``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit
+for bit on every plate angle of the 2000- and 20 000-point default grids,
+natively and at numpy's X86_V3 dispatch.  A stack that blocks an input raises
+at its first blocked row.
 """
 
 from __future__ import annotations
@@ -121,12 +120,12 @@ def compose_circuit(params: OpticalParams, gamma) -> np.ndarray:
     """
     plate = np.asarray(gamma, dtype=float) / 4.0  # physical plate angle
     wave_plate = _on_arm_b(hwp_u(2.0 * plate))
-    # the equalizers and the beam splitter act on every plate row at once:
-    # each entry of a row times E times B is one rounded product, as W and E
-    # are real and each column of B holds one real and one imaginary entry
-    rows = wave_plate.reshape(-1, 4) @ _equalizers(params.atten_H)
-    rows = rows @ ppbs_transform(params.T_H, params.T_V)
-    return rows.reshape(wave_plate.shape) @ wave_plate
+    return (
+        wave_plate
+        @ _equalizers(params.atten_H)
+        @ ppbs_transform(params.T_H, params.T_V)
+        @ wave_plate
+    )
 
 
 @dataclass(frozen=True, eq=False)

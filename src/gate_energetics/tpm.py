@@ -293,15 +293,9 @@ def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
 def _sum_defined(terms: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """Row sums of (T, 16) ``terms`` over the cells where ``defined`` holds."""
     out = terms.sum(axis=1)
-    partial = np.flatnonzero(~defined.all(axis=1))
-    # the reference sums only the defined terms, which groups them differently.
-    # One sum per pattern of defined cells: compress keeps each row's terms
-    # contiguous, so each row sums as the reference's one row does; the gather
-    # terms[rows][:, cells] sums in another order from 8 cells on
-    keys = defined[partial] @ (1 << np.arange(16))
-    for key in set(keys.tolist()):  # np.unique would import numpy.ma, 14 ms
-        rows = partial[keys == key]
-        out[rows] = terms[rows].compress(defined[rows[0]], axis=1).sum(axis=1)
+    for i in np.flatnonzero(~defined.all(axis=1)):
+        # the reference sums only the defined terms, which groups them differently
+        out[i] = terms[i, defined[i]].sum()
     return out
 
 

@@ -34,7 +34,6 @@ from gate_energetics.model import (
     _single_qubit_gibbs,
     input_populations,
 )
-from gate_energetics.photonic import OpticalParams, conditional_for_time
 from gate_energetics.sampler import EmpiricalTable
 from gate_energetics.sweep import SweepGrid, _evaluate
 from gate_energetics.tpm import (
@@ -116,13 +115,6 @@ def gate_angle(p: ModelParams, t: float) -> float:
     """
     h1, h2 = h_coeffs(p, t)
     return math.atan2(abs(h2), abs(h1))
-
-
-def photonic_conditional(optical: OpticalParams, p: ModelParams, t: float) -> np.ndarray:
-    """``photonic.conditional_for_time`` at one time, from the amplitudes of
-    ``h_coeffs``."""
-    h1, h2 = h_coeffs(p, t)
-    return conditional_for_time(optical, abs(h1), abs(h2), t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from gate_energetics.model import (
 from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
+    conditional_for_time,
     postselect,
 )
 from gate_energetics.sampler import SampleConfig, sample_tpm
@@ -38,7 +39,6 @@ from reference import (
     initial_probs,
     joint_table,
     moments,
-    photonic_conditional,
     propagator_analytic,
     thermal_state,
     thermo_report,
@@ -224,7 +224,8 @@ def test_c09_photonic_ideal_gate():
     success_ok = bool(np.all(np.abs(gate.success - 1.0 / 9.0) <= 1e-12))
     worst = 0.0
     for t in RunConfig(n_points=50).time_grid():
-        photonic_cond = photonic_conditional(OpticalParams(), PARAMS, float(t))
+        h1, h2 = h_coeffs(PARAMS, float(t))
+        photonic_cond = conditional_for_time(OpticalParams(), abs(h1), abs(h2), float(t))
         exact_cond = conditional_matrix(propagator_analytic(PARAMS, float(t)).U)
         worst = max(worst, op_distance(photonic_cond, exact_cond))
     report(
@@ -238,7 +239,8 @@ def test_c09_photonic_ideal_gate():
 
 def test_c10_photonic_imperfection():
     ideal = conditional_matrix(propagator_analytic(PARAMS, T_STAR).U)
-    imperfect = photonic_conditional(OpticalParams(T_H=0.985), PARAMS, T_STAR)
+    h1, h2 = h_coeffs(PARAMS, T_STAR)
+    imperfect = conditional_for_time(OpticalParams(T_H=0.985), abs(h1), abs(h2), T_STAR)
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, P_IN)), 5)[4]
     m5_imp = moments(delta_e_distribution(joint_table_from_conditional(imperfect, P_IN)), 5)[4]
     report(

@@ -585,24 +585,6 @@ def test_importing_the_cli_loads_no_lazy_numpy_submodule():
     assert done.stdout.strip() == "[]"
 
 
-def test_no_command_loads_numpy_ma(tmp_path):
-    # numpy.ma costs 14 ms on first use, more than a whole compare of a few
-    # points; at omega_L = 2000 every row sums over a partial support
-    config = _config(tmp_path, "n_points = 20\nsamples = 100\nomega_L = 2000\n")
-    code = (
-        "import sys; from gate_energetics import cli; "
-        "config, out = sys.argv[1:]; "
-        "codes = [cli.main([c, '--config', config, '--out', out]) for c in ('sweep', 'hist')]; "
-        "codes.append(cli.main(['compare', '--photonic', '--config', config, '--out', out])); "
-        "print(codes, 'numpy.ma' in sys.modules)"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    argv = [sys.executable, "-c", code, config, str(tmp_path / "out")]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
-
-
 # a stack that sweep._evaluate builds, the change to rows 2 and 3 of it, and
 # the message of the gate that must stop it
 JOINT_GATES = {

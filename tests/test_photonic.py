@@ -6,6 +6,7 @@ import pytest
 from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
+    conditional_for_time,
     hwp_u,
     photonic_conditional_matrix,
     postselect,
@@ -22,15 +23,21 @@ from conftest import T_STAR, op_distance
 from reference import (
     delta_e_distribution,
     gate_angle,
+    h_coeffs,
     initial_probs,
     moments,
-    photonic_conditional,
     propagator_analytic,
     thermo_report,
 )
 
 CZ_OVER_3 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex) / 3.0
 SIGMA_Z_HV = np.diag([1.0, -1.0]).astype(complex)
+
+
+def photonic_conditional(optical, p, t):
+    """``conditional_for_time`` at one time, from the amplitudes of ``h_coeffs``."""
+    h1, h2 = h_coeffs(p, t)
+    return conditional_for_time(optical, abs(h1), abs(h2), t)
 
 
 def test_ppbs_identity_for_full_transmission():
