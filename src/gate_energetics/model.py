@@ -22,6 +22,10 @@ and rotates the (|10>, |11>) block with amplitudes
 so |h1|^2 + |h2|^2 = 1 at all times.  Conditioned on the control being |1>,
 the target undergoes a rotation by the angle phi = Delta t around the axis
 (sin zeta, 0, cos zeta) with zeta = arccos(omega_L / 2 Delta).
+
+Of the 16 entries of U only U00 = e^{i omega_L t}, U11 = 1, U22, U23 = U32
+and U33 are non-zero, so the package carries the four that vary,
+``propagator_grid``'s (4, T) rows, and builds no dense (T, 4, 4) U.
 """
 
 from __future__ import annotations
@@ -78,15 +82,18 @@ def _complex_product(ar, ai, br, bi):
 
 def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form propagator exp(-i H_tot t) at every time: the amplitudes
-    |h1| and |h2| of shape (T,) and U of shape (T, 4, 4).
+    |h1| and |h2| of shape (T,) and the non-trivial entries ``u`` of U, a
+    contiguous complex (4, T) array with rows U00, U22, U32 and U33.
 
     U acts as |00> -> e^{i omega_L t}|00>, |01> -> |01>, and on the
-    (|10>, |11>) block as e^{-i omega_L t / 2} [[h1, h2], [h2, h1*]]; entries
-    outside that pattern are exactly zero.  Each entry of U, and |h1| and
-    |h2|, equal, bit for bit, the one-time propagator of tests/reference.py,
-    which builds them with Python's complex arithmetic: |h1| is numpy's
-    ``hypot`` of its parts, as Python's abs of a complex number, and h2 is
-    purely imaginary.
+    (|10>, |11>) block as e^{-i omega_L t / 2} [[h1, h2], [h2, h1*]], so
+    U11 = 1, U23 = U32 and every other entry is exactly zero; no dense
+    (T, 4, 4) stack is built.  Each row of ``u``, and |h1| and |h2|, equal,
+    bit for bit, the entries of the one-time propagator of
+    tests/reference.py, which builds them with Python's complex arithmetic
+    (at omega_int = 0 a zero part of U32 may differ in sign, which |U|^2
+    discards): |h1| is numpy's ``hypot`` of its parts, as Python's abs of a
+    complex number, and h2 is purely imaginary.
     """
     t = np.asarray(times, dtype=float)
     d = p.delta
@@ -94,17 +101,15 @@ def propagator_grid(p: ModelParams, times) -> tuple[np.ndarray, np.ndarray, np.n
     h1 = np.cos(d * t), (p.omega_L / (2 * d)) * sin
     h2 = np.zeros_like(t), -(p.omega_int / (2 * d)) * sin
     phase = np.exp(1j * (-0.5 * p.omega_L * t))
-    u = np.zeros((t.size, 4, 4), dtype=complex)
-    u[:, 0, 0] = np.exp(1j * (p.omega_L * t))
-    u[:, 1, 1] = 1.0
-    for (row, col), (re, im) in (
-        ((2, 2), _complex_product(phase.real, phase.imag, *h1)),
-        ((3, 2), _complex_product(phase.real, phase.imag, *h2)),
-        ((3, 3), _complex_product(phase.real, phase.imag, h1[0], -h1[1])),
-    ):
-        u[:, row, col].real = re
-        u[:, row, col].imag = im
-    u[:, 2, 3] = u[:, 3, 2]
+    u = np.empty((4, t.size), dtype=complex)
+    u[0] = np.exp(1j * (p.omega_L * t))
+    for row, (re, im) in zip(u[1:], (
+        _complex_product(phase.real, phase.imag, *h1),
+        _complex_product(phase.real, phase.imag, *h2),
+        _complex_product(phase.real, phase.imag, h1[0], -h1[1]),
+    )):
+        row.real = re
+        row.imag = im
     return np.hypot(*h1), np.abs(h2[1]), u
 
 
@@ -156,17 +161,20 @@ def input_populations(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
     return (p_a[:, None] * p_b[None, :]).ravel()
 
 
-def trajectory_coherence(u, outcome: int = 2):
-    """l1-norm of coherence generated from the basis state ``outcome`` (default |10>).
+def trajectory_coherence(u) -> np.ndarray:
+    """l1-norm of coherence generated from |10>, one value per time.
 
     The sum of |rho_ij| over the off-diagonal entries of rho = psi psi^dag,
-    psi = U|outcome>, for a 4x4 unitary or for each unitary of a (T, 4, 4)
-    stack.  The unitaries are not checked here: ``sweep._evaluate`` has gated
-    the row and column sums of the same stack's conditional tables, which
-    hold the norms of U's columns and rows, before anything reads it.
+    psi = U|10>, from the (4, T) rows ``u`` of ``propagator_grid``: psi has
+    only two non-zero amplitudes, U22 and U32, so r = |psi_i psi_j*| is a
+    (T, 2, 2) product.  The sum is grouped as numpy's pairwise sum groups
+    the 16 cells of the dense rho, whose other 12 cells are zero, so it
+    equals the dense form of tests/reference.py bit for bit.  The
+    amplitudes are not checked here: ``sweep._evaluate`` has gated the row
+    and column sums of the same block's conditional tables, which hold the
+    norms of U's columns and rows, before anything reads them.
     """
-    psi = np.ascontiguousarray(np.asarray(u, dtype=complex)[..., :, outcome])
-    rho = psi[..., :, None] * psi.conj()[..., None, :]
-    total = np.abs(rho).sum(axis=(-2, -1))
-    return total - np.abs(np.diagonal(rho, axis1=-2, axis2=-1)).sum(axis=-1)
-
+    psi = np.ascontiguousarray(u[1:3].T)
+    r = np.abs(psi[:, :, None] * psi.conj()[:, None, :])
+    r00, r01, r10, r11 = r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1]
+    return (r00 + r01) + (r10 + r11) - (r00 + r11)

@@ -173,8 +173,9 @@ class _CsvWriter:
     block's size is allocated after the first block.
     Every cell of a block takes one path, ``_format``: it is scaled to a
     12-digit integer by one rounded product against a correctly rounded
-    power of ten, which lands within 2.3e-4 of the exact value; a cell that
-    this cannot round with certainty, or that is outside the fast range, is
+    power of ten, which lands within 2.3e-4 of the exact value, and a zero
+    gets the integer 0 and the exponent 0; a cell that this cannot round
+    with certainty, or that is non-zero outside the fast range, is
     formatted by '%' itself.
     """
 
@@ -190,11 +191,12 @@ class _CsvWriter:
         self._block = np.empty((rows, self._columns))
         self._words = np.empty((rows, self._columns, 5), np.uint32)
         self._text = self._words.view(np.uint8).reshape(rows, -1)
-        # per cell: |x| then the rounded mantissa; the scaled value; the exponent
+        # per cell: |x| then the rounded mantissa; the scaled value; the
+        # exponent; the offset of the exponent's sign
         self._a, self._s = np.empty(cells), np.empty(cells)
-        self._e = np.empty(cells, np.intp)
+        self._e, self._k = np.empty(cells, np.int64), np.empty(cells, np.int64)
         self._w = np.empty(cells, np.uint32)
-        self._sign, self._fast, self._t = (np.empty(cells, bool) for _ in range(3))
+        self._fast, self._t, self._z = (np.empty(cells, bool) for _ in range(3))
 
     def write(self, *columns: np.ndarray) -> None:
         """Write the rows whose cells are ``columns`` side by side; each is an
@@ -220,29 +222,36 @@ class _CsvWriter:
     def _format(self, x: np.ndarray, words: np.ndarray) -> None:
         """Fill the (n, 5) ``words`` with the cells of the n values ``x``.
 
-        Every array operation writes into the writer's scratch.  Each take
-        clips its indices, which numpy then need not check into a copy of
-        ``out``; a cell that '%' formats gets garbage indices on the way,
-        which the clip keeps in range.
+        Every array operation writes into the writer's scratch, and none is
+        masked: the signs of the value and of the exponent become the offsets
+        ``(bits >> 63) & 100`` into their tables.  A zero takes the table path
+        with m = e = 0, its sign from its sign bit; only the cells that '%'
+        formats are gathered and written back.  Each take clips its indices,
+        which numpy then need not check into a copy of ``out``; a cell that
+        '%' formats gets garbage indices on the way, which the clip keeps in
+        range.
         """
         n = x.size
-        a, s, e = self._a[:n], self._s[:n], self._e[:n]
-        sign, fast, t = self._sign[:n], self._fast[:n], self._t[:n]
-        np.signbit(x, out=sign)
+        a, s, e, k = self._a[:n], self._s[:n], self._e[:n], self._k[:n]
+        fast, t, z = self._fast[:n], self._t[:n], self._z[:n]
         np.abs(x, out=a)
-        np.greater_equal(a, _FAST_MIN, out=fast)  # false for 0, inf and nan
-        fast &= np.less(a, _FAST_MAX, out=t)
-        np.copyto(a, 1.0, where=np.logical_not(fast, out=t))
-        np.log10(a, out=s)
+        np.less(a, _FAST_MAX, out=fast)  # false for inf and nan
+        # clamped into the fast range, every exponent estimate is a row of
+        # _POW10 and every scaled value is finite; a zero and a value below
+        # the range are estimated at _FAST_MIN, which scales them below 1e11
+        np.fmin(a, _FAST_MAX, out=a)
+        np.log10(np.fmax(a, _FAST_MIN, out=s), out=s)
         np.floor(s, out=s)
         np.subtract(s, _E_LO, out=e, casting="unsafe")
         np.take(_POW10, e, out=s, mode="clip")
         s *= a
         m = np.rint(s, out=a)
         # |s - m| is the distance of s to its nearest integer: at most
-        # 1/2 - margin when its fraction is at least the margin away from 1/2
-        fast &= np.greater_equal(s, 1e11, out=t)
+        # 1/2 - margin when its fraction is at least the margin away from 1/2;
+        # s in [1e11, 1e12) shows the exponent estimate was right, and a zero
+        # (s = 0) needs none
         fast &= np.less(s, 1e12, out=t)
+        fast &= np.logical_or(np.greater_equal(s, 1e11, out=t), np.equal(s, 0.0, out=z), out=t)
         np.abs(np.subtract(s, m, out=s), out=s)
         fast &= np.less_equal(s, 0.5 - _TIE_MARGIN, out=t)
         carry = np.equal(m, 1e12, out=t)  # rounded up to a new decade: 1e11 at e + 1
@@ -251,12 +260,9 @@ class _CsvWriter:
         e += _E_LO
         mantissa, digits = s.view(np.int64), a.view(np.int64)
         np.copyto(mantissa, m, casting="unsafe")
-        # 0 gets m = e = 0, a non-finite cell its empty words below, and any
-        # other cell off the fast path the words of '%'
+        # 0 has exponent 0: min(m, 1) is 0 for it and 1 for any other cell
+        e *= np.minimum(mantissa, 1, out=digits)
         slow = np.flatnonzero(np.logical_not(fast, out=t))
-        if slow.size:
-            values = x[slow]
-            mantissa[slow] = e[slow] = 0
         # np.take buffers an out that is not contiguous: each word is looked up
         # into w, then copied to its place in the cells
         w = self._w[:n]
@@ -264,22 +270,22 @@ class _CsvWriter:
         def put(word: int, table: np.ndarray, index: np.ndarray) -> None:
             words[:, word] = np.take(table, index, out=w, mode="clip")
 
-        np.less(e, 0, out=t)
+        # k: 100 for a negative exponent, the offset of its sign in _TAIL
+        np.bitwise_and(np.right_shift(e, 63, out=k), 100, out=k)
         put(4, _EXP, np.abs(e, out=e))
-        # e is free once its word is made: it takes digits * 10**k
-        for word, (table, k) in enumerate(((_HEAD, 10), (_QUAD, 6), (_QUAD, 2))):
-            np.floor_divide(mantissa, 10**k, out=digits)
-            mantissa -= np.multiply(digits, 10**k, out=e)
-            if word == 0:
-                np.add(digits, 100, out=digits, where=sign)
+        # e is free once its word is made: it takes digits * 10**p
+        for word, (table, p) in enumerate(((_HEAD, 10), (_QUAD, 6), (_QUAD, 2))):
+            np.floor_divide(mantissa, 10**p, out=digits)
+            mantissa -= np.multiply(digits, 10**p, out=e)
+            if word == 0:  # 100 for a set sign bit, -0.0 included: the '-' of _HEAD
+                digits += np.bitwise_and(np.right_shift(x.view(np.int64), 63, out=e), 100, out=e)
             put(word, table, digits)
-        np.add(mantissa, 100, out=mantissa, where=t)
-        put(3, _TAIL, mantissa)
+        put(3, _TAIL, np.add(mantissa, k, out=mantissa))
         if slow.size:
+            values = x[slow]
             finite = np.isfinite(values)
             words[slow[~finite]] = _EMPTY
-            shown = finite & (values != 0)
-            words[slow[shown]] = _cells(values[shown])
+            words[slow[finite]] = _cells(values[finite])
 
 
 class _Outputs:
@@ -422,16 +428,19 @@ def _require_finite_moments(moments: np.ndarray, t: np.ndarray) -> None:
 class SweepGrid:
     """Exact two-point-measurement statistics of every time of a grid, one row per time.
 
-    ``p_in``, the input state's populations, is shared by all rows.  The
-    fields are the gated tables; the statistics below them are built on their
-    first read and kept.  The report's fields are arrays, with NaN where the
-    ratio is undefined.  Each row equals, field by field and bit for bit, the
-    per-point reference ``evaluate_point`` of tests/reference.py at that time.
+    ``p_in``, the input state's populations, is shared by all rows.  ``u``
+    holds the four non-trivial entries of each time's propagator, one row per
+    entry (``model.propagator_grid``), and ``h1`` and ``h2`` its amplitudes
+    |h1| and |h2|.  The other fields are the gated tables; the statistics
+    below them are built on their first read and kept.  The report's fields
+    are arrays, with NaN where the ratio is undefined.  Each row equals,
+    field by field and bit for bit, the per-point reference
+    ``evaluate_point`` of tests/reference.py at that time.
     """
 
     t: np.ndarray
     p_in: np.ndarray
-    U: np.ndarray
+    u: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     cond: np.ndarray
@@ -468,7 +477,7 @@ class SweepGrid:
 
     @cached_property
     def coherence(self) -> np.ndarray:
-        return trajectory_coherence(self.U)
+        return trajectory_coherence(self.u)
 
     @cached_property
     def h2_sq(self) -> np.ndarray:
@@ -500,7 +509,7 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
     return SweepGrid(
         t=t,
         p_in=p_in,
-        U=u,
+        u=u,
         h1=h1,
         h2=h2,
         cond=cond,

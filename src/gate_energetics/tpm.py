@@ -15,10 +15,12 @@ Index conventions, kept consistently:
   * joint probabilities        j[in, fin] = c[fin, in] * p_in[in]  (rows are
     inputs, so row sums reproduce p_in).
 
-Every statistic reads the propagator only through |U|^2.  Nothing here
-checks U, the tables built from it or the distributions built from those:
-``sweep._evaluate`` gates each stack once, as soon as it is built, and
-the builders below keep only atoms of positive weight, in increasing order.
+Every statistic reads the propagator only through |U|^2, built from the
+four non-trivial entries of U that ``model.propagator_grid`` returns.
+Nothing here checks U, the tables built from it or the distributions built
+from those: ``sweep._evaluate`` gates each stack once, as soon as it is
+built, and the builders below keep only atoms of positive weight, in
+increasing order.
 """
 
 from __future__ import annotations
@@ -44,16 +46,25 @@ _LATTICE_CELLS = [np.flatnonzero(ENERGY_CHANGE.ravel() == v).tolist() for v in E
 
 
 def conditional_matrix(u) -> np.ndarray:
-    """Transition probabilities c[fin, in] = |<fin|U|in>|^2 of the evolution.
+    """Transition probabilities c[fin, in] = |<fin|U|in>|^2 of the evolution,
+    one (4, 4) table per time: shape (T, 4, 4).
 
-    Accepts a 4x4 unitary or a (T, 4, 4) stack of them.
-    For any unitary the result is doubly stochastic; for this gate the
-    in = 00 and 01 columns are exact unit columns and the (10, 11) block is
-    [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]].  U is not checked here:
-    ``sweep._evaluate`` gates the row and column sums of these tables,
-    the norms of U's rows and columns.
+    ``u`` holds the rows U00, U22, U32 (= U23) and U33 of
+    ``model.propagator_grid``, shape (4, T); U11 = 1 and every other entry
+    of U is zero.  So the in = 00 and 01 columns are exact unit columns, the
+    (10, 11) block is [[|h1|^2, |h2|^2], [|h2|^2, |h1|^2]], and every table
+    equals numpy's |U|^2 of the dense U bit for bit.  U is not checked here:
+    ``sweep._evaluate`` gates the row and column sums of these tables, the
+    norms of U's rows and columns.
     """
-    return np.abs(u) ** 2
+    a = np.abs(u) ** 2
+    c = np.zeros((a.shape[1], 4, 4))
+    c[:, 0, 0] = a[0]
+    c[:, 1, 1] = 1.0
+    c[:, 2, 2] = a[1]
+    c[:, 2, 3] = c[:, 3, 2] = a[2]
+    c[:, 3, 3] = a[3]
+    return c
 
 
 def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarray:
@@ -70,8 +81,12 @@ def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarr
 
 
 def final_probs(j: np.ndarray) -> np.ndarray:
-    """Second-measurement marginal p_fin[m] = sum_n j[n, m], one row per table of a stack."""
-    return np.asarray(j, dtype=float).sum(axis=-2)
+    """Second-measurement marginal p_fin[m] = sum_n j[n, m], one row per table of a stack.
+
+    The four rows are added in order, as numpy's sum over the axis adds them.
+    """
+    j = np.asarray(j, dtype=float)
+    return j[..., 0, :] + j[..., 1, :] + j[..., 2, :] + j[..., 3, :]
 
 
 def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
@@ -174,17 +189,23 @@ def merge_atom_rows(values, weights) -> AtomRows:
     an atom.  All rows go through the merge loop together, one sorted column
     per step up to the widest support, so every row merges exactly as it
     would alone.  Only ``entropy_grid`` needs it: dE lies on a fixed lattice.
+
+    Only the columns where some row has an atom are sorted (6 of the 16
+    cells of the gate's joint tables); the rest would sort last in every row
+    and are never read, and the stable sort keeps the order of equal values.
     """
     w = np.asarray(weights, dtype=float)
+    cols = np.flatnonzero((w > 0.0).any(axis=0))
+    w = w[:, cols]
     occurs = w > 0.0
     # an atom of no weight sorts last, as +inf, past every row's support
-    v = np.where(occurs, values, np.inf)
+    v = np.where(occurs, np.asarray(values, dtype=float)[:, cols], np.inf)
     n, k = v.shape
     width = int(occurs.sum(axis=1).max())
     # the flat index of each row's atoms in sorted order; then one contiguous
     # row per sorted column: merged[i] holds the open atom once atom i is in
     # it, and an atom that starts a new one closes the one before
-    order = np.argsort(v, axis=1, kind="stable")[:, :width] + np.arange(0, n * k, k)[:, None]
+    order = np.argsort(v, axis=1, kind="stable")[:, :width] + k * np.arange(n)[:, None]
     v = v.take(order).T.copy()
     w = w.take(order).T.copy()
     merged_v, merged_w = v.copy(), w.copy()

@@ -12,6 +12,12 @@ whole grid at once, for the tests that compare it with this reference.
 ``gate_angle`` is the oracle of the angle that the photonic gate takes from
 the propagator's |h1| and |h2|.
 
+The grid path builds the propagator from its four non-trivial entries only.
+``dense_unitary`` puts them back into the full 4x4 form, and
+``conditional_dense``, ``final_probs_dense`` and ``coherence_dense`` are the
+forms over all 16 entries that the sparse tables of ``tpm`` and ``model``
+must equal bit for bit.
+
 The dense operators live here only, as oracles: the Pauli matrices and their
 tensor products, the Hamiltonians built from them (the oracle of
 ``model.hamiltonians``) and the thermal density operator whose diagonal
@@ -39,9 +45,7 @@ from gate_energetics.sweep import SweepGrid, _evaluate
 from gate_energetics.tpm import (
     ENERGY_CHANGE,
     ThermoReport,
-    conditional_matrix,
     entropy_realizations,
-    final_probs,
     joint_table_from_conditional,
 )
 
@@ -141,6 +145,39 @@ def propagator_analytic(p: ModelParams, t: float) -> Propagator:
     return Propagator(t=t, h1=h1, h2=h2, U=u)
 
 
+def dense_unitary(u) -> np.ndarray:
+    """The (T, 4, 4) stack of unitaries whose non-trivial entries are the
+    (4, T) rows U00, U22, U32 (= U23) and U33 of ``model.propagator_grid``:
+    U11 = 1 and every other entry zero."""
+    u = np.asarray(u, dtype=complex)
+    dense = np.zeros((u.shape[1], 4, 4), dtype=complex)
+    dense[:, 1, 1] = 1.0
+    for (row, col), entry in zip(((0, 0), (2, 2), (3, 2), (3, 3)), u):
+        dense[:, row, col] = entry
+    dense[:, 2, 3] = u[2]
+    return dense
+
+
+def conditional_dense(u) -> np.ndarray:
+    """c[fin, in] = |U[fin, in]|^2 over all 16 entries of a 4x4 unitary or a
+    (T, 4, 4) stack: the dense form of ``tpm.conditional_matrix``."""
+    return np.abs(u) ** 2
+
+
+def final_probs_dense(j) -> np.ndarray:
+    """p_fin[m] = sum_n j[n, m] by numpy's reduction: the dense form of
+    ``tpm.final_probs``."""
+    return np.asarray(j, dtype=float).sum(axis=-2)
+
+
+def coherence_dense(u, outcome: int = 2):
+    """l1-norm of coherence of rho = psi psi^dag, psi = U|outcome>, over all
+    16 entries of rho, for a 4x4 unitary or a (T, 4, 4) stack: the dense form
+    of ``model.trajectory_coherence`` (outcome |10>)."""
+    psi = np.ascontiguousarray(np.asarray(u, dtype=complex)[..., :, outcome])
+    return coherence_l1(psi[..., :, None] * psi.conj()[..., None, :])
+
+
 @dataclass(frozen=True, eq=False)
 class RotationDecomposition:
     """Axis-angle form of the conditioned target rotation."""
@@ -183,7 +220,7 @@ def projectors() -> tuple[np.ndarray, ...]:
 
 def joint_table(rho0: np.ndarray, u) -> np.ndarray:
     """Joint probabilities of the two measurements under a unitary or a stack of them."""
-    return joint_table_from_conditional(conditional_matrix(u), initial_probs(rho0))
+    return joint_table_from_conditional(conditional_dense(u), initial_probs(rho0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +319,12 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
     rho0 = thermal_state(cfg.thermal, cfg.model)
     prop = propagator_analytic(cfg.model, t)
     p_in = initial_probs(rho0)
-    cond = conditional_matrix(prop.U)
+    cond = conditional_dense(prop.U)
     joint = joint_table_from_conditional(cond, p_in)
-    p_fin = final_probs(joint)
+    p_fin = final_probs_dense(joint)
     sigma = entropy_realizations(p_in, p_fin)
     de_dist = delta_e_distribution(joint)
     ds_dist = entropy_distribution(joint, sigma)
-    psi = np.ascontiguousarray(prop.U[:, 2])
     return SweepPoint(
         t=t,
         p_in=p_in,
@@ -300,7 +336,7 @@ def evaluate_point(cfg: RunConfig, t: float) -> SweepPoint:
         ds_dist=ds_dist,
         de_moments=moments(de_dist, cfg.moments_max),
         ds_moments=moments(ds_dist, cfg.moments_max),
-        coherence=coherence_l1(psi[:, None] * psi.conj()[None, :]),
+        coherence=coherence_dense(prop.U),
         h2_sq=abs(prop.h2) ** 2,
         report=thermo_report(joint, sigma, beta=cfg.thermal.beta_B * cfg.model.omega_L),
     )

@@ -15,6 +15,7 @@ from gate_energetics.model import (
     ModelParams,
     ThermalSpec,
     hamiltonians,
+    propagator_grid,
     trajectory_coherence,
 )
 from gate_energetics.photonic import (
@@ -93,8 +94,7 @@ def test_c02_trajectory_normalization():
 def test_c03_conditional_structure():
     unit_rows_ok = True
     worst_sum = 0.0
-    for t in GRID:
-        cond = conditional_matrix(propagator_analytic(PARAMS, float(t)).U)
+    for cond in conditional_matrix(propagator_grid(PARAMS, GRID)[2]):
         for k in (0, 1):
             unit_rows_ok &= abs(cond[k, k] - 1.0) <= 1e-14
             unit_rows_ok &= bool(np.all(np.delete(cond[k, :], k) == 0.0))
@@ -191,12 +191,8 @@ def test_c07_realization_structure():
 
 
 def test_c08_coherence():
-    worst = 0.0
-    for t in GRID:
-        prop = propagator_analytic(PARAMS, float(t))
-        worst = max(
-            worst, abs(trajectory_coherence(prop.U) - 2.0 * abs(prop.h1) * abs(prop.h2))
-        )
+    h1, h2, u = propagator_grid(PARAMS, GRID)
+    worst = float(np.max(np.abs(trajectory_coherence(u) - 2.0 * h1 * h2)))
     closed_form_ok = worst <= 1e-12
 
     def c_of(t):
@@ -207,7 +203,7 @@ def test_c08_coherence():
         abs(c_of(k * T_STAR + 1e-5) - c_of(k * T_STAR - 1e-5)) / 2e-5 for k in (1, 2, 3)
     ]
     stationary_ok = max(derivatives) <= 1e-6
-    value = trajectory_coherence(propagator_analytic(PARAMS, T_STAR).U)
+    value = trajectory_coherence(propagator_grid(PARAMS, [T_STAR])[2])[0]
     value_ok = abs(value - 5.0 / 13.0) <= 1e-12
     report(
         8,
@@ -222,12 +218,9 @@ def test_c09_photonic_ideal_gate():
     gate = postselect(compose_circuit(OpticalParams(), 0.0))
     gate_ok = op_distance(3.0 * gate.G, np.diag([1.0, 1.0, 1.0, -1.0])) <= 1e-12
     success_ok = bool(np.all(np.abs(gate.success - 1.0 / 9.0) <= 1e-12))
-    worst = 0.0
-    for t in RunConfig(n_points=50).time_grid():
-        h1, h2 = h_coeffs(PARAMS, float(t))
-        photonic_cond = conditional_for_time(OpticalParams(), abs(h1), abs(h2), float(t))
-        exact_cond = conditional_matrix(propagator_analytic(PARAMS, float(t)).U)
-        worst = max(worst, op_distance(photonic_cond, exact_cond))
+    times = RunConfig(n_points=50).time_grid()
+    h1, h2, u = propagator_grid(PARAMS, times)
+    worst = op_distance(conditional_for_time(OpticalParams(), h1, h2, times), conditional_matrix(u))
     report(
         9,
         "photonic-ideal-gate",
@@ -238,7 +231,7 @@ def test_c09_photonic_ideal_gate():
 
 
 def test_c10_photonic_imperfection():
-    ideal = conditional_matrix(propagator_analytic(PARAMS, T_STAR).U)
+    ideal = conditional_matrix(propagator_grid(PARAMS, [T_STAR])[2])[0]
     h1, h2 = h_coeffs(PARAMS, T_STAR)
     imperfect = conditional_for_time(OpticalParams(T_H=0.985), abs(h1), abs(h2), T_STAR)
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, P_IN)), 5)[4]

@@ -474,7 +474,7 @@ def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypa
 
     def scaled(p, times):
         h1, h2, u = real(p, times)
-        u[5, 3, 2] *= 1.01  # one row and one column norm of a table move off 1
+        u[2, 5] *= 1.01  # U32: one row and one column norm of a table move off 1
         return h1, h2, u
 
     monkeypatch.setattr(sweep, "propagator_grid", scaled)
@@ -771,7 +771,7 @@ if code == 3:  # one table at the grid's last time fails the double-stochasticit
     last, real = parse_config(config).time_grid()[-1], sweep.propagator_grid
     def broken(p, times):
         h1, h2, u = real(p, times)
-        u[times == last, 3, 2] *= 1.01
+        u[2, times == last] *= 1.01  # U32
         return h1, h2, u
     sweep.propagator_grid = broken
 assert cli.main([*argv, "--config", config, "--out", out]) == code

@@ -245,6 +245,31 @@ def test_a_block_of_only_constant_columns():
     assert_written_as_oracle(np.tile(CONSTANTS, (BLOCK + 3, 1)))
 
 
+def test_zero_cells_match_percent():
+    """A zero takes the table path with mantissa and exponent 0 and the sign
+    of its sign bit: whole zero columns of either sign, +0.0 and -0.0 mixed
+    in one column, and zeros beside cells that '%' formats in one row (NaN,
+    +-inf, subnormal, outside the fast range and near ties)."""
+    rng = np.random.default_rng(31)
+    rows = BLOCK + 9
+    table = rng.standard_normal((rows, 12)) * 10.0 ** rng.integers(-30, 30, (rows, 12))
+    table[:, 0] = 0.0
+    table[:, 1] = -0.0
+    table[:, 2] = np.where(rng.random(rows) < 0.5, 0.0, -0.0)
+    table[::3, 3] = 0.0
+    table[1::3, 3] = -0.0
+    ties = near_tie_table().ravel()[:rows]
+    table[:, 4] = ties
+    table[::2, 5] = 0.0
+    table[1::2, 5] = -ties[1::2]
+    mixed = [0.0, np.nan, -0.0, np.inf, 0.0, -np.inf, -0.0, 5e-324, 0.0, 1e300, -0.0, ties[0]]
+    table[7] = mixed
+    table[BLOCK + 2] = mixed[::-1]
+    assert_written_as_oracle(table)
+    assert_written_as_oracle(np.zeros((3, 4)))
+    assert_written_as_oracle(-np.zeros((3, 4)))
+
+
 def test_blocks_after_the_first_allocate_nothing_of_a_blocks_size():
     """numpy reports its data buffers to tracemalloc.  Once the first block
     is written, 20 more blocks of 1024 x 32 cells must raise the traced peak

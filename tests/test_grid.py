@@ -9,7 +9,11 @@ with ``np.array_equal``, never within a tolerance.
 import ast
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from gate_energetics.model import (
     ThermalSpec,
     input_populations,
     propagator_grid,
+    trajectory_coherence,
 )
 from gate_energetics.photonic import (
     OpticalParams,
@@ -42,9 +47,13 @@ from gate_energetics.tpm import merge_atom_rows
 
 from reference import (
     DiscreteDistribution,
+    coherence_dense,
+    conditional_dense,
+    dense_unitary,
     entropy_distribution,
     evaluate_grid,
     evaluate_point,
+    final_probs_dense,
     gate_angle,
     h_coeffs,
     propagator_analytic,
@@ -70,6 +79,11 @@ CASES = {
 }
 
 
+# the entries U00, U22, U32 and U33 of a dense 4x4 U: the rows of
+# propagator_grid's u, in order
+NONTRIVIAL = ([0, 2, 3, 3], [0, 2, 2, 3])
+
+
 def _same(a, b) -> bool:
     return np.array_equal(a, b, equal_nan=True)
 
@@ -92,7 +106,7 @@ def test_grid_equals_point_exactly(name):
     assert _same(g.t, times)
     for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
         pt = evaluate_point(cfg, t)
-        assert _same(g.U[i], propagator_analytic(cfg.model, t).U), (name, t, "U")
+        assert _same(g.u[:, i], propagator_analytic(cfg.model, t).U[NONTRIVIAL]), (name, t, "u")
         assert _same(g.p_in, pt.p_in)
         for field in ("p_fin", "cond", "joint", "sigma", "de_moments", "ds_moments",
                       "coherence", "h2_sq"):
@@ -101,6 +115,105 @@ def test_grid_equals_point_exactly(name):
             assert _same_dist(getattr(g, field), i, getattr(pt, field)), (name, t, field)
         for field in ("de_mean", "ds_mean", "ift", "landauer_lhs", "landauer_slack", "ratio"):
             assert _same(getattr(g.report, field)[i], getattr(pt.report, field)), (name, t, field)
+
+
+def _assert_rows_equal_reference(model, times):
+    """The four rows of ``propagator_grid`` are U00, U22, U32 and U33 of the
+    one-time reference U, bit for bit, and that U has no other entry than
+    them, U23 = U32 and U11 = 1.
+
+    Only the sign of a zero part may differ (U32 at omega_int = 0, where the
+    reference multiplies Python's -1j by 0.0): adding +0.0 clears it, as
+    every reader of U, through |U|^2, discards it."""
+    _, _, u = propagator_grid(model, times)
+    assert u.shape == (4, len(times)) and u.flags.c_contiguous
+    dense = np.stack([propagator_analytic(model, t).U for t in np.asarray(times).tolist()])
+    for part in ("real", "imag"):
+        rows = getattr(u, part) + 0.0
+        entries = getattr(dense[(slice(None), *NONTRIVIAL)].T, part) + 0.0
+        assert np.array_equal(_bits(rows), _bits(entries)), part
+    assert np.array_equal(_bits(dense[:, 2, 3].real), _bits(dense[:, 3, 2].real))
+    assert np.array_equal(_bits(dense[:, 2, 3].imag), _bits(dense[:, 3, 2].imag))
+    assert np.all(dense[:, 1, 1] == 1.0)
+    others = np.ones((4, 4), dtype=bool)
+    others[NONTRIVIAL] = others[2, 3] = others[1, 1] = False
+    assert np.all(dense[:, others] == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_propagator_rows_equal_the_reference_entries(name):
+    cfg, times = CASES[name]
+    _assert_rows_equal_reference(cfg.model, times)
+
+
+def assert_sparse_tables_equal_dense(cfg, times):
+    """``conditional_matrix``, ``final_probs`` and ``trajectory_coherence``
+    from the four rows of U equal their forms over all 16 entries of the
+    dense U, bit for bit."""
+    _, _, u = propagator_grid(cfg.model, times)
+    dense = dense_unitary(u)
+    cond = tpm.conditional_matrix(u)
+    assert np.array_equal(_bits(cond), _bits(conditional_dense(dense)))
+    joint = tpm.joint_table_from_conditional(cond, input_populations(cfg.thermal, cfg.model))
+    assert np.array_equal(_bits(tpm.final_probs(joint)), _bits(final_probs_dense(joint)))
+    assert np.array_equal(_bits(trajectory_coherence(u)), _bits(coherence_dense(dense)))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sparse_tables_equal_their_dense_forms(name):
+    assert_sparse_tables_equal_dense(*CASES[name])
+
+
+def test_final_probs_adds_rows_as_numpy_reduces_them():
+    # every cell non-zero and no structure: the four rows added in order
+    # are numpy's reduction over the axis
+    joint = _random_joint_stack(np.random.default_rng(3), 500)
+    joint += np.random.default_rng(4).random(joint.shape) * 10.0 ** -np.arange(16).reshape(4, 4)
+    assert np.array_equal(_bits(tpm.final_probs(joint)), _bits(final_probs_dense(joint)))
+    assert np.array_equal(_bits(tpm.final_probs(joint[7])), _bits(final_probs_dense(joint[7])))
+
+
+# numpy's dispatch capped at X86_V3 (AVX2, FMA3): complex abs, complex
+# multiply and the sums take their AVX2 loops, which must round the (4, T)
+# rows as they round the dense (T, 4, 4) stack
+AVX2_NUMPY = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+_SPARSE_AT_AVX2 = """
+from numpy._core._multiarray_umath import __cpu_features__
+import test_grid
+assert not __cpu_features__["X86_V4"], "the dispatch level was not capped"
+for cfg, times in test_grid.CASES.values():
+    test_grid.assert_sparse_tables_equal_dense(cfg, times)
+"""
+
+
+def test_sparse_tables_equal_their_dense_forms_at_the_avx2_dispatch_level():
+    # the setting acts when numpy loads, so it needs a fresh interpreter
+    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(gate_energetics.__file__))]
+    env = dict(os.environ, **AVX2_NUMPY, PYTHONPATH=os.pathsep.join(path + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _SPARSE_AT_AVX2], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_block_of_evaluation_and_coherence_stays_below_its_traced_peak():
+    """numpy reports its data buffers to tracemalloc.  One block of
+    ``_GRID_ROWS`` times, evaluated and gated with its coherence built, must
+    peak below 2000 KiB (the bound was fixed before the first run).  The
+    four rows of U take 128 KiB; a dense complex (T, 4, 4) stack of U takes
+    512 KiB, and with its 16-cell |U|^2 and coherence temporaries it brought
+    the peak to about 2419 KiB."""
+    cfg = RunConfig(n_points=20_000)
+    t = cfg.time_grid()[:sweep._GRID_ROWS]
+    p_in = input_populations(cfg.thermal, cfg.model)
+    sweep._evaluate(cfg, t, p_in).coherence  # any first-call allocation is not the block's
+    tracemalloc.start()
+    try:
+        sweep._evaluate(cfg, t, p_in).coherence
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 1024, f"{peak / 1024:.0f} KiB"
 
 
 def test_contains_zero_case_has_an_undefined_ratio():
@@ -114,7 +227,8 @@ def test_undefined_realizations_match_the_scalar_tables():
     # identity as conditional table, on its column; the Gibbs inputs of the
     # model never get there, so the tables are built directly
     p_in = np.array([0.5, 0.3, 0.2, 0.0])
-    conds = np.stack([np.eye(4), tpm.conditional_matrix(propagator_analytic(ModelParams(), 0.7).U)])
+    _, _, u = propagator_grid(ModelParams(), [0.7])
+    conds = np.concatenate([np.eye(4)[None], tpm.conditional_matrix(u)])
     joint = tpm.joint_table_from_conditional(conds, p_in)
     sigma = tpm.entropy_realizations(p_in, tpm.final_probs(joint))
     ds_rows = tpm.entropy_grid(joint, sigma)
@@ -354,11 +468,12 @@ def _at(row, message):
     return re.escape(f" at omega_L_t={SMALL_TIMES[row]:.6g}") + ".*" + message
 
 
-def _evaluate_with_scaled_propagator(row, index, factor):
-    """``evaluate_grid`` on a propagator stack with one entry of ``row`` scaled,
-    so that the norms of one of its rows and one of its columns are off."""
+def _evaluate_with_scaled_propagator(row, entry, factor):
+    """``evaluate_grid`` on propagator rows with one entry of time ``row``
+    scaled, so that the norms of one of U's rows and one of its columns are
+    off; ``entry`` is the (fin, in) index of a non-trivial entry of U."""
     h1, h2, u = propagator_grid(SMALL.model, SMALL_TIMES)
-    u[(row, *index)] *= factor
+    u[list(zip(*NONTRIVIAL)).index(entry), row] *= factor
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "propagator_grid", lambda p, times: (h1, h2, u))
         evaluate_grid(SMALL, SMALL_TIMES)
@@ -456,16 +571,16 @@ def test_double_stochasticity_gate_passes_a_stack_iff_every_table(kind, where):
 
     def passes(i):
         try:
-            sweep._require_doubly_stochastic(tpm.conditional_matrix(u[i:i + 1]), times[i:i + 1])
+            sweep._require_doubly_stochastic(conditional_dense(u[i:i + 1]), times[i:i + 1])
         except NumericInvariantError:
             return False
         return True
 
     off_by((where + 3) % 11, 0.9 * PROB_SUM_TOL)
-    sweep._require_doubly_stochastic(tpm.conditional_matrix(u), times)
+    sweep._require_doubly_stochastic(conditional_dense(u), times)
     off_by(where, 1.1 * PROB_SUM_TOL)
     with pytest.raises(NumericInvariantError, match=f"at omega_L_t={times[where]:.6g}:"):
-        sweep._require_doubly_stochastic(tpm.conditional_matrix(u), times)
+        sweep._require_doubly_stochastic(conditional_dense(u), times)
     assert [passes(i) for i in range(11)] == [i != where for i in range(11)]
 
 
@@ -554,20 +669,30 @@ PHOTONIC_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "model",
-    [ModelParams(), ModelParams(0.3, 7.0), ModelParams(1.0, 0.0), ModelParams(2000.0, 5.0)],
-    ids=["default", "slow-local", "no-interaction", "fast-local"],
-)
-def test_gate_angle_of_a_grid_equals_per_time_reference(model):
+ANGLE_MODELS = {
+    "default": ModelParams(),
+    "slow-local": ModelParams(0.3, 7.0),
+    "no-interaction": ModelParams(1.0, 0.0),
+    "fast-local": ModelParams(2000.0, 5.0),
+}
+ANGLE_TIMES = np.linspace(-40.0, 40.0, 20_001)
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_MODELS))
+def test_gate_angle_of_a_grid_equals_per_time_reference(name):
     # the photonic gate's angle atan2(|h2|, |h1|) reads the grid's amplitudes
-    times = np.linspace(-40.0, 40.0, 20_001)
+    model, times = ANGLE_MODELS[name], ANGLE_TIMES
     h1, h2, _ = propagator_grid(model, times)
     expected = [h_coeffs(model, t) for t in times.tolist()]
     assert np.array_equal(_bits(h1), _bits([abs(a) for a, _ in expected]))
     assert np.array_equal(_bits(h2), _bits([abs(b) for _, b in expected]))
     angles = [math.atan2(b, a) for a, b in zip(h1.tolist(), h2.tolist())]
     assert angles == [gate_angle(model, t) for t in times.tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_MODELS))
+def test_propagator_rows_equal_the_reference_entries_over_the_angle_grid(name):
+    _assert_rows_equal_reference(ANGLE_MODELS[name], ANGLE_TIMES)
 
 
 @pytest.mark.parametrize("name", sorted(PHOTONIC_CASES))

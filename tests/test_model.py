@@ -11,13 +11,16 @@ from gate_energetics.model import (
     ThermalSpec,
     hamiltonians,
     input_populations,
+    propagator_grid,
     trajectory_coherence,
 )
 
 import reference
 from conftest import T_STAR, op_distance
 from reference import (
+    coherence_dense,
     coherence_l1,
+    dense_unitary,
     gate_angle,
     h_coeffs,
     is_hermitian,
@@ -246,14 +249,15 @@ def test_coherence_matches_closed_form(params, sweep_grid):
 
 
 def test_coherence_value_at_quarter(params):
-    prop = propagator_analytic(params, T_STAR)
-    assert trajectory_coherence(prop.U) == pytest.approx(5.0 / 13.0, abs=1e-12)
+    u = propagator_grid(params, [T_STAR])[2]
+    assert trajectory_coherence(u)[0] == pytest.approx(5.0 / 13.0, abs=1e-12)
 
 
 def test_coherence_same_for_both_rotating_trajectories(params, sweep_grid):
-    for t in sweep_grid[::10]:
-        prop = propagator_analytic(params, t)
-        assert abs(trajectory_coherence(prop.U, 2) - trajectory_coherence(prop.U, 3)) <= 1e-12
+    # from |10> by the program, from |11> by the dense oracle
+    u = propagator_grid(params, sweep_grid[::10])[2]
+    other = coherence_dense(dense_unitary(u), outcome=3)
+    assert np.max(np.abs(trajectory_coherence(u) - other)) <= 1e-12
 
 
 def test_coherence_stationary_points(params):

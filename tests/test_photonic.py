@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gate_energetics.model import propagator_grid
 from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
@@ -26,7 +27,6 @@ from reference import (
     h_coeffs,
     initial_probs,
     moments,
-    propagator_analytic,
     thermo_report,
 )
 
@@ -127,7 +127,7 @@ def test_conditional_matches_hamiltonian_model(params):
     worst = 0.0
     for t in np.linspace(0.0, t_max, 50):
         photonic_cond = photonic_conditional(optical, params, float(t))
-        exact_cond = conditional_matrix(propagator_analytic(params, float(t)).U)
+        exact_cond = conditional_matrix(propagator_grid(params, [t])[2])[0]
         worst = max(worst, op_distance(photonic_cond, exact_cond))
     assert worst <= 1e-10
 
@@ -161,7 +161,7 @@ def test_imperfect_peak_transition_below_ideal(params):
 
 def test_imperfect_high_moment_reduced_at_peak(params, rho0):
     p_in = initial_probs(rho0)
-    ideal = conditional_matrix(propagator_analytic(params, T_STAR).U)
+    ideal = conditional_matrix(propagator_grid(params, [T_STAR])[2])[0]
     imperfect = photonic_conditional(OpticalParams(T_H=0.985), params, T_STAR)
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, p_in)), 5)[4]
     m5_imp = moments(delta_e_distribution(joint_table_from_conditional(imperfect, p_in)), 5)[4]

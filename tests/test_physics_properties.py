@@ -18,7 +18,7 @@ from gate_energetics.model import ModelParams, ThermalSpec, hamiltonians
 from gate_energetics.sampler import SampleConfig, sample_tpm
 
 from conftest import op_distance
-from reference import evaluate_grid
+from reference import dense_unitary, evaluate_grid
 
 PHYSICS = dict(
     omega_L=st.floats(0.1, 10.0),
@@ -71,7 +71,7 @@ def test_landauer_bound(omega_L, omega_int, alpha, beta_B, t):
 def test_propagator_matches_eigendecomposition(omega_L, omega_int, alpha, beta_B, t):
     cfg, g = _grid(omega_L, omega_int, alpha, beta_B, t)
     h_tot = hamiltonians(cfg.model)[2]
-    for time, u in zip(g.t, g.U):
+    for time, u in zip(g.t, dense_unitary(g.u)):
         assert op_distance(u, expm_hermitian(h_tot, -time)) <= ORACLE_TOL
 
 

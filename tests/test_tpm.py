@@ -7,7 +7,7 @@ import scipy.stats
 
 from gate_energetics import sweep, tpm
 from gate_energetics.config import RunConfig
-from gate_energetics.model import hamiltonians
+from gate_energetics.model import hamiltonians, propagator_grid
 from gate_energetics.sweep import NumericInvariantError, _require_defined_weights
 from gate_energetics.tpm import (
     OUTCOME_ENERGIES,
@@ -21,6 +21,7 @@ from gate_energetics.tpm import (
 from conftest import T_STAR, op_distance
 from reference import (
     DiscreteDistribution,
+    conditional_dense,
     delta_e_distribution,
     entropy_distribution,
     evaluate_grid,
@@ -95,12 +96,12 @@ def test_initial_probs_ignore_coherences(rho0):
 
 
 def test_conditional_identity_at_zero(params):
-    cond = conditional_matrix(propagator_analytic(params, 0.0).U)
+    cond = conditional_matrix(propagator_grid(params, [0.0])[2])[0]
     assert op_distance(cond, np.eye(4)) <= 1e-15
 
 
 def test_conditional_block_values_quarter(params):
-    cond = conditional_matrix(propagator_analytic(params, T_STAR).U)
+    cond = conditional_matrix(propagator_grid(params, [T_STAR])[2])[0]
     assert cond[2, 2] == pytest.approx(1.0 / 26.0, abs=1e-12)
     assert cond[3, 2] == pytest.approx(25.0 / 26.0, abs=1e-12)
     assert cond[2, 3] == pytest.approx(25.0 / 26.0, abs=1e-12)
@@ -108,8 +109,7 @@ def test_conditional_block_values_quarter(params):
 
 
 def test_conditional_control_preserving_rows(params, sweep_grid):
-    for t in sweep_grid[::5]:
-        cond = conditional_matrix(propagator_analytic(params, t).U)
+    for cond in conditional_matrix(propagator_grid(params, sweep_grid[::5])[2]):
         for k in (0, 1):
             assert abs(cond[k, k] - 1.0) <= 1e-14
             assert np.all(np.delete(cond[k, :], k) == 0.0)
@@ -119,7 +119,7 @@ def test_conditional_control_preserving_rows(params, sweep_grid):
 def test_conditional_doubly_stochastic_for_random_unitaries():
     rng = np.random.default_rng(21)
     for _ in range(25):
-        cond = conditional_matrix(random_unitary(rng))
+        cond = conditional_dense(random_unitary(rng))
         assert np.max(np.abs(cond.sum(axis=0) - 1.0)) <= 1e-10
         assert np.max(np.abs(cond.sum(axis=1) - 1.0)) <= 1e-10
 
@@ -129,8 +129,10 @@ def test_conditional_rejects_non_unitary(monkeypatch):
     # stops a propagator whose norms are off, naming its time
     cfg = RunConfig(n_points=3)
     times = cfg.time_grid()
-    u = np.stack([np.eye(4, dtype=complex)] * 3)
-    u[1] = np.diag([1.0, 1.0, 1.0, 0.9])
+    # the rows U00, U22, U32 and U33 of three times; U33 = 0.9 at the second
+    u = np.ones((4, 3), dtype=complex)
+    u[2] = 0.0
+    u[3, 1] = 0.9
     monkeypatch.setattr(sweep, "propagator_grid", lambda p, t: (np.zeros(3), np.zeros(3), u))
     message = re.escape(f"conditional table at omega_L_t={times[1]:.6g}: a row or column sum")
     with pytest.raises(NumericInvariantError, match=message):
@@ -222,6 +224,45 @@ def test_distribution_atoms_merge_within_tolerance():
     d = DiscreteDistribution.from_atoms([1.0, 1.0 + 5e-13, 2.0], [0.25, 0.25, 0.5])
     assert len(d.values) == 2
     assert d.probs[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _merged_in_full_width(values, weights) -> tpm.AtomRows:
+    """``merge_atom_rows`` of the rows with every column sorted: a last row
+    in which every column holds an atom makes it sort all 16."""
+    every = np.arange(16.0)[None, :], np.full((1, 16), 1 / 16)
+    merged = tpm.merge_atom_rows(np.vstack([values, every[0]]), np.vstack([weights, every[1]]))
+    return tpm.AtomRows(merged.values[:-1], merged.probs[:-1], merged.counts[:-1])
+
+
+def test_merge_of_the_occurring_columns_equals_the_full_width_sort():
+    """Rows of different occurrence patterns, columns that occur in no row
+    and NaN values of zero weight: sorting only the columns where some row
+    has an atom gives the atoms of the full-width sort, bit for bit, and of
+    the one-row reference."""
+    rng = np.random.default_rng(41)
+    n = 300
+    values = np.round(rng.normal(size=(n, 16)), 1) + rng.choice([0.0, 4e-13, 3e-12], (n, 16))
+    weights = rng.random((n, 16)) * (rng.random((n, 16)) < rng.random((n, 1)))
+    weights[:, [1, 6, 13]] = 0.0  # no row has an atom there
+    weights[:, 4] += 1e-3  # every row has one
+    values[weights == 0.0] = np.where(rng.random((n, 16)) < 0.5, np.nan, -9.0)[weights == 0.0]
+    weights /= weights.sum(axis=1, keepdims=True)
+    assert len(np.unique(weights > 0.0, axis=0)) > 100
+    merged = tpm.merge_atom_rows(values, weights)
+    full = _merged_in_full_width(values, weights)
+    assert np.array_equal(merged.counts, full.counts)
+    for field in ("values", "probs"):
+        got, want = getattr(merged, field), getattr(full, field)
+        assert np.array_equal(_bits(got[merged.atoms]), _bits(want[full.atoms])), field
+    for i in range(n):
+        ref = DiscreteDistribution.from_atoms(values[i], weights[i])
+        k = merged.counts[i]
+        assert np.array_equal(_bits(merged.values[i, :k]), _bits(ref.values)), i
+        assert np.array_equal(_bits(merged.probs[i, :k]), _bits(ref.probs)), i
 
 
 def test_entropy_realizations_diagonal_zero_at_t0(params, rho0):
