@@ -28,6 +28,7 @@ numpy's arctan2 may round differently in the last bit.  Every later step
 takes one angle or an array of T angles and returns (T, 4, 4) stacks, equal
 row for row to the one-time results: the 16 permanents are taken over
 fixed index arrays and their products go through ``model._complex_product``.
+``postselect`` returns G itself; |G|^2 is taken once, in the conditional table.
 The plate's ``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit
 for bit on every plate angle of the 2000- and 20 000-point default grids,
 natively and at numpy's X86_V3 dispatch.  A stack that blocks an input raises
@@ -128,14 +129,6 @@ def compose_circuit(params: OpticalParams, gamma) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PostselectedGate:
-    """Effective coincidence amplitudes G[fin, in] and per-input success probability."""
-
-    G: np.ndarray
-    success: np.ndarray
-
-
 # the modes (a,p) and (b,q) that hold the photons of basis state 2 p + q
 _MODE_A = np.array([0, 0, 1, 1])
 _MODE_B = np.array([2, 3, 2, 3])
@@ -146,8 +139,8 @@ def _entries(m: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return m.real[..., rows[:, None], cols], m.imag[..., rows[:, None], cols]
 
 
-def postselect(m: np.ndarray) -> PostselectedGate:
-    """Two-photon coincidence amplitudes of the mode transform.
+def postselect(m: np.ndarray) -> np.ndarray:
+    """Two-photon coincidence amplitudes G[fin, in] of the mode transform.
 
     G[(p', q'), (p, q)] is the permanent of the 2x2 submatrix connecting the
     input modes ((a,p), (b,q)) to the output modes ((a,p'), (b,q')): the
@@ -163,19 +156,22 @@ def postselect(m: np.ndarray) -> PostselectedGate:
     g = np.empty(m.shape, dtype=complex)
     g.real = direct[0] + exchange[0]
     g.imag = direct[1] + exchange[1]
-    return PostselectedGate(G=g, success=(np.abs(g) ** 2).sum(axis=-2))
+    return g
 
 
-def photonic_conditional_matrix(gate: PostselectedGate, eps: float, t) -> np.ndarray:
-    """Conditional outcome probabilities of the post-selected gate at time(s) ``t``.
+def photonic_conditional_matrix(g: np.ndarray, eps: float, t) -> np.ndarray:
+    """Conditional outcome probabilities of the post-selected gate G at time(s) ``t``.
 
     c[fin, in] = (1 - eps) |G[fin, in]|^2 / success[in] + eps / 4: the
     coincidence statistics renormalized by the per-input success
-    probability, mixed with a uniform accidental background of weight eps.
+    probability success[in] = sum_fin |G[fin, in]|^2, mixed with a uniform
+    accidental background of weight eps.  |G|^2 is taken once, for both.
     Columns sum to 1 by construction.  A stack of gates gives a stack of
     matrices; the first gate that blocks an input raises, named by its time.
     """
-    blocked = (gate.success <= SUCCESS_FLOOR).reshape(-1, 4)
+    coincidence = np.abs(g) ** 2
+    success = coincidence.sum(axis=-2)
+    blocked = (success <= SUCCESS_FLOOR).reshape(-1, 4)
     rows = np.flatnonzero(blocked.any(axis=1))
     if rows.size:
         i = rows[0]
@@ -184,7 +180,7 @@ def photonic_conditional_matrix(gate: PostselectedGate, eps: float, t) -> np.nda
             f"gate blocks basis input(s) {labels}: post-selection never succeeds"
             f" at omega_L_t={np.ravel(t)[i]:.6g}"
         )
-    return (1.0 - eps) * np.abs(gate.G) ** 2 / gate.success[..., None, :] + eps / 4.0
+    return (1.0 - eps) * coincidence / success[..., None, :] + eps / 4.0
 
 
 def conditional_for_time(params: OpticalParams, h1, h2, t) -> np.ndarray:
@@ -192,5 +188,5 @@ def conditional_for_time(params: OpticalParams, h1, h2, t) -> np.ndarray:
     of amplitudes |h1|, |h2| at time t, or the (T, 4, 4) stack of them for
     arrays of T amplitudes and times."""
     gamma = [math.atan2(b, a) for a, b in zip(np.ravel(h1).tolist(), np.ravel(h2).tolist())]
-    gate = postselect(compose_circuit(params, np.reshape(gamma, np.shape(h1))))
-    return photonic_conditional_matrix(gate, params.eps, t)
+    g = postselect(compose_circuit(params, np.reshape(gamma, np.shape(h1))))
+    return photonic_conditional_matrix(g, params.eps, t)

@@ -9,8 +9,9 @@ the other shots, so the counts of n shots are exactly Multinomial(n, j) over
 the 16 joint cells.  They are drawn in one ``Generator.multinomial`` call
 from a PCG64 stream, at a cost that does not depend on n.
 
-``sample_tpm`` draws from a joint table or from a (T, 4, 4) stack of them,
-which ``sweep._evaluate`` has gated, with the ``Generator`` it is given.
+``sample_tpm`` draws the counts of a joint table or of a (T, 4, 4) stack of
+them, which ``sweep._evaluate`` has gated, with the ``Generator`` it is
+given, and returns them as a plain array of the table's shape.
 ``compare`` makes one, ``np.random.default_rng(seed)``, for all of its
 blocks, so row i of the grid is the i-th multinomial draw of the one PCG64
 stream of the seed, whatever the blocks, and row 0 equals the single-table
@@ -40,28 +41,18 @@ class SampleConfig:
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalTable:
-    """Joint outcome counts[in, fin] from n two-point-measurement shots."""
-
-    counts: np.ndarray
-    n: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.n
-
-
-def sample_tpm(j: np.ndarray, rng: np.random.Generator, cfg: SampleConfig) -> EmpiricalTable:
-    """Sample cfg.n_samples two-point-measurement shots of the joint table j
-    from ``rng``, which the caller seeds (``cfg.seed`` is not read).
+def sample_tpm(j: np.ndarray, rng: np.random.Generator, cfg: SampleConfig) -> np.ndarray:
+    """The joint outcome counts[in, fin] of cfg.n_samples two-point-measurement
+    shots of the joint table j, drawn from ``rng``, which the caller seeds
+    (``cfg.seed`` is not read).
 
     ``j`` may be a (T, 4, 4) stack of joint tables: its rows are then drawn
-    in order.  The tables are not checked here.
+    in order.  The int64 counts have the shape of ``j``; the frequencies are
+    counts / cfg.n_samples.  The tables are not checked here.
     """
     j = np.asarray(j, dtype=float)
     rows = j.reshape(-1, 16)
     # multinomial rejects pvals whose sum exceeds 1 by float noise
     pvals = rows / rows.sum(axis=1, keepdims=True)
     counts = rng.multinomial(cfg.n_samples, pvals)
-    return EmpiricalTable(counts=counts.reshape(j.shape), n=cfg.n_samples)
+    return counts.reshape(j.shape)

@@ -26,12 +26,12 @@ eps = 0.01; 2-vCPU Xeon, numpy 2.4.6) peaks at VmHWM 45.2 MiB at 20 000
 points and 47.3 MiB at 200 000 (73.2 and 442.2 MiB when it evaluated its
 grid in one piece).  The statistics of a ``SweepGrid`` are built on their
 first read, so each command pays only for what it writes: ``sweep`` the
-moments, the coherence, ``h2_sq`` and the report; ``hist`` the two
-distributions; ``compare`` the joint and conditional tables and the dE
-moments, and per block one photonic call, one sampler draw from the one
-generator of the seed and the gate of the sampled frequencies.  The tests
-keep a per-point form of the same computation in tests/reference.py, and
-the grid must equal it bit for bit.
+moments, the coherence, ``h2_sq``, ``ds_mean``, ``landauer_lhs`` and
+``ratio``; ``hist`` the two distributions; ``compare`` the joint and
+conditional tables and the dE moments, and per block one photonic call, one
+sampler draw of counts from the one generator of the seed and the gate of
+the sampled frequencies.  The tests keep a per-point form of the same
+computation in tests/reference.py, and the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
 command before any of its files takes its final name.  ``_evaluate`` gates,
@@ -63,24 +63,23 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .linalg import PROB_SUM_TOL
+from .linalg import PROB_SUM_TOL, RATIO_GUARD
 from .model import input_populations, propagator_grid, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, sample_tpm
 from .tpm import (
     OUTCOME_LABELS,
     AtomRows,
-    ThermoReport,
     conditional_matrix,
     delta_e_atoms,
     delta_e_grid,
     delta_e_moments,
+    ds_mean_grid,
     entropy_grid,
     entropy_realizations,
     final_probs,
     ift_grid,
     joint_table_from_conditional,
-    thermo_report_grid,
 )
 
 # "<row>_<col>" of the 16 cells of a 4x4 table, in row-major order
@@ -428,24 +427,22 @@ def _require_finite_moments(moments: np.ndarray, t: np.ndarray) -> None:
 class SweepGrid:
     """Exact two-point-measurement statistics of every time of a grid, one row per time.
 
-    ``p_in``, the input state's populations, is shared by all rows.  ``u``
-    holds the four non-trivial entries of each time's propagator, one row per
-    entry (``model.propagator_grid``), and ``h1`` and ``h2`` its amplitudes
-    |h1| and |h2|.  The other fields are the gated tables; the statistics
-    below them are built on their first read and kept.  The report's fields
-    are arrays, with NaN where the ratio is undefined.  Each row equals,
-    field by field and bit for bit, the per-point reference
-    ``evaluate_point`` of tests/reference.py at that time.
+    ``u`` holds the four non-trivial entries of each time's propagator, one
+    row per entry (``model.propagator_grid``), and ``h1`` and ``h2`` its
+    amplitudes |h1| and |h2|.  The other fields are the gated tables and
+    ``ift``; every statistic below them is an array built on its first read
+    and kept.  ``ratio`` is NaN where |<dsigma>| is at most ``RATIO_GUARD``:
+    it has no stable value there.  Each row equals, field by field and bit
+    for bit, the per-point reference ``evaluate_point`` of tests/reference.py
+    at that time.
     """
 
     t: np.ndarray
-    p_in: np.ndarray
     u: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     cond: np.ndarray
     joint: np.ndarray
-    p_fin: np.ndarray
     sigma: np.ndarray
     ift: np.ndarray
     beta: float
@@ -486,10 +483,21 @@ class SweepGrid:
         return np.float_power(self.h2, 2.0)
 
     @cached_property
-    def report(self) -> ThermoReport:
-        return thermo_report_grid(
-            self.joint, self.sigma, self.beta, self.de_moments[:, 0], self.ift
-        )
+    def ds_mean(self) -> np.ndarray:
+        return ds_mean_grid(self.joint, self.sigma)
+
+    @cached_property
+    def landauer_lhs(self) -> np.ndarray:
+        de_mean = self.de_moments[:, 0]
+        # a beta = beta_B * omega_L too large for the product leaves it inf or NaN
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return self.beta * de_mean
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        de_mean, ds_mean = self.de_moments[:, 0], self.ds_mean
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.where(np.abs(ds_mean) > RATIO_GUARD, de_mean / ds_mean, np.nan)
 
 
 def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
@@ -508,13 +516,11 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
     _require_ift(ift, cond, p_in, p_fin, t)
     return SweepGrid(
         t=t,
-        p_in=p_in,
         u=u,
         h1=h1,
         h2=h2,
         cond=cond,
         joint=joint,
-        p_fin=p_fin,
         sigma=sigma,
         ift=ift,
         beta=cfg.thermal.beta_B * cfg.model.omega_L,  # dE is in label units
@@ -586,13 +592,13 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         real_csv = outputs.csv("realizations.csv", real_header)
         peaks = {name: _Peak() for name in ("de_mean", "h2_sq", "coherence_l1_10", "ratio")}
         for g in _blocks(cfg, cfg.time_grid()):
-            n, report = len(g.t), g.report
+            n = len(g.t)
             sweep_csv.write(
                 g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence,
-                report.ift, report.landauer_lhs, report.ds_mean, report.ratio,
+                g.ift, g.landauer_lhs, g.ds_mean, g.ratio,
             )
             real_csv.write(g.t, g.sigma.reshape(n, 16))
-            columns = (report.de_mean, g.h2_sq, g.coherence, report.ratio)
+            columns = (g.de_moments[:, 0], g.h2_sq, g.coherence, g.ratio)
             for peak, values in zip(peaks.values(), columns):
                 peak.update(g.t, values)
         summary = {
@@ -648,7 +654,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
                     # a gate that blocks an input passes every range check
                     raise ConfigError(f"photonic: {exc}") from None
             # cfg stays a keyword: benchmarks/tracing.py reads the shot count from it
-            freq = sample_tpm(g.joint, rng, cfg=shots).frequencies
+            freq = sample_tpm(g.joint, rng, cfg=shots) / shots.n_samples
             _require_prob_group(freq, "empirical table", g.t)
             sampled = delta_e_moments(delta_e_grid(freq), cfg.moments_max)
             cell_errors = np.abs(g.joint - freq).reshape(-1, 16)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RATIO_GUARD, VALUE_MERGE_TOL
+from .linalg import VALUE_MERGE_TOL
 
 
 # outcome m = 2 psi_A + phi_B, labelled by its bits, and its energy label
@@ -105,23 +105,6 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
     return np.where((p_fin <= 0.0)[..., None, :], np.nan, sigma)
 
 
-@dataclass(frozen=True)
-class ThermoReport:
-    """Thermodynamic summary of the two-point-measurement statistics.
-
-    Every field is a (T,) array with one entry per time.  ``ratio`` is NaN
-    where |<dsigma>| falls below ``RATIO_GUARD``: the energy-to-entropy ratio
-    diverges there and has no stable numeric value.
-    """
-
-    de_mean: np.ndarray
-    ds_mean: np.ndarray
-    ift: np.ndarray
-    landauer_lhs: np.ndarray
-    landauer_slack: np.ndarray
-    ratio: np.ndarray
-
-
 # --- whole grids ---------------------------------------------------------
 #
 # The table functions above take one table or a (T, 4, 4) stack of them.
@@ -130,7 +113,9 @@ class ThermoReport:
 # Python merge loop per distribution, np.dot moments and sums over the
 # defined cells.  Each function here equals it at every row, bit for bit.
 # The dsigma functions run the same float operations in the same order over
-# all rows at once.  The dE functions work on the weights of the five
+# all rows at once; ``ift_grid`` and ``ds_mean_grid`` are its two sums over
+# the defined cells, and ``sweep.SweepGrid`` builds the Landauer bound and
+# the energy-to-entropy ratio from ``ds_mean_grid`` and the dE mean.  The dE functions work on the weights of the five
 # lattice values instead, one time-last row per value: on the lattice every
 # product is exact, so the shorter path rounds the same (see
 # ``delta_e_grid`` and ``delta_e_moments``).  Only ``hist`` writes the dE
@@ -335,31 +320,9 @@ def ift_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return _sum_defined(terms, np.isfinite(sigma))
 
 
-def thermo_report_grid(
-    j: np.ndarray, sigma: np.ndarray, beta: float, de_mean: np.ndarray, ift: np.ndarray
-) -> ThermoReport:
-    """Fluctuation-theorem and Landauer-bound bookkeeping of each row, given
-    the mean of each row's dE distribution and its ``ift_grid``.
-
-    ``beta`` multiplies the dimensionless dE labels, so it is the inverse
-    temperature of the Gibbs weights e^{-beta_B omega_L sz} in those units:
-    beta_B * omega_L.
-    landauer_slack = beta <dE> - <dsigma> is the margin of the Landauer-like
-    bound.  <dsigma> sums over the defined realizations only.  A beta too
-    large for the product leaves landauer_lhs inf or NaN.
-    """
+def ds_mean_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The mean entropy production <dsigma> of each row, over its defined realizations."""
     n = len(j)
     sigma = sigma.reshape(n, 16)
     with np.errstate(invalid="ignore"):
-        ds_mean = _sum_defined(j.reshape(n, 16) * sigma, np.isfinite(sigma))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lhs = beta * de_mean
-        ratio = np.where(np.abs(ds_mean) > RATIO_GUARD, de_mean / ds_mean, np.nan)
-    return ThermoReport(
-        de_mean=de_mean,
-        ds_mean=ds_mean,
-        ift=ift,
-        landauer_lhs=lhs,
-        landauer_slack=lhs - ds_mean,
-        ratio=ratio,
-    )
+        return _sum_defined(j.reshape(n, 16) * sigma, np.isfinite(sigma))

@@ -2,7 +2,7 @@
 
 ``evaluate_point`` computes the statistics of one time with scalar code: the
 propagator from Python's complex arithmetic, one distribution per table
-merged by a Python loop, and report sums over the defined cells only.
+merged by a Python loop, and the report's sums over the defined cells only.
 The grid path, ``gate_energetics.sweep._evaluate``, must equal it at every
 time, bit for bit, so each function here runs the float operations that the
 grid path runs, in the same order.  The checks that the grid path makes
@@ -10,7 +10,9 @@ grid path runs, in the same order.  The checks that the grid path makes
 are not repeated here.  ``evaluate_grid`` runs the grid path itself on a
 whole grid at once, for the tests that compare it with this reference.
 ``gate_angle`` is the oracle of the angle that the photonic gate takes from
-the propagator's |h1| and |h2|.
+the propagator's |h1| and |h2|, and ``success_probability`` the per-input
+success of a post-selected gate G, which ``photonic`` keeps to its
+conditional table.
 
 The grid path builds the propagator from its four non-trivial entries only.
 ``dense_unitary`` puts them back into the full 4x4 form, and
@@ -40,11 +42,9 @@ from gate_energetics.model import (
     _single_qubit_gibbs,
     input_populations,
 )
-from gate_energetics.sampler import EmpiricalTable
 from gate_energetics.sweep import SweepGrid, _evaluate
 from gate_energetics.tpm import (
     ENERGY_CHANGE,
-    ThermoReport,
     entropy_realizations,
     joint_table_from_conditional,
 )
@@ -119,6 +119,12 @@ def gate_angle(p: ModelParams, t: float) -> float:
     """
     h1, h2 = h_coeffs(p, t)
     return math.atan2(abs(h2), abs(h1))
+
+
+def success_probability(g: np.ndarray) -> np.ndarray:
+    """Per-input post-selection success probability sum_fin |G[fin, in]|^2 of
+    the coincidence amplitudes G, or of each gate of a stack."""
+    return (np.abs(g) ** 2).sum(axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,27 +283,39 @@ def moments(d: DiscreteDistribution, h_max: int = 5) -> np.ndarray:
     return np.array([d.moment(h) for h in range(1, h_max + 1)])
 
 
+class ThermoReport(NamedTuple):
+    """Fluctuation-theorem and Landauer bookkeeping of one joint table: the
+    per-time values of ``SweepGrid.de_moments[:, 0]``, ``ds_mean``, ``ift``,
+    ``landauer_lhs`` and ``ratio``.  The Landauer slack is
+    ``landauer_lhs - ds_mean``."""
+
+    de_mean: float
+    ds_mean: float
+    ift: float
+    landauer_lhs: float
+    ratio: float
+
+
 def thermo_report(j: np.ndarray, sigma: np.ndarray, beta: float) -> ThermoReport:
-    """The ``ThermoReport`` of one joint table, with float fields."""
+    """The ``ThermoReport`` of one joint table."""
     j = np.asarray(j, dtype=float)
     defined = np.isfinite(sigma)
     de_mean = delta_e_distribution(j).mean
     ds_mean = float(np.sum(j[defined] * sigma[defined]))
     ift = float(np.sum(j[defined] * np.exp(-sigma[defined])))
-    lhs = beta * de_mean
     return ThermoReport(
         de_mean=de_mean,
         ds_mean=ds_mean,
         ift=ift,
-        landauer_lhs=lhs,
-        landauer_slack=lhs - ds_mean,
+        landauer_lhs=beta * de_mean,
         ratio=de_mean / ds_mean if abs(ds_mean) > RATIO_GUARD else math.nan,
     )
 
 
 @dataclass(eq=False)
 class SweepPoint:
-    """The fields of ``sweep.SweepGrid`` at one time."""
+    """The fields and statistics of ``sweep.SweepGrid`` at one time, with the
+    input and final populations that ``sweep._evaluate`` keeps as locals."""
 
     t: float
     p_in: np.ndarray
@@ -353,9 +371,9 @@ class TVResult(NamedTuple):
     max_cell: float
 
 
-def tv_distance(e: EmpiricalTable, j: np.ndarray) -> TVResult:
+def tv_distance(counts: np.ndarray, n: int, j: np.ndarray) -> TVResult:
     """Total-variation distance and largest per-cell error between counts/n and j."""
-    if e.n == 0:
+    if n == 0:
         raise ValueError("empirical table holds no samples")
-    diff = np.abs(e.frequencies - np.asarray(j, dtype=float))
+    diff = np.abs(counts / n - np.asarray(j, dtype=float))
     return TVResult(tv=0.5 * float(diff.sum()), max_cell=float(diff.max()))

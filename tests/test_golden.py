@@ -97,8 +97,13 @@ _UNWRITTEN = {
         (tpm.AtomRows, "moments"),
         (sweep, "trajectory_coherence"),
         (sweep, "delta_e_atoms"),
+        (sweep, "ds_mean_grid"),
     ],
-    "hist": [(tpm.AtomRows, "moments"), (sweep, "trajectory_coherence")],
+    "hist": [
+        (tpm.AtomRows, "moments"),
+        (sweep, "trajectory_coherence"),
+        (sweep, "ds_mean_grid"),
+    ],
     "sweep": [(sweep, "delta_e_atoms")],
 }
 

@@ -34,7 +34,6 @@ from gate_energetics.model import (
 )
 from gate_energetics.photonic import (
     OpticalParams,
-    PostselectedGate,
     compose_circuit,
     conditional_for_time,
     photonic_conditional_matrix,
@@ -76,6 +75,9 @@ CASES = {
     "contains-zero": (DEFAULT, np.array([0.31, 0.0, 0.62, 1e-9])),
     # the Landauer beta is beta_B * omega_L, not beta_B alone
     "omega_L-three": (RunConfig(model=ModelParams(omega_L=3.0)), DEFAULT.time_grid()),
+    # a target population underflows to 0: every row has undefined
+    # realizations, and ds_mean and ift sum over the defined cells only
+    "omega_L-2000": (RunConfig(model=ModelParams(omega_L=2000.0)), DEFAULT.time_grid()),
 }
 
 
@@ -107,14 +109,18 @@ def test_grid_equals_point_exactly(name):
     for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
         pt = evaluate_point(cfg, t)
         assert _same(g.u[:, i], propagator_analytic(cfg.model, t).U[NONTRIVIAL]), (name, t, "u")
-        assert _same(g.p_in, pt.p_in)
-        for field in ("p_fin", "cond", "joint", "sigma", "de_moments", "ds_moments",
+        assert _same(input_populations(cfg.thermal, cfg.model), pt.p_in)
+        assert _same(tpm.final_probs(g.joint)[i], pt.p_fin), (name, t, "p_fin")
+        for field in ("cond", "joint", "sigma", "de_moments", "ds_moments",
                       "coherence", "h2_sq"):
             assert _same(getattr(g, field)[i], getattr(pt, field)), (name, t, field)
         for field in ("de_dist", "ds_dist"):
             assert _same_dist(getattr(g, field), i, getattr(pt, field)), (name, t, field)
-        for field in ("de_mean", "ds_mean", "ift", "landauer_lhs", "landauer_slack", "ratio"):
-            assert _same(getattr(g.report, field)[i], getattr(pt.report, field)), (name, t, field)
+        assert _same(g.de_moments[i, 0], pt.report.de_mean), (name, t, "de_mean")
+        for field in ("ds_mean", "ift", "landauer_lhs", "ratio"):
+            assert _same(getattr(g, field)[i], getattr(pt.report, field)), (name, t, field)
+        slack = pt.report.landauer_lhs - pt.report.ds_mean
+        assert _same(g.landauer_lhs[i] - g.ds_mean[i], slack), (name, t, "slack")
 
 
 def _assert_rows_equal_reference(model, times):
@@ -219,7 +225,7 @@ def test_a_block_of_evaluation_and_coherence_stays_below_its_traced_peak():
 def test_contains_zero_case_has_an_undefined_ratio():
     cfg, times = CASES["contains-zero"]
     assert np.isnan(evaluate_point(cfg, 0.0).report.ratio)
-    assert np.isnan(evaluate_grid(cfg, times).report.ratio[1])
+    assert np.isnan(evaluate_grid(cfg, times).ratio[1])
 
 
 def test_undefined_realizations_match_the_scalar_tables():
@@ -232,8 +238,10 @@ def test_undefined_realizations_match_the_scalar_tables():
     joint = tpm.joint_table_from_conditional(conds, p_in)
     sigma = tpm.entropy_realizations(p_in, tpm.final_probs(joint))
     ds_rows = tpm.entropy_grid(joint, sigma)
-    de_mean = tpm.delta_e_moments(tpm.delta_e_grid(joint), 1)[:, 0]
-    report = tpm.thermo_report_grid(joint, sigma, 0.5, de_mean, tpm.ift_grid(joint, sigma))
+    g = dataclasses.replace(
+        evaluate_grid(DEFAULT, [0.0, 0.7]),
+        joint=joint, sigma=sigma, ift=tpm.ift_grid(joint, sigma), beta=0.5,
+    )
     for i, cond in enumerate(conds):
         j = tpm.joint_table_from_conditional(cond, p_in)
         s = tpm.entropy_realizations(p_in, tpm.final_probs(j))
@@ -241,8 +249,11 @@ def test_undefined_realizations_match_the_scalar_tables():
         assert _same(sigma[i], s)
         assert _same_dist(ds_rows, i, entropy_distribution(j, s))
         scalar = thermo_report(j, s, 0.5)
-        for field in ("de_mean", "ds_mean", "ift", "landauer_slack"):
-            assert _same(getattr(report, field)[i], getattr(scalar, field)), field
+        assert _same(g.de_moments[i, 0], scalar.de_mean)
+        for field in ("ds_mean", "ift"):
+            assert _same(getattr(g, field)[i], getattr(scalar, field)), field
+        slack = scalar.landauer_lhs - scalar.ds_mean
+        assert _same(g.landauer_lhs[i] - g.ds_mean[i], slack)
 
 
 def test_sums_over_defined_cells_equal_per_row_sums():
@@ -267,9 +278,9 @@ def test_ift_of_an_input_without_full_support_is_one_minus_lambda():
     # is what the average over the defined realizations misses
     cfg = RunConfig(model=ModelParams(omega_L=2000.0))
     g = evaluate_grid(cfg, cfg.time_grid())
-    empty = g.p_in == 0.0
+    empty = input_populations(cfg.thermal, cfg.model) == 0.0
     assert empty.any()
-    lam = (g.p_fin * g.cond[:, :, empty].sum(axis=2)).sum(axis=1)
+    lam = (tpm.final_probs(g.joint) * g.cond[:, :, empty].sum(axis=2)).sum(axis=1)
     assert np.abs(g.ift - 1.0).max() > 1e-6
     assert np.abs(g.ift - (1.0 - lam)).max() <= 1e-14
 
@@ -414,6 +425,43 @@ def test_src_defines_nothing_only_the_tests_use():
         and node.name not in gate_energetics.__all__
     ]
     assert not unused, f"referenced nowhere in src but in their own definition: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_src_reads_every_dataclass_field_it_declares():
+    """A field that src/ never reads, as an attribute or through ``getattr``
+    with a literal name, is carried for the tests alone."""
+    package = Path(gate_energetics.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            read.add(node.args[1].value)
+    unread = [
+        f"{module}.{node.name}.{field.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert not unread, f"dataclass fields that src never reads: {unread}"
 
 
 def _all_names(tree) -> set[str]:
@@ -705,16 +753,15 @@ def test_stacked_photonic_equals_per_time_loops_exactly(name):
     assert cond.shape == (len(times), 4, 4)
     for i, t in enumerate(per_time):
         g = _gate_per_time(optical, cfg.model, t)
-        assert _same(gates.G[i], g), (name, t, "G")
+        assert _same(gates[i], g), (name, t, "G")
         assert _same(cond[i], _conditional_per_time(optical, g)), (name, t, "cond")
 
 
 def test_stacked_gate_names_its_blocked_row():
     g = np.stack([np.eye(4, dtype=complex)] * 3)
     g[1, :, 2] = 0.0
-    gate = PostselectedGate(G=g, success=(np.abs(g) ** 2).sum(axis=-2))
     with pytest.raises(ValueError, match=r"input\(s\) 10: .* at omega_L_t=0.2$"):
-        photonic_conditional_matrix(gate, 0.0, np.array([0.1, 0.2, 0.3]))
+        photonic_conditional_matrix(g, 0.0, np.array([0.1, 0.2, 0.3]))
 
 
 def test_stacked_conditional_names_the_first_blocked_time():
@@ -739,12 +786,12 @@ def test_stacked_sampler_rows_equal_single_calls(n_samples):
     pvals = rows / rows.sum(axis=1, keepdims=True)
     for seed in (42, 2**32 - 4, 2**64 - 8, 2**64 - 1):
         cfg = SampleConfig(n_samples, seed)
-        table = sample_tpm(g.joint, np.random.default_rng(seed), cfg)
-        assert table.counts.shape == (8, 4, 4)
+        counts = sample_tpm(g.joint, np.random.default_rng(seed), cfg)
+        assert counts.shape == (8, 4, 4)
         blocks = np.random.default_rng(seed)
-        walked = [sample_tpm(block, blocks, cfg).counts for block in (g.joint[:3], g.joint[3:])]
-        assert np.array_equal(np.concatenate(walked), table.counts), seed
+        walked = [sample_tpm(block, blocks, cfg) for block in (g.joint[:3], g.joint[3:])]
+        assert np.array_equal(np.concatenate(walked), counts), seed
         rng = np.random.default_rng(seed)
         for i in range(8):
             expected = rng.multinomial(n_samples, pvals[i])
-            assert np.array_equal(table.counts[i].ravel(), expected), (seed, i)
+            assert np.array_equal(counts[i].ravel(), expected), (seed, i)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import scipy.stats
 
 from gate_energetics import sweep, tpm
 from gate_energetics.config import RunConfig
+from gate_energetics.linalg import RATIO_GUARD
 from gate_energetics.model import hamiltonians, propagator_grid
 from gate_energetics.sweep import NumericInvariantError, _require_defined_weights
 from gate_energetics.tpm import (
@@ -345,20 +347,30 @@ def test_entropy_distribution_rejects_weight_on_undefined():
     _require_defined_weights(j, sigma, np.zeros(1))
 
 
+def _block_with(j, sigma, beta):
+    """An evaluated block of one row per table of ``j``, with its joint
+    tables, realizations and beta replaced; its statistics are built from
+    these on their first read."""
+    g = evaluate_grid(RunConfig(), np.zeros(len(j)))
+    return dataclasses.replace(g, joint=j, sigma=sigma, beta=beta)
+
+
 @pytest.mark.parametrize("ds_mean, defined", [
     (1e-7, True), (-1e-7, True), (1e-10, False), (-1e-10, False), (0.0, False),
+    (RATIO_GUARD, False),
 ])
 def test_ratio_guard(ds_mean, defined):
-    # the ratio <dE>/<dsigma> is written only where |<dsigma>| > RATIO_GUARD
+    # the ratio <dE>/<dsigma> is written only where |<dsigma>| > RATIO_GUARD;
+    # all weight on (in, fin) = (00, 01), where dE = +2, makes <dE> = 2
     j = np.zeros((1, 4, 4))
-    j[0, 0, 0] = 1.0
-    sigma = np.full((1, 4, 4), ds_mean)
-    report = tpm.thermo_report_grid(j, sigma, 0.5, np.array([2.0]), np.ones(1))
-    assert report.ds_mean[0] == ds_mean
+    j[0, 0, 1] = 1.0
+    g = _block_with(j, np.full((1, 4, 4), ds_mean), 0.5)
+    assert g.de_moments[0, 0] == 2.0
+    assert g.ds_mean[0] == ds_mean
     if defined:
-        assert report.ratio[0] == 2.0 / ds_mean
+        assert g.ratio[0] == 2.0 / ds_mean
     else:
-        assert np.isnan(report.ratio[0])
+        assert np.isnan(g.ratio[0])
 
 
 def test_moments_zero_at_t0(params, rho0):
@@ -401,7 +413,7 @@ def _report_at(params, rho0, t, beta=0.5):
 def test_thermo_report_at_zero(params, rho0):
     rep = _report_at(params, rho0, 0.0)
     assert rep.ift == pytest.approx(1.0, abs=1e-12)
-    assert rep.landauer_slack == pytest.approx(0.0, abs=1e-14)
+    assert rep.landauer_lhs - rep.ds_mean == pytest.approx(0.0, abs=1e-14)
     assert math.isnan(rep.ratio)
 
 
@@ -417,24 +429,27 @@ def test_thermo_entropy_non_negative_over_sweep(params, rho0, sweep_grid):
 
 def test_thermo_landauer_over_sweep(params, rho0, sweep_grid):
     for t in sweep_grid[::5]:
-        assert _report_at(params, rho0, t).landauer_slack >= -1e-12
+        rep = _report_at(params, rho0, t)
+        assert rep.landauer_lhs - rep.ds_mean >= -1e-12
 
 
 def test_thermo_values_quarter(params, rho0):
     rep = _report_at(params, rho0, T_STAR)
     assert rep.de_mean == pytest.approx(0.7109494727077077, abs=1e-12)
     assert rep.ds_mean == pytest.approx(DS_MEAN_STAR, abs=1e-12)
-    assert rep.landauer_slack == pytest.approx(0.34188984250832916, abs=1e-9)
+    assert rep.landauer_lhs - rep.ds_mean == pytest.approx(0.34188984250832916, abs=1e-9)
     assert rep.ratio == pytest.approx(52.333826144833516, abs=1e-6)
 
 
 @pytest.mark.parametrize("beta, lhs", [(1e308, [np.inf, 0.0]), (np.inf, [np.inf, np.nan])])
 def test_an_overflowing_landauer_lhs_is_not_finite_without_a_warning(beta, lhs):
-    # beta_B * omega_L may overflow, or beta <dE> may; every warning is an error here
+    # beta_B * omega_L may overflow, or beta <dE> may; every warning is an error
+    # here.  <dE> is 2 in the first row, all on (00, 01), and 0 in the second
     j = np.zeros((2, 4, 4))
-    j[:, 3, 3] = 1.0
-    report = tpm.thermo_report_grid(j, np.zeros((2, 4, 4)), beta, np.array([2.0, 0.0]), np.ones(2))
-    np.testing.assert_array_equal(report.landauer_lhs, lhs)
+    j[0, 0, 1] = j[1, 3, 3] = 1.0
+    g = _block_with(j, np.zeros((2, 4, 4)), beta)
+    np.testing.assert_array_equal(g.de_moments[:, 0], [2.0, 0.0])
+    np.testing.assert_array_equal(g.landauer_lhs, lhs)
 
 
 def test_joint_from_conditional_shape_checks():
