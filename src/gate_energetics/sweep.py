@@ -27,10 +27,10 @@ points and 47.3 MiB at 200 000 (73.2 and 442.2 MiB when it evaluated its
 grid in one piece).  The statistics of a ``SweepGrid`` are built on their
 first read, so each command pays only for what it writes: ``sweep`` the
 moments, the coherence, ``h2_sq``, ``ds_mean``, ``landauer_lhs`` and
-``ratio``; ``hist`` the two distributions; ``compare`` the joint and
-conditional tables and the dE moments, and per block one photonic call, one
-sampler draw of counts from the one generator of the seed and the gate of
-the sampled frequencies.  The tests keep a per-point form of the same
+``ratio``; ``hist`` the dsigma distribution and the dE lattice weights;
+``compare`` the joint and conditional tables and the dE moments, and per
+block one photonic call, one sampler draw of counts from the one generator
+of the seed and the gate of the sampled frequencies.  The tests keep a per-point form of the same
 computation in tests/reference.py, and the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
@@ -71,9 +71,9 @@ from .tpm import (
     OUTCOME_LABELS,
     AtomRows,
     conditional_matrix,
-    delta_e_atoms,
     delta_e_grid,
     delta_e_moments,
+    delta_e_rows,
     ds_mean_grid,
     entropy_grid,
     entropy_realizations,
@@ -430,11 +430,12 @@ class SweepGrid:
     ``u`` holds the four non-trivial entries of each time's propagator, one
     row per entry (``model.propagator_grid``), and ``h1`` and ``h2`` its
     amplitudes |h1| and |h2|.  The other fields are the gated tables and
-    ``ift``; every statistic below them is an array built on its first read
-    and kept.  ``ratio`` is NaN where |<dsigma>| is at most ``RATIO_GUARD``:
-    it has no stable value there.  Each row equals, field by field and bit
-    for bit, the per-point reference ``evaluate_point`` of tests/reference.py
-    at that time.
+    ``ift``; every statistic below them is built on its first read and kept,
+    a plain array but for the ragged dsigma supports ``ds_dist`` (``hist``
+    reads the dE rows from ``de_weights``).  ``ratio`` is NaN where
+    |<dsigma>| is at most ``RATIO_GUARD``: it has no stable value there.
+    Each row equals, field by field and bit for bit, the per-point reference
+    ``evaluate_point`` of tests/reference.py at that time.
     """
 
     t: np.ndarray
@@ -451,10 +452,6 @@ class SweepGrid:
     @cached_property
     def de_weights(self) -> np.ndarray:
         return delta_e_grid(self.joint)
-
-    @cached_property
-    def de_dist(self) -> AtomRows:
-        return delta_e_atoms(self.de_weights)
 
     @cached_property
     def ds_dist(self) -> AtomRows:
@@ -625,10 +622,12 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             )
     header = ["omega_L_t", "value", "probability"]
     with _Outputs(out_dir) as outputs:
-        files = [outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds")]
+        de_csv, ds_csv = (outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds"))
         for g in _blocks(cfg, cfg.hist_times):
-            for file, d in zip(files, (g.de_dist, g.ds_dist)):
-                file.write(np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
+            time, values, probs = delta_e_rows(g.de_weights)
+            de_csv.write(g.t[time], values, probs)
+            d = g.ds_dist
+            ds_csv.write(np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
     return outputs.paths
 
 

@@ -113,24 +113,23 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
 # Python merge loop per distribution, np.dot moments and sums over the
 # defined cells.  Each function here equals it at every row, bit for bit.
 # The dsigma functions run the same float operations in the same order over
-# all rows at once; ``ift_grid`` and ``ds_mean_grid`` are its two sums over
-# the defined cells, and ``sweep.SweepGrid`` builds the Landauer bound and
-# the energy-to-entropy ratio from ``ds_mean_grid`` and the dE mean.  The dE functions work on the weights of the five
-# lattice values instead, one time-last row per value: on the lattice every
-# product is exact, so the shorter path rounds the same (see
-# ``delta_e_grid`` and ``delta_e_moments``).  Only ``hist`` writes the dE
-# distribution, and only it builds its atoms (``delta_e_atoms``).
+# all rows at once; ``ift_grid`` and ``ds_mean_grid`` sum each row's 16 terms
+# with the undefined ones set to 0.  The dE functions work on the weights of
+# the five lattice values instead, one time-last row per value: on the
+# lattice every product is exact, so the shorter path rounds the same (see
+# ``delta_e_grid`` and ``delta_e_moments``); ``hist`` reads the dE
+# distribution straight from the weights (``delta_e_rows``).
 
 
 @dataclass(frozen=True, eq=False)
 class AtomRows:
-    """One finitely supported distribution per row.
+    """One finitely supported distribution per row: a block's dsigma supports.
 
     Row i holds the atoms values[i, :counts[i]] with probabilities
     probs[i, :counts[i]]; the cells after them are zero.  Nothing here checks
-    them: ``merge_atom_rows`` and ``delta_e_atoms`` build rows whose values
-    increase strictly and whose probabilities are positive, from tables that
-    ``sweep._evaluate`` has gated.
+    them: ``merge_atom_rows`` builds rows whose values increase strictly and
+    whose probabilities are positive, from tables that ``sweep._evaluate``
+    has gated.
     """
 
     values: np.ndarray
@@ -252,18 +251,18 @@ def delta_e_grid(j: np.ndarray) -> np.ndarray:
     return weights
 
 
-def delta_e_atoms(weights: np.ndarray) -> AtomRows:
-    """The dE distribution of each column of ``delta_e_grid`` weights: the
-    lattice values of positive weight, in increasing order; rows hold at most
-    five atoms.
+def delta_e_rows(weights: np.ndarray):
+    """The dE distribution of every column of ``delta_e_grid`` weights as flat
+    rows ``(time, value, probability)``: the lattice values of positive
+    weight, in time order and, within a time, in increasing order.
 
     This equals ``merge_atom_rows`` on the 16 (dE, j) atoms bit for bit: the
     weights are its sums (which a cell of zero weight leaves as they are),
     and the weighted mean of equal values v that it takes as the atom's
     value is exactly v, because scaling by v = 0 or +-2^k rounds nothing.
     """
-    lattice = np.broadcast_to(ENERGY_LATTICE[:, None], weights.shape)
-    return _kept_atoms(lattice, weights, weights > 0.0)
+    time, value = np.nonzero(weights.T > 0.0)
+    return time, ENERGY_LATTICE[value], weights[value, time]
 
 
 def delta_e_moments(weights: np.ndarray, h_max: int) -> np.ndarray:
@@ -271,11 +270,11 @@ def delta_e_moments(weights: np.ndarray, h_max: int) -> np.ndarray:
     weights, shape (T, h_max).
 
     Each is the ordered sum 0.0 + w_1 v_1^h + ... + w_5 v_5^h over the five
-    lattice values.  It equals ``AtomRows.moments`` of ``delta_e_atoms`` bit
-    for bit: every v^h on the lattice is 0 or +-2^k, so every product is
-    exact, the BLAS dot product over the atoms adds the same products in the
-    same order from 0.0, and a value of zero weight adds +-0, which changes
-    no sum.
+    lattice values.  It equals ``AtomRows.moments`` of ``merge_atom_rows`` on
+    the 16 (dE, j) atoms bit for bit: every v^h on the lattice is 0 or +-2^k,
+    so every product is exact, the BLAS dot product over the atoms adds the
+    same products in the same order from 0.0, and a value of zero weight adds
+    +-0, which changes no sum.
     """
     out = np.zeros((h_max, weights.shape[1]))
     for h, acc in enumerate(out, start=1):
@@ -288,21 +287,12 @@ def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
     """Distribution of the entropy production of each joint table, aggregated over
     equal values of its realizations ``sigma``.
 
-    Undefined (NaN) realizations are left out, as their weight is zeroed;
-    ``sweep._evaluate`` has gated that weight to be negligible.
+    Undefined (NaN) realizations are left out: ``sweep._evaluate`` has gated
+    their weight to be exactly 0, and ``merge_atom_rows`` keeps only atoms of
+    positive weight.
     """
     n = len(j)
-    weights = np.where(np.isfinite(sigma), j, 0.0).reshape(n, 16)
-    return merge_atom_rows(sigma.reshape(n, 16), weights)
-
-
-def _sum_defined(terms: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """Row sums of (T, 16) ``terms`` over the cells where ``defined`` holds."""
-    out = terms.sum(axis=1)
-    for i in np.flatnonzero(~defined.all(axis=1)):
-        # the reference sums only the defined terms, which groups them differently
-        out[i] = terms[i, defined[i]].sum()
-    return out
+    return merge_atom_rows(sigma.reshape(n, 16), j.reshape(n, 16))
 
 
 def ift_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -311,18 +301,19 @@ def ift_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     It is 1 for a doubly stochastic conditional model and an input of full
     support.  Where inputs of zero population make realizations undefined it
     is 1 - lambda, lambda the weight of absolutely irreversible outcomes
-    (Murashita, Funo & Ueda, PRE 90, 042110 (2014)).
+    (Murashita, Funo & Ueda, PRE 90, 042110 (2014)).  Each row is numpy's
+    sum of its 16 terms with the undefined ones set to 0.
     """
     n = len(j)
     sigma = sigma.reshape(n, 16)
     with np.errstate(invalid="ignore"):
         terms = j.reshape(n, 16) * np.exp(-sigma)
-    return _sum_defined(terms, np.isfinite(sigma))
+    return np.where(np.isfinite(sigma), terms, 0.0).sum(axis=1)
 
 
 def ds_mean_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The mean entropy production <dsigma> of each row, over its defined realizations."""
+    """The mean <dsigma> of each row over its defined realizations, summed as ``ift_grid``."""
     n = len(j)
     sigma = sigma.reshape(n, 16)
     with np.errstate(invalid="ignore"):
-        return _sum_defined(j.reshape(n, 16) * sigma, np.isfinite(sigma))
+        return np.where(np.isfinite(sigma), j.reshape(n, 16) * sigma, 0.0).sum(axis=1)

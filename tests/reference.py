@@ -2,7 +2,9 @@
 
 ``evaluate_point`` computes the statistics of one time with scalar code: the
 propagator from Python's complex arithmetic, one distribution per table
-merged by a Python loop, and the report's sums over the defined cells only.
+merged by a Python loop, and the report's sums as numpy sums over all 16
+cells, the undefined ones set to 0 (numpy groups a sum's terms by their
+place, so a sum over the defined cells alone may round differently).
 The grid path, ``gate_energetics.sweep._evaluate``, must equal it at every
 time, bit for bit, so each function here runs the float operations that the
 grid path runs, in the same order.  The checks that the grid path makes
@@ -301,8 +303,8 @@ def thermo_report(j: np.ndarray, sigma: np.ndarray, beta: float) -> ThermoReport
     j = np.asarray(j, dtype=float)
     defined = np.isfinite(sigma)
     de_mean = delta_e_distribution(j).mean
-    ds_mean = float(np.sum(j[defined] * sigma[defined]))
-    ift = float(np.sum(j[defined] * np.exp(-sigma[defined])))
+    ds_mean = float(np.sum(np.where(defined, j * sigma, 0.0)))
+    ift = float(np.sum(np.where(defined, j * np.exp(-sigma), 0.0)))
     return ThermoReport(
         de_mean=de_mean,
         ds_mean=ds_mean,

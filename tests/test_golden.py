@@ -7,15 +7,19 @@ were re-recorded twice: when the per-shot block sampler gave way to one
 exact multinomial draw per point, and when the points stopped drawing from
 the streams of seeds ``seed + i`` and drew in grid order from the one
 stream of ``seed`` instead (row 0 is unchanged, the other rows move).
+The digests at ``omega_L = 2000``, an input without full support, were
+recorded from the grid path while it still summed each row's defined cells
+alone; the 16-cell sums that replaced it write the same bytes at these
+sizes.
 Like ``benchmarks/digests.json`` they pin the bytes of the numpy/OpenBLAS
 build they were recorded with: a different build may move the last digit of
 a cell and needs a deliberate re-record, not a loosened check.
 
 Recorded with CPython 3.11.7 and numpy 2.4.6 (its wheel bundles OpenBLAS
 0.3.31.188.0, built with DYNAMIC_ARCH) on an x86-64 Intel Xeon with AVX-512.
-OpenBLAS and numpy both pick their kernels by CPU at run time.  The digests
-also hold with numpy's dispatch capped at X86_V3 (AVX2 and FMA3) and
-OpenBLAS's Haswell kernels, the level of a host without AVX-512; a test
+OpenBLAS and numpy both pick their kernels by CPU at run time.  Both sets
+of digests also hold with numpy's dispatch capped at X86_V3 (AVX2 and FMA3)
+and OpenBLAS's Haswell kernels, the level of a host without AVX-512; a test
 below runs the commands at that level.  Hosts below X86_V3 write different
 ``realizations.csv`` bytes: there ``np.log`` takes numpy's baseline path,
 which rounds some values differently from its AVX2 and AVX-512 paths.
@@ -67,15 +71,40 @@ GOLDEN = {
     },
 }
 
+# the same commands at omega_L = 2000, an input without full support: a target
+# population underflows to 0, so every row has undefined realizations, which
+# ift and ds_mean leave out of their sums
+WITHOUT_FULL_SUPPORT = "omega_L = 2000\n"
+GOLDEN_WITHOUT_FULL_SUPPORT = {
+    "sweep": {
+        "sweep.csv": "32e74bb9b2572e5031a18bd425a2e8e7f4f638c12daac758976ff05ed917d730",
+        "realizations.csv": "09a663a365adc70832b1929cb899dde7003b70e49676b9aff81312965db0716f",
+        "summary.json": "240326cb3f143ddad61b1b5ff67ac9ac63ff86bc12db907f9d942615aa08a6eb",
+    },
+    "hist": {
+        "hist_dE.csv": "311c59197eb14ff0e3a979190fa5e9aa4e5c9c8140df689b2edee41231730b5d",
+        "hist_ds.csv": "c45c509fc062b10084faa059cd2cc62adcfaea4c3c0dc17dfbff80cd6f1c29e5",
+    },
+    "compare": {
+        "mc_error.csv": "c861246db0fab568da3d40e0e449ff5933ebf8f94d6a7703b7648bc77d510f0f",
+        "photonic_error.csv": "f94455b4d14b3da0b2579cacdb69ba96fe77fdbc1048b166da3e13e694ed66e1",
+    },
+}
 
-def _digests(command, tmp_path) -> dict[str, str]:
-    """Run ``command`` at its golden config; the SHA-256 of each golden file."""
+
+def _digests(command, tmp_path, extra="") -> dict[str, str]:
+    """Run ``command`` at its golden config, with the config lines ``extra``
+    on top; the SHA-256 of each golden file."""
+    tmp_path.mkdir(exist_ok=True)
     out = tmp_path / "out"
     argv = [command, "--out", str(out)]
+    text = (COMPARE_CONFIG if command == "compare" else "") + extra
+    if text:
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(text)
+        argv += ["--config", str(config)]
     if command == "compare":
-        config = tmp_path / "compare.cfg"
-        config.write_text(COMPARE_CONFIG)
-        argv += ["--config", str(config), "--photonic"]
+        argv.append("--photonic")
     assert cli.main(argv) == 0
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[command]}
 
@@ -85,26 +114,40 @@ def test_outputs_match_golden_digests(command, tmp_path):
     assert _digests(command, tmp_path) == GOLDEN[command]
 
 
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_outputs_without_full_support_match_golden_digests(command, tmp_path):
+    digests = _digests(command, tmp_path, WITHOUT_FULL_SUPPORT)
+    assert digests == GOLDEN_WITHOUT_FULL_SUPPORT[command]
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a statistic the command does not write was built")
 
 
 # what each command must not build: hist writes the two distributions,
 # compare the joint and conditional tables and the dE moments, and sweep and
-# compare take the dE moments from the lattice weights, never from dE atoms
+# compare take the dE moments from the lattice weights, never from dE rows;
+# only compare samples or runs the photonic gate
 _UNWRITTEN = {
     "compare": [
         (tpm.AtomRows, "moments"),
         (sweep, "trajectory_coherence"),
-        (sweep, "delta_e_atoms"),
+        (sweep, "delta_e_rows"),
         (sweep, "ds_mean_grid"),
+        (sweep, "entropy_grid"),
     ],
     "hist": [
         (tpm.AtomRows, "moments"),
         (sweep, "trajectory_coherence"),
         (sweep, "ds_mean_grid"),
+        (sweep, "sample_tpm"),
+        (sweep, "conditional_for_time"),
     ],
-    "sweep": [(sweep, "delta_e_atoms")],
+    "sweep": [
+        (sweep, "delta_e_rows"),
+        (sweep, "sample_tpm"),
+        (sweep, "conditional_for_time"),
+    ],
 }
 
 
@@ -120,9 +163,11 @@ def test_block_walk_writes_the_golden_bytes(command, tmp_path, monkeypatch):
     # the 200 sweep times go through sweep._evaluate in 28 blocks of 7 and one
     # of 4; the 12 compare times in blocks of 7 and 5, which draw in turn
     # from the one generator of the seed; the two hist times in one partial
-    # block
+    # block.  With full support and without
     monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
-    assert _digests(command, tmp_path) == GOLDEN[command]
+    assert _digests(command, tmp_path / "full") == GOLDEN[command]
+    digests = _digests(command, tmp_path / "partial", WITHOUT_FULL_SUPPORT)
+    assert digests == GOLDEN_WITHOUT_FULL_SUPPORT[command]
 
 
 def test_hist_blocks_write_the_bytes_of_one_block(tmp_path, monkeypatch):
@@ -147,8 +192,12 @@ AVX2_HOST = {
 _RUN_GOLDEN = """
 import json, sys
 from pathlib import Path
-import test_golden
-print(json.dumps({c: test_golden._digests(c, Path(sys.argv[1]) / c) for c in test_golden.GOLDEN}))
+from test_golden import GOLDEN, WITHOUT_FULL_SUPPORT, _digests
+out = Path(sys.argv[1])
+print(json.dumps([
+    {c: _digests(c, out / "full" / c) for c in GOLDEN},
+    {c: _digests(c, out / "partial" / c, WITHOUT_FULL_SUPPORT) for c in GOLDEN},
+]))
 """
 
 
@@ -157,13 +206,13 @@ def test_golden_digests_hold_at_the_avx2_dispatch_level(tmp_path):
     # interpreter
     path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(gate_energetics.__file__))]
     env = dict(os.environ, **AVX2_HOST, PYTHONPATH=os.pathsep.join(path + sys.path))
-    for command in GOLDEN:
-        (tmp_path / command).mkdir()
+    for part in ("full", "partial"):
+        (tmp_path / part).mkdir()
     done = subprocess.run(
         [sys.executable, "-c", _RUN_GOLDEN, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN
+    assert json.loads(done.stdout.splitlines()[-1]) == [GOLDEN, GOLDEN_WITHOUT_FULL_SUPPORT]
 
 
 # the full-size sweep_dense workload of the benchmark, run as it runs it,

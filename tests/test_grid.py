@@ -106,6 +106,7 @@ def test_grid_equals_point_exactly(name):
     cfg, times = CASES[name]
     g = evaluate_grid(cfg, times)
     assert _same(g.t, times)
+    de_time, de_values, de_probs = tpm.delta_e_rows(g.de_weights)
     for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
         pt = evaluate_point(cfg, t)
         assert _same(g.u[:, i], propagator_analytic(cfg.model, t).U[NONTRIVIAL]), (name, t, "u")
@@ -114,8 +115,10 @@ def test_grid_equals_point_exactly(name):
         for field in ("cond", "joint", "sigma", "de_moments", "ds_moments",
                       "coherence", "h2_sq"):
             assert _same(getattr(g, field)[i], getattr(pt, field)), (name, t, field)
-        for field in ("de_dist", "ds_dist"):
-            assert _same_dist(getattr(g, field), i, getattr(pt, field)), (name, t, field)
+        at = de_time == i
+        assert _same(de_values[at], pt.de_dist.values), (name, t, "de_dist")
+        assert _same(de_probs[at], pt.de_dist.probs), (name, t, "de_dist")
+        assert _same_dist(g.ds_dist, i, pt.ds_dist), (name, t, "ds_dist")
         assert _same(g.de_moments[i, 0], pt.report.de_mean), (name, t, "de_mean")
         for field in ("ds_mean", "ift", "landauer_lhs", "ratio"):
             assert _same(getattr(g, field)[i], getattr(pt.report, field)), (name, t, field)
@@ -259,17 +262,26 @@ def test_undefined_realizations_match_the_scalar_tables():
 def test_sums_over_defined_cells_equal_per_row_sums():
     # one block of fully defined rows between rows of five patterns of
     # undefined cells, 15 to 3 defined, so that each pairwise sum of 8 or more
-    # terms is grouped; the terms span 16 decades, so that any other grouping
+    # terms is grouped; an undefined cell has a NaN realization and no
+    # weight, and the weights span 16 decades, so that any other grouping
     # moves bits
     rng = np.random.default_rng(7)
-    terms = rng.normal(size=(60, 16)) * 10.0 ** rng.integers(-8, 8, size=(60, 16))
+    j = rng.random((60, 16)) * 10.0 ** rng.integers(-8, 8, size=(60, 16))
+    sigma = rng.normal(size=(60, 16))
     defined = np.ones((60, 16), dtype=bool)
     for k, n_defined in enumerate((15, 12, 9, 8, 3)):
         cells = rng.permutation(16)[n_defined:]
         defined[np.arange(k, 60, 7)[:, None], cells] = False
     assert len(np.unique(defined, axis=0)) == 6
-    expected = [np.sum(terms[i][defined[i]]) for i in range(60)]
-    assert np.array_equal(_bits(tpm._sum_defined(terms, defined)), _bits(expected))
+    j[~defined], sigma[~defined] = 0.0, np.nan
+    for grid, terms in ((tpm.ift_grid, j * np.exp(-sigma)), (tpm.ds_mean_grid, j * sigma)):
+        expected = [np.sum(np.where(defined[i], terms[i], 0.0)) for i in range(60)]
+        got = grid(j.reshape(60, 4, 4), sigma.reshape(60, 4, 4))
+        assert np.array_equal(_bits(got), _bits(expected)), grid.__name__
+        # a sum over the defined terms alone groups them otherwise: the test
+        # pins the grouping
+        subset = [np.sum(terms[i][defined[i]]) for i in range(60)]
+        assert not np.array_equal(_bits(got), _bits(subset)), grid.__name__
 
 
 def test_ift_of_an_input_without_full_support_is_one_minus_lambda():
@@ -354,13 +366,11 @@ def _assert_lattice_equals_merge(j):
     n = len(j)
     merged = merge_atom_rows(np.broadcast_to(tpm.ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
     weights = tpm.delta_e_grid(j)
-    lattice = tpm.delta_e_atoms(weights)
-    assert lattice.values.shape[1] == 5
-    assert np.array_equal(lattice.counts, merged.counts)
-    # the rows are padded to different widths, so their atoms are compared
-    for field in ("values", "probs"):
-        atoms = _bits(getattr(lattice, field)[lattice.atoms])
-        assert np.array_equal(atoms, _bits(getattr(merged, field)[merged.atoms]))
+    time, values, probs = tpm.delta_e_rows(weights)
+    # the merged rows are padded, so their atoms are compared in row order
+    assert np.array_equal(time, np.repeat(np.arange(n), merged.counts))
+    assert np.array_equal(_bits(values), _bits(merged.values[merged.atoms]))
+    assert np.array_equal(_bits(probs), _bits(merged.probs[merged.atoms]))
     assert np.array_equal(_bits(tpm.delta_e_moments(weights, 5)), _bits(merged.moments(5)))
 
 
