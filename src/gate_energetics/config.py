@@ -113,7 +113,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+    parts = [part.strip() for part in raw.split(",")]
+    if "" in parts:
+        raise ValueError(f"empty entry in {raw!r}")
+    return tuple(map(float, parts))
 
 
 # run-level key -> (RunConfig attribute, parser)

@@ -20,17 +20,30 @@ Every command walks its times through ``_blocks``, in blocks of
 ``_GRID_ROWS``: ``_evaluate`` builds and gates the tables of a block, one
 row per time, and the command reads and writes them before the next block,
 so memory does not grow with the grid.  Every row is computed by itself, so
-the bytes do not depend on the blocks.  The first ``cli.main`` of
-``compare --photonic`` in a fresh interpreter (1000 shots, T_H = 0.985,
-eps = 0.01; 2-vCPU Xeon, numpy 2.4.6) peaks at VmHWM 45.2 MiB at 20 000
-points and 47.3 MiB at 200 000 (73.2 and 442.2 MiB when it evaluated its
-grid in one piece).  The statistics of a ``SweepGrid`` are built on their
-first read, so each command pays only for what it writes: ``sweep`` the
-moments, the coherence, ``h2_sq``, ``ds_mean``, ``landauer_lhs`` and
-``ratio``; ``hist`` the dsigma distribution and the dE lattice weights;
-``compare`` the joint and conditional tables and the dE moments, and per
-block one photonic call, one sampler draw of counts from the one generator
-of the seed and the gate of the sampled frequencies.  The tests keep a per-point form of the same
+the bytes do not depend on the blocks.
+
+A command whose times span more than one block, on a host that lets it run
+on two CPUs or more, runs in two processes.  The main process evaluates,
+gates and reads every block in time order, draws every sample and writes
+summary.json, exactly as one process would; it sends the float64 cells of
+each block's CSV rows down a pipe to one forked writer process
+(``_WriterProcess``), which runs the same ``_CsvWriter.write`` on them
+while the main process evaluates the next block.  Any other command, and
+any command on one CPU, formats its rows in the main process.  The first
+``cli.main`` in a fresh interpreter (2-vCPU Xeon, numpy 2.4.6) peaks at
+VmHWM 34.3 MiB in the main process and 27.4 MiB in the writer (its
+ru_maxrss) for a 20 000-point ``sweep``, and 36.0 and 28.7 MiB at 200 000
+points; ``compare --photonic`` (1000 shots, T_H = 0.985, eps = 0.01) at
+42.4 and 27.1 MiB, and 43.8 and 28.5 MiB (73.2 and 442.2 MiB in one process
+when it evaluated its grid in one piece).
+
+The statistics of a ``SweepGrid`` are built on their first read, so each
+command pays only for what it writes: ``sweep`` the moments, the coherence,
+``h2_sq``, ``ds_mean``, ``landauer_lhs`` and ``ratio``; ``hist`` the dsigma
+distribution and the dE lattice weights; ``compare`` the joint and
+conditional tables and the dE moments, and per block one photonic call, one
+sampler draw of counts from the one generator of the seed and the gate of
+the sampled frequencies.  The tests keep a per-point form of the same
 computation in tests/reference.py, and the grid must equal it bit for bit.
 
 Each table is checked once, where it is built, so a failed check stops every
@@ -56,6 +69,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -176,6 +190,11 @@ class _CsvWriter:
     gets the integer 0 and the exponent 0; a cell that this cannot round
     with certainty, or that is non-zero outside the fast range, is
     formatted by '%' itself.
+
+    The header is written where the writer is made, in the main process.
+    ``write`` runs there too, or in the writer process (``_WriterProcess``),
+    which calls it with one (n, k) array of the cells the main process sent;
+    either way every byte is the same.
     """
 
     def __init__(self, file, header: list[str]):
@@ -287,6 +306,145 @@ class _CsvWriter:
             words[slow[finite]] = _cells(values[finite])
 
 
+# The pipe to the writer process holds this many bytes where the platform
+# lets it grow: a 2048-row block of sweep is 784 KiB over its two files, so
+# the main process sends a block while the writer formats the one before.  At
+# the default 64 KiB the main process waited on the writer at every block
+_PIPE_BYTES = 1 << 20
+
+
+def _receive(fd: int, array: np.ndarray) -> bool:
+    """Fill ``array`` from the pipe ``fd``; False if the pipe ends first."""
+    view = memoryview(array).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+def _send(fd: int, array: np.ndarray) -> None:
+    view = memoryview(array).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(rows_fd: int, errors_fd: int, csvs: list[_CsvWriter]) -> None:
+    """The writer process: run ``_CsvWriter.write`` on every write that comes
+    down the pipe ``rows_fd``, until it ends, then flush the files.
+
+    It leaves only through ``os._exit``: 0 when every write is flushed, 1
+    after it has put its exception, pickled, on the pipe ``errors_fd``.
+    """
+    status = 1
+    try:
+        head = np.empty(2, np.int64)  # the file's index, its rows
+        cells = np.empty(0)
+        while _receive(rows_fd, head):
+            index, rows = head.tolist()
+            csv = csvs[index]
+            if cells.size < rows * csv._columns:
+                cells = np.empty(rows * csv._columns)
+            block = cells[:rows * csv._columns].reshape(rows, csv._columns)
+            if not _receive(rows_fd, block):
+                break
+            csv.write(block)
+        for csv in csvs:
+            csv._file.flush()
+        status = 0
+    except BaseException as exc:
+        os.write(errors_fd, pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+class _WriterProcess:
+    """A forked process that formats and writes the rows of the CSV files
+    ``csvs``, beside the main process, which evaluates the next block.
+
+    ``send`` puts one write of a file on a pipe: the file's index and its
+    row count, two int64, then its rows' float64 cells in row order, as
+    ``_CsvWriter.write`` copies them.  The process runs that same ``write``
+    on them, into the files the main process opened, so every byte is the
+    one the main process would write.  Every header is flushed before the
+    fork, and after it only the writer process writes to the CSV files.
+
+    A failure of the writer, such as ``OSError(ENOSPC)`` from a write, comes
+    back pickled on a second pipe, and the main process raises it at its
+    next ``send`` or at ``close``.  The writer ignores SIGINT: an interrupt
+    ends the main process's command, which closes the pipe, and the writer
+    ends once it has read what is left.
+    """
+
+    def __init__(self, csvs: list[_CsvWriter]):
+        # imported here: fcntl is Unix only, as fork is, and signal costs
+        # about 1 ms of start-up that no single-block command needs
+        import fcntl
+        import signal
+
+        for csv in csvs:
+            csv._file.flush()
+        rows_r, self._rows = os.pipe()
+        self._errors, errors_w = os.pipe()
+        try:
+            fcntl.fcntl(self._rows, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
+            pass
+        # SIGINT is blocked until the child ignores it, so that an interrupt
+        # cannot raise in the child before it is inside _serve
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        pid = -1
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (rows_r, self._rows, self._errors, errors_w):
+                os.close(fd)
+            raise
+        finally:
+            if pid == 0:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if pid == 0:
+            os.close(self._rows)
+            os.close(self._errors)
+            _serve(rows_r, errors_w, csvs)
+        os.close(rows_r)
+        os.close(errors_w)
+        self._pid = pid
+
+    def send(self, index: int, columns) -> None:
+        """Send one ``_CsvWriter.write(*columns)`` of file ``index``."""
+        rows = len(columns[0])
+        cells = np.concatenate([c.reshape(rows, -1) for c in columns], axis=1, dtype=float)
+        try:
+            _send(self._rows, np.array([index, rows], np.int64))
+            _send(self._rows, cells)
+        except BrokenPipeError:  # the writer has ended: close raises its failure
+            self.close(raising=True)
+            raise
+
+    def close(self, raising: bool) -> None:
+        """End the pipe and reap the writer once it has written every row;
+        with ``raising``, raise its failure.  A close that an interrupt cut
+        short can be called again, to reap the writer."""
+        if self._rows >= 0:
+            os.close(self._rows)
+            self._rows = -1
+        report, status = b"", 0
+        if self._errors >= 0:
+            with open(self._errors, "rb") as errors:
+                self._errors = -1
+                report = errors.read()
+        if self._pid > 0:
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = -1
+        if raising and status:
+            if report:
+                raise pickle.loads(report)
+            raise OSError(f"the CSV writer process ended with wait status {status}")
+
+
 class _Outputs:
     """The output files of one command, written under temporary names.
 
@@ -296,6 +454,14 @@ class _Outputs:
     ``os.replace``; when it raises, every temporary file is unlinked before
     the error goes on.  A process killed in between may leave a temporary
     file, never a final name.
+
+    The CSV files take their rows through ``write``.  ``start`` decides,
+    once per command, where they are formatted: in one forked writer
+    process (``_WriterProcess``) when the command's times span more than one
+    block of ``_GRID_ROWS`` and it may run on at least two CPUs, and here
+    otherwise, or when the fork fails.  ``finish`` waits until the writer
+    has written every row; when the ``with`` block raises, the writer is
+    reaped before the temporary files are unlinked.
     """
 
     def __init__(self, out_dir: str | Path):
@@ -303,6 +469,8 @@ class _Outputs:
         self.out.mkdir(parents=True, exist_ok=True)
         self.paths: dict[str, Path] = {}
         self._pending: list[tuple[Path, Path, object]] = []
+        self._csvs: list[_CsvWriter] = []
+        self._writer: _WriterProcess | None = None
 
     def open(self, name: str):
         """A new binary file that becomes ``out / name``; its key in ``paths``
@@ -313,14 +481,47 @@ class _Outputs:
         self.paths[Path(name).stem] = self.out / name
         return file
 
-    def csv(self, name: str, header: list[str]) -> _CsvWriter:
-        return _CsvWriter(self.open(name), header)
+    def csv(self, name: str, header: list[str]) -> int:
+        """A new CSV file with its header; its index for ``write``."""
+        self._csvs.append(_CsvWriter(self.open(name), header))
+        return len(self._csvs) - 1
+
+    def start(self, times: int) -> None:
+        """Choose where the rows of a command of ``times`` times are written.
+
+        A writer process overlaps the formatting of one block with the
+        evaluation of the next, which pays only with two blocks or more and
+        a second CPU: fork, exit and reap cost about 4 ms, and on one CPU the
+        two processes took 16% longer than one.
+        """
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else 1
+        if times > _GRID_ROWS and cpus >= 2 and hasattr(os, "fork"):
+            try:
+                self._writer = _WriterProcess(self._csvs)
+            except OSError:  # no process to spare, such as EAGAIN: write here
+                pass
+
+    def write(self, index: int, *columns: np.ndarray) -> None:
+        """``_CsvWriter.write(*columns)`` of the CSV file ``index``."""
+        if self._writer is None:
+            self._csvs[index].write(*columns)
+        else:
+            self._writer.send(index, columns)
+
+    def finish(self, raising: bool = True) -> None:
+        """Wait until every CSV row is written; raise the writer's failure
+        with ``raising``."""
+        if self._writer is not None:
+            self._writer.close(raising)
+            self._writer = None
 
     def __enter__(self) -> _Outputs:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
+            self.finish(raising=exc_type is None)
             for _, _, file in self._pending:
                 file.close()
             while exc_type is None and self._pending:
@@ -584,20 +785,23 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     )
     real_header = ["omega_L_t"] + [f"dsig_{c}" for c in _CELL_LABELS]
 
+    times = cfg.time_grid()
     with _Outputs(out_dir) as outputs:
         sweep_csv = outputs.csv("sweep.csv", header)
         real_csv = outputs.csv("realizations.csv", real_header)
+        outputs.start(len(times))
         peaks = {name: _Peak() for name in ("de_mean", "h2_sq", "coherence_l1_10", "ratio")}
-        for g in _blocks(cfg, cfg.time_grid()):
+        for g in _blocks(cfg, times):
             n = len(g.t)
-            sweep_csv.write(
-                g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments, g.coherence,
-                g.ift, g.landauer_lhs, g.ds_mean, g.ratio,
+            outputs.write(
+                sweep_csv, g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments,
+                g.coherence, g.ift, g.landauer_lhs, g.ds_mean, g.ratio,
             )
-            real_csv.write(g.t, g.sigma.reshape(n, 16))
+            outputs.write(real_csv, g.t, g.sigma.reshape(n, 16))
             columns = (g.de_moments[:, 0], g.h2_sq, g.coherence, g.ratio)
             for peak, values in zip(peaks.values(), columns):
                 peak.update(g.t, values)
+        outputs.finish()
         summary = {
             "grid": {
                 "t_min": cfg.t_min,
@@ -623,11 +827,12 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     header = ["omega_L_t", "value", "probability"]
     with _Outputs(out_dir) as outputs:
         de_csv, ds_csv = (outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds"))
+        outputs.start(len(cfg.hist_times))
         for g in _blocks(cfg, cfg.hist_times):
             time, values, probs = delta_e_rows(g.de_weights)
-            de_csv.write(g.t[time], values, probs)
+            outputs.write(de_csv, g.t[time], values, probs)
             d = g.ds_dist
-            ds_csv.write(np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
+            outputs.write(ds_csv, np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
     return outputs.paths
 
 
@@ -642,10 +847,12 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
     shots = SampleConfig(cfg.samples, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
+    times = cfg.time_grid()
     with _Outputs(out_dir) as outputs:
         mc_csv = outputs.csv("mc_error.csv", header)
         ph_csv = outputs.csv("photonic_error.csv", ph_header) if cfg.photonic else None
-        for g in _blocks(cfg, cfg.time_grid()):
+        outputs.start(len(times))
+        for g in _blocks(cfg, times):
             if cfg.photonic:
                 try:
                     imperfect = conditional_for_time(cfg.optical, g.h1, g.h2, g.t)
@@ -657,7 +864,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             _require_prob_group(freq, "empirical table", g.t)
             sampled = delta_e_moments(delta_e_grid(freq), cfg.moments_max)
             cell_errors = np.abs(g.joint - freq).reshape(-1, 16)
-            mc_csv.write(g.t, cell_errors, np.abs(g.de_moments - sampled))
+            outputs.write(mc_csv, g.t, cell_errors, np.abs(g.de_moments - sampled))
             if cfg.photonic:
-                ph_csv.write(g.t, np.abs(g.cond - imperfect).reshape(-1, 16))
+                outputs.write(ph_csv, g.t, np.abs(g.cond - imperfect).reshape(-1, 16))
     return outputs.paths

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,12 @@ def sweep_grid() -> np.ndarray:
     """Default 200-point half-open grid over one three-peak window."""
     t_max = 3.0 * np.pi / np.sqrt(26.0)
     return t_max * np.arange(200) / 200.0
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps every process it started: a command's CSV writer
+    process is reaped before the command returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -127,21 +128,25 @@ def test_the_largest_moments_max_writes_finite_moments(tmp_path):
     assert float(column(header, rows, "dE_m511")[1]) > 0.0
 
 
-def test_overflowing_dsigma_moments_exit_3_without_a_warning(tmp_path, capsys):
+def test_overflowing_dsigma_moments_exit_3_without_a_warning(tmp_path, monkeypatch, capsys):
     # at omega_L = 2000 the largest |dsigma| at the second time is 14.59, so
     # its powers overflow from order 265 on (at t = 0 every one is 0); the
     # gate names the first failing time and its lowest failing order, and
-    # no numpy warning escapes on the way
+    # no numpy warning escapes on the way.  In one block, then in blocks of
+    # one time, where the writer has the first row when the second fails
     out = tmp_path / "out"
     config = _config(tmp_path, "n_points = 4\nomega_L = 2000\nmoments_max = 511\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["sweep", "--config", config, "--out", str(out)])
-    assert code == 3
     t1 = RunConfig(n_points=4).time_grid()[1]
-    err = capsys.readouterr().err
-    assert err == f"numeric invariant violated: ds_m265 at omega_L_t={t1:.6g}: inf is not finite\n"
-    assert not list(out.glob("*"))
+    for rows in (None, 1):
+        if rows:
+            through_the_writer(monkeypatch, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["sweep", "--config", config, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"numeric invariant violated: ds_m265 at omega_L_t={t1:.6g}: inf is not finite\n"
+        assert not list(out.glob("*"))
 
 
 def test_validate_rejects_inverted_time_window(tmp_path):
@@ -169,6 +174,22 @@ def test_prob_group_guard():
     for cells in ([np.nan, 0.5], [0.5, np.nan]):
         with pytest.raises(NumericInvariantError, match="at omega_L_t=0.25: .*nan outside"):
             _require_prob_group(np.array(cells), "nan group", t)
+
+
+def through_the_writer(monkeypatch, rows=7):
+    """Walk every grid in blocks of ``rows`` times, on two CPUs: each command
+    of more than one block formats its rows in a writer process."""
+    monkeypatch.setattr(sweep, "_GRID_ROWS", rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def walks(monkeypatch):
+    """The blocks of six times that a gate test's grid spans: one, then two
+    through the writer process.  The test changes the tables of every block
+    alike, so the first block fails."""
+    yield 1
+    through_the_writer(monkeypatch, rows=6)
+    yield 2
 
 
 # --- subcommands ---------------------------------------------------------
@@ -365,6 +386,8 @@ SMALL = "n_points = 4\nsamples = 100\n"
         # a grid of 6.94 EiB, which numpy refuses at once on any host
         ("sweep", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
         ("compare", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
+        ("hist", "hist_times = 0.1,,0.2,\n", [], "config error: hist_times: "),
+        ("hist", "hist_times = ,\n", [], "config error: hist_times: "),
     ],
     ids=[
         "atten_H-blocks",
@@ -379,6 +402,8 @@ SMALL = "n_points = 4\nsamples = 100\n"
         "unwritable-out",
         "unallocatable-grid-sweep",
         "unallocatable-grid-compare",
+        "empty-hist-time",
+        "bare-comma-hist-times",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
@@ -421,11 +446,15 @@ GATED_PHYSICS = {
     # full support, and ift is gated against its closed form, not 1
     "absolutely-irreversible": "omega_L = 2000\n",
 }
-# six times for hist and for the other commands, so that rows 2 to 5 exist
-SIX_TIMES = "n_points = 6\nsamples = 100\nhist_times = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3\n"
+
+def six_times(blocks, first=0.05):
+    """Six times per block for hist, from ``first`` in steps of 0.05, and for
+    the other commands, so that rows 2 to 5 of the first block exist."""
+    hist = ", ".join(repr(round(first + 0.05 * k, 2)) for k in range(6 * blocks))
+    return f"n_points = {6 * blocks}\nsamples = 100\nhist_times = {hist}\n"
 
 
-def _gated_run(tmp_path, command, physics, grid=SIX_TIMES):
+def _gated_run(tmp_path, command, physics, grid):
     """Run ``command`` on a small grid; its exit code and its grid's times."""
     tmp_path.mkdir(exist_ok=True)
     path = tmp_path / f"{command}.cfg"
@@ -444,13 +473,17 @@ def test_cli_gates_ift_with_exit_3(tmp_path, monkeypatch, capsys):
         sigma += 1e-9
 
     _perturb_stack(monkeypatch, "entropy_realizations", shift)
-    for physics_name, physics in GATED_PHYSICS.items():
-        for command in ("sweep", "hist", "compare"):
-            code, times = _gated_run(tmp_path / physics_name, command, physics)
-            err = capsys.readouterr().err
-            assert code == 3, (physics_name, command)
-            assert err.startswith(f"numeric invariant violated: ift at omega_L_t={times[0]:.6g}")
-            assert "Traceback" not in err
+    for blocks in walks(monkeypatch):
+        for physics_name, physics in GATED_PHYSICS.items():
+            for command in ("sweep", "hist", "compare"):
+                grid = six_times(blocks)
+                code, times = _gated_run(tmp_path / physics_name, command, physics, grid)
+                err = capsys.readouterr().err
+                assert code == 3, (physics_name, command)
+                assert err.startswith(
+                    f"numeric invariant violated: ift at omega_L_t={times[0]:.6g}"
+                )
+                assert "Traceback" not in err
 
 
 def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsys):
@@ -458,14 +491,15 @@ def test_cli_gates_double_stochasticity_with_exit_3(tmp_path, monkeypatch, capsy
         cond[5, 3, 2] += 1e-9  # column and row sums of one table move off 1
 
     _perturb_stack(monkeypatch, "conditional_matrix", leak)
-    for command in ("sweep", "hist", "compare"):
-        code, times = _gated_run(tmp_path, command, "")
-        err = capsys.readouterr().err
-        assert code == 3, command
-        assert err.startswith(
-            f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
-        )
-        assert "Traceback" not in err
+    for blocks in walks(monkeypatch):
+        for command in ("sweep", "hist", "compare"):
+            code, times = _gated_run(tmp_path, command, "", six_times(blocks))
+            err = capsys.readouterr().err
+            assert code == 3, command
+            assert err.startswith(
+                f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
+            )
+            assert "Traceback" not in err
 
 
 def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypatch, capsys):
@@ -478,14 +512,15 @@ def test_cli_gates_a_propagator_with_broken_norms_with_exit_3(tmp_path, monkeypa
         return h1, h2, u
 
     monkeypatch.setattr(sweep, "propagator_grid", scaled)
-    for command in ("sweep", "hist", "compare"):
-        code, times = _gated_run(tmp_path, command, "")
-        err = capsys.readouterr().err
-        assert code == 3, command
-        assert err.startswith(
-            f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
-        )
-        assert "Traceback" not in err
+    for blocks in walks(monkeypatch):
+        for command in ("sweep", "hist", "compare"):
+            code, times = _gated_run(tmp_path, command, "", six_times(blocks))
+            err = capsys.readouterr().err
+            assert code == 3, command
+            assert err.startswith(
+                f"numeric invariant violated: conditional table at omega_L_t={times[5]:.6g}"
+            )
+            assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("physics", sorted(GATED_PHYSICS))
@@ -499,13 +534,14 @@ def test_cli_gates_a_nan_conditional_cell_with_exit_3(
         cond[3, 1, 2] = np.nan
 
     _perturb_stack(monkeypatch, "conditional_matrix", poison)
-    code, times = _gated_run(tmp_path, command, GATED_PHYSICS[physics])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith(
-        f"numeric invariant violated: conditional table at omega_L_t={times[3]:.6g}"
-    )
-    assert "Traceback" not in err
+    for blocks in walks(monkeypatch):
+        code, times = _gated_run(tmp_path, command, GATED_PHYSICS[physics], six_times(blocks))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"numeric invariant violated: conditional table at omega_L_t={times[3]:.6g}"
+        )
+        assert "Traceback" not in err
 
 
 # the input populations broken by less than 1e-10, just past the joint gate's
@@ -529,8 +565,6 @@ BROKEN_STATES = {
         "probability -9.000000e-13..8.000000e-01 outside [0, 1]",
     ),
 }
-# six times from t = 0 for every command
-SIX_FROM_ZERO = "n_points = 6\nsamples = 100\nhist_times = 0.0, 0.05, 0.1, 0.15, 0.2, 0.25\n"
 
 
 @pytest.mark.parametrize("state", sorted(BROKEN_STATES))
@@ -541,11 +575,12 @@ def test_joint_gate_is_the_only_check_of_the_input_state(
     change, message = BROKEN_STATES[state]
     real = sweep.input_populations
     monkeypatch.setattr(sweep, "input_populations", lambda spec, p: change(real(spec, p)))
-    code, times = _gated_run(tmp_path, command, "", grid=SIX_FROM_ZERO)
-    assert code == 3
-    assert times[0] == 0.0
-    err = capsys.readouterr().err
-    assert err == f"numeric invariant violated: joint table at omega_L_t=0: {message}\n"
+    for blocks in walks(monkeypatch):
+        code, times = _gated_run(tmp_path, command, "", six_times(blocks, first=0.0))
+        assert code == 3
+        assert times[0] == 0.0
+        err = capsys.readouterr().err
+        assert err == f"numeric invariant violated: joint table at omega_L_t=0: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -613,11 +648,12 @@ def test_cli_gates_joint_table_at_its_first_failing_time(
         a[[2, 3], 2, 3] = change(a[[2, 3], 2, 3])
 
     _perturb_stack(monkeypatch, name, changed)
-    code, times = _gated_run(tmp_path, command, "")
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"numeric invariant violated: {message} omega_L_t={times[2]:.6g}")
-    assert "Traceback" not in err
+    for blocks in walks(monkeypatch):
+        code, times = _gated_run(tmp_path, command, "", six_times(blocks))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric invariant violated: {message} omega_L_t={times[2]:.6g}")
+        assert "Traceback" not in err
 
 
 # twenty times, which blocks of 7 split into 7 + 7 + 6
@@ -639,7 +675,7 @@ GATE_MESSAGES = {"joint": "joint table", "ds": "conditional table"}
 def test_block_walk_reports_the_first_failing_blocks_first_failure(
     tmp_path, monkeypatch, capsys, command, failure
 ):
-    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    through_the_writer(monkeypatch)
     grid = HIST_TWENTY if command == "hist" else RunConfig(n_points=20).time_grid()
     failing, (gate, row), blocks = BLOCK_FAILURES[failure]
     rows = {name: grid[i] for name, i in failing.items()}
@@ -664,7 +700,7 @@ def test_block_walk_reports_the_first_failing_blocks_first_failure(
     monkeypatch.setattr(sweep, "propagator_grid", seen)
     _perturb_stack(monkeypatch, "conditional_matrix", leak)
     _perturb_stack(monkeypatch, "joint_table_from_conditional", overfill)
-    code, times = _gated_run(tmp_path, command, "", grid=TWENTY_TIMES)
+    code, times = _gated_run(tmp_path, command, "", TWENTY_TIMES)
     assert code == 3
     assert list(times) == list(grid)
     # no block after the failing one, and no evaluation of the whole grid
@@ -725,8 +761,8 @@ PRINTED = {
 @pytest.mark.parametrize("command", sorted(PRINTED))
 def test_a_run_leaves_exactly_the_final_names(tmp_path, monkeypatch, capsys, command):
     # blocks of 7 times, so that sweep and hist write their files over
-    # several blocks before they rename them
-    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    # several blocks, through the writer, before they rename them
+    through_the_writer(monkeypatch)
     out = tmp_path / "out"
     argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
     assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 0
@@ -743,8 +779,9 @@ def _config(tmp_path, text: str) -> str:
 @pytest.mark.parametrize("command", ["sweep", "hist", "compare"])
 def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, command):
     # an error other than a failed gate, after two blocks have been written
-    # (by compare with the photonic model, so that both of its files are)
-    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    # (by compare with the photonic model, so that both of its files are),
+    # through the writer
+    through_the_writer(monkeypatch)
     real, calls = sweep.propagator_grid, []
 
     def third_block_fails(p, times):
@@ -762,8 +799,60 @@ def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, comman
     assert not list(out.glob("*"))
 
 
+def _no_space_error():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _no_space(self, *columns):
+    raise _no_space_error()
+
+
+@pytest.mark.parametrize("path", ["in-process", "writer"])
+@pytest.mark.parametrize("command", sorted(PRINTED))
+def test_a_full_disk_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys, command, path):
+    # the writer's OSError comes back to the main process, which reports it
+    # as any other failure to write --out, not as a broken pipe
+    if path == "writer":
+        through_the_writer(monkeypatch)
+    monkeypatch.setattr(sweep._CsvWriter, "write", _no_space)
+    out = tmp_path / "out"
+    argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
+    assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out: {_no_space_error()}\n"
+    assert not list(out.iterdir())
+
+
+def test_the_writers_failure_ends_the_command_at_its_next_send(tmp_path, monkeypatch, capsys):
+    # the writer fails on its first write and has ended before the second
+    # block is sent: that send raises the writer's error, and no third block
+    # is evaluated
+    through_the_writer(monkeypatch)
+    monkeypatch.setattr(sweep._CsvWriter, "write", _no_space)
+    writers, sizes = [], []
+    start, real = sweep._WriterProcess.__init__, sweep.propagator_grid
+
+    def started(self, csvs):
+        start(self, csvs)
+        writers.append(self)
+
+    def evaluated(p, times):
+        sizes.append(len(times))
+        if len(sizes) == 2:  # wait until the writer has ended, without reaping it
+            os.waitid(os.P_PID, writers[0]._pid, os.WEXITED | os.WNOWAIT)
+        return real(p, times)
+
+    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
+    monkeypatch.setattr(sweep, "propagator_grid", evaluated)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]) == 2
+    assert sizes == [7, 7]
+    assert capsys.readouterr().err == f"config error: --out: {_no_space_error()}\n"
+    assert not list(out.iterdir())
+
+
 _PEAK_MEMORY = """
-import sys
+import resource, sys
 from gate_energetics import cli, sweep
 from gate_energetics.config import parse_config
 config, out, code, argv = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
@@ -777,6 +866,7 @@ if code == 3:  # one table at the grid's last time fails the double-stochasticit
 assert cli.main([*argv, "--config", config, "--out", out]) == code
 status = open("/proc/self/status").read().split("\\n")
 print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)  # the writer's peak, KiB
 """
 # each run's argv, config lines and exit code; compare --photonic at the
 # compare_photonic benchmark shape, and a sweep that fails in its last block
@@ -794,9 +884,10 @@ _GROWN_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(_GROWN_COMMANDS))
 def test_sweep_and_compare_memory_does_not_grow_with_the_grid(tmp_path, command):
     """The peak resident size of a fresh sweep or compare --photonic at
-    200 000 points stays within 10 MiB of the one at 20 000: no block's
-    tables or bytes are kept, and a sweep that fails in its last block
-    evaluates no more than a block at once."""
+    200 000 points stays within 10 MiB of the one at 20 000, and so does the
+    peak of its writer process, which runs at both sizes on two CPUs: no
+    block's tables or bytes are kept, and a sweep that fails in its last
+    block evaluates no more than a block at once."""
     try:
         with open("/proc/self/status") as status:
             if not any(line.startswith("VmHWM:") for line in status):
@@ -804,7 +895,7 @@ def test_sweep_and_compare_memory_does_not_grow_with_the_grid(tmp_path, command)
     except OSError:
         pytest.skip("no /proc/self/status")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    peak_kib = {}
+    peak_kib, writer_kib = {}, {}
     argv, lines, code = _GROWN_COMMANDS[command]
     for n in (20_000, 200_000):
         config = tmp_path / f"{n}.cfg"
@@ -818,6 +909,7 @@ def test_sweep_and_compare_memory_does_not_grow_with_the_grid(tmp_path, command)
         if code:
             assert "numeric invariant violated: conditional table" in done.stderr
             assert not list(out.glob("*"))
-        peak_kib[n] = int(done.stdout.split()[-1])
+        peak_kib[n], writer_kib[n] = map(int, done.stdout.split()[-2:])
         shutil.rmtree(out)  # up to 170 MB at 200 000 points
     assert abs(peak_kib[200_000] - peak_kib[20_000]) < 10 * 1024, peak_kib
+    assert abs(writer_kib[200_000] - writer_kib[20_000]) < 10 * 1024, writer_kib

@@ -42,6 +42,7 @@ pins that.  A moment path that no host changes would change those bytes,
 so it waits for a change that re-records ``benchmarks/digests.json``.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -158,20 +159,37 @@ def test_commands_build_only_the_statistics_they_write(command, tmp_path, monkey
     assert _digests(command, tmp_path) == GOLDEN[command]
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks of ``cli.main`` in the main process, on two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
 @pytest.mark.parametrize("command", ["compare", "hist", "sweep"])
-def test_block_walk_writes_the_golden_bytes(command, tmp_path, monkeypatch):
+def test_block_walk_writes_the_golden_bytes(command, tmp_path, monkeypatch, forks):
     # the 200 sweep times go through sweep._evaluate in 28 blocks of 7 and one
     # of 4; the 12 compare times in blocks of 7 and 5, which draw in turn
     # from the one generator of the seed; the two hist times in one partial
-    # block.  With full support and without
+    # block.  With full support and without.  Every run of more than one
+    # block forks one writer process, which writes its rows
     monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
     assert _digests(command, tmp_path / "full") == GOLDEN[command]
     digests = _digests(command, tmp_path / "partial", WITHOUT_FULL_SUPPORT)
     assert digests == GOLDEN_WITHOUT_FULL_SUPPORT[command]
+    assert len(forks) == (0 if command == "hist" else 2)
 
 
-def test_hist_blocks_write_the_bytes_of_one_block(tmp_path, monkeypatch):
-    # 30 times: four blocks of 7 and one of 2, against one block of all 30
+def test_hist_blocks_write_the_bytes_of_one_block(tmp_path, monkeypatch, forks):
+    # 30 times: four blocks of 7 and one of 2, through the writer process,
+    # against one block of all 30, written in the main process
     config = tmp_path / "hist.cfg"
     config.write_text("hist_times = " + ", ".join(repr(0.05 * k) for k in range(1, 31)) + "\n")
     written = []
@@ -181,6 +199,35 @@ def test_hist_blocks_write_the_bytes_of_one_block(tmp_path, monkeypatch):
         assert cli.main(["hist", "--config", str(config), "--out", str(out)]) == 0
         written.append([(out / name).read_bytes() for name in GOLDEN["hist"]])
     assert written[0] == written[1]
+    assert len(forks) == 1
+
+
+def _no_fork():
+    pytest.fail("a command forked a writer process")
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_one_block_or_one_cpu_writes_in_the_main_process(command, tmp_path, monkeypatch):
+    # the golden configs walk one block; in blocks of 7, sweep and compare
+    # walk several, but one CPU would run the writer beside the evaluation
+    # and not in parallel with it
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _digests(command, tmp_path / "one-block") == GOLDEN[command]
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _digests(command, tmp_path / "one-cpu") == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_a_refused_fork_writes_in_the_main_process(command, tmp_path, monkeypatch, forks):
+    def refused():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 1)  # two hist times are two blocks
+    assert _digests(command, tmp_path) == GOLDEN[command]
+    assert len(forks) == 1
 
 
 # numpy's dispatch capped at X86_V3 (AVX2, FMA3) and OpenBLAS's Haswell
