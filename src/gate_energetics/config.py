@@ -64,7 +64,8 @@ class RunConfig:
             window,
             "must be finite with t_min < t_max",
         )
-        require(self.n_points >= 2, "n_points", "must be at least 2")
+        # above 2**53 the grid's indices are no longer exact doubles
+        require(2 <= self.n_points <= 2**53, "n_points", "must lie in [2, 2**53]")
         require(math.isfinite(self.step), window, "the grid step overflows")
         # the propagator takes cos, sin and exp of Delta t and omega_L t <= 2 Delta t
         largest_phase = 2.0 * self.model.delta * max(abs(self.t_min), abs(self.t_max))

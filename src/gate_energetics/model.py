@@ -155,10 +155,20 @@ def input_populations(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
     p(1_A) = 1 - alpha on the control, p(1_B) = 1 / (1 + e) on the target.
     Not checked here: ``sweep._evaluate`` gates the joint tables, whose row
     sums they are.
+
+    A population below ``np.finfo(float).tiny`` is set to exactly 0.  Such
+    a subnormal population (the target's excited one for beta_B omega_L
+    between about 354.3 and 372.5, above which it underflows to 0, or a
+    product with alpha below about 3e-308 at the default beta_B) keeps
+    fewer than 53 bits, and its dsigma = ln p_in - ln p_fin may fall below
+    -709.78, where e^{-dsigma} overflows.  As 0, its outcomes are
+    absolutely irreversible, as they are once the population underflows.
     """
     p_a = _single_qubit_gibbs(spec.beta_A(p.omega_L), p.omega_L)
     p_b = _single_qubit_gibbs(spec.beta_B, p.omega_L)
-    return (p_a[:, None] * p_b[None, :]).ravel()
+    p_in = (p_a[:, None] * p_b[None, :]).ravel()
+    p_in[p_in < np.finfo(float).tiny] = 0.0
+    return p_in
 
 
 def trajectory_coherence(u) -> np.ndarray:

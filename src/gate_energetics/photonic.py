@@ -148,8 +148,6 @@ def postselect(m: np.ndarray) -> np.ndarray:
     A (T, 4, 4) stack of transforms gives a stack of gates.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
-        raise ValueError(f"mode transform must be 4x4, got shape {m.shape}")
     a, b = _MODE_A, _MODE_B
     direct = _complex_product(*_entries(m, a, a), *_entries(m, b, b))
     exchange = _complex_product(*_entries(m, a, b), *_entries(m, b, a))

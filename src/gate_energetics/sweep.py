@@ -22,20 +22,22 @@ row per time, and the command reads and writes them before the next block,
 so memory does not grow with the grid.  Every row is computed by itself, so
 the bytes do not depend on the blocks.
 
-A command whose times span more than one block, on a host that lets it run
-on two CPUs or more, runs in two processes.  The main process evaluates,
-gates and reads every block in time order, draws every sample and writes
-summary.json, exactly as one process would; it sends the float64 cells of
-each block's CSV rows down a pipe to one forked writer process
-(``_WriterProcess``), which runs the same ``_CsvWriter.write`` on them
-while the main process evaluates the next block.  Any other command, and
-any command on one CPU, formats its rows in the main process.  The first
-``cli.main`` in a fresh interpreter (2-vCPU Xeon, numpy 2.4.6) peaks at
-VmHWM 34.3 MiB in the main process and 27.4 MiB in the writer (its
-ru_maxrss) for a 20 000-point ``sweep``, and 36.0 and 28.7 MiB at 200 000
-points; ``compare --photonic`` (1000 shots, T_H = 0.985, eps = 0.01) at
-42.4 and 27.1 MiB, and 43.8 and 28.5 MiB (73.2 and 442.2 MiB in one process
-when it evaluated its grid in one piece).
+Each write of CSV rows is one C-contiguous (n, k) float64 array of cells,
+built once by ``_Outputs.write`` from the columns a command passes.  A
+command whose times span more than one block, on a host that lets it run on
+two CPUs or more, runs in two processes.  The main process evaluates, gates
+and reads every block in time order, draws every sample and writes
+summary.json, exactly as one process would; it sends each cell array down a
+pipe to one forked writer process (``_WriterProcess``), which runs the same
+``_CsvWriter.write`` on it while the main process evaluates the next block,
+and is reaped when the command's outputs are closed, after summary.json is
+written.  Any other command, and any command on one CPU, formats its rows
+in the main process.  The first ``cli.main`` in a fresh interpreter (2-vCPU
+Xeon, numpy 2.4.6) peaks at VmHWM 34.5 MiB in the main process and 27.0 MiB
+in the writer (its ru_maxrss) for a 20 000-point ``sweep``, and 35.9 and
+28.4 MiB at 200 000 points; ``compare --photonic`` (1000 shots, T_H = 0.985,
+eps = 0.01) at 42.3 and 27.1 MiB, and 43.7 and 28.5 MiB (73.2 and 442.2 MiB
+in one process when it evaluated its grid in one piece).
 
 The statistics of a ``SweepGrid`` are built on their first read, so each
 command pays only for what it writes: ``sweep`` the moments, the coherence,
@@ -178,12 +180,13 @@ def _cells(values: np.ndarray) -> np.ndarray:
 class _CsvWriter:
     """Writes the CSV rows of one file to the binary file ``file``, block by block.
 
-    ``write`` copies each block of ``_BLOCK_ROWS`` rows into scratch arrays,
-    formats it there, and writes it in pieces of at most ``_PIECE_BYTES``,
-    each as soon as it is freed of its NULs.  The scratch is allocated by the
-    first write, for its rows or one block if that is fewer, and again only
-    if a later write has more rows, up to one block; so no array of a
-    block's size is allocated after the first block.
+    ``write`` takes one (n, k) float64 array of cells, formats it in blocks
+    of ``_BLOCK_ROWS`` rows into scratch arrays, and writes each block in
+    pieces of at most ``_PIECE_BYTES``, each as soon as it is freed of its
+    NULs.  The scratch is allocated by the first write, for its rows or one
+    block if that is fewer, and again only if a later write has more rows,
+    up to one block; so no array of a block's size is allocated after the
+    first block.
     Every cell of a block takes one path, ``_format``: it is scaled to a
     12-digit integer by one rounded product against a correctly rounded
     power of ten, which lands within 2.3e-4 of the exact value, and a zero
@@ -193,20 +196,19 @@ class _CsvWriter:
 
     The header is written where the writer is made, in the main process.
     ``write`` runs there too, or in the writer process (``_WriterProcess``),
-    which calls it with one (n, k) array of the cells the main process sent;
-    either way every byte is the same.
+    on the array that the main process sent; either way it formats the same
+    array, which ``_Outputs.write`` built, so every byte is the same.
     """
 
     def __init__(self, file, header: list[str]):
         self._file = file
         file.write((",".join(header) + "\n").encode())
         self._columns = len(header)
-        self._block = np.empty((0, self._columns))
+        self._words = np.empty((0, self._columns, 5), np.uint32)
 
     def _allocate(self, rows: int) -> None:
         """Scratch for blocks of up to ``rows`` rows."""
         cells = rows * self._columns
-        self._block = np.empty((rows, self._columns))
         self._words = np.empty((rows, self._columns, 5), np.uint32)
         self._text = self._words.view(np.uint8).reshape(rows, -1)
         # per cell: |x| then the rounded mantissa; the scaled value; the
@@ -216,21 +218,16 @@ class _CsvWriter:
         self._w = np.empty(cells, np.uint32)
         self._fast, self._t, self._z = (np.empty(cells, bool) for _ in range(3))
 
-    def write(self, *columns: np.ndarray) -> None:
-        """Write the rows whose cells are ``columns`` side by side; each is an
-        (n,) or (n, k) float array, and their widths add up to the header's."""
-        columns = [c if c.ndim == 2 else c[:, None] for c in columns]
-        n = len(columns[0])
+    def write(self, cells: np.ndarray) -> None:
+        """Write the rows of the (n, k) float64 array ``cells``, k the header's width."""
+        n = len(cells)
         # the scratch fits the first write's rows, and grows at most to a block
-        if len(self._block) < min(n, _BLOCK_ROWS):
+        if len(self._words) < min(n, _BLOCK_ROWS):
             self._allocate(min(n, _BLOCK_ROWS))
         for start in range(0, n, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, n - start)
-            j = 0
-            for c in columns:
-                self._block[:rows, j:j + c.shape[1]] = c[start:start + rows]
-                j += c.shape[1]
-            self._format(self._block[:rows].ravel(), self._words[:rows].reshape(-1, 5))
+            # a view of C-contiguous cells; a copy in row order of any others
+            self._format(np.ravel(cells[start:start + rows]), self._words[:rows].reshape(-1, 5))
             text = self._text[:rows]
             text[:, -1] = ord("\n")
             step = max(1, _PIECE_BYTES // text.shape[1])
@@ -340,16 +337,12 @@ def _serve(rows_fd: int, errors_fd: int, csvs: list[_CsvWriter]) -> None:
     status = 1
     try:
         head = np.empty(2, np.int64)  # the file's index, its rows
-        cells = np.empty(0)
         while _receive(rows_fd, head):
             index, rows = head.tolist()
-            csv = csvs[index]
-            if cells.size < rows * csv._columns:
-                cells = np.empty(rows * csv._columns)
-            block = cells[:rows * csv._columns].reshape(rows, csv._columns)
-            if not _receive(rows_fd, block):
+            cells = np.empty((rows, csvs[index]._columns))
+            if not _receive(rows_fd, cells):
                 break
-            csv.write(block)
+            csvs[index].write(cells)
         for csv in csvs:
             csv._file.flush()
         status = 0
@@ -364,11 +357,12 @@ class _WriterProcess:
     ``csvs``, beside the main process, which evaluates the next block.
 
     ``send`` puts one write of a file on a pipe: the file's index and its
-    row count, two int64, then its rows' float64 cells in row order, as
-    ``_CsvWriter.write`` copies them.  The process runs that same ``write``
-    on them, into the files the main process opened, so every byte is the
-    one the main process would write.  Every header is flushed before the
-    fork, and after it only the writer process writes to the CSV files.
+    row count, two int64, then the float64 cells of its one C-contiguous
+    array in row order.  The process receives them into an array of that
+    shape and runs ``_CsvWriter.write`` on it, into the files the main
+    process opened, so every byte is the one the main process would write.
+    Every header is flushed before the fork, and after it only the writer
+    process writes to the CSV files.
 
     A failure of the writer, such as ``OSError(ENOSPC)`` from a write, comes
     back pickled on a second pipe, and the main process raises it at its
@@ -413,12 +407,11 @@ class _WriterProcess:
         os.close(errors_w)
         self._pid = pid
 
-    def send(self, index: int, columns) -> None:
-        """Send one ``_CsvWriter.write(*columns)`` of file ``index``."""
-        rows = len(columns[0])
-        cells = np.concatenate([c.reshape(rows, -1) for c in columns], axis=1, dtype=float)
+    def send(self, index: int, cells: np.ndarray) -> None:
+        """Send one ``_CsvWriter.write(cells)`` of file ``index``; ``cells``
+        is C-contiguous."""
         try:
-            _send(self._rows, np.array([index, rows], np.int64))
+            _send(self._rows, np.array([index, len(cells)], np.int64))
             _send(self._rows, cells)
         except BrokenPipeError:  # the writer has ended: close raises its failure
             self.close(raising=True)
@@ -426,8 +419,7 @@ class _WriterProcess:
 
     def close(self, raising: bool) -> None:
         """End the pipe and reap the writer once it has written every row;
-        with ``raising``, raise its failure.  A close that an interrupt cut
-        short can be called again, to reap the writer."""
+        with ``raising``, raise its failure.  A second close does nothing."""
         if self._rows >= 0:
             os.close(self._rows)
             self._rows = -1
@@ -455,13 +447,15 @@ class _Outputs:
     the error goes on.  A process killed in between may leave a temporary
     file, never a final name.
 
-    The CSV files take their rows through ``write``.  ``start`` decides,
-    once per command, where they are formatted: in one forked writer
-    process (``_WriterProcess``) when the command's times span more than one
-    block of ``_GRID_ROWS`` and it may run on at least two CPUs, and here
-    otherwise, or when the fork fails.  ``finish`` waits until the writer
-    has written every row; when the ``with`` block raises, the writer is
-    reaped before the temporary files are unlinked.
+    The CSV files take their rows through ``write``, which builds one cell
+    array per write.  ``start`` decides, once per command, where they are
+    formatted: in one forked writer process (``_WriterProcess``) when the
+    command's times span more than one block of ``_GRID_ROWS`` and it may
+    run on at least two CPUs, and here otherwise, or when the fork fails.
+    The writer is reaped when the ``with`` block ends, after every file,
+    summary.json included, has been written, and before any file is
+    renamed or unlinked; its failure is raised only when the block ended
+    without an error, and it unlinks every file as any other error does.
     """
 
     def __init__(self, out_dir: str | Path):
@@ -503,25 +497,24 @@ class _Outputs:
                 pass
 
     def write(self, index: int, *columns: np.ndarray) -> None:
-        """``_CsvWriter.write(*columns)`` of the CSV file ``index``."""
+        """Write n rows to the CSV file ``index``: row i holds the cells of
+        ``c[i]`` of each column ``c`` in turn, an (n,) or (n, ...) array, in
+        row-major order."""
+        n = len(columns[0])
+        cells = np.concatenate([np.reshape(c, (n, -1)) for c in columns], axis=1, dtype=float)
         if self._writer is None:
-            self._csvs[index].write(*columns)
+            self._csvs[index].write(cells)
         else:
-            self._writer.send(index, columns)
-
-    def finish(self, raising: bool = True) -> None:
-        """Wait until every CSV row is written; raise the writer's failure
-        with ``raising``."""
-        if self._writer is not None:
-            self._writer.close(raising)
-            self._writer = None
+            self._writer.send(index, cells)
 
     def __enter__(self) -> _Outputs:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            self.finish(raising=exc_type is None)
+            if self._writer is not None:
+                self._writer.close(raising=exc_type is None)
+                self._writer = None
             for _, _, file in self._pending:
                 file.close()
             while exc_type is None and self._pending:
@@ -792,16 +785,14 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         outputs.start(len(times))
         peaks = {name: _Peak() for name in ("de_mean", "h2_sq", "coherence_l1_10", "ratio")}
         for g in _blocks(cfg, times):
-            n = len(g.t)
             outputs.write(
-                sweep_csv, g.t, g.joint.reshape(n, 16), g.de_moments, g.ds_moments,
+                sweep_csv, g.t, g.joint, g.de_moments, g.ds_moments,
                 g.coherence, g.ift, g.landauer_lhs, g.ds_mean, g.ratio,
             )
-            outputs.write(real_csv, g.t, g.sigma.reshape(n, 16))
+            outputs.write(real_csv, g.t, g.sigma)
             columns = (g.de_moments[:, 0], g.h2_sq, g.coherence, g.ratio)
             for peak, values in zip(peaks.values(), columns):
                 peak.update(g.t, values)
-        outputs.finish()
         summary = {
             "grid": {
                 "t_min": cfg.t_min,
@@ -863,8 +854,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
             freq = sample_tpm(g.joint, rng, cfg=shots) / shots.n_samples
             _require_prob_group(freq, "empirical table", g.t)
             sampled = delta_e_moments(delta_e_grid(freq), cfg.moments_max)
-            cell_errors = np.abs(g.joint - freq).reshape(-1, 16)
-            outputs.write(mc_csv, g.t, cell_errors, np.abs(g.de_moments - sampled))
+            outputs.write(mc_csv, g.t, np.abs(g.joint - freq), np.abs(g.de_moments - sampled))
             if cfg.photonic:
-                outputs.write(ph_csv, g.t, np.abs(g.cond - imperfect).reshape(-1, 16))
+                outputs.write(ph_csv, g.t, np.abs(g.cond - imperfect))
     return outputs.paths

@@ -75,8 +75,6 @@ def joint_table_from_conditional(cond: np.ndarray, p_in: np.ndarray) -> np.ndarr
     """
     cond = np.asarray(cond, dtype=float)
     p_in = np.asarray(p_in, dtype=float)
-    if cond.ndim not in (2, 3) or cond.shape[-2:] != (4, 4) or p_in.shape != (4,):
-        raise ValueError("conditional matrix must be 4x4 and p_in length 4")
     return np.multiply(np.swapaxes(cond, -1, -2), p_in[:, None], order="C")
 
 

@@ -100,8 +100,11 @@ def thermal_state(spec: ThermalSpec, p: ModelParams) -> np.ndarray:
 
 def initial_probs(rho0: np.ndarray) -> np.ndarray:
     """Outcome probabilities of the first measurement, p[n] = Tr[rho0 Pi_n]:
-    the diagonal of rho0, which the measurement dephases."""
-    return np.diag(rho0).real.copy()
+    the diagonal of rho0, which the measurement dephases, with every
+    subnormal population set to 0 (the rule of ``model.input_populations``)."""
+    p = np.diag(rho0).real.copy()
+    p[p < np.finfo(float).tiny] = 0.0
+    return p
 
 
 def h_coeffs(p: ModelParams, t: float) -> tuple[complex, complex]:

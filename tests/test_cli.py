@@ -383,9 +383,17 @@ SMALL = "n_points = 4\nsamples = 100\n"
         ("sweep", None, [], "--config"),
         ("sweep", "seed = 1\nseed = 2\n", [], "line 2: duplicate key 'seed'"),
         ("sweep", "n_points = 4\n", ["--out", os.path.join(os.devnull, "out")], "--out"),
-        # a grid of 6.94 EiB, which numpy refuses at once on any host
+        # above 2**53 the grid's indices are no longer exact doubles
         ("sweep", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
         ("compare", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
+        # 2**62 made numpy raise ValueError; 2**63 - 1 and 2**63 gave an empty grid
+        ("sweep", "n_points = 4611686018427387904\n", [], "config error: n_points: "),
+        ("compare", "n_points = 4611686018427387904\n", [], "config error: n_points: "),
+        ("sweep", "n_points = 9223372036854775807\n", [], "config error: n_points: "),
+        ("compare", "n_points = 9223372036854775807\n", [], "config error: n_points: "),
+        ("sweep", "n_points = 9223372036854775808\n", [], "config error: n_points: "),
+        # a grid of 64 PiB at the bound, which numpy refuses at once on any host
+        ("sweep", "n_points = 9007199254740992\n", [], "config error: n_points: "),
         ("hist", "hist_times = 0.1,,0.2,\n", [], "config error: hist_times: "),
         ("hist", "hist_times = ,\n", [], "config error: hist_times: "),
     ],
@@ -402,6 +410,12 @@ SMALL = "n_points = 4\nsamples = 100\n"
         "unwritable-out",
         "unallocatable-grid-sweep",
         "unallocatable-grid-compare",
+        "2**62-points-sweep",
+        "2**62-points-compare",
+        "2**63-1-points-sweep",
+        "2**63-1-points-compare",
+        "2**63-points-sweep",
+        "unallocatable-grid-at-the-bound",
         "empty-hist-time",
         "bare-comma-hist-times",
     ],
@@ -712,6 +726,16 @@ def test_block_walk_reports_the_first_failing_blocks_first_failure(
     assert "Traceback" not in err
 
 
+COMMANDS = ("sweep", "hist", "compare")
+# inputs whose population is subnormal: the target's excited one inside
+# 354.3 < beta_B omega_L < 372.5, and the products with alpha = 1e-310
+SUBNORMAL = {
+    "beta_B-360": "beta_B = 360\n",
+    "omega_L-360": "omega_L = 360\nbeta_B = 1\n",
+    "alpha-1e-310": "alpha = 1e-310\n",
+}
+
+
 @pytest.mark.parametrize(
     "physics,command,code",
     [
@@ -720,8 +744,13 @@ def test_block_walk_reports_the_first_failing_blocks_first_failure(
         ("omega_L = 2000\n", "compare", 0),
         ("omega_L = 1e10\nbeta_B = 1e300\n", "hist", 0),
         ("omega_L = 1e10\nbeta_B = 1e300\n", "sweep", 0),
+        # a subnormal population is set to 0: its e^{-dsigma} would overflow
+        *((physics, command, 0) for physics in SUBNORMAL.values() for command in COMMANDS),
     ],
-    ids=["sweep", "hist", "compare", "product-overflow-hist", "product-overflow-sweep"],
+    ids=[
+        "sweep", "hist", "compare", "product-overflow-hist", "product-overflow-sweep",
+        *(f"{name}-{command}" for name in SUBNORMAL for command in COMMANDS),
+    ],
 )
 def test_gibbs_weight_overflow_ends_without_traceback(tmp_path, capsys, physics, command, code):
     # beta_B * omega_L = 1000 is past the point where exp overflows (at 1e310

@@ -220,6 +220,7 @@ def test_thermal_infinite_temperature_limit(params):
 @example(alpha=0.2, beta_B=0.5, omega_L=1.0)  # the default
 @example(alpha=0.2, beta_B=0.5, omega_L=0.3)  # ModelParams(0.3, 7)
 @example(alpha=0.2, beta_B=0.5, omega_L=2000.0)  # a target population underflows
+@example(alpha=0.2, beta_B=360.0, omega_L=1.0)  # a subnormal target population: 0
 @example(alpha=1e-9, beta_B=3.0, omega_L=1.0)
 @example(alpha=0.2, beta_B=400.0, omega_L=2.0)  # beta_B omega_L > 709.78: shifted
 @example(alpha=0.2, beta_B=1e300, omega_L=1.0)  # clipped

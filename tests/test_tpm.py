@@ -452,11 +452,6 @@ def test_an_overflowing_landauer_lhs_is_not_finite_without_a_warning(beta, lhs):
     np.testing.assert_array_equal(g.landauer_lhs, lhs)
 
 
-def test_joint_from_conditional_shape_checks():
-    with pytest.raises(ValueError):
-        joint_table_from_conditional(np.eye(3), np.full(4, 0.25))
-
-
 def test_energy_change_supports_full_range():
     # a control-flipping conditional model reaches dE = +-4
     cond = np.zeros((4, 4))
