@@ -88,12 +88,19 @@ class RunConfig:
         The half-open convention keeps the grid free of the exact period
         endpoint, so peak searches land on the first oscillation rather
         than tying with the repeated extremum at t_max.  A grid that numpy
-        cannot allocate is a ``ConfigError``.
+        cannot allocate, or whose times do not increase strictly (a window
+        narrower than the float spacing of its times), is a ``ConfigError``.
         """
         try:
-            return self.t_min + self.step * np.arange(self.n_points)
+            t = self.t_min + self.step * np.arange(self.n_points)
         except MemoryError as exc:
             raise ConfigError(f"n_points: {self.n_points} times: {exc}") from None
+        if not (t[:-1] < t[1:]).all():
+            raise ConfigError(
+                f"t_min, t_max: {self.n_points} times in [{self.t_min!r}, {self.t_max!r})"
+                " do not increase strictly"
+            )
+        return t
 
 
 def _build(key: str, factory, **kwargs):

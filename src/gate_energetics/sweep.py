@@ -91,11 +91,11 @@ from .tpm import (
     delta_e_moments,
     delta_e_rows,
     ds_mean_grid,
-    entropy_grid,
     entropy_realizations,
     final_probs,
     ift_grid,
     joint_table_from_conditional,
+    merge_atom_rows,
 )
 
 # "<row>_<col>" of the 16 cells of a 4x4 table, in row-major order
@@ -625,8 +625,9 @@ class SweepGrid:
     row per entry (``model.propagator_grid``), and ``h1`` and ``h2`` its
     amplitudes |h1| and |h2|.  The other fields are the gated tables and
     ``ift``; every statistic below them is built on its first read and kept,
-    a plain array but for the ragged dsigma supports ``ds_dist`` (``hist``
-    reads the dE rows from ``de_weights``).  ``ratio`` is NaN where
+    a plain array but for the dsigma distribution ``ds_dist``, the flat
+    atoms of ``tpm.AtomRows`` (``hist`` reads the dE atoms from
+    ``de_weights``, through ``tpm.delta_e_rows``).  ``ratio`` is NaN where
     |<dsigma>| is at most ``RATIO_GUARD``: it has no stable value there.
     Each row equals, field by field and bit for bit, the per-point reference
     ``evaluate_point`` of tests/reference.py at that time.
@@ -649,7 +650,10 @@ class SweepGrid:
 
     @cached_property
     def ds_dist(self) -> AtomRows:
-        return entropy_grid(self.joint, self.sigma)
+        # an undefined (NaN) realization has weight exactly 0 (gated), and the
+        # merge keeps only atoms of positive weight
+        n = len(self.t)
+        return merge_atom_rows(self.sigma.reshape(n, 16), self.joint.reshape(n, 16))
 
     @cached_property
     def de_moments(self) -> np.ndarray:
@@ -659,7 +663,7 @@ class SweepGrid:
     def ds_moments(self) -> np.ndarray:
         # the gate stops an overflowed power (inf, or NaN from inf - inf) silently
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = self.ds_dist.moments(self.moments_max)
+            moments = self.ds_dist.moments(len(self.t), self.moments_max)
         _require_finite_moments(moments, self.t)
         return moments
 
@@ -720,7 +724,7 @@ def _evaluate(cfg: RunConfig, t: np.ndarray, p_in: np.ndarray) -> SweepGrid:
 
 
 # Times that go through _evaluate at once.  Whole-grid transients, the
-# (T, 4, 4) tables and the sort buffers of entropy_grid, came from fresh
+# (T, 4, 4) tables and the sort buffers of merge_atom_rows, came from fresh
 # pages: a 20 000-point sweep faulted on about 16 000 of them.  A block's
 # buffers are freed before the next block asks for the same sizes, which the
 # allocator then serves from pages already mapped.  The first cli.main of a
@@ -820,10 +824,8 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         de_csv, ds_csv = (outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds"))
         outputs.start(len(cfg.hist_times))
         for g in _blocks(cfg, cfg.hist_times):
-            time, values, probs = delta_e_rows(g.de_weights)
-            outputs.write(de_csv, g.t[time], values, probs)
-            d = g.ds_dist
-            outputs.write(ds_csv, np.repeat(g.t, d.counts), d.values[d.atoms], d.probs[d.atoms])
+            for csv, d in ((de_csv, delta_e_rows(g.de_weights)), (ds_csv, g.ds_dist)):
+                outputs.write(csv, g.t[d.time], d.values, d.probs)
     return outputs.paths
 
 

@@ -106,7 +106,8 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
 # --- whole grids ---------------------------------------------------------
 #
 # The table functions above take one table or a (T, 4, 4) stack of them.
-# Distributions of a stack have ragged supports and get a row-wise form.
+# The distributions of a stack are one flat record of atoms (``AtomRows``),
+# each tagged with its time, in the order ``hist`` writes them.
 # tests/reference.py keeps the one-table form of each function below: a
 # Python merge loop per distribution, np.dot moments and sums over the
 # defined cells.  Each function here equals it at every row, bit for bit.
@@ -121,48 +122,49 @@ def entropy_realizations(p_in: np.ndarray, p_fin: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AtomRows:
-    """One finitely supported distribution per row: a block's dsigma supports.
+    """Finitely supported distributions, one per time, as flat atoms: atom i
+    has the time index time[i], the value values[i] and the probability
+    probs[i].
 
-    Row i holds the atoms values[i, :counts[i]] with probabilities
-    probs[i, :counts[i]]; the cells after them are zero.  Nothing here checks
-    them: ``merge_atom_rows`` builds rows whose values increase strictly and
-    whose probabilities are positive, from tables that ``sweep._evaluate``
-    has gated.
+    The atoms are in time order and, within a time, in increasing value, as
+    ``hist`` writes them.  Nothing here checks them: ``merge_atom_rows`` and
+    ``delta_e_rows`` build values that increase strictly within a time and
+    positive probabilities, from tables that ``sweep._evaluate`` has gated.
     """
 
+    time: np.ndarray
     values: np.ndarray
     probs: np.ndarray
-    counts: np.ndarray
 
-    @property
-    def atoms(self) -> np.ndarray:
-        """Mask of the cells that hold an atom."""
-        return np.arange(self.values.shape[1]) < self.counts[:, None]
+    def moments(self, n: int, h_max: int) -> np.ndarray:
+        """Raw moments sum_k p_k v_k^h of orders h = 1..h_max of each of the
+        ``n`` times, shape (n, h_max); a time without atoms has moments 0.
 
-    def moments(self, h_max: int) -> np.ndarray:
-        """Raw moments sum_k p_k v_k^h of orders h = 1..h_max of each row, shape (T, h_max).
-
-        Each row's sum is the BLAS dot product np.dot runs on one
+        Each time's sum is the BLAS dot product np.dot runs on one
         distribution, whose rounding of inexact products an ordered sum does
         not reproduce; the dsigma moments take this path, the dE moments the
         exact ``delta_e_moments`` of the lattice weights.  The powers v^h are
         numpy's SIMD ``power``, most of the time here; it and the ``ddot``
         kernel OpenBLAS picks for the CPU both decide the bytes.
         """
-        out = np.empty((len(self.counts), h_max))
-        for k in np.flatnonzero(np.bincount(self.counts)):
-            rows = np.flatnonzero(self.counts == k)
-            probs, values = self.probs[rows, :k], self.values[rows, :k]
+        counts = np.bincount(self.time, minlength=n)
+        first = np.cumsum(counts) - counts  # each time's first atom
+        out = np.empty((len(counts), h_max))
+        for k in np.flatnonzero(np.bincount(counts)):
+            rows = np.flatnonzero(counts == k)
+            atoms = first[rows, None] + np.arange(k)
+            probs, values = self.probs[atoms], self.values[atoms]
             for h in range(1, h_max + 1):
-                # vecdot runs, per row, the BLAS dot product that np.dot runs
-                # on one distribution; rows are grouped by k, so none is
+                # vecdot runs, per time, the BLAS dot product that np.dot runs
+                # on one distribution; times are grouped by k, so none is
                 # padded and each adds its own k terms in order
                 out[rows, h - 1] = np.vecdot(probs, values**h)
         return out
 
 
 def merge_atom_rows(values, weights) -> AtomRows:
-    """Aggregate raw (value, weight) atoms, one distribution per row of (T, K) arrays.
+    """Aggregate raw (value, weight) atoms, one distribution per row of (T, K)
+    arrays, into the flat ``AtomRows`` of the T rows.
 
     Only atoms of positive weight enter: one that never occurs neither starts
     an atom nor moves one.  In each row, values equal within
@@ -170,7 +172,8 @@ def merge_atom_rows(values, weights) -> AtomRows:
     (weighted mean representative), so that floating-point noise cannot split
     an atom.  All rows go through the merge loop together, one sorted column
     per step up to the widest support, so every row merges exactly as it
-    would alone.  Only ``entropy_grid`` needs it: dE lies on a fixed lattice.
+    would alone.  Only the dsigma distribution (``sweep.SweepGrid.ds_dist``)
+    needs it: dE lies on a fixed lattice.
 
     Only the columns where some row has an atom are sorted (6 of the 16
     cells of the gate's joint tables); the rest would sort last in every row
@@ -206,28 +209,10 @@ def merge_atom_rows(values, weights) -> AtomRows:
             starts[i] = ~merge
     closes = np.ones(v.shape, dtype=bool)
     closes[:-1] = starts[1:]
-    return _kept_atoms(merged_v, merged_w, closes & (merged_w > 0.0))
-
-
-def _kept_atoms(values, weights, keep) -> AtomRows:
-    """The cells of time-last (K, T) ``values`` and ``weights`` where ``keep``
-    holds, as the atoms of each time in row order.
-
-    The rows are returned as transposed views of time-last arrays, so that
-    each step of the loop writes the times of equal count side by side; a
-    time-first layout measured the same (``entropy_grid`` and the reads of
-    ``sweep`` and ``hist``, 20 000 rows).
-    """
-    k, n = keep.shape
-    counts = np.zeros(n, dtype=np.intp)
-    out_v, out_p = np.zeros(k * n), np.zeros(k * n)
-    for row in range(k):
-        kept = np.flatnonzero(keep[row])
-        cell = counts[kept] * n + kept  # the next free slot of each time
-        out_v[cell] = values[row, kept]
-        out_p[cell] = weights[row, kept]
-        counts[kept] += 1
-    return AtomRows(values=out_v.reshape(k, n).T, probs=out_p.reshape(k, n).T, counts=counts)
+    # the kept atoms of the time-first views come in time order and, within
+    # a time, in sorted order
+    time, slot = np.nonzero((closes & (merged_w > 0.0)).T)
+    return AtomRows(time=time, values=merged_v[slot, time], probs=merged_w[slot, time])
 
 
 def delta_e_grid(j: np.ndarray) -> np.ndarray:
@@ -249,10 +234,10 @@ def delta_e_grid(j: np.ndarray) -> np.ndarray:
     return weights
 
 
-def delta_e_rows(weights: np.ndarray):
-    """The dE distribution of every column of ``delta_e_grid`` weights as flat
-    rows ``(time, value, probability)``: the lattice values of positive
-    weight, in time order and, within a time, in increasing order.
+def delta_e_rows(weights: np.ndarray) -> AtomRows:
+    """The dE distribution of every column of ``delta_e_grid`` weights as
+    ``AtomRows``: the lattice values of positive weight, in time order and,
+    within a time, in increasing order.
 
     This equals ``merge_atom_rows`` on the 16 (dE, j) atoms bit for bit: the
     weights are its sums (which a cell of zero weight leaves as they are),
@@ -260,7 +245,7 @@ def delta_e_rows(weights: np.ndarray):
     value is exactly v, because scaling by v = 0 or +-2^k rounds nothing.
     """
     time, value = np.nonzero(weights.T > 0.0)
-    return time, ENERGY_LATTICE[value], weights[value, time]
+    return AtomRows(time=time, values=ENERGY_LATTICE[value], probs=weights[value, time])
 
 
 def delta_e_moments(weights: np.ndarray, h_max: int) -> np.ndarray:
@@ -279,18 +264,6 @@ def delta_e_moments(weights: np.ndarray, h_max: int) -> np.ndarray:
         for w, v in zip(weights, ENERGY_LATTICE):
             acc += w * v**h  # exact on the lattice
     return out.T
-
-
-def entropy_grid(j: np.ndarray, sigma: np.ndarray) -> AtomRows:
-    """Distribution of the entropy production of each joint table, aggregated over
-    equal values of its realizations ``sigma``.
-
-    Undefined (NaN) realizations are left out: ``sweep._evaluate`` has gated
-    their weight to be exactly 0, and ``merge_atom_rows`` keeps only atoms of
-    positive weight.
-    """
-    n = len(j)
-    return merge_atom_rows(sigma.reshape(n, 16), j.reshape(n, 16))
 
 
 def ift_grid(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -361,6 +361,11 @@ def test_cli_maps_numeric_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
 
 
 SMALL = "n_points = 4\nsamples = 100\n"
+# the step rounds to 0, and a step of 0.64 at times spaced 16 apart
+TOO_NARROW = (
+    "t_max = 5e-324\nn_points = 2\n",
+    "t_min = 1e17\nt_max = 100000000000000128\n",
+)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +401,12 @@ SMALL = "n_points = 4\nsamples = 100\n"
         ("sweep", "n_points = 9007199254740992\n", [], "config error: n_points: "),
         ("hist", "hist_times = 0.1,,0.2,\n", [], "config error: hist_times: "),
         ("hist", "hist_times = ,\n", [], "config error: hist_times: "),
+        # windows narrower than the float spacing of their times: the grid
+        # repeats a time instead of increasing
+        ("sweep", TOO_NARROW[0], [], "config error: t_min, t_max: "),
+        ("compare", TOO_NARROW[0], [], "config error: t_min, t_max: "),
+        ("sweep", TOO_NARROW[1], [], "config error: t_min, t_max: "),
+        ("compare", TOO_NARROW[1], [], "config error: t_min, t_max: "),
     ],
     ids=[
         "atten_H-blocks",
@@ -418,6 +429,10 @@ SMALL = "n_points = 4\nsamples = 100\n"
         "unallocatable-grid-at-the-bound",
         "empty-hist-time",
         "bare-comma-hist-times",
+        "zero-step-sweep",
+        "zero-step-compare",
+        "sub-spacing-step-sweep",
+        "sub-spacing-step-compare",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):

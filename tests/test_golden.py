@@ -135,7 +135,7 @@ _UNWRITTEN = {
         (sweep, "trajectory_coherence"),
         (sweep, "delta_e_rows"),
         (sweep, "ds_mean_grid"),
-        (sweep, "entropy_grid"),
+        (sweep, "merge_atom_rows"),
     ],
     "hist": [
         (tpm.AtomRows, "moments"),

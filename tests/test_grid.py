@@ -96,9 +96,9 @@ def _bits(a) -> np.ndarray:
 
 
 def _same_dist(rows, i, ref) -> bool:
-    """Whether row i of an ``AtomRows`` holds the atoms of ``ref``."""
-    k = rows.counts[i]
-    return _same(rows.values[i, :k], ref.values) and _same(rows.probs[i, :k], ref.probs)
+    """Whether the atoms of time i of an ``AtomRows`` are those of ``ref``."""
+    at = rows.time == i
+    return _same(rows.values[at], ref.values) and _same(rows.probs[at], ref.probs)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -106,7 +106,7 @@ def test_grid_equals_point_exactly(name):
     cfg, times = CASES[name]
     g = evaluate_grid(cfg, times)
     assert _same(g.t, times)
-    de_time, de_values, de_probs = tpm.delta_e_rows(g.de_weights)
+    de_rows = tpm.delta_e_rows(g.de_weights)
     for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
         pt = evaluate_point(cfg, t)
         assert _same(g.u[:, i], propagator_analytic(cfg.model, t).U[NONTRIVIAL]), (name, t, "u")
@@ -115,9 +115,7 @@ def test_grid_equals_point_exactly(name):
         for field in ("cond", "joint", "sigma", "de_moments", "ds_moments",
                       "coherence", "h2_sq"):
             assert _same(getattr(g, field)[i], getattr(pt, field)), (name, t, field)
-        at = de_time == i
-        assert _same(de_values[at], pt.de_dist.values), (name, t, "de_dist")
-        assert _same(de_probs[at], pt.de_dist.probs), (name, t, "de_dist")
+        assert _same_dist(de_rows, i, pt.de_dist), (name, t, "de_dist")
         assert _same_dist(g.ds_dist, i, pt.ds_dist), (name, t, "ds_dist")
         assert _same(g.de_moments[i, 0], pt.report.de_mean), (name, t, "de_mean")
         for field in ("ds_mean", "ift", "landauer_lhs", "ratio"):
@@ -240,11 +238,11 @@ def test_undefined_realizations_match_the_scalar_tables():
     conds = np.concatenate([np.eye(4)[None], tpm.conditional_matrix(u)])
     joint = tpm.joint_table_from_conditional(conds, p_in)
     sigma = tpm.entropy_realizations(p_in, tpm.final_probs(joint))
-    ds_rows = tpm.entropy_grid(joint, sigma)
     g = dataclasses.replace(
         evaluate_grid(DEFAULT, [0.0, 0.7]),
         joint=joint, sigma=sigma, ift=tpm.ift_grid(joint, sigma), beta=0.5,
     )
+    ds_rows = g.ds_dist
     for i, cond in enumerate(conds):
         j = tpm.joint_table_from_conditional(cond, p_in)
         s = tpm.entropy_realizations(p_in, tpm.final_probs(j))
@@ -337,7 +335,7 @@ def test_merged_rows_equal_from_atoms(rows):
     for i in range(len(rows)):
         ref = DiscreteDistribution.from_atoms(values[i], weights[i])
         assert _same_dist(merged, i, ref)
-        assert _same(merged.moments(3)[i], [ref.moment(h) for h in (1, 2, 3)])
+        assert _same(merged.moments(len(rows), 3)[i], [ref.moment(h) for h in (1, 2, 3)])
     # a value of zero weight neither starts an atom nor moves one: wherever it
     # goes, below a row's lowest atom or within the merge tolerance of another
     # value, the merge keeps every bit
@@ -346,9 +344,21 @@ def test_merged_rows_equal_from_atoms(rows):
     near = (lowest - 0.5 * VALUE_MERGE_TOL, values[:, ::-1] + 0.9 * VALUE_MERGE_TOL)
     for moved in (values - 7.0, *near):
         shifted = merge_atom_rows(np.where(empty, moved, values), weights)
-        assert np.array_equal(shifted.counts, merged.counts)
+        assert np.array_equal(shifted.time, merged.time)
         assert np.array_equal(_bits(shifted.values), _bits(merged.values))
         assert np.array_equal(_bits(shifted.probs), _bits(merged.probs))
+
+
+def test_times_without_atoms_have_zero_moments():
+    # a row of no positive weight has no atoms, so the record's times do not
+    # end at its last time: the first and the last of three rows are empty
+    values = np.arange(48.0).reshape(3, 16)
+    weights = np.zeros((3, 16))
+    weights[1, [2, 5]] = 0.5
+    merged = merge_atom_rows(values, weights)
+    assert merged.time.tolist() == [1, 1]
+    assert merged.values.tolist() == [18.0, 21.0]
+    assert _same(merged.moments(3, 2), [[0.0, 0.0], [19.5, 382.5], [0.0, 0.0]])
 
 
 # the dE distribution on its lattice against the generic merge of its 16
@@ -366,12 +376,11 @@ def _assert_lattice_equals_merge(j):
     n = len(j)
     merged = merge_atom_rows(np.broadcast_to(tpm.ENERGY_CHANGE.ravel(), (n, 16)), j.reshape(n, 16))
     weights = tpm.delta_e_grid(j)
-    time, values, probs = tpm.delta_e_rows(weights)
-    # the merged rows are padded, so their atoms are compared in row order
-    assert np.array_equal(time, np.repeat(np.arange(n), merged.counts))
-    assert np.array_equal(_bits(values), _bits(merged.values[merged.atoms]))
-    assert np.array_equal(_bits(probs), _bits(merged.probs[merged.atoms]))
-    assert np.array_equal(_bits(tpm.delta_e_moments(weights, 5)), _bits(merged.moments(5)))
+    rows = tpm.delta_e_rows(weights)
+    assert np.array_equal(rows.time, merged.time)
+    assert np.array_equal(_bits(rows.values), _bits(merged.values))
+    assert np.array_equal(_bits(rows.probs), _bits(merged.probs))
+    assert np.array_equal(_bits(tpm.delta_e_moments(weights, 5)), _bits(merged.moments(n, 5)))
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_GRIDS))
