@@ -8,8 +8,10 @@ Each physics parameter is range-checked once, by the object that owns it:
 ``ModelParams`` (omega_L, omega_int), ``ThermalSpec`` (alpha, beta_B) and
 ``OpticalParams`` (the ``photonic.*`` keys other than ``enabled``, each the
 attribute of the same name).  ``RunConfig`` holds those objects, and its
-``validate`` checks only the rules that span the run.  Every rejection is a
-``ConfigError`` whose message starts with the offending key.
+``validate`` checks the rules that span the run and one rule of a single
+field, ``beta_B > 0``, which the Landauer bound needs and ``ThermalSpec``
+does not ask.  Every rejection is a ``ConfigError`` whose message starts
+with the offending key.
 """
 
 from __future__ import annotations
@@ -101,6 +103,15 @@ class RunConfig:
                 " do not increase strictly"
             )
         return t
+
+    def hist_grid(self) -> np.ndarray:
+        """The ``hist_times``, each of which must lie in [t_min, t_max]."""
+        for t in self.hist_times:
+            if not self.t_min <= t <= self.t_max:
+                raise ConfigError(
+                    f"hist_times: {t} outside [{self.t_min:.6g}, {self.t_max:.6g}]"
+                )
+        return np.asarray(self.hist_times, dtype=float)
 
 
 def _build(key: str, factory, **kwargs):

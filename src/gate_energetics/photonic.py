@@ -18,8 +18,9 @@ operator G, whose entries are two-photon permanents of the mode transform.
 Beam-splitter convention: symmetric, phase i on reflection.  Any other
 fixed convention changes only unobservable phases of G.  On (H, V) the
 wave-plate identities use sigma_z = diag(+1, -1), the standard
-polarisation ordering (note this differs from the logical-qubit sigma_z
-in linalg).  A plate at physical angle chi implements u at angle 2 chi.
+polarisation ordering (note this differs from the logical-qubit sz =
+diag(-1, +1) of ``model``).  A plate at physical angle chi implements u at
+angle 2 chi.
 
 The gate's only input from the model is the controlled rotation of the
 propagator, through its amplitudes |h1| and |h2| (``model.propagator_grid``):
@@ -31,8 +32,9 @@ fixed index arrays and their products go through ``model._complex_product``.
 ``postselect`` returns G itself; |G|^2 is taken once, in the conditional table.
 The plate's ``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit
 for bit on every plate angle of the 2000- and 20 000-point default grids,
-natively and at numpy's X86_V3 dispatch.  A stack that blocks an input raises
-at its first blocked row.
+natively and at numpy's X86_V3 dispatch.  The module is plain arithmetic, with
+no check of its own but the ranges of ``OpticalParams``: the conditional
+table comes with the per-input success probability, which ``sweep`` gates.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SUCCESS_FLOOR
 from .model import _complex_product
 
 _ARMS = ((0, 1), (2, 3))  # (H, V) mode indices of arm a and arm b
@@ -157,34 +158,29 @@ def postselect(m: np.ndarray) -> np.ndarray:
     return g
 
 
-def photonic_conditional_matrix(g: np.ndarray, eps: float, t) -> np.ndarray:
-    """Conditional outcome probabilities of the post-selected gate G at time(s) ``t``.
+def photonic_conditional_matrix(g: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional outcome probabilities of the post-selected gate G, and
+    the per-input success probability.
 
     c[fin, in] = (1 - eps) |G[fin, in]|^2 / success[in] + eps / 4: the
     coincidence statistics renormalized by the per-input success
     probability success[in] = sum_fin |G[fin, in]|^2, mixed with a uniform
     accidental background of weight eps.  |G|^2 is taken once, for both.
-    Columns sum to 1 by construction.  A stack of gates gives a stack of
-    matrices; the first gate that blocks an input raises, named by its time.
+    Columns sum to 1 by construction where success[in] > 0; the column of
+    an input that the gate blocks (success 0) is NaN.  A stack of gates
+    gives a stack of matrices and a (T, 4) stack of success probabilities.
     """
     coincidence = np.abs(g) ** 2
     success = coincidence.sum(axis=-2)
-    blocked = (success <= SUCCESS_FLOOR).reshape(-1, 4)
-    rows = np.flatnonzero(blocked.any(axis=1))
-    if rows.size:
-        i = rows[0]
-        labels = ", ".join(format(k, "02b") for k in np.flatnonzero(blocked[i]))
-        raise ValueError(
-            f"gate blocks basis input(s) {labels}: post-selection never succeeds"
-            f" at omega_L_t={np.ravel(t)[i]:.6g}"
-        )
-    return (1.0 - eps) * coincidence / success[..., None, :] + eps / 4.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = (1.0 - eps) * coincidence / success[..., None, :] + eps / 4.0
+    return cond, success
 
 
-def conditional_for_time(params: OpticalParams, h1, h2, t) -> np.ndarray:
-    """Conditional matrix of the optical gate realizing the controlled rotation
-    of amplitudes |h1|, |h2| at time t, or the (T, 4, 4) stack of them for
-    arrays of T amplitudes and times."""
+def conditional_for_time(params: OpticalParams, h1, h2) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional matrix and per-input success probability of the optical
+    gate realizing the controlled rotation of amplitudes |h1|, |h2|, or the
+    stacks of them for arrays of T amplitudes."""
     gamma = [math.atan2(b, a) for a, b in zip(np.ravel(h1).tolist(), np.ravel(h2).tolist())]
     g = postselect(compose_circuit(params, np.reshape(gamma, np.shape(h1))))
-    return photonic_conditional_matrix(g, params.eps, t)
+    return photonic_conditional_matrix(g, params.eps)

@@ -60,11 +60,13 @@ closed form.  These gates are the only checks of the tables and of every
 distribution built from them, and a NaN fails each.
 The dsigma moments of ``sweep`` (finite: a high order can overflow) and the
 sampled frequencies of ``compare`` are gated as the command reads a block.
-One rule holds for every gate: the first block that fails one ends the
-command with ``NumericInvariantError``, which names the block's first
-failing check, in the order above, and that check's first failing time; no
-later block is evaluated.  A photonic input blocked in a block ends
-``compare`` there with exit 2.
+One rule holds for every gate, and ``_gate`` alone applies it: the first
+block that fails one ends the command with ``NumericInvariantError``, which
+names the block's first failing check, in the order above, and that check's
+first failing time; no later block is evaluated.  ``compare`` puts the
+photonic model's per-input success probabilities through the same rule
+before it draws a block: an input that never post-selects ends it there
+with ``ConfigError`` (exit 2).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .linalg import PROB_SUM_TOL, RATIO_GUARD
+from .linalg import PROB_SUM_TOL, RATIO_GUARD, SUCCESS_FLOOR
 from .model import input_populations, propagator_grid, trajectory_coherence
 from .photonic import conditional_for_time
 from .sampler import SampleConfig, sample_tpm
@@ -527,46 +529,49 @@ class _Outputs:
                 tmp.unlink(missing_ok=True)
 
 
+def _gate(ok: np.ndarray, t: np.ndarray, describe, error=NumericInvariantError) -> None:
+    """The one first-failure rule of every per-time check: raise ``error`` at
+    the first row i where ``ok[i]`` is false.  ``describe(i)`` gives the
+    check's name and the rest of the message; between them the message
+    names the time, ``omega_L_t`` = ``t[i]`` to 6 significant digits.
+
+    Each caller writes ``ok`` so that a NaN makes it false.
+    """
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = bad[0]
+        check, rest = describe(i)
+        raise error(f"{check} at omega_L_t={t[i]:.6g}{rest}")
+
+
 def _require_prob_group(cells: np.ndarray, what: str, t: np.ndarray) -> None:
     """Gate one probability group per time: its cells must lie in [0, 1] and sum to 1.
 
-    Row i of ``cells`` is the group at ``t[i]``; the first failing row raises.
-    A cell may exceed 1 by ``PROB_SUM_TOL``, but none may be negative: every
-    cell the program builds is a product or a count of non-negative numbers,
-    and a negative one would reach the merge of ``tpm`` or the sampler.
+    Row i of ``cells`` is the group at ``t[i]``.  A cell may exceed 1 by
+    ``PROB_SUM_TOL``, but none may be negative: every cell the program
+    builds is a product or a count of non-negative numbers, and a negative
+    one would reach the merge of ``tpm`` or the sampler.
     """
     # one contiguous row per cell, time last: each reduction adds whole rows
     cells = np.asarray(cells, dtype=float).reshape(len(t), -1).T.copy()
     lo, hi, totals = cells.min(axis=0), cells.max(axis=0), cells.sum(axis=0)
-    # each test is written so that NaN fails it
-    outside = ~((lo >= 0.0) & (hi <= 1.0 + PROB_SUM_TOL))
-    bad = np.flatnonzero(outside | ~(np.abs(totals - 1.0) <= PROB_SUM_TOL))
-    if bad.size:
-        i = bad[0]
-        where = f"{what} at omega_L_t={t[i]:.6g}"
-        if outside[i]:
-            raise NumericInvariantError(
-                f"{where}: probability {lo[i]:.6e}..{hi[i]:.6e} outside [0, 1]"
-            )
-        raise NumericInvariantError(f"{where}: probabilities sum to {totals[i]:.12e}, not 1")
+    inside = (lo >= 0.0) & (hi <= 1.0 + PROB_SUM_TOL)
+    _gate(inside & (np.abs(totals - 1.0) <= PROB_SUM_TOL), t, lambda i: (what, (
+        f": probabilities sum to {totals[i]:.12e}, not 1" if inside[i]
+        else f": probability {lo[i]:.6e}..{hi[i]:.6e} outside [0, 1]")))
 
 
 def _require_defined_weights(joint: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> None:
     """Gate the joint tables against weight on undefined (NaN) entropy
-    realizations, which the statistics leave out; the first failing row raises.
+    realizations, which the statistics leave out.
 
     Past the double-stochasticity and joint gates that weight is exactly 0,
     so the gate needs no tolerance: a p_fin of 0 is a sum of joint cells that
     the joint gate keeps non-negative, and a p_in of 0 zeroes its whole row.
     """
     stray = np.max(joint, axis=(-2, -1), where=~np.isfinite(sigma), initial=0.0)
-    bad = np.flatnonzero(~(stray == 0.0))
-    if bad.size:
-        i = bad[0]
-        raise NumericInvariantError(
-            f"undefined entropy realizations at omega_L_t={t[i]:.6g} "
-            f"carry probability {stray[i]:.3e}"
-        )
+    _gate(stray == 0.0, t, lambda i: (
+        "undefined entropy realizations", f" carry probability {stray[i]:.3e}"))
 
 
 def _require_doubly_stochastic(cond: np.ndarray, t: np.ndarray) -> None:
@@ -574,13 +579,8 @@ def _require_doubly_stochastic(cond: np.ndarray, t: np.ndarray) -> None:
     c = np.moveaxis(cond, 0, -1).copy()  # c[fin, in] is a contiguous row over time
     sums = np.concatenate([c.sum(axis=0), c.sum(axis=1)])
     worst = np.abs(sums - 1.0).max(axis=0)
-    bad = np.flatnonzero(~(worst <= PROB_SUM_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NumericInvariantError(
-            f"conditional table at omega_L_t={t[i]:.6g}: "
-            f"a row or column sum is off by {worst[i]:.3e}"
-        )
+    _gate(worst <= PROB_SUM_TOL, t, lambda i: (
+        "conditional table", f": a row or column sum is off by {worst[i]:.3e}"))
 
 
 def _require_ift(
@@ -598,23 +598,8 @@ def _require_ift(
         expected = np.ones_like(ift)
     else:
         expected = (p_fin * cond[:, :, support].sum(axis=2)).sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(ift - expected) <= PROB_SUM_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NumericInvariantError(
-            f"ift at omega_L_t={t[i]:.6g}: {ift[i]:.12e}, not {expected[i]:.12e}"
-        )
-
-
-def _require_finite_moments(moments: np.ndarray, t: np.ndarray) -> None:
-    """Gate the (T, h_max) dsigma moments: the first non-finite one in row
-    order, then in order h, raises."""
-    bad = np.flatnonzero(~np.isfinite(moments))
-    if bad.size:
-        i, h = divmod(bad[0], moments.shape[1])
-        raise NumericInvariantError(
-            f"ds_m{h + 1} at omega_L_t={t[i]:.6g}: {moments[i, h]} is not finite"
-        )
+    ok = np.abs(ift - expected) <= PROB_SUM_TOL
+    _gate(ok, t, lambda i: ("ift", f": {ift[i]:.12e}, not {expected[i]:.12e}"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -664,7 +649,13 @@ class SweepGrid:
         # the gate stops an overflowed power (inf, or NaN from inf - inf) silently
         with np.errstate(over="ignore", invalid="ignore"):
             moments = self.ds_dist.moments(len(self.t), self.moments_max)
-        _require_finite_moments(moments, self.t)
+        finite = np.isfinite(moments)
+
+        def describe(i):  # the row's lowest non-finite order
+            h = np.argmin(finite[i])
+            return f"ds_m{h + 1}", f": {moments[i, h]} is not finite"
+
+        _gate(finite.all(axis=1), self.t, describe)
         return moments
 
     @cached_property
@@ -814,16 +805,12 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
 
 def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write hist_dE.csv and hist_ds.csv at the requested times."""
-    for t in cfg.hist_times:
-        if not cfg.t_min <= t <= cfg.t_max:
-            raise ConfigError(
-                f"hist_times: {t} outside [{cfg.t_min:.6g}, {cfg.t_max:.6g}]"
-            )
     header = ["omega_L_t", "value", "probability"]
+    times = cfg.hist_grid()
     with _Outputs(out_dir) as outputs:
         de_csv, ds_csv = (outputs.csv(f"hist_{name}.csv", header) for name in ("dE", "ds"))
-        outputs.start(len(cfg.hist_times))
-        for g in _blocks(cfg, cfg.hist_times):
+        outputs.start(len(times))
+        for g in _blocks(cfg, times):
             for csv, d in ((de_csv, delta_e_rows(g.de_weights)), (ds_csv, g.ds_dist)):
                 outputs.write(csv, g.t[d.time], d.values, d.probs)
     return outputs.paths
@@ -847,11 +834,14 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         outputs.start(len(times))
         for g in _blocks(cfg, times):
             if cfg.photonic:
-                try:
-                    imperfect = conditional_for_time(cfg.optical, g.h1, g.h2, g.t)
-                except ValueError as exc:
-                    # a gate that blocks an input passes every range check
-                    raise ConfigError(f"photonic: {exc}") from None
+                imperfect, success = conditional_for_time(cfg.optical, g.h1, g.h2)
+                # a gate that blocks an input passes every range check: it is
+                # invalid input, refused before the block is drawn
+                passes = success > SUCCESS_FLOOR
+                _gate(passes.all(axis=1), g.t, lambda i: (
+                    "photonic: gate blocks basis input(s) "
+                    + ", ".join(np.compress(~passes[i], OUTCOME_LABELS))
+                    + ": post-selection never succeeds", ""), ConfigError)
             # cfg stays a keyword: benchmarks/tracing.py reads the shot count from it
             freq = sample_tpm(g.joint, rng, cfg=shots) / shots.n_samples
             _require_prob_group(freq, "empirical table", g.t)

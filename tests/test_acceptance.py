@@ -222,7 +222,7 @@ def test_c09_photonic_ideal_gate():
     success_ok = bool(np.all(np.abs(success_probability(g) - 1.0 / 9.0) <= 1e-12))
     times = RunConfig(n_points=50).time_grid()
     h1, h2, u = propagator_grid(PARAMS, times)
-    worst = op_distance(conditional_for_time(OpticalParams(), h1, h2, times), conditional_matrix(u))
+    worst = op_distance(conditional_for_time(OpticalParams(), h1, h2)[0], conditional_matrix(u))
     report(
         9,
         "photonic-ideal-gate",
@@ -235,7 +235,7 @@ def test_c09_photonic_ideal_gate():
 def test_c10_photonic_imperfection():
     ideal = conditional_matrix(propagator_grid(PARAMS, [T_STAR])[2])[0]
     h1, h2 = h_coeffs(PARAMS, T_STAR)
-    imperfect = conditional_for_time(OpticalParams(T_H=0.985), abs(h1), abs(h2), T_STAR)
+    imperfect, _ = conditional_for_time(OpticalParams(T_H=0.985), abs(h1), abs(h2))
     m5_ideal = moments(delta_e_distribution(joint_table_from_conditional(ideal, P_IN)), 5)[4]
     m5_imp = moments(delta_e_distribution(joint_table_from_conditional(imperfect, P_IN)), 5)[4]
     report(

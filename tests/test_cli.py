@@ -379,7 +379,14 @@ TOO_NARROW = (
             "photonic: gate blocks basis input(s) 00, 01, 10: post-selection never succeeds"
             " at omega_L_t=0\n",
         ),
-        ("compare", SMALL + "photonic.T_H = 0.5\nphotonic.T_V = 0.5\n", ["--photonic"], "photonic"),
+        (
+            "compare",
+            SMALL + "photonic.T_H = 0.5\nphotonic.T_V = 0.5\n",
+            ["--photonic"],
+            # two-photon interference empties the HH and VV coincidences at t = 0
+            "photonic: gate blocks basis input(s) 00, 11: post-selection never succeeds"
+            " at omega_L_t=0\n",
+        ),
         ("sweep", "t_min = -1e308\nt_max = 1e308\n", [], "t_min"),
         ("sweep", "t_max = 1e308\n", [], "t_max"),
         ("sweep", "omega_int = 1e300\n", [], "omega_int"),
@@ -841,6 +848,49 @@ def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, comman
         cli.main(argv + (["--photonic"] if command == "compare" else []))
     assert calls == [7, 7, 6]
     assert not list(out.glob("*"))
+
+
+def test_a_blocked_photonic_input_in_a_later_block_exits_2_and_leaves_no_file(
+    tmp_path, monkeypatch, capsys
+):
+    # thirty times in blocks of 7, through the writer: the gate blocks input
+    # 01 at rows 16 and 18, both in the third block.  compare names the first
+    # of them, evaluates no later block and leaves no file; the autouse
+    # fixture no_child_process_left checks that the writer was reaped
+    through_the_writer(monkeypatch)
+    real_grid, real_gate, start = (
+        sweep.propagator_grid, sweep.conditional_for_time, sweep._WriterProcess.__init__
+    )
+    sizes, writers = [], []
+
+    def evaluated(p, times):
+        sizes.append(len(times))
+        return real_grid(p, times)
+
+    def blocking(optical, h1, h2):
+        cond, success = real_gate(optical, h1, h2)
+        if len(sizes) == 3:
+            success[[2, 4], 1] = 0.0
+        return cond, success
+
+    def started(self, csvs):
+        start(self, csvs)
+        writers.append(self)
+
+    monkeypatch.setattr(sweep, "propagator_grid", evaluated)
+    monkeypatch.setattr(sweep, "conditional_for_time", blocking)
+    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
+    out = tmp_path / "out"
+    config = _config(tmp_path, "n_points = 30\nsamples = 100\n")
+    assert cli.main(["compare", "--photonic", "--config", config, "--out", str(out)]) == 2
+    assert sizes == [7, 7, 7]
+    assert len(writers) == 1
+    t16 = RunConfig(n_points=30).time_grid()[16]
+    assert capsys.readouterr().err == (
+        "config error: photonic: gate blocks basis input(s) 01: post-selection never succeeds"
+        f" at omega_L_t={t16:.6g}\n"
+    )
+    assert not list(out.iterdir())
 
 
 def _no_space_error():

@@ -36,7 +36,6 @@ from gate_energetics.photonic import (
     OpticalParams,
     compose_circuit,
     conditional_for_time,
-    photonic_conditional_matrix,
     postselect,
     ppbs_transform,
 )
@@ -301,7 +300,7 @@ def test_ift_gate_holds_a_full_support_input_to_one():
     # 1 by about 1e-3, and with every input populated the gate wants 1
     t = SMALL_TIMES
     h1, h2, _ = propagator_grid(SMALL.model, t)
-    cond = conditional_for_time(OpticalParams(T_H=0.985), h1, h2, t)
+    cond, _ = conditional_for_time(OpticalParams(T_H=0.985), h1, h2)
     p_in = input_populations(SMALL.thermal, SMALL.model)
     joint = tpm.joint_table_from_conditional(cond, p_in)
     p_fin = tpm.final_probs(joint)
@@ -768,29 +767,15 @@ def test_stacked_photonic_equals_per_time_loops_exactly(name):
     per_time = np.asarray(times, dtype=float).tolist()
     gates = postselect(compose_circuit(optical, [gate_angle(cfg.model, t) for t in per_time]))
     h1, h2, _ = propagator_grid(cfg.model, times)
-    cond = conditional_for_time(optical, h1, h2, times)
+    cond, success = conditional_for_time(optical, h1, h2)
     assert cond.shape == (len(times), 4, 4)
+    assert success.shape == (len(times), 4)
     for i, t in enumerate(per_time):
         g = _gate_per_time(optical, cfg.model, t)
         assert _same(gates[i], g), (name, t, "G")
         assert _same(cond[i], _conditional_per_time(optical, g)), (name, t, "cond")
-
-
-def test_stacked_gate_names_its_blocked_row():
-    g = np.stack([np.eye(4, dtype=complex)] * 3)
-    g[1, :, 2] = 0.0
-    with pytest.raises(ValueError, match=r"input\(s\) 10: .* at omega_L_t=0.2$"):
-        photonic_conditional_matrix(g, 0.0, np.array([0.1, 0.2, 0.3]))
-
-
-def test_stacked_conditional_names_the_first_blocked_time():
-    # equal transmissions: two-photon interference empties the HH and VV
-    # coincidences at t = 0 only
-    optical = OpticalParams(T_H=0.5, T_V=0.5)
-    times = np.array([0.3, 0.0, 0.6])
-    h1, h2, _ = propagator_grid(DEFAULT.model, times)
-    with pytest.raises(ValueError, match=r"input\(s\) 00, 11: .* at omega_L_t=0$"):
-        conditional_for_time(optical, h1, h2, times)
+        # the success probability is the column sum of |G|^2, bit for bit
+        assert _same(success[i], (np.abs(g) ** 2).sum(axis=0)), (name, t, "success")
 
 
 @pytest.mark.parametrize("n_samples", [1000, 10**12])

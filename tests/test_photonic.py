@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gate_energetics.config import RunConfig
 from gate_energetics.model import propagator_grid
 from gate_energetics.photonic import (
     OpticalParams,
@@ -36,9 +37,9 @@ SIGMA_Z_HV = np.diag([1.0, -1.0]).astype(complex)
 
 
 def photonic_conditional(optical, p, t):
-    """``conditional_for_time`` at one time, from the amplitudes of ``h_coeffs``."""
+    """The table of ``conditional_for_time`` at one time, from the amplitudes of ``h_coeffs``."""
     h1, h2 = h_coeffs(p, t)
-    return conditional_for_time(optical, abs(h1), abs(h2), t)
+    return conditional_for_time(optical, abs(h1), abs(h2))[0]
 
 
 def test_ppbs_identity_for_full_transmission():
@@ -135,7 +136,7 @@ def test_conditional_matches_hamiltonian_model(params):
 
 def test_conditional_uniform_at_full_background(params):
     g = postselect(compose_circuit(OpticalParams(), gate_angle(params, T_STAR)))
-    cond = photonic_conditional_matrix(g, 0.999999999, T_STAR)
+    cond, _ = photonic_conditional_matrix(g, 0.999999999)
     assert np.allclose(cond, 0.25, atol=1e-8)
 
 
@@ -150,9 +151,32 @@ def test_conditional_columns_sum_to_one(params):
         assert cond.min() >= 0.0
 
 
-def test_conditional_rejects_blocked_input(params):
-    with pytest.raises(ValueError, match="blocks"):
-        photonic_conditional(OpticalParams(atten_H=0.0), params, T_STAR)
+def test_a_blocked_input_has_zero_success_and_an_undefined_column(params):
+    # with the H equalizers closed, a control photon in H never reaches a
+    # coincidence: inputs 00 and 01 have success 0 and a NaN column.  The
+    # photonic model only reports this; compare refuses such a gate (exit 2)
+    h1, h2 = h_coeffs(params, T_STAR)
+    cond, success = conditional_for_time(OpticalParams(atten_H=0.0), abs(h1), abs(h2))
+    assert not success[:2].any() and (success[2:] > 0.0).all()
+    assert np.isnan(cond[:, :2]).all() and np.isfinite(cond[:, 2:]).all()
+
+
+# the smallest per-input success probability over the default grid
+SMALLEST_SUCCESS = {
+    "ideal": (OpticalParams(), 1.0 / 9.0, 1e-15),
+    "T_H-0.985": (OpticalParams(T_H=0.985), 0.10454444, 5e-9),
+    "lossy-asymmetric": (OpticalParams(T_H=0.9, T_V=0.4, atten_H=0.7), 0.04, 1e-15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALLEST_SUCCESS))
+def test_smallest_success_over_the_default_grid(name):
+    optical, expected, tol = SMALLEST_SUCCESS[name]
+    cfg = RunConfig()
+    h1, h2, _ = propagator_grid(cfg.model, cfg.time_grid())
+    _, success = conditional_for_time(optical, h1, h2)
+    assert success.shape == (cfg.n_points, 4)
+    assert abs(success.min() - expected) <= tol
 
 
 def test_imperfect_peak_transition_below_ideal(params):
