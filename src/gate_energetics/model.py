@@ -132,7 +132,7 @@ class ThermalSpec:
         if not math.isfinite(self.beta_B):
             raise ValueError("beta_B must be finite")
 
-    def beta_A(self, omega_L: float = 1.0) -> float:
+    def beta_A(self, omega_L: float) -> float:
         return math.log(self.alpha / (1.0 - self.alpha)) / (2.0 * omega_L)
 
 

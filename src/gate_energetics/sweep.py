@@ -7,13 +7,15 @@ the dimensionless omega_L * t.  Every numeric cell is exactly Python's
 11 digits, 'e', the exponent's sign and its digits, at least two (three for
 an exponent of 100 or more in magnitude).  A non-finite value leaves its
 cell empty.  Each file has one ``_CsvWriter``, which formats it with numpy
-array operations.
+array operations, and flushes its header and each write before they
+return.
 
 Every file is written under a temporary name in the output directory,
 ``.<name>.<12 hex digits>.tmp``, and takes its final name by ``os.replace``
-once the command has written all of its files (``_Outputs``).  On any error
-the temporary files are unlinked before the error goes on, so no final name
-appears after a failure; a process killed while it writes may leave a
+once the command has written all of its files (``_Outputs``).  On any error,
+a failed rename included, the temporary files and the final names that the
+command already gave are unlinked before the error goes on, so no final
+name appears after a failure; a process killed while it writes may leave a
 temporary file, never a final name.
 
 Every command walks its times through ``_blocks``, in blocks of
@@ -31,13 +33,16 @@ summary.json, exactly as one process would; it sends each cell array down a
 pipe to one forked writer process (``_WriterProcess``), which runs the same
 ``_CsvWriter.write`` on it while the main process evaluates the next block,
 and is reaped when the command's outputs are closed, after summary.json is
-written.  Any other command, and any command on one CPU, formats its rows
-in the main process.  The first ``cli.main`` in a fresh interpreter (2-vCPU
-Xeon, numpy 2.4.6) peaks at VmHWM 34.5 MiB in the main process and 27.0 MiB
-in the writer (its ru_maxrss) for a 20 000-point ``sweep``, and 35.9 and
-28.4 MiB at 200 000 points; ``compare --photonic`` (1000 shots, T_H = 0.985,
-eps = 0.01) at 42.3 and 27.1 MiB, and 43.7 and 28.5 MiB (73.2 and 442.2 MiB
-in one process when it evaluated its grid in one piece).
+written.  Each end of the pipe is a buffered binary file: a write is its
+file's index and row count, two int64, then its cells, flushed at once, and
+the writer reads each into an array of its shape.  Any other command, and
+any command on one CPU, formats its rows in the main process.  The first
+``cli.main`` in a fresh interpreter (2-vCPU Xeon, numpy 2.4.6) peaks at
+VmHWM 34.5 MiB in the main process and 27.0 MiB in the writer (its
+ru_maxrss) for a 20 000-point ``sweep``, and 35.9 and 28.4 MiB at 200 000
+points; ``compare --photonic`` (1000 shots, T_H = 0.985, eps = 0.01) at
+42.3 and 27.1 MiB, and 43.7 and 28.5 MiB (73.2 and 442.2 MiB in one process
+when it evaluated its grid in one piece).
 
 The statistics of a ``SweepGrid`` are built on their first read, so each
 command pays only for what it writes: ``sweep`` the moments, the coherence,
@@ -199,12 +204,15 @@ class _CsvWriter:
     The header is written where the writer is made, in the main process.
     ``write`` runs there too, or in the writer process (``_WriterProcess``),
     on the array that the main process sent; either way it formats the same
-    array, which ``_Outputs.write`` built, so every byte is the same.
+    array, which ``_Outputs.write`` built, so every byte is the same.  The
+    header and every ``write`` are flushed before they return, so no
+    buffered byte crosses a fork or waits for the process to exit.
     """
 
     def __init__(self, file, header: list[str]):
         self._file = file
         file.write((",".join(header) + "\n").encode())
+        file.flush()
         self._columns = len(header)
         self._words = np.empty((0, self._columns, 5), np.uint32)
 
@@ -235,6 +243,7 @@ class _CsvWriter:
             step = max(1, _PIECE_BYTES // text.shape[1])
             for i in range(0, rows, step):
                 self._file.write(bytearray(text[i:i + step]).translate(None, b"\0"))
+        self._file.flush()
 
     def _format(self, x: np.ndarray, words: np.ndarray) -> None:
         """Fill the (n, 5) ``words`` with the cells of the n values ``x``.
@@ -312,41 +321,25 @@ class _CsvWriter:
 _PIPE_BYTES = 1 << 20
 
 
-def _receive(fd: int, array: np.ndarray) -> bool:
-    """Fill ``array`` from the pipe ``fd``; False if the pipe ends first."""
-    view = memoryview(array).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            return False
-        view = view[n:]
-    return True
-
-
-def _send(fd: int, array: np.ndarray) -> None:
-    view = memoryview(array).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _serve(rows_fd: int, errors_fd: int, csvs: list[_CsvWriter]) -> None:
     """The writer process: run ``_CsvWriter.write`` on every write that comes
-    down the pipe ``rows_fd``, until it ends, then flush the files.
+    down the pipe ``rows_fd``, read as a buffered file, until it ends.
 
-    It leaves only through ``os._exit``: 0 when every write is flushed, 1
-    after it has put its exception, pickled, on the pipe ``errors_fd``.
+    It leaves only through ``os._exit``: 0 when the pipe has ended (each
+    write was flushed before it returned), and 1 after it has put its
+    exception, pickled, on the pipe ``errors_fd``.
     """
     status = 1
     try:
+        rows = open(rows_fd, "rb")
         head = np.empty(2, np.int64)  # the file's index, its rows
-        while _receive(rows_fd, head):
-            index, rows = head.tolist()
-            cells = np.empty((rows, csvs[index]._columns))
-            if not _receive(rows_fd, cells):
+        # readinto reads until the array is full or the pipe ends
+        while rows.readinto(head) == head.nbytes:
+            index, n = head.tolist()
+            cells = np.empty((n, csvs[index]._columns))
+            if rows.readinto(cells) < cells.nbytes:
                 break
             csvs[index].write(cells)
-        for csv in csvs:
-            csv._file.flush()
         status = 0
     except BaseException as exc:
         os.write(errors_fd, pickle.dumps(exc))
@@ -363,8 +356,9 @@ class _WriterProcess:
     array in row order.  The process receives them into an array of that
     shape and runs ``_CsvWriter.write`` on it, into the files the main
     process opened, so every byte is the one the main process would write.
-    Every header is flushed before the fork, and after it only the writer
-    process writes to the CSV files.
+    Each end of the pipe is a buffered file, which loops over short writes
+    and reads.  No CSV byte is buffered at the fork (``_CsvWriter`` flushes
+    every write), and after it only the writer process writes to the CSVs.
 
     A failure of the writer, such as ``OSError(ENOSPC)`` from a write, comes
     back pickled on a second pipe, and the main process raises it at its
@@ -379,12 +373,10 @@ class _WriterProcess:
         import fcntl
         import signal
 
-        for csv in csvs:
-            csv._file.flush()
-        rows_r, self._rows = os.pipe()
+        rows_r, rows_w = os.pipe()
         self._errors, errors_w = os.pipe()
         try:
-            fcntl.fcntl(self._rows, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            fcntl.fcntl(rows_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
             pass
         # SIGINT is blocked until the child ignores it, so that an interrupt
@@ -394,7 +386,7 @@ class _WriterProcess:
         try:
             pid = os.fork()
         except OSError:
-            for fd in (rows_r, self._rows, self._errors, errors_w):
+            for fd in (rows_r, rows_w, self._errors, errors_w):
                 os.close(fd)
             raise
         finally:
@@ -402,19 +394,21 @@ class _WriterProcess:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if pid == 0:
-            os.close(self._rows)
+            os.close(rows_w)
             os.close(self._errors)
             _serve(rows_r, errors_w, csvs)
         os.close(rows_r)
         os.close(errors_w)
+        self._rows = open(rows_w, "wb")
         self._pid = pid
 
     def send(self, index: int, cells: np.ndarray) -> None:
         """Send one ``_CsvWriter.write(cells)`` of file ``index``; ``cells``
         is C-contiguous."""
         try:
-            _send(self._rows, np.array([index, len(cells)], np.int64))
-            _send(self._rows, cells)
+            self._rows.write(np.array([index, len(cells)], np.int64))
+            self._rows.write(cells)
+            self._rows.flush()
         except BrokenPipeError:  # the writer has ended: close raises its failure
             self.close(raising=True)
             raise
@@ -422,9 +416,10 @@ class _WriterProcess:
     def close(self, raising: bool) -> None:
         """End the pipe and reap the writer once it has written every row;
         with ``raising``, raise its failure.  A second close does nothing."""
-        if self._rows >= 0:
-            os.close(self._rows)
-            self._rows = -1
+        try:
+            self._rows.close()
+        except BrokenPipeError:  # bytes that a failed send left in the buffer
+            pass
         report, status = b"", 0
         if self._errors >= 0:
             with open(self._errors, "rb") as errors:
@@ -445,9 +440,10 @@ class _Outputs:
     ``open(name)`` creates ``.<name>.<12 hex digits>.tmp`` in the output
     directory ``out``, which is made if it does not exist.  When the ``with``
     block ends without an error, every file takes its final name by
-    ``os.replace``; when it raises, every temporary file is unlinked before
-    the error goes on.  A process killed in between may leave a temporary
-    file, never a final name.
+    ``os.replace``; when the block or a rename (say, onto a directory)
+    raises, every file is unlinked, under whichever name it has, before the
+    error goes on.  A process killed in between may leave a temporary file,
+    never a final name.
 
     The CSV files take their rows through ``write``, which builds one cell
     array per write.  ``start`` decides, once per command, where they are
@@ -513,20 +509,22 @@ class _Outputs:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        renamed = 0
         try:
             if self._writer is not None:
                 self._writer.close(raising=exc_type is None)
                 self._writer = None
             for _, _, file in self._pending:
                 file.close()
-            while exc_type is None and self._pending:
-                tmp, path, _ = self._pending[0]
+            while exc_type is None and renamed < len(self._pending):
+                tmp, path, _ = self._pending[renamed]
                 os.replace(tmp, path)
-                del self._pending[0]
+                renamed += 1
         finally:
-            for tmp, _, file in self._pending:
-                file.close()
-                tmp.unlink(missing_ok=True)
+            if renamed < len(self._pending):  # an error: no file keeps a name
+                for i, (tmp, path, file) in enumerate(self._pending):
+                    file.close()
+                    (path if i < renamed else tmp).unlink(missing_ok=True)
 
 
 def _gate(ok: np.ndarray, t: np.ndarray, describe, error=NumericInvariantError) -> None:
@@ -736,11 +734,10 @@ def _blocks(cfg: RunConfig, times):
     The input state's populations are built once, read-only, so that every
     block can share them.  A block that fails a gate ends the walk.
     """
-    t = np.asarray(times, dtype=float)
     p_in = input_populations(cfg.thermal, cfg.model)
     p_in.flags.writeable = False
-    for i in range(0, len(t), _GRID_ROWS):
-        yield _evaluate(cfg, t[i:i + _GRID_ROWS], p_in)
+    for i in range(0, len(times), _GRID_ROWS):
+        yield _evaluate(cfg, times[i:i + _GRID_ROWS], p_in)
 
 
 class _Peak:
@@ -842,11 +839,10 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
                     "photonic: gate blocks basis input(s) "
                     + ", ".join(np.compress(~passes[i], OUTCOME_LABELS))
                     + ": post-selection never succeeds", ""), ConfigError)
+                outputs.write(ph_csv, g.t, np.abs(g.cond - imperfect))
             # cfg stays a keyword: benchmarks/tracing.py reads the shot count from it
             freq = sample_tpm(g.joint, rng, cfg=shots) / shots.n_samples
             _require_prob_group(freq, "empirical table", g.t)
             sampled = delta_e_moments(delta_e_grid(freq), cfg.moments_max)
             outputs.write(mc_csv, g.t, np.abs(g.joint - freq), np.abs(g.de_moments - sampled))
-            if cfg.photonic:
-                outputs.write(ph_csv, g.t, np.abs(g.cond - imperfect))
     return outputs.paths

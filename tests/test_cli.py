@@ -821,6 +821,31 @@ def test_a_run_leaves_exactly_the_final_names(tmp_path, monkeypatch, capsys, com
     assert capsys.readouterr().out.split() == [str(out / name) for name in PRINTED[command]]
 
 
+@pytest.mark.parametrize("command", sorted(PRINTED))
+def test_a_failed_rename_leaves_no_final_name(tmp_path, monkeypatch, capsys, command):
+    # a directory at the command's last output name fails its os.replace
+    # after the other files have taken their final names, which are then
+    # unlinked: the files were written over several blocks, through the
+    # writer, and only the directory is left
+    through_the_writer(monkeypatch)
+    start, writers = sweep._WriterProcess.__init__, []
+
+    def started(self, csvs):
+        start(self, csvs)
+        writers.append(self)
+
+    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
+    out = tmp_path / "out"
+    last = PRINTED[command][-1]
+    (out / last).mkdir(parents=True)
+    argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
+    assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    assert len(writers) == 1
+    assert [path.name for path in out.iterdir()] == [last]
+    assert not list((out / last).iterdir())
+
+
 def _config(tmp_path, text: str) -> str:
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -943,6 +968,38 @@ def test_the_writers_failure_ends_the_command_at_its_next_send(tmp_path, monkeyp
     assert sizes == [7, 7]
     assert capsys.readouterr().err == f"config error: --out: {_no_space_error()}\n"
     assert not list(out.iterdir())
+
+
+def test_the_writer_keeps_every_byte_through_a_pipe_it_cannot_enlarge(tmp_path, monkeypatch):
+    # F_SETPIPE_SZ refused, as above the user's pipe limit: each 2048-row
+    # block of sweep.csv, 512 KiB of cells, crosses a pipe of the default
+    # size in many short writes and reads, and the files equal those that
+    # one CPU writes in the main process
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("no F_SETPIPE_SZ")
+    real, start, sizes = fcntl.fcntl, sweep._WriterProcess.__init__, []
+
+    def refused(fd, cmd, arg=0):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+        return real(fd, cmd, arg)
+
+    def started(self, csvs):
+        start(self, csvs)
+        sizes.append(real(self._rows.fileno(), fcntl.F_GETPIPE_SZ))
+
+    monkeypatch.setattr(fcntl, "fcntl", refused)
+    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
+    config = _config(tmp_path, "n_points = 5000\n")
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        out = tmp_path / f"out{len(cpus)}"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in PRINTED["sweep"]])
+    assert written[0] == written[1]
+    assert len(sizes) == 1 and sizes[0] < sweep._GRID_ROWS * 32 * 8
 
 
 _PEAK_MEMORY = """

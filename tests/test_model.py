@@ -190,9 +190,9 @@ def test_thermal_spec_validation():
 
 
 def test_thermal_beta_a_sign():
-    assert ThermalSpec(alpha=0.2).beta_A() < 0.0
-    assert ThermalSpec(alpha=0.8).beta_A() > 0.0
-    assert ThermalSpec(alpha=0.5).beta_A() == 0.0
+    assert ThermalSpec(alpha=0.2).beta_A(1.0) < 0.0
+    assert ThermalSpec(alpha=0.8).beta_A(1.0) > 0.0
+    assert ThermalSpec(alpha=0.5).beta_A(1.0) == 0.0
 
 
 def test_thermal_default_populations(params):
