@@ -34,21 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="config file path")
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    # only compare samples and runs the photonic model
-    compare = sub.choices["compare"]
-    compare.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    compare.add_argument("--samples", type=int, default=None, help="override the shot count")
-    compare.add_argument(
-        "--photonic",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="enable/disable the photonic comparison",
+    # only compare runs the photonic model; seed and samples come from the config
+    sub.choices["compare"].add_argument(
+        "--photonic", action="store_true", help="also write photonic_error.csv"
     )
     return parser
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The config file (or the defaults) with the command-line overrides, validated."""
+    """The config file (or the defaults), with ``photonic`` set by ``compare
+    --photonic`` alone, validated; ``seed`` and ``samples`` come from the file."""
     if args.config is None:
         cfg = RunConfig()
     else:
@@ -56,9 +51,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             cfg = parse_config(args.config)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"--config: {exc}") from None
-    for key in ("seed", "samples", "photonic"):
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
+    cfg.photonic = getattr(args, "photonic", False)
     cfg.validate()
     return cfg
 

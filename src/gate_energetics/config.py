@@ -6,12 +6,11 @@ lines starting with ``#`` are ignored.  Nested sections use dotted keys
 
 Each physics parameter is range-checked once, by the object that owns it:
 ``ModelParams`` (omega_L, omega_int), ``ThermalSpec`` (alpha, beta_B) and
-``OpticalParams`` (the ``photonic.*`` keys other than ``enabled``, each the
-attribute of the same name).  ``RunConfig`` holds those objects, and its
-``validate`` checks the rules that span the run and one rule of a single
-field, ``beta_B > 0``, which the Landauer bound needs and ``ThermalSpec``
-does not ask.  Every rejection is a ``ConfigError`` whose message starts
-with the offending key.
+``OpticalParams`` (the ``photonic.*`` keys, each the attribute of the same
+name).  ``RunConfig`` holds those objects, and its ``validate`` checks the
+rules that span the run and one rule of a single field, ``beta_B > 0``,
+which the Landauer bound needs and ``ThermalSpec`` does not ask.  Every
+rejection is a ``ConfigError`` whose message starts with the offending key.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """All knobs of the sweep, histogram and comparison runs."""
+    """All knobs of the sweep, histogram and comparison runs, each with one
+    way in: ``photonic`` is set by ``compare --photonic`` alone, and every
+    other field, ``seed`` and ``samples`` included, by the config file."""
 
     t_min: float = 0.0
     t_max: float = DEFAULT_T_MAX
@@ -90,17 +91,19 @@ class RunConfig:
         The half-open convention keeps the grid free of the exact period
         endpoint, so peak searches land on the first oscillation rather
         than tying with the repeated extremum at t_max.  A grid that numpy
-        cannot allocate, or whose times do not increase strictly (a window
-        narrower than the float spacing of its times), is a ``ConfigError``.
+        cannot allocate is a ``ConfigError``, and so is a step of at most
+        1e-11 of the largest |t|, whose times the 12 significant digits of
+        the CSV cells may print alike (or that repeat as floats); a larger
+        step prints each time apart, the rounding of the grid included.
         """
         try:
             t = self.t_min + self.step * np.arange(self.n_points)
         except MemoryError as exc:
             raise ConfigError(f"n_points: {self.n_points} times: {exc}") from None
-        if not (t[:-1] < t[1:]).all():
+        if not self.step > 1.0001e-11 * max(abs(self.t_min), abs(self.t_max)):
             raise ConfigError(
                 f"t_min, t_max: {self.n_points} times in [{self.t_min!r}, {self.t_max!r})"
-                " do not increase strictly"
+                " do not increase strictly at 12 significant digits"
             )
         return t
 
@@ -122,15 +125,6 @@ def _build(key: str, factory, **kwargs):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_times(raw: str) -> tuple[float, ...]:
     parts = [part.strip() for part in raw.split(",")]
     if "" in parts:
@@ -147,7 +141,6 @@ _RUN_KEYS = {
     "hist_times": ("hist_times", _parse_times),
     "samples": ("samples", int),
     "seed": ("seed", int),
-    "photonic.enabled": ("photonic", _parse_bool),
 }
 
 # RunConfig attribute -> (key prefix, the class that owns and checks those keys)

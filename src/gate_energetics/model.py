@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# below this, omega_L^2 + omega_int^2 in ``delta`` cannot overflow
+# the frequencies' upper bound: below it omega_L^2 + omega_int^2 is finite
 MAX_FREQUENCY = math.sqrt(sys.float_info.max) / 2.0
 
 
@@ -55,11 +55,18 @@ class ModelParams:
             raise ValueError(
                 f"omega_int must lie in [0, {MAX_FREQUENCY:.3g}), got {self.omega_int}"
             )
+        # a subnormal Delta keeps too few bits for omega_L / 2 Delta <= 1
+        if self.delta < sys.float_info.min:
+            raise ValueError(
+                f"omega_L must make Delta = hypot(omega_L, omega_int) / 2 a normal float,"
+                f" got {self.omega_L} at omega_int = {self.omega_int}"
+            )
 
     @property
     def delta(self) -> float:
-        """Half the generalized Rabi frequency, sqrt(omega_L^2 + omega_int^2) / 2."""
-        return math.sqrt(self.omega_L**2 + self.omega_int**2) / 2.0
+        """Half the generalized Rabi frequency, hypot(omega_L, omega_int) / 2,
+        whose squares cannot underflow."""
+        return math.hypot(self.omega_L, self.omega_int) / 2.0
 
 
 def hamiltonians(p: ModelParams):
@@ -141,9 +148,10 @@ def _single_qubit_gibbs(beta: float, omega_L: float) -> np.ndarray:
     # beta * omega_L may itself overflow to inf; past 1e300 the populations
     # are exactly 0 and 1 anyway, and the shifted exponents stay finite
     x = np.clip(-beta * omega_L * np.array([-1.0, 1.0]), -1e300, 1e300)
-    # exp overflows above log(float max) ~ 709.78; shift only by the excess
-    # over 700, so ordinary inputs (shift 0) keep their bits exactly
-    weights = np.exp(x - max(x.max() - 700.0, 0.0))
+    # exp overflows above log(float max) ~ 709.78: an exponent above 700 is
+    # shifted to exactly 0 (x = (b, -b): the other weight underflows anyway),
+    # and ordinary inputs (no shift) keep their bits exactly
+    weights = np.exp(x - (x.max() if x.max() > 700.0 else 0.0))
     return weights / weights.sum()
 
 

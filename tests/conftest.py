@@ -2,10 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gate_energetics import ModelParams, ThermalSpec
 
 from reference import thermal_state
+
+# pytest --hypothesis-profile=runs-5000 raises the example count of
+# tests/test_run_properties.py, whose tier-1 count is fixed
+settings.register_profile("runs-5000", max_examples=5000)
 
 # first oscillation peak of the default model (omega_int / omega_L = 5)
 T_STAR = float(np.pi / np.sqrt(26.0))

@@ -58,7 +58,6 @@ def test_parse_config_overrides(tmp_path):
         "omega_int = 4.0\n"
         "n_points = 16\n"
         "hist_times = 0.1, 0.2\n"
-        "photonic.enabled = true\n"
         "photonic.T_H = 0.985\n"
         "\n"
     )
@@ -66,7 +65,6 @@ def test_parse_config_overrides(tmp_path):
     assert cfg.model.omega_int == 4.0
     assert cfg.n_points == 16
     assert cfg.hist_times == (0.1, 0.2)
-    assert cfg.photonic
     assert cfg.optical.T_H == 0.985
     assert cfg.thermal.alpha == 0.2  # untouched default
 
@@ -298,9 +296,9 @@ def test_hist_rejects_out_of_range_time(tmp_path, capsys):
 
 
 def test_compare_outputs(tmp_path):
-    cfg = small_config(tmp_path, extra="photonic.enabled = true\n")
+    cfg = small_config(tmp_path)
     out = tmp_path / "out"
-    assert cli.main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["compare", "--photonic", "--config", str(cfg), "--out", str(out)]) == 0
 
     header, rows = read_csv(out / "mc_error.csv")
     assert len(rows) == 12
@@ -335,11 +333,27 @@ def test_compare_byte_identical_rerun(tmp_path):
 
 
 def test_seed_override_changes_sampling(tmp_path):
-    cfg = small_config(tmp_path)
+    # the config's seed overrides the default one
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["compare", "--config", str(cfg), "--out", str(out_a), "--seed", "1"]) == 0
-    assert cli.main(["compare", "--config", str(cfg), "--out", str(out_b), "--seed", "2"]) == 0
+    for seed, out in ((1, out_a), (2, out_b)):
+        cfg = small_config(tmp_path, extra=f"seed = {seed}\n")
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out_a / "mc_error.csv").read_bytes() != (out_b / "mc_error.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--seed", "1"], ["--samples", "1"], ["--no-photonic"]], ids=lambda f: f[0][2:]
+)
+def test_a_removed_flag_exits_2_naming_itself(tmp_path, capsys, flag):
+    # seed and samples come from the config file alone, and the photonic
+    # comparison from --photonic alone
+    with pytest.raises(SystemExit) as done:
+        cli.main(["compare", "--out", str(tmp_path / "out"), *flag])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -361,10 +375,17 @@ def test_cli_maps_numeric_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
 
 
 SMALL = "n_points = 4\nsamples = 100\n"
-# the step rounds to 0, and a step of 0.64 at times spaced 16 apart
+# a Delta whose square underflows (it divided by zero when Delta was the root
+# of the squares) and a Delta that rounds to 0 even as hypot(omega_L, omega_int) / 2
+TINY_FREQUENCIES = ("omega_L = 1e-162\nomega_int = 0\n", "omega_L = 5e-324\nomega_int = 0\n")
+ALL_COMMANDS = [("sweep", []), ("hist", []), ("compare", []), ("compare", ["--photonic"])]
+COMMAND_IDS = ["sweep", "hist", "compare", "compare-photonic"]
+# the step rounds to 0, a step of 0.64 at times spaced 16 apart, and two
+# times one float spacing apart, which '%.11e' prints alike
 TOO_NARROW = (
     "t_max = 5e-324\nn_points = 2\n",
     "t_min = 1e17\nt_max = 100000000000000128\n",
+    "t_min = 1\nt_max = 1.0000000000000004\nn_points = 2\n",
 )
 
 
@@ -391,9 +412,10 @@ TOO_NARROW = (
         ("sweep", "t_max = 1e308\n", [], "t_max"),
         ("sweep", "omega_int = 1e300\n", [], "omega_int"),
         ("compare", SMALL + "seed = 18446744073709551616\n", [], "seed"),
-        ("compare", SMALL, ["--seed", "18446744073709551616"], "seed"),
         ("sweep", None, [], "--config"),
         ("sweep", "seed = 1\nseed = 2\n", [], "line 2: duplicate key 'seed'"),
+        # the photonic comparison is compare --photonic alone
+        ("compare", "photonic.enabled = true\n", [], "unknown config key: 'photonic.enabled'"),
         ("sweep", "n_points = 4\n", ["--out", os.path.join(os.devnull, "out")], "--out"),
         # above 2**53 the grid's indices are no longer exact doubles
         ("sweep", "n_points = 1000000000000000000\n", [], "config error: n_points: "),
@@ -414,6 +436,13 @@ TOO_NARROW = (
         ("compare", TOO_NARROW[0], [], "config error: t_min, t_max: "),
         ("sweep", TOO_NARROW[1], [], "config error: t_min, t_max: "),
         ("compare", TOO_NARROW[1], [], "config error: t_min, t_max: "),
+        ("sweep", TOO_NARROW[2], [], "config error: t_min, t_max: "),
+        ("compare", TOO_NARROW[2], [], "config error: t_min, t_max: "),
+        # Delta = hypot(omega_L, omega_int) / 2 rounds to 0
+        *[
+            (command, TINY_FREQUENCIES[1], flags, "config error: omega_L ")
+            for command, flags in ALL_COMMANDS
+        ],
     ],
     ids=[
         "atten_H-blocks",
@@ -422,9 +451,9 @@ TOO_NARROW = (
         "phase-overflow",
         "omega_int-overflow",
         "last-seed-from-file",
-        "last-seed-from-flag",
         "missing-config",
         "duplicate-key",
+        "photonic-key",
         "unwritable-out",
         "unallocatable-grid-sweep",
         "unallocatable-grid-compare",
@@ -440,6 +469,9 @@ TOO_NARROW = (
         "zero-step-compare",
         "sub-spacing-step-sweep",
         "sub-spacing-step-compare",
+        "printed-alike-sweep",
+        "printed-alike-compare",
+        *[f"zero-Delta-{name}" for name in COMMAND_IDS],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
@@ -453,13 +485,32 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
     assert "Traceback" not in err
 
 
+def test_a_step_above_the_printed_resolution_prints_every_time_apart(tmp_path):
+    # 2e-11 at t = 1, where the 12th significant digit is 1e-11
+    path = tmp_path / "run.cfg"
+    path.write_text("t_min = 1\nt_max = 1.00000000004\nn_points = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    header, rows = read_csv(out / "sweep.csv")
+    assert column(header, rows, "omega_L_t") == ["1.00000000000e+00", "1.00000000002e+00"]
+
+
+@pytest.mark.parametrize("command,flags", ALL_COMMANDS, ids=COMMAND_IDS)
+def test_a_frequency_whose_square_underflows_runs(tmp_path, capsys, command, flags):
+    path = tmp_path / "run.cfg"
+    path.write_text(TINY_FREQUENCIES[0])
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(os.listdir(out)) == {"sweep": 3, "hist": 2, "compare": 1 + len(flags)}[command]
+
+
 def test_compare_accepts_the_last_64_bit_seed_on_any_grid(tmp_path):
     # every point draws from the stream of the one seed, so no seed past it
     # needs to exist
     path = tmp_path / "run.cfg"
-    path.write_text(SMALL)
-    argv = ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert cli.main(argv + ["--seed", str(2**64 - 1)]) == 0
+    path.write_text(SMALL + f"seed = {2**64 - 1}\n")
+    assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     _, rows = read_csv(tmp_path / "out" / "mc_error.csv")
     assert len(rows) == 4
 
@@ -628,7 +679,8 @@ def test_joint_gate_is_the_only_check_of_the_input_state(
     ],
 )
 def test_sampling_flags_belong_to_compare_only(tmp_path, capsys, command, flag):
-    # sweep and hist neither sample nor run the photonic model
+    # sweep and hist neither sample nor run the photonic model; compare has
+    # lost all of these but --photonic (test_a_removed_flag_exits_2_naming_itself)
     argv = [command, "--out", str(tmp_path / "out"), flag]
     if not flag.endswith("photonic"):
         argv.append("1")
@@ -766,11 +818,15 @@ SUBNORMAL = {
         ("omega_L = 2000\n", "compare", 0),
         ("omega_L = 1e10\nbeta_B = 1e300\n", "hist", 0),
         ("omega_L = 1e10\nbeta_B = 1e300\n", "sweep", 0),
+        # beta_B omega_L of about 2^60: a shift of the exponent by its excess
+        # over 700 rounded up by 68, and exp overflowed
+        *(("omega_L = 2000\nbeta_B = 576460752303424\n", command, 0) for command in COMMANDS),
         # a subnormal population is set to 0: its e^{-dsigma} would overflow
         *((physics, command, 0) for physics in SUBNORMAL.values() for command in COMMANDS),
     ],
     ids=[
         "sweep", "hist", "compare", "product-overflow-hist", "product-overflow-sweep",
+        *(f"shift-rounding-{command}" for command in COMMANDS),
         *(f"{name}-{command}" for name in SUBNORMAL for command in COMMANDS),
     ],
 )
@@ -943,11 +999,19 @@ def test_a_full_disk_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys, c
 
 
 def test_the_writers_failure_ends_the_command_at_its_next_send(tmp_path, monkeypatch, capsys):
-    # the writer fails on its first write and has ended before the second
-    # block is sent: that send raises the writer's error, and no third block
-    # is evaluated
+    # the writer fails on the last write of the first block, realizations.csv
+    # (a row of 17 cells), and has ended before the second block is sent:
+    # that send raises the writer's error, and no third block is evaluated.
+    # Failing on the first write instead raced the first block's second send
     through_the_writer(monkeypatch)
-    monkeypatch.setattr(sweep._CsvWriter, "write", _no_space)
+    write = sweep._CsvWriter.write
+
+    def fails_on_realizations(self, cells):
+        if cells.shape[1] == 17:
+            _no_space(self)
+        write(self, cells)
+
+    monkeypatch.setattr(sweep._CsvWriter, "write", fails_on_realizations)
     writers, sizes = [], []
     start, real = sweep._WriterProcess.__init__, sweep.propagator_grid
 

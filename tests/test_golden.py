@@ -44,6 +44,7 @@ so it waits for a change that re-records ``benchmarks/digests.json``.
 
 import errno
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -298,3 +299,18 @@ def test_full_size_sweep_digests_hold_at_the_avx2_dispatch_level(tmp_path):
     done.check_returncode()
     with open(digests) as recorded:
         assert json.loads(done.stdout.splitlines()[-1]) == json.load(recorded)["sweep_dense"]
+
+
+@pytest.mark.parametrize("workload", ["sweep_dense", "compare_mc", "compare_photonic", "hist_many"])
+def test_every_benchmark_workload_runs_through_the_cli(tmp_path, monkeypatch, workload):
+    # each workload's config text and argv, at its tiny size: a change of the
+    # command-line or config surface must not break one unseen
+    src = os.path.dirname(os.path.dirname(gate_energetics.__file__))
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(src), "benchmarks"))
+    checks, workloads = (importlib.import_module(name) for name in ("checks", "workloads"))
+    case = workloads.build(workload, workloads.DEFAULT_SEED, tiny=True)
+    config = tmp_path / f"{workload}.cfg"
+    config.write_text(case.config_text())
+    out = tmp_path / "out"
+    assert cli.main(case.argv(str(config), str(out))) == 0
+    assert sorted(os.listdir(out)) == sorted(checks.expected_files(case))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ def test_delta_formula(params):
     assert params.delta == pytest.approx(math.sqrt(26.0) / 2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "omega_L,omega_int",
+    [(1.0, 5.0), (1.0, 5.0 * 1.0037), (0.3, 7.0), (3.0, 5.0), (2000.0, 5.0), (1.0, 0.0)],
+)
+def test_delta_keeps_its_bits_at_the_pinned_configs(omega_L, omega_int):
+    # hypot's Delta equals the root of the squares wherever outputs are pinned
+    delta = ModelParams(omega_L, omega_int).delta
+    assert delta == math.sqrt(omega_L**2 + omega_int**2) / 2.0
+
+
+def test_a_delta_below_the_normal_floats_is_refused():
+    # omega_L / 2 Delta must stay at most 1: 0.75 at 1.5e-323, where Delta rounds up
+    for omega_L in (5e-324, 1.5e-323, 1e-308):
+        with pytest.raises(ValueError, match="^omega_L "):
+            ModelParams(omega_L, 0.0)
+    assert ModelParams(2 * sys.float_info.min, 0.0).delta == sys.float_info.min
+    assert ModelParams(1e-162, 0.0).delta == 5e-163  # its square underflows
+
+
 def test_hamiltonians_no_interaction():
     _, h_int, h_tot = hamiltonians(ModelParams(omega_int=0.0))
     assert op_distance(h_int, np.zeros((4, 4))) == 0.0
@@ -68,13 +88,14 @@ def test_hamiltonians_hermitian(params):
 
 @ORACLE
 @given(
-    omega_L=st.floats(0.0, 1e6, exclude_min=True),
+    # at omega_int = 0, Delta = omega_L / 2 must be a normal float
+    omega_L=st.floats(2 * sys.float_info.min, 1e6),
     omega_int=st.floats(0.0, 1e6),
 )
 @example(omega_L=1.0, omega_int=5.0)
 @example(omega_L=0.3, omega_int=7.0)
-@example(omega_L=5e-324, omega_int=0.0)  # 0.5 * omega_L rounds to 0
-@example(omega_L=1e-310, omega_int=5e-324)
+@example(omega_L=5e-324, omega_int=1.0)  # 0.5 * omega_L rounds to 0
+@example(omega_L=1.0, omega_int=5e-324)  # and 0.5 * omega_int
 def test_hamiltonians_equal_the_tensor_built_form(omega_L, omega_int):
     # benchmarks/checks.py exponentiates model.hamiltonians as its propagator
     # oracle: the entries written out must keep every bit of the Pauli form,
