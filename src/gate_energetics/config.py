@@ -4,26 +4,26 @@ Config files hold one ``key = value`` assignment per line; blank lines and
 lines starting with ``#`` are ignored.  Nested sections use dotted keys
 (``photonic.T_H = 0.985``).  Unknown and repeated keys are errors.
 
-Each physics parameter is range-checked once, by the object that owns it:
+``RunConfig`` holds the physics parameters in three plain records:
 ``ModelParams`` (omega_L, omega_int), ``ThermalSpec`` (alpha, beta_B) and
 ``OpticalParams`` (the ``photonic.*`` keys, each the attribute of the same
-name).  ``RunConfig`` holds those objects, and its ``validate`` checks the
-rules that span the run and one rule of a single field, ``beta_B > 0``,
-which the Landauer bound needs and ``ThermalSpec`` does not ask.  Every
-rejection is a ``ConfigError`` whose message starts with the offending key.
+name).  ``RunConfig.validate`` is the one place that range-checks a setting:
+the records' fields first, then the rules that span the run.  Every
+rejection is a ``ConfigError`` whose message is ``<key>: <rule>``, which
+the CLI prints as ``config error: <key>: <rule>``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelParams, ThermalSpec
+from .model import MAX_FREQUENCY, ModelParams, ThermalSpec
 from .photonic import OpticalParams
-from .sampler import SampleConfig
 
 DEFAULT_T_MAX = 3.0 * math.pi / math.sqrt(26.0)
 
@@ -55,12 +55,29 @@ class RunConfig:
         return (self.t_max - self.t_min) / self.n_points
 
     def validate(self) -> None:
-        """Check the run-level rules; the physics objects checked their own fields."""
+        """Check every range rule of the run, the physics fields first; the
+        first rule that fails raises a ConfigError naming its key."""
 
-        def require(ok: bool, key: str, message: str) -> None:
+        def require(ok: bool, key: str, rule: str) -> None:
             if not ok:
-                raise ConfigError(f"{key}: {message}")
+                raise ConfigError(f"{key}: {rule}")
 
+        model, thermal, optical = self.model, self.thermal, self.optical
+        bound = f"{MAX_FREQUENCY:.3g}"
+        require(0.0 < model.omega_L < MAX_FREQUENCY, "omega_L", f"must lie in (0, {bound})")
+        require(0.0 <= model.omega_int < MAX_FREQUENCY, "omega_int", f"must lie in [0, {bound})")
+        # a subnormal Delta keeps too few bits for omega_L / 2 Delta <= 1
+        require(
+            model.delta >= sys.float_info.min,
+            "omega_L",
+            "must make Delta = hypot(omega_L, omega_int) / 2 a normal float",
+        )
+        require(0.0 < thermal.alpha < 1.0, "alpha", "must lie in (0, 1)")
+        # the Landauer bound needs a positive beta
+        require(0.0 < thermal.beta_B < math.inf, "beta_B", "must be finite and positive")
+        for name in ("T_H", "T_V", "atten_H"):
+            require(0.0 <= getattr(optical, name) <= 1.0, f"photonic.{name}", "must lie in [0, 1]")
+        require(0.0 <= optical.eps < 1.0, "photonic.eps", "must lie in [0, 1)")
         window = "t_min, t_max"
         require(
             math.isfinite(self.t_min) and math.isfinite(self.t_max) and self.t_min < self.t_max,
@@ -71,7 +88,7 @@ class RunConfig:
         require(2 <= self.n_points <= 2**53, "n_points", "must lie in [2, 2**53]")
         require(math.isfinite(self.step), window, "the grid step overflows")
         # the propagator takes cos, sin and exp of Delta t and omega_L t <= 2 Delta t
-        largest_phase = 2.0 * self.model.delta * max(abs(self.t_min), abs(self.t_max))
+        largest_phase = 2.0 * model.delta * max(abs(self.t_min), abs(self.t_max))
         require(math.isfinite(largest_phase), window, "the phase Delta t overflows")
         # the dE moments take 4.0**h, which is finite up to h = 511 (2^1022)
         require(1 <= self.moments_max <= 511, "moments_max", "must lie in [1, 511]")
@@ -80,10 +97,9 @@ class RunConfig:
             "hist_times",
             "must be a non-empty list of finite times",
         )
-        # ThermalSpec allows beta_B = 0; the Landauer bound needs a positive beta
-        require(self.thermal.beta_B > 0, "beta_B", "must be positive")
-        _build("samples", SampleConfig, n_samples=self.samples)
-        _build("seed", SampleConfig, seed=self.seed)
+        # Generator.multinomial counts in int64
+        require(1 <= self.samples < 2**63, "samples", "must lie in [1, 2**63)")
+        require(0 <= self.seed < 2**64, "seed", "must lie in [0, 2**64)")
 
     def time_grid(self) -> np.ndarray:
         """Uniform sweep grid over the half-open interval [t_min, t_max).
@@ -117,14 +133,6 @@ class RunConfig:
         return np.asarray(self.hist_times, dtype=float)
 
 
-def _build(key: str, factory, **kwargs):
-    """``factory(**kwargs)``, with a ValueError reported as a ConfigError naming ``key``."""
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
 def _parse_times(raw: str) -> tuple[float, ...]:
     parts = [part.strip() for part in raw.split(",")]
     if "" in parts:
@@ -132,18 +140,18 @@ def _parse_times(raw: str) -> tuple[float, ...]:
     return tuple(map(float, parts))
 
 
-# run-level key -> (RunConfig attribute, parser)
+# run-level key, which is its RunConfig attribute -> parser
 _RUN_KEYS = {
-    "t_min": ("t_min", float),
-    "t_max": ("t_max", float),
-    "n_points": ("n_points", int),
-    "moments_max": ("moments_max", int),
-    "hist_times": ("hist_times", _parse_times),
-    "samples": ("samples", int),
-    "seed": ("seed", int),
+    "t_min": float,
+    "t_max": float,
+    "n_points": int,
+    "moments_max": int,
+    "hist_times": _parse_times,
+    "samples": int,
+    "seed": int,
 }
 
-# RunConfig attribute -> (key prefix, the class that owns and checks those keys)
+# RunConfig attribute -> (key prefix, the record of those keys)
 _PARTS = {
     "model": ("", ModelParams),
     "thermal": ("", ThermalSpec),
@@ -160,7 +168,6 @@ def parse_config(path: str | Path) -> RunConfig:
     """Read a config file on top of the defaults.  Unknown or repeated keys are errors."""
     run: dict = {}
     physics: dict[str, dict] = {part: {} for part in _PARTS}
-    seen: set[str] = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -169,25 +176,19 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         if key in _RUN_KEYS:
-            attr, parse = _RUN_KEYS[key]
-            target = run
+            attr, parse, target = key, _RUN_KEYS[key], run
         elif key in _PHYSICS_KEYS:
             part, attr = _PHYSICS_KEYS[key]
             parse, target = float, physics[part]
         else:
             raise ConfigError(f"unknown config key: {key!r}")
+        if attr in target:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             target[attr] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    for part, (prefix, cls) in _PARTS.items():
-        try:
-            run[part] = cls(**physics[part])
-        except ValueError as exc:
-            # each constructor's message starts with the field name
-            raise ConfigError(f"{prefix}{exc}") from None
+    for part, (_, cls) in _PARTS.items():
+        run[part] = cls(**physics[part])
     return RunConfig(**run)

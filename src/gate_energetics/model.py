@@ -43,24 +43,11 @@ MAX_FREQUENCY = math.sqrt(sys.float_info.max) / 2.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Angular frequencies of the local and interaction terms (omega_L = 1 units)."""
+    """Angular frequencies of the local and interaction terms (omega_L = 1 units),
+    unchecked: ``RunConfig.validate`` holds their ranges."""
 
     omega_L: float = 1.0
     omega_int: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 < self.omega_L < MAX_FREQUENCY:
-            raise ValueError(f"omega_L must lie in (0, {MAX_FREQUENCY:.3g}), got {self.omega_L}")
-        if not 0.0 <= self.omega_int < MAX_FREQUENCY:
-            raise ValueError(
-                f"omega_int must lie in [0, {MAX_FREQUENCY:.3g}), got {self.omega_int}"
-            )
-        # a subnormal Delta keeps too few bits for omega_L / 2 Delta <= 1
-        if self.delta < sys.float_info.min:
-            raise ValueError(
-                f"omega_L must make Delta = hypot(omega_L, omega_int) / 2 a normal float,"
-                f" got {self.omega_L} at omega_int = {self.omega_int}"
-            )
 
     @property
     def delta(self) -> float:
@@ -127,17 +114,12 @@ class ThermalSpec:
     ``alpha`` fixes the inverse temperature of qubit A through
     beta_A = ln(alpha / (1 - alpha)) / (2 omega_L); alpha < 1/2 makes
     beta_A negative (population inversion of A).  ``beta_B`` is the
-    inverse temperature of qubit B in 1/omega_L units.
+    inverse temperature of qubit B in 1/omega_L units.  The fields are
+    unchecked: ``RunConfig.validate`` holds their ranges.
     """
 
     alpha: float = 0.2
     beta_B: float = 0.5
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not math.isfinite(self.beta_B):
-            raise ValueError("beta_B must be finite")
 
     def beta_A(self, omega_L: float) -> float:
         return math.log(self.alpha / (1.0 - self.alpha)) / (2.0 * omega_L)

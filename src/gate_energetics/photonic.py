@@ -33,8 +33,9 @@ fixed index arrays and their products go through ``model._complex_product``.
 The plate's ``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin`` bit
 for bit on every plate angle of the 2000- and 20 000-point default grids,
 natively and at numpy's X86_V3 dispatch.  The module is plain arithmetic, with
-no check of its own but the ranges of ``OpticalParams``: the conditional
-table comes with the per-input success probability, which ``sweep`` gates.
+no check of its own: ``RunConfig.validate`` holds the ranges of
+``OpticalParams``, and the conditional table comes with the per-input
+success probability, which ``sweep`` gates.
 """
 
 from __future__ import annotations
@@ -54,21 +55,14 @@ class OpticalParams:
     """Hardware parameters of the optical gate.
 
     ``eps`` is the weight of a uniform accidental-coincidence background
-    mixed into the conditional probabilities.
+    mixed into the conditional probabilities.  The fields are unchecked:
+    ``RunConfig.validate`` holds their ranges.
     """
 
     T_H: float = 1.0
     T_V: float = 1.0 / 3.0
     atten_H: float = 1.0 / math.sqrt(3.0)
     eps: float = 0.0
-
-    def __post_init__(self):
-        for name in ("T_H", "T_V", "atten_H"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
 
 
 def ppbs_transform(t_h: float, t_v: float) -> np.ndarray:

@@ -28,23 +28,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Shot count and RNG seed of one Monte Carlo run."""
+    """Shot count of one Monte Carlo run; ``RunConfig.validate`` checks ``samples``."""
 
     n_samples: int = 10**6
-    seed: int = 42
-
-    def __post_init__(self):
-        # Generator.multinomial counts in int64
-        if not 1 <= self.n_samples < 2**63:
-            raise ValueError(f"n_samples must be in [1, 2**63), got {self.n_samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
 
 
 def sample_tpm(j: np.ndarray, rng: np.random.Generator, cfg: SampleConfig) -> np.ndarray:
     """The joint outcome counts[in, fin] of cfg.n_samples two-point-measurement
-    shots of the joint table j, drawn from ``rng``, which the caller seeds
-    (``cfg.seed`` is not read).
+    shots of the joint table j, drawn from ``rng``, which the caller seeds.
 
     ``j`` may be a (T, 4, 4) stack of joint tables: its rows are then drawn
     in order.  The int64 counts have the shape of ``j``; the frequencies are

@@ -164,22 +164,19 @@ _TAIL = _words(  # "dde+": the last two digits + 100 * (exponent < 0)
 _EXP = _words(  # "ddd,": |exponent|, at most 324 for a double
     b"%d," % n if n >= 100 else b"\0%02d," % n for n in range(325)
 )
-_EMPTY_CELL = "\0" * 19 + ","  # a non-finite cell
-_EMPTY = _words([_EMPTY_CELL.encode()])
+_EMPTY = _words([b"\0" * 19 + b","])  # a non-finite cell
 
 
 def _cell(x: float) -> str:
-    """The 20 bytes of one cell, laid out from '%' itself."""
+    """The 20 bytes of one finite cell, laid out from '%' itself."""
     text = "%.11e" % x
-    if text[-1] > "9":  # nan, inf, -inf
-        return _EMPTY_CELL
     if text[-4] == "e":  # an exponent of two digits leaves its hundreds out
         text = text[:-2] + "\0" + text[-2:]
     return text + "," if text[0] == "-" else "\0" + text + ","
 
 
 def _cells(values: np.ndarray) -> np.ndarray:
-    """The (k, 5) words of the k cells ``values``."""
+    """The (k, 5) words of the k finite cells ``values``."""
     text = "".join(map(_cell, values.tolist()))
     return np.frombuffer(text.encode(), np.uint32).reshape(-1, 5)
 
@@ -822,7 +819,7 @@ def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
         + [f"err_dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     )
     ph_header = ["omega_L_t"] + [f"err_c_{c}" for c in _CELL_LABELS]
-    shots = SampleConfig(cfg.samples, cfg.seed)
+    shots = SampleConfig(cfg.samples)
     rng = np.random.default_rng(cfg.seed)
     times = cfg.time_grid()
     with _Outputs(out_dir) as outputs:

@@ -387,6 +387,21 @@ TOO_NARROW = (
     "t_min = 1e17\nt_max = 100000000000000128\n",
     "t_min = 1\nt_max = 1.0000000000000004\nn_points = 2\n",
 )
+# id -> (config, key): the ranges of the physics records and of the shot
+# count and seed, each refused by RunConfig.validate
+RANGE_REFUSALS = {
+    "omega_L-zero": ("omega_L = 0\n", "omega_L"),
+    "omega_int-negative": ("omega_int = -1\n", "omega_int"),
+    # omega_L / 2 Delta must stay at most 1: 0.75 at 1.5e-323, where Delta rounds up
+    "subnormal-Delta-1.5e-323": ("omega_L = 1.5e-323\nomega_int = 0\n", "omega_L"),
+    "subnormal-Delta-1e-308": ("omega_L = 1e-308\nomega_int = 0\n", "omega_L"),
+    **{f"alpha-{a}": (f"alpha = {a}\n", "alpha") for a in ("0.0", "1.0", "-0.2", "1.3")},
+    "samples-zero": ("samples = 0\n", "samples"),
+    "samples-2**63": (f"samples = {2**63}\n", "samples"),
+    "seed-negative": ("seed = -1\n", "seed"),
+    # the physics fields are checked before the run-level rules
+    "beta_B-before-n_points": ("beta_B = 0\nn_points = 1\n", "beta_B"),
+}
 
 
 @pytest.mark.parametrize(
@@ -440,8 +455,12 @@ TOO_NARROW = (
         ("compare", TOO_NARROW[2], [], "config error: t_min, t_max: "),
         # Delta = hypot(omega_L, omega_int) / 2 rounds to 0
         *[
-            (command, TINY_FREQUENCIES[1], flags, "config error: omega_L ")
+            (command, TINY_FREQUENCIES[1], flags, "config error: omega_L: ")
             for command, flags in ALL_COMMANDS
+        ],
+        *[
+            ("compare", config, [], f"config error: {key}: ")
+            for config, key in RANGE_REFUSALS.values()
         ],
     ],
     ids=[
@@ -472,6 +491,7 @@ TOO_NARROW = (
         "printed-alike-sweep",
         "printed-alike-compare",
         *[f"zero-Delta-{name}" for name in COMMAND_IDS],
+        *RANGE_REFUSALS,
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):

@@ -1,16 +1,18 @@
 """Property tests of the config contract, over all 15 config keys.
 
-An out-of-range value of any key makes the CLI exit 2 with the key in the
-message; an in-range config parses back to the values that were written
-and validates.  The photonic comparison has no key: ``compare --photonic``
-is its one way in.  tests/test_run_properties.py runs such configs through
-every command.  Examples are derandomized with a fixed count, so every run
-draws the same cases.
+An out-of-range value of any key makes the CLI exit 2 with the message
+``config error: <keys>: <rule>``, the key among ``<keys>``; an in-range
+config parses back to the values that were written and validates.  The
+photonic comparison has no key: ``compare --photonic`` is its one way in.
+tests/test_run_properties.py runs such configs through every command.
+Examples are derandomized with a fixed count, so every run draws the same
+cases.
 """
 
 import contextlib
 import io
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -95,7 +97,9 @@ def test_out_of_range_value_exits_2_naming_key(key, data):
     value = data.draw(OUT_OF_RANGE[key], label=key)
     code, err = _run_cli(f"{key} = {value}\n")
     assert code == 2
-    assert key in err
+    # the window rules name both of their keys, "t_min, t_max"
+    named = re.match(r"config error: ([^:]+): ", err)
+    assert named and key in named[1].split(", "), err
 
 
 @st.composite

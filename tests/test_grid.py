@@ -788,8 +788,8 @@ def test_stacked_sampler_rows_equal_single_calls(n_samples):
     g = evaluate_grid(SMALL, SMALL_TIMES)
     rows = g.joint.reshape(8, 16)
     pvals = rows / rows.sum(axis=1, keepdims=True)
+    cfg = SampleConfig(n_samples)
     for seed in (42, 2**32 - 4, 2**64 - 8, 2**64 - 1):
-        cfg = SampleConfig(n_samples, seed)
         counts = sample_tpm(g.joint, np.random.default_rng(seed), cfg)
         assert counts.shape == (8, 4, 4)
         blocks = np.random.default_rng(seed)

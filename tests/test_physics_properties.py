@@ -79,6 +79,6 @@ def test_propagator_matches_eigendecomposition(omega_L, omega_int, alpha, beta_B
 @given(**PHYSICS, n=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1))
 def test_sampler_counts(omega_L, omega_int, alpha, beta_B, t, n, seed):
     _, g = _grid(omega_L, omega_int, alpha, beta_B, t)
-    counts = sample_tpm(g.joint[-1], np.random.default_rng(seed), SampleConfig(n, seed))
+    counts = sample_tpm(g.joint[-1], np.random.default_rng(seed), SampleConfig(n))
     assert counts.sum() == n
     assert np.all(counts[g.joint[-1] == 0.0] == 0)
