@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults), with ``photonic`` set by ``compare
-    --photonic`` alone, validated; ``seed`` and ``samples`` come from the file."""
+    --photonic`` alone; the command validates it, as it does any caller's."""
     if args.config is None:
         cfg = RunConfig()
     else:
@@ -52,7 +52,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"--config: {exc}") from None
     cfg.photonic = getattr(args, "photonic", False)
-    cfg.validate()
     return cfg
 
 

@@ -7,10 +7,10 @@ lines starting with ``#`` are ignored.  Nested sections use dotted keys
 ``RunConfig`` holds the physics parameters in three plain records:
 ``ModelParams`` (omega_L, omega_int), ``ThermalSpec`` (alpha, beta_B) and
 ``OpticalParams`` (the ``photonic.*`` keys, each the attribute of the same
-name).  ``RunConfig.validate`` is the one place that range-checks a setting:
-the records' fields first, then the rules that span the run.  Every
-rejection is a ``ConfigError`` whose message is ``<key>: <rule>``, which
-the CLI prints as ``config error: <key>: <rule>``.
+name).  ``RunConfig.validate``, which each command of ``sweep`` calls first, is
+the one place that range-checks a setting: the records' fields first, then the
+rules that span the run.  Every rejection is a ``ConfigError`` whose message is
+``<key>: <rule>``, which the CLI prints as ``config error: <key>: <rule>``.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class RunConfig:
         return (self.t_max - self.t_min) / self.n_points
 
     def validate(self) -> None:
-        """Check every range rule of the run, the physics fields first; the
-        first rule that fails raises a ConfigError naming its key."""
+        """Check every range rule, the physics fields first; the first rule that
+        fails raises a ConfigError naming its key.  Every command calls it first."""
 
         def require(ok: bool, key: str, rule: str) -> None:
             if not ok:

@@ -28,15 +28,15 @@ RATIO_GUARD = 1e-9
 SUCCESS_FLOOR = 1e-15
 
 
-def expm_hermitian(h: np.ndarray, s: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, s: float) -> np.ndarray:
     """exp(i s h) for Hermitian h, computed by eigendecomposition.
 
     The result is unitary to the accuracy of the eigensolver.  Use
     s = -t to obtain the time-t propagator of a Hamiltonian h.  Raises
-    ValueError if h is not Hermitian within ``tol``.
+    ValueError if h is not Hermitian within ``HERMITIAN_TOL``.
     """
     h = np.asarray(h, dtype=complex)
-    if not np.max(np.abs(h - h.conj().T)) <= tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:g}")
+    if not np.max(np.abs(h - h.conj().T)) <= HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * s * w)) @ v.conj().T

@@ -62,16 +62,16 @@ tol = ``linalg.PROB_SUM_TOL``; the only check of the input state, whose
 populations are their row sums), the weight on undefined entropy
 realizations (exactly 0) and the fluctuation average ift against its
 closed form.  These gates are the only checks of the tables and of every
-distribution built from them, and a NaN fails each.
-The dsigma moments of ``sweep`` (finite: a high order can overflow) and the
-sampled frequencies of ``compare`` are gated as the command reads a block.
-One rule holds for every gate, and ``_gate`` alone applies it: the first
-block that fails one ends the command with ``NumericInvariantError``, which
-names the block's first failing check, in the order above, and that check's
-first failing time; no later block is evaluated.  ``compare`` puts the
-photonic model's per-input success probabilities through the same rule
-before it draws a block: an input that never post-selects ends it there
-with ``ConfigError`` (exit 2).
+distribution built from them, and a NaN fails each.  The dsigma moments of
+``sweep`` (finite: a high order can overflow) and the sampled frequencies of
+``compare`` are gated as the command reads a block.  One rule holds for every
+gate, and ``_gate`` alone applies it: the first block that fails one ends the
+command with ``NumericInvariantError``, which names the block's first failing
+check, in the order above, and that check's first failing time; no later block
+is evaluated.  ``compare`` puts the photonic model's per-input success
+probabilities through the same rule before it draws a block: an input that
+never post-selects ends it there with ``ConfigError`` (exit 2).  Every command
+runs ``RunConfig.validate`` first, so a config it refuses creates nothing.
 """
 
 from __future__ import annotations
@@ -757,6 +757,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     The grid is evaluated, gated and written block by block; the summary
     keeps only the running peaks of the blocks.
     """
+    cfg.validate()
     mom_cols = [f"dE_m{h}" for h in range(1, cfg.moments_max + 1)]
     mom_cols += [f"ds_m{h}" for h in range(1, cfg.moments_max + 1)]
     header = (
@@ -799,6 +800,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
 
 def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write hist_dE.csv and hist_ds.csv at the requested times."""
+    cfg.validate()
     header = ["omega_L_t", "value", "probability"]
     times = cfg.hist_grid()
     with _Outputs(out_dir) as outputs:
@@ -813,6 +815,7 @@ def emit_distributions(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
 def run_compare(cfg: RunConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write mc_error.csv (and photonic_error.csv when enabled) over the grid,
     block by block; the blocks draw in grid order from one generator."""
+    cfg.validate()
     header = (
         ["omega_L_t"]
         + [f"err_j_{c}" for c in _CELL_LABELS]

@@ -90,27 +90,6 @@ def test_parse_config_rejects_bad_value(tmp_path):
         parse_config(path)
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("omega_L", 0.0),
-        ("alpha", 1.0),
-        ("beta_B", 0.0),
-        ("n_points", 1),
-        ("moments_max", 0),
-        ("moments_max", 512),
-        ("samples", 0),
-        ("samples", 2**63),
-        ("seed", -1),
-    ],
-)
-def test_validate_rejects_bad_fields(tmp_path, field, value):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"{field} = {value}\n")
-    with pytest.raises(ConfigError, match=field):
-        parse_config(path).validate()
-
-
 def test_the_largest_moments_max_writes_finite_moments(tmp_path):
     # 4.0**511 = 2^1022 is the largest finite power of the dE lattice; past it
     # a value of zero weight would make its moment inf * 0, a NaN
@@ -145,20 +124,6 @@ def test_overflowing_dsigma_moments_exit_3_without_a_warning(tmp_path, monkeypat
         err = capsys.readouterr().err
         assert err == f"numeric invariant violated: ds_m265 at omega_L_t={t1:.6g}: inf is not finite\n"
         assert not list(out.glob("*"))
-
-
-def test_validate_rejects_inverted_time_window(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("t_min = 2.0\nt_max = 1.0\n")
-    with pytest.raises(ConfigError, match="t_min"):
-        parse_config(path).validate()
-
-
-def test_validate_rejects_bad_photonic_ranges(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("photonic.T_V = 1.5\n")
-    with pytest.raises(ConfigError, match="photonic.T_V"):
-        parse_config(path).validate()
 
 
 def test_prob_group_guard():
@@ -387,8 +352,8 @@ TOO_NARROW = (
     "t_min = 1e17\nt_max = 100000000000000128\n",
     "t_min = 1\nt_max = 1.0000000000000004\nn_points = 2\n",
 )
-# id -> (config, key): the ranges of the physics records and of the shot
-# count and seed, each refused by RunConfig.validate
+# id -> (config, key): range rules of RunConfig.validate, each refused by the
+# CLI and by every command called from Python
 RANGE_REFUSALS = {
     "omega_L-zero": ("omega_L = 0\n", "omega_L"),
     "omega_int-negative": ("omega_int = -1\n", "omega_int"),
@@ -399,6 +364,12 @@ RANGE_REFUSALS = {
     "samples-zero": ("samples = 0\n", "samples"),
     "samples-2**63": (f"samples = {2**63}\n", "samples"),
     "seed-negative": ("seed = -1\n", "seed"),
+    "n_points-one": ("n_points = 1\n", "n_points"),
+    "moments_max-zero": ("moments_max = 0\n", "moments_max"),
+    # 4.0**512 overflows
+    "moments_max-512": ("moments_max = 512\n", "moments_max"),
+    "inverted-window": ("t_min = 2\nt_max = 1\n", "t_min, t_max"),
+    "photonic.T_V-above-1": ("photonic.T_V = 1.5\n", "photonic.T_V"),
     # the physics fields are checked before the run-level rules
     "beta_B-before-n_points": ("beta_B = 0\nn_points = 1\n", "beta_B"),
 }
@@ -503,6 +474,23 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, config, flags, key):
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [sweep.run_sweep, sweep.emit_distributions, sweep.run_compare])
+@pytest.mark.parametrize(
+    "config,key",
+    [*RANGE_REFUSALS.values(), (RunConfig(hist_times=()), "hist_times")],
+    ids=[*RANGE_REFUSALS, "no-hist-times"],
+)
+def test_every_command_refuses_what_the_cli_refuses(tmp_path, command, config, key):
+    # the library door: a caller that skips the CLI gets the same ConfigError,
+    # before the command makes its output directory
+    cfg = config if isinstance(config, RunConfig) else parse_config(_config(tmp_path, config))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as refused:
+        command(cfg, out)
+    assert str(refused.value).startswith(f"{key}: ")
+    assert not out.exists()
 
 
 def test_a_step_above_the_printed_resolution_prints_every_time_apart(tmp_path):
@@ -897,20 +885,26 @@ def test_a_run_leaves_exactly_the_final_names(tmp_path, monkeypatch, capsys, com
     assert capsys.readouterr().out.split() == [str(out / name) for name in PRINTED[command]]
 
 
+@pytest.fixture
+def writers(monkeypatch):
+    """The ``_WriterProcess`` of each command the test runs, in start order."""
+    start, started = sweep._WriterProcess.__init__, []
+
+    def recorded(self, csvs):
+        start(self, csvs)
+        started.append(self)
+
+    monkeypatch.setattr(sweep._WriterProcess, "__init__", recorded)
+    return started
+
+
 @pytest.mark.parametrize("command", sorted(PRINTED))
-def test_a_failed_rename_leaves_no_final_name(tmp_path, monkeypatch, capsys, command):
+def test_a_failed_rename_leaves_no_final_name(tmp_path, monkeypatch, capsys, writers, command):
     # a directory at the command's last output name fails its os.replace
     # after the other files have taken their final names, which are then
     # unlinked: the files were written over several blocks, through the
     # writer, and only the directory is left
     through_the_writer(monkeypatch)
-    start, writers = sweep._WriterProcess.__init__, []
-
-    def started(self, csvs):
-        start(self, csvs)
-        writers.append(self)
-
-    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
     out = tmp_path / "out"
     last = PRINTED[command][-1]
     (out / last).mkdir(parents=True)
@@ -952,17 +946,14 @@ def test_any_error_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, comman
 
 
 def test_a_blocked_photonic_input_in_a_later_block_exits_2_and_leaves_no_file(
-    tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys, writers
 ):
     # thirty times in blocks of 7, through the writer: the gate blocks input
     # 01 at rows 16 and 18, both in the third block.  compare names the first
     # of them, evaluates no later block and leaves no file; the autouse
     # fixture no_child_process_left checks that the writer was reaped
     through_the_writer(monkeypatch)
-    real_grid, real_gate, start = (
-        sweep.propagator_grid, sweep.conditional_for_time, sweep._WriterProcess.__init__
-    )
-    sizes, writers = [], []
+    real_grid, real_gate, sizes = sweep.propagator_grid, sweep.conditional_for_time, []
 
     def evaluated(p, times):
         sizes.append(len(times))
@@ -974,13 +965,8 @@ def test_a_blocked_photonic_input_in_a_later_block_exits_2_and_leaves_no_file(
             success[[2, 4], 1] = 0.0
         return cond, success
 
-    def started(self, csvs):
-        start(self, csvs)
-        writers.append(self)
-
     monkeypatch.setattr(sweep, "propagator_grid", evaluated)
     monkeypatch.setattr(sweep, "conditional_for_time", blocking)
-    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
     out = tmp_path / "out"
     config = _config(tmp_path, "n_points = 30\nsamples = 100\n")
     assert cli.main(["compare", "--photonic", "--config", config, "--out", str(out)]) == 2
@@ -1018,7 +1004,9 @@ def test_a_full_disk_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys, c
     assert not list(out.iterdir())
 
 
-def test_the_writers_failure_ends_the_command_at_its_next_send(tmp_path, monkeypatch, capsys):
+def test_the_writers_failure_ends_the_command_at_its_next_send(
+    tmp_path, monkeypatch, capsys, writers
+):
     # the writer fails on the last write of the first block, realizations.csv
     # (a row of 17 cells), and has ended before the second block is sent:
     # that send raises the writer's error, and no third block is evaluated.
@@ -1032,12 +1020,7 @@ def test_the_writers_failure_ends_the_command_at_its_next_send(tmp_path, monkeyp
         write(self, cells)
 
     monkeypatch.setattr(sweep._CsvWriter, "write", fails_on_realizations)
-    writers, sizes = [], []
-    start, real = sweep._WriterProcess.__init__, sweep.propagator_grid
-
-    def started(self, csvs):
-        start(self, csvs)
-        writers.append(self)
+    real, sizes = sweep.propagator_grid, []
 
     def evaluated(p, times):
         sizes.append(len(times))
@@ -1045,7 +1028,6 @@ def test_the_writers_failure_ends_the_command_at_its_next_send(tmp_path, monkeyp
             os.waitid(os.P_PID, writers[0]._pid, os.WEXITED | os.WNOWAIT)
         return real(p, times)
 
-    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
     monkeypatch.setattr(sweep, "propagator_grid", evaluated)
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]) == 2
