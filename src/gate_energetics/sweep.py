@@ -35,14 +35,15 @@ pipe to one forked writer process (``_WriterProcess``), which runs the same
 and is reaped when the command's outputs are closed, after summary.json is
 written.  Each end of the pipe is a buffered binary file: a write is its
 file's index and row count, two int64, then its cells, flushed at once, and
-the writer reads each into an array of its shape.  Any other command, and
-any command on one CPU, formats its rows in the main process.  The first
-``cli.main`` in a fresh interpreter (2-vCPU Xeon, numpy 2.4.6) peaks at
-VmHWM 34.5 MiB in the main process and 27.0 MiB in the writer (its
-ru_maxrss) for a 20 000-point ``sweep``, and 35.9 and 28.4 MiB at 200 000
-points; ``compare --photonic`` (1000 shots, T_H = 0.985, eps = 0.01) at
-42.3 and 27.1 MiB, and 43.7 and 28.5 MiB (73.2 and 442.2 MiB in one process
-when it evaluated its grid in one piece).
+the writer reads each into an array of its shape.  Nothing comes back but
+the writer's exit status (``_serve``), from which the main process raises an
+``OSError``.  Any other command, and any command on one CPU, formats its
+rows in the main process.  The first ``cli.main`` in a fresh interpreter
+(2-vCPU Xeon, numpy 2.4.6) peaks at VmHWM 34.5 MiB in the main process and
+27.0 MiB in the writer (its ru_maxrss) for a 20 000-point ``sweep``, and
+35.9 and 28.4 MiB at 200 000 points; ``compare --photonic`` (1000 shots,
+T_H = 0.985, eps = 0.01) at 42.3 and 27.1 MiB, and 43.7 and 28.5 MiB (73.2
+and 442.2 MiB in one process when it evaluated its grid in one piece).
 
 The statistics of a ``SweepGrid`` are built on their first read, so each
 command pays only for what it writes: ``sweep`` the moments, the coherence,
@@ -78,7 +79,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -187,10 +187,9 @@ class _CsvWriter:
     ``write`` takes one (n, k) float64 array of cells, formats it in blocks
     of ``_BLOCK_ROWS`` rows into scratch arrays, and writes each block in
     pieces of at most ``_PIECE_BYTES``, each as soon as it is freed of its
-    NULs.  The scratch is allocated by the first write, for its rows or one
-    block if that is fewer, and again only if a later write has more rows,
-    up to one block; so no array of a block's size is allocated after the
-    first block.
+    NULs.  The scratch of one block is allocated where the writer is made,
+    so no write allocates an array of a block's size; its pages are mapped
+    as a write first touches them.
     Every cell of a block takes one path, ``_format``: it is scaled to a
     12-digit integer by one rounded product against a correctly rounded
     power of ten, which lands within 2.3e-4 of the exact value, and a zero
@@ -211,13 +210,9 @@ class _CsvWriter:
         file.write((",".join(header) + "\n").encode())
         file.flush()
         self._columns = len(header)
-        self._words = np.empty((0, self._columns, 5), np.uint32)
-
-    def _allocate(self, rows: int) -> None:
-        """Scratch for blocks of up to ``rows`` rows."""
-        cells = rows * self._columns
-        self._words = np.empty((rows, self._columns, 5), np.uint32)
-        self._text = self._words.view(np.uint8).reshape(rows, -1)
+        cells = _BLOCK_ROWS * self._columns
+        self._words = np.empty((_BLOCK_ROWS, self._columns, 5), np.uint32)
+        self._text = self._words.view(np.uint8).reshape(_BLOCK_ROWS, -1)
         # per cell: |x| then the rounded mantissa; the scaled value; the
         # exponent; the offset of the exponent's sign
         self._a, self._s = np.empty(cells), np.empty(cells)
@@ -228,9 +223,6 @@ class _CsvWriter:
     def write(self, cells: np.ndarray) -> None:
         """Write the rows of the (n, k) float64 array ``cells``, k the header's width."""
         n = len(cells)
-        # the scratch fits the first write's rows, and grows at most to a block
-        if len(self._words) < min(n, _BLOCK_ROWS):
-            self._allocate(min(n, _BLOCK_ROWS))
         for start in range(0, n, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, n - start)
             # a view of C-contiguous cells; a copy in row order of any others
@@ -318,15 +310,16 @@ class _CsvWriter:
 _PIPE_BYTES = 1 << 20
 
 
-def _serve(rows_fd: int, errors_fd: int, csvs: list[_CsvWriter]) -> None:
+def _serve(rows_fd: int, csvs: list[_CsvWriter]) -> None:
     """The writer process: run ``_CsvWriter.write`` on every write that comes
     down the pipe ``rows_fd``, read as a buffered file, until it ends.
 
-    It leaves only through ``os._exit``: 0 when the pipe has ended (each
-    write was flushed before it returned), and 1 after it has put its
-    exception, pickled, on the pipe ``errors_fd``.
+    It leaves only through ``os._exit``, and its exit status is its one
+    report: 0 when the pipe has ended (each write was flushed before it
+    returned), the errno of an ``OSError`` that has one in 1-254, and 255
+    after it has printed the traceback of any other exception.
     """
-    status = 1
+    status = 255
     try:
         rows = open(rows_fd, "rb")
         head = np.empty(2, np.int64)  # the file's index, its rows
@@ -339,7 +332,13 @@ def _serve(rows_fd: int, errors_fd: int, csvs: list[_CsvWriter]) -> None:
             csvs[index].write(cells)
         status = 0
     except BaseException as exc:
-        os.write(errors_fd, pickle.dumps(exc))
+        code = exc.errno if isinstance(exc, OSError) else None
+        if isinstance(code, int) and 0 < code < 255:
+            status = code
+        else:
+            import traceback
+
+            traceback.print_exc()  # stderr is line-buffered: flushed as printed
     finally:
         os._exit(status)
 
@@ -357,11 +356,12 @@ class _WriterProcess:
     and reads.  No CSV byte is buffered at the fork (``_CsvWriter`` flushes
     every write), and after it only the writer process writes to the CSVs.
 
-    A failure of the writer, such as ``OSError(ENOSPC)`` from a write, comes
-    back pickled on a second pipe, and the main process raises it at its
-    next ``send`` or at ``close``.  The writer ignores SIGINT: an interrupt
-    ends the main process's command, which closes the pipe, and the writer
-    ends once it has read what is left.
+    The pipe runs one way, and the writer's exit status is all that comes
+    back (``_serve``): a writer that fails ends, the main process's next
+    ``send`` finds the pipe broken, and ``close`` reaps the writer and
+    raises its failure.  The writer ignores SIGINT: an interrupt ends the
+    main process's command, which closes the pipe, and the writer ends once
+    it has read what is left.
     """
 
     def __init__(self, csvs: list[_CsvWriter]):
@@ -371,7 +371,6 @@ class _WriterProcess:
         import signal
 
         rows_r, rows_w = os.pipe()
-        self._errors, errors_w = os.pipe()
         try:
             fcntl.fcntl(rows_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
@@ -383,8 +382,8 @@ class _WriterProcess:
         try:
             pid = os.fork()
         except OSError:
-            for fd in (rows_r, rows_w, self._errors, errors_w):
-                os.close(fd)
+            os.close(rows_r)
+            os.close(rows_w)
             raise
         finally:
             if pid == 0:
@@ -392,10 +391,8 @@ class _WriterProcess:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if pid == 0:
             os.close(rows_w)
-            os.close(self._errors)
-            _serve(rows_r, errors_w, csvs)
+            _serve(rows_r, csvs)
         os.close(rows_r)
-        os.close(errors_w)
         self._rows = open(rows_w, "wb")
         self._pid = pid
 
@@ -412,23 +409,21 @@ class _WriterProcess:
 
     def close(self, raising: bool) -> None:
         """End the pipe and reap the writer once it has written every row;
-        with ``raising``, raise its failure.  A second close does nothing."""
+        with ``raising``, raise its failure: the ``OSError`` of an errno exit
+        code, else one that names the code (-N for a signal N).  A second
+        close does nothing."""
         try:
             self._rows.close()
         except BrokenPipeError:  # bytes that a failed send left in the buffer
             pass
-        report, status = b"", 0
-        if self._errors >= 0:
-            with open(self._errors, "rb") as errors:
-                self._errors = -1
-                report = errors.read()
+        code = 0
         if self._pid > 0:
-            status = os.waitpid(self._pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
             self._pid = -1
-        if raising and status:
-            if report:
-                raise pickle.loads(report)
-            raise OSError(f"the CSV writer process ended with wait status {status}")
+        if raising and 0 < code < 255:
+            raise OSError(code, os.strerror(code))
+        if raising and code:
+            raise OSError(f"the CSV writer process ended with exit code {code}")
 
 
 class _Outputs:
@@ -485,7 +480,7 @@ class _Outputs:
         """
         affinity = getattr(os, "sched_getaffinity", None)
         cpus = len(affinity(0)) if affinity else 1
-        if times > _GRID_ROWS and cpus >= 2 and hasattr(os, "fork"):
+        if times > _GRID_ROWS and cpus >= 2:
             try:
                 self._writer = _WriterProcess(self._csvs)
             except OSError:  # no process to spare, such as EAGAIN: write here

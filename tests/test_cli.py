@@ -1036,6 +1036,62 @@ def test_the_writers_failure_ends_the_command_at_its_next_send(
     assert not list(out.iterdir())
 
 
+_LONG_NO_SPACE = """
+import errno, os, sys
+from gate_energetics import cli, sweep
+def no_space(self, cells):
+    raise OSError(errno.ENOSPC, "x" * 100_000)
+sweep._CsvWriter.write = no_space
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+sys.exit(code)
+"""
+
+
+def test_a_writer_failure_with_a_long_message_ends_the_command(tmp_path):
+    # a 5000-point sweep, three blocks through the writer, whose first write
+    # fails with a 100 kB message: the writer answers with its errno alone,
+    # so the message cannot fill a pipe that nobody reads while the main
+    # process fills the row pipe.  In a fresh interpreter, with a timeout,
+    # so that a hang fails the test; the command exits 2 at once with the
+    # errno's standard message, leaves no file and has reaped the writer
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-c", _LONG_NO_SPACE, _config(tmp_path, "n_points = 5000\n"), str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"config error: --out: {_no_space_error()}\n"
+    assert done.stdout == "reaped\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED))
+def test_any_other_writer_failure_exits_2_naming_out(
+    tmp_path, monkeypatch, capsys, writers, command
+):
+    # an exception that is not an OSError ends the writer with exit code 255
+    # (its traceback goes to the writer's stderr), and the command reports
+    # the generic failure to write --out: exit 2, no file, the writer reaped
+    through_the_writer(monkeypatch)
+
+    def fails(self, cells):
+        raise ValueError("a bug in the formatter")
+
+    monkeypatch.setattr(sweep._CsvWriter, "write", fails)
+    out = tmp_path / "out"
+    argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
+    assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 2
+    assert capsys.readouterr().err == (
+        "config error: --out: the CSV writer process ended with exit code 255\n"
+    )
+    assert len(writers) == 1
+    assert not list(out.iterdir())
+
+
 def test_the_writer_keeps_every_byte_through_a_pipe_it_cannot_enlarge(tmp_path, monkeypatch):
     # F_SETPIPE_SZ refused, as above the user's pipe limit: each 2048-row
     # block of sweep.csv, 512 KiB of cells, crosses a pipe of the default
