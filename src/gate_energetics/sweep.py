@@ -38,7 +38,16 @@ file's index and row count, two int64, then its cells, flushed at once, and
 the writer reads each into an array of its shape.  Nothing comes back but
 the writer's exit status (``_serve``), from which the main process raises an
 ``OSError``.  Any other command, and any command on one CPU, formats its
-rows in the main process.  The first ``cli.main`` in a fresh interpreter
+rows in the main process.  The writer runs on one CPU of the command's
+mask and the main process on the others (``os.sched_setaffinity``, best
+effort: a refusal leaves a process where the scheduler puts it), and the
+main process has its whole mask back once the writer is reaped, however
+the command ends.  Left to the scheduler, both processes could share one
+CPU: the first ``cli.main`` of a 20 000-point ``sweep`` in a fresh
+interpreter took a median 117 ms over 10 runs, of which each process
+waited about 45 ms in the run queue (``/proc/<pid>/schedstat``); pinned,
+78 ms, with under 2 ms of waiting, and 125 ms in one process on one CPU.
+The first ``cli.main`` in a fresh interpreter
 (2-vCPU Xeon, numpy 2.4.6) peaks at VmHWM 34.5 MiB in the main process and
 27.0 MiB in the writer (its ru_maxrss) for a 20 000-point ``sweep``, and
 35.9 and 28.4 MiB at 200 000 points; ``compare --photonic`` (1000 shots,
@@ -310,9 +319,19 @@ class _CsvWriter:
 _PIPE_BYTES = 1 << 20
 
 
-def _serve(rows_fd: int, csvs: list[_CsvWriter]) -> None:
-    """The writer process: run ``_CsvWriter.write`` on every write that comes
-    down the pipe ``rows_fd``, read as a buffered file, until it ends.
+def _pin(cpus: set[int]) -> None:
+    """Run the calling thread on ``cpus`` alone, best effort: where the host
+    refuses (an ``OSError``), the thread keeps the CPUs it has."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _serve(rows_fd: int, csvs: list[_CsvWriter], cpu: int) -> None:
+    """The writer process: pin itself to ``cpu``, then run ``_CsvWriter.write``
+    on every write that comes down the pipe ``rows_fd``, read as a buffered
+    file, until it ends.
 
     It leaves only through ``os._exit``, and its exit status is its one
     report: 0 when the pipe has ended (each write was flushed before it
@@ -321,6 +340,7 @@ def _serve(rows_fd: int, csvs: list[_CsvWriter]) -> None:
     """
     status = 255
     try:
+        _pin({cpu})
         rows = open(rows_fd, "rb")
         head = np.empty(2, np.int64)  # the file's index, its rows
         # readinto reads until the array is full or the pipe ends
@@ -362,9 +382,17 @@ class _WriterProcess:
     raises its failure.  The writer ignores SIGINT: an interrupt ends the
     main process's command, which closes the pipe, and the writer ends once
     it has read what is left.
+
+    The two processes run on CPUs of their own, taken from the command's
+    mask ``cpus`` (two or more): the writer on the highest, the main process
+    on the others, each by ``os.sched_setaffinity`` on itself, best effort
+    (``_pin``).  Both must be pinned: with the writer alone pinned, the main
+    process was still moved onto the writer's CPU each time the writer woke
+    it, and the two queued as before.  ``close`` gives the main process
+    ``cpus`` back first, so every path through it does.
     """
 
-    def __init__(self, csvs: list[_CsvWriter]):
+    def __init__(self, csvs: list[_CsvWriter], cpus: set[int]):
         # imported here: fcntl is Unix only, as fork is, and signal costs
         # about 1 ms of start-up that no single-block command needs
         import fcntl
@@ -389,12 +417,15 @@ class _WriterProcess:
             if pid == 0:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        cpu = max(cpus)  # the writer's; the main process takes the others
         if pid == 0:
             os.close(rows_w)
-            _serve(rows_r, csvs)
+            _serve(rows_r, csvs, cpu)
         os.close(rows_r)
         self._rows = open(rows_w, "wb")
         self._pid = pid
+        self._cpus = cpus
+        _pin(cpus - {cpu})
 
     def send(self, index: int, cells: np.ndarray) -> None:
         """Send one ``_CsvWriter.write(cells)`` of file ``index``; ``cells``
@@ -408,10 +439,11 @@ class _WriterProcess:
             raise
 
     def close(self, raising: bool) -> None:
-        """End the pipe and reap the writer once it has written every row;
-        with ``raising``, raise its failure: the ``OSError`` of an errno exit
-        code, else one that names the code (-N for a signal N).  A second
-        close does nothing."""
+        """Give the main process its CPUs back, end the pipe and reap the
+        writer once it has written every row; with ``raising``, raise its
+        failure: the ``OSError`` of an errno exit code, else one that names
+        the code (-N for a signal N).  A second close changes nothing."""
+        _pin(self._cpus)
         try:
             self._rows.close()
         except BrokenPipeError:  # bytes that a failed send left in the buffer
@@ -475,14 +507,17 @@ class _Outputs:
 
         A writer process overlaps the formatting of one block with the
         evaluation of the next, which pays only with two blocks or more and
-        a second CPU: fork, exit and reap cost about 4 ms, and on one CPU the
-        two processes took 16% longer than one.
+        a second CPU: fork, exit and reap cost about 4 ms, and two processes
+        that share one CPU wait for each other in its run queue.  So the
+        writer is forked only when the command's CPU mask, read once here,
+        holds two CPUs or more, and the two processes are pinned apart on
+        them (``_WriterProcess``), best effort.
         """
         affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else 1
-        if times > _GRID_ROWS and cpus >= 2:
+        cpus = affinity(0) if affinity else set()
+        if times > _GRID_ROWS and len(cpus) >= 2:
             try:
-                self._writer = _WriterProcess(self._csvs)
+                self._writer = _WriterProcess(self._csvs, cpus)
             except OSError:  # no process to spare, such as EAGAIN: write here
                 pass
 

@@ -8,6 +8,9 @@ from gate_energetics import ModelParams, ThermalSpec
 
 from reference import thermal_state
 
+# the real reader of the process's CPU mask: tests patch os.sched_getaffinity
+_CPU_MASK = getattr(os, "sched_getaffinity", lambda pid: None)
+
 # pytest --hypothesis-profile=runs-5000 raises the example count of
 # tests/test_run_properties.py, whose tier-1 count is fixed
 settings.register_profile("runs-5000", max_examples=5000)
@@ -45,3 +48,13 @@ def no_child_process_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def cpu_mask_kept():
+    """Every test leaves the process's real CPU mask as it found it: a
+    command that pins itself apart from its writer gives its mask back
+    however it ends, and a test that fakes a mask sets none."""
+    before = _CPU_MASK(0)
+    yield
+    assert _CPU_MASK(0) == before

@@ -139,11 +139,19 @@ def test_prob_group_guard():
             _require_prob_group(np.array(cells), "nan group", t)
 
 
+def fake_cpus(monkeypatch, cpus=frozenset({0, 1})):
+    """Make every command read the CPU mask ``cpus``, and set no mask: a
+    command gives back the mask it read, which would put the fake one over
+    the process's real mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+
+
 def through_the_writer(monkeypatch, rows=7):
     """Walk every grid in blocks of ``rows`` times, on two CPUs: each command
     of more than one block formats its rows in a writer process."""
     monkeypatch.setattr(sweep, "_GRID_ROWS", rows)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fake_cpus(monkeypatch)
 
 
 def walks(monkeypatch):
@@ -890,8 +898,8 @@ def writers(monkeypatch):
     """The ``_WriterProcess`` of each command the test runs, in start order."""
     start, started = sweep._WriterProcess.__init__, []
 
-    def recorded(self, csvs):
-        start(self, csvs)
+    def recorded(self, csvs, cpus):
+        start(self, csvs, cpus)
         started.append(self)
 
     monkeypatch.setattr(sweep._WriterProcess, "__init__", recorded)
@@ -1107,8 +1115,8 @@ def test_the_writer_keeps_every_byte_through_a_pipe_it_cannot_enlarge(tmp_path, 
             raise OSError(errno.EPERM, os.strerror(errno.EPERM))
         return real(fd, cmd, arg)
 
-    def started(self, csvs):
-        start(self, csvs)
+    def started(self, csvs, cpus):
+        start(self, csvs, cpus)
         sizes.append(real(self._rows.fileno(), fcntl.F_GETPIPE_SZ))
 
     monkeypatch.setattr(fcntl, "fcntl", refused)
@@ -1116,12 +1124,75 @@ def test_the_writer_keeps_every_byte_through_a_pipe_it_cannot_enlarge(tmp_path, 
     config = _config(tmp_path, "n_points = 5000\n")
     written = []
     for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        fake_cpus(monkeypatch, cpus)
         out = tmp_path / f"out{len(cpus)}"
         assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
         written.append([(out / name).read_bytes() for name in PRINTED["sweep"]])
     assert written[0] == written[1]
     assert len(sizes) == 1 and sizes[0] < sweep._GRID_ROWS * 32 * 8
+
+
+# a sweep that ends in each way the command can, by its blocks of times, its
+# config and its exit code (None: an interrupt)
+_ENDINGS = {
+    "exit-0": (7, TWENTY_TIMES, 0),
+    "full-disk": (7, TWENTY_TIMES, 2),
+    # the dsigma moments of the second time overflow: the first block of
+    # one time has gone to the writer
+    "gate-in-a-later-block": (1, "n_points = 4\nomega_L = 2000\nmoments_max = 511\n", 3),
+    "interrupt": (7, TWENTY_TIMES, None),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+def test_the_writer_and_the_main_process_run_on_cpus_of_their_own(tmp_path, monkeypatch, ending):
+    # on the host's real CPUs, a sweep of several blocks through the writer:
+    # the writer runs on one CPU of the command's mask and the main process
+    # on all the others, read by the writer at each write (into a file) and
+    # by the main process at each send.  However the command ends, the main
+    # process has its mask back
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(cpus) < 2:
+        pytest.skip(f"no writer process: this host gives the process {len(cpus)} CPU(s), not 2")
+    rows, text, code = _ENDINGS[ending]
+    monkeypatch.setattr(sweep, "_GRID_ROWS", rows)
+    log = tmp_path / "writer-masks"
+    send, write, main = sweep._WriterProcess.send, sweep._CsvWriter.write, []
+
+    def sent(self, index, cells):
+        main.append(os.sched_getaffinity(0))
+        send(self, index, cells)
+
+    def written(self, cells):  # in the writer process
+        with open(log, "a") as f:
+            f.write(json.dumps(sorted(os.sched_getaffinity(0))) + "\n")
+        if ending == "full-disk":
+            raise _no_space_error()
+        write(self, cells)
+
+    monkeypatch.setattr(sweep._WriterProcess, "send", sent)
+    monkeypatch.setattr(sweep._CsvWriter, "write", written)
+    if ending == "interrupt":
+        real, blocks = sweep.propagator_grid, []
+
+        def third_block_interrupted(p, times):
+            blocks.append(len(times))
+            if len(blocks) == 3:
+                raise KeyboardInterrupt
+            return real(p, times)
+
+        monkeypatch.setattr(sweep, "propagator_grid", third_block_interrupted)
+    argv = ["sweep", "--config", _config(tmp_path, text), "--out", str(tmp_path / "out")]
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    writer = [set(json.loads(line)) for line in log.read_text().splitlines()]
+    assert writer and len(writer[0]) == 1 and writer[0] < cpus
+    assert all(mask == writer[0] for mask in writer)
+    assert main and all(mask == cpus - writer[0] for mask in main)
+    assert os.sched_getaffinity(0) == cpus
 
 
 _PEAK_MEMORY = """

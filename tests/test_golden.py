@@ -162,8 +162,11 @@ def test_commands_build_only_the_statistics_they_write(command, tmp_path, monkey
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The forks of ``cli.main`` in the main process, on two CPUs."""
+    """The forks of ``cli.main`` in the main process, on two CPUs: each
+    command reads the mask {0, 1}, and no mask is set, so that the fake one
+    is never given back over the real one."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     calls, real = [], os.fork
 
     def fork():
@@ -201,6 +204,27 @@ def test_hist_blocks_write_the_bytes_of_one_block(tmp_path, monkeypatch, forks):
         written.append([(out / name).read_bytes() for name in GOLDEN["hist"]])
     assert written[0] == written[1]
     assert len(forks) == 1
+
+
+def test_a_refused_pinning_writes_the_golden_bytes_through_the_writer(
+    tmp_path, monkeypatch, forks
+):
+    # os.sched_setaffinity refused (EINVAL) to the main process, pinned and
+    # given its mask back, and to the writer: both run where the scheduler
+    # puts them, and the writer writes the same bytes
+    calls = []
+
+    def refused(pid, cpus):
+        calls.append(set(cpus))
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    monkeypatch.setattr(sweep, "_GRID_ROWS", 7)
+    for command in ("compare", "sweep"):
+        assert _digests(command, tmp_path / command) == GOLDEN[command]
+    assert len(forks) == 2
+    # per command: the main process's pinning, then the mask it read
+    assert len(calls) == 4 and calls[1] == calls[3] == {0, 1}
 
 
 def _no_fork():
