@@ -11,8 +11,8 @@ from reference import thermal_state
 # the real reader of the process's CPU mask: tests patch os.sched_getaffinity
 _CPU_MASK = getattr(os, "sched_getaffinity", lambda pid: None)
 
-# pytest --hypothesis-profile=runs-5000 raises the example count of
-# tests/test_run_properties.py, whose tier-1 count is fixed
+# pytest --hypothesis-profile=runs-5000 raises the example count of the
+# search of tests/search_run_properties.py
 settings.register_profile("runs-5000", max_examples=5000)
 
 # first oscillation peak of the default model (omega_int / omega_L = 5)
