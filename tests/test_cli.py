@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gate_energetics import cli, sweep
+from gate_energetics import cli, csvformat, outputs, sweep
 from gate_energetics.config import DEFAULT_T_MAX, ConfigError, RunConfig, parse_config
 from gate_energetics.sweep import NumericInvariantError, _require_prob_group
 
@@ -896,13 +896,13 @@ def test_a_run_leaves_exactly_the_final_names(tmp_path, monkeypatch, capsys, com
 @pytest.fixture
 def writers(monkeypatch):
     """The ``_WriterProcess`` of each command the test runs, in start order."""
-    start, started = sweep._WriterProcess.__init__, []
+    start, started = outputs._WriterProcess.__init__, []
 
     def recorded(self, csvs, cpus):
         start(self, csvs, cpus)
         started.append(self)
 
-    monkeypatch.setattr(sweep._WriterProcess, "__init__", recorded)
+    monkeypatch.setattr(outputs._WriterProcess, "__init__", recorded)
     return started
 
 
@@ -1003,7 +1003,7 @@ def test_a_full_disk_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys, c
     # as any other failure to write --out, not as a broken pipe
     if path == "writer":
         through_the_writer(monkeypatch)
-    monkeypatch.setattr(sweep._CsvWriter, "write", _no_space)
+    monkeypatch.setattr(csvformat.CsvWriter, "write", _no_space)
     out = tmp_path / "out"
     argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
     assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 2
@@ -1020,14 +1020,14 @@ def test_the_writers_failure_ends_the_command_at_its_next_send(
     # that send raises the writer's error, and no third block is evaluated.
     # Failing on the first write instead raced the first block's second send
     through_the_writer(monkeypatch)
-    write = sweep._CsvWriter.write
+    write = csvformat.CsvWriter.write
 
     def fails_on_realizations(self, cells):
         if cells.shape[1] == 17:
             _no_space(self)
         write(self, cells)
 
-    monkeypatch.setattr(sweep._CsvWriter, "write", fails_on_realizations)
+    monkeypatch.setattr(csvformat.CsvWriter, "write", fails_on_realizations)
     real, sizes = sweep.propagator_grid, []
 
     def evaluated(p, times):
@@ -1046,10 +1046,10 @@ def test_the_writers_failure_ends_the_command_at_its_next_send(
 
 _LONG_NO_SPACE = """
 import errno, os, sys
-from gate_energetics import cli, sweep
+from gate_energetics import cli, csvformat
 def no_space(self, cells):
     raise OSError(errno.ENOSPC, "x" * 100_000)
-sweep._CsvWriter.write = no_space
+csvformat.CsvWriter.write = no_space
 os.sched_getaffinity = lambda pid: {0, 1}
 code = cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
 try:
@@ -1089,7 +1089,7 @@ def test_any_other_writer_failure_exits_2_naming_out(
     def fails(self, cells):
         raise ValueError("a bug in the formatter")
 
-    monkeypatch.setattr(sweep._CsvWriter, "write", fails)
+    monkeypatch.setattr(csvformat.CsvWriter, "write", fails)
     out = tmp_path / "out"
     argv = [command, "--config", _config(tmp_path, TWENTY_TIMES), "--out", str(out)]
     assert cli.main(argv + (["--photonic"] if command == "compare" else [])) == 2
@@ -1108,7 +1108,7 @@ def test_the_writer_keeps_every_byte_through_a_pipe_it_cannot_enlarge(tmp_path, 
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("no F_SETPIPE_SZ")
-    real, start, sizes = fcntl.fcntl, sweep._WriterProcess.__init__, []
+    real, start, sizes = fcntl.fcntl, outputs._WriterProcess.__init__, []
 
     def refused(fd, cmd, arg=0):
         if cmd == fcntl.F_SETPIPE_SZ:
@@ -1120,7 +1120,7 @@ def test_the_writer_keeps_every_byte_through_a_pipe_it_cannot_enlarge(tmp_path, 
         sizes.append(real(self._rows.fileno(), fcntl.F_GETPIPE_SZ))
 
     monkeypatch.setattr(fcntl, "fcntl", refused)
-    monkeypatch.setattr(sweep._WriterProcess, "__init__", started)
+    monkeypatch.setattr(outputs._WriterProcess, "__init__", started)
     config = _config(tmp_path, "n_points = 5000\n")
     written = []
     for cpus in ({0}, {0, 1}):
@@ -1157,7 +1157,7 @@ def test_the_writer_and_the_main_process_run_on_cpus_of_their_own(tmp_path, monk
     rows, text, code = _ENDINGS[ending]
     monkeypatch.setattr(sweep, "_GRID_ROWS", rows)
     log = tmp_path / "writer-masks"
-    send, write, main = sweep._WriterProcess.send, sweep._CsvWriter.write, []
+    send, write, main = outputs._WriterProcess.send, csvformat.CsvWriter.write, []
 
     def sent(self, index, cells):
         main.append(os.sched_getaffinity(0))
@@ -1170,8 +1170,8 @@ def test_the_writer_and_the_main_process_run_on_cpus_of_their_own(tmp_path, monk
             raise _no_space_error()
         write(self, cells)
 
-    monkeypatch.setattr(sweep._WriterProcess, "send", sent)
-    monkeypatch.setattr(sweep._CsvWriter, "write", written)
+    monkeypatch.setattr(outputs._WriterProcess, "send", sent)
+    monkeypatch.setattr(csvformat.CsvWriter, "write", written)
     if ending == "interrupt":
         real, blocks = sweep.propagator_grid, []
 

@@ -1,7 +1,7 @@
 """The CSV writer against Python's own '%.11e', byte for byte.
 
 ``csv_lines`` is the row-at-a-time '%' writer the vectorised one replaced;
-it is the oracle here.  Every table is written through a ``sweep._CsvWriter``,
+it is the oracle here.  Every table is written through a ``csvformat.CsvWriter``,
 and the file must equal the header plus the oracle's lines.
 """
 
@@ -21,14 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
-from gate_energetics import sweep
+from gate_energetics import csvformat
 
-BLOCK = sweep._BLOCK_ROWS
+BLOCK = csvformat._BLOCK_ROWS
 
 
 def piece(cols: int) -> int:
     """The rows of a piece of a table of ``cols`` columns: 20 bytes a cell."""
-    return sweep._PIECE_BYTES // (20 * cols)
+    return csvformat._PIECE_BYTES // (20 * cols)
 
 
 def csv_lines(table: np.ndarray):
@@ -43,13 +43,13 @@ def csv_lines(table: np.ndarray):
 
 def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     with path.open("wb") as f:
-        sweep._CsvWriter(f, header).write(table)
+        csvformat.CsvWriter(f, header).write(table)
 
 
 def csv_rows(table: np.ndarray) -> bytes:
     """The rows the writer writes for ``table``, without the header."""
     f = io.BytesIO()
-    sweep._CsvWriter(f, ["c"] * table.shape[1]).write(table)
+    csvformat.CsvWriter(f, ["c"] * table.shape[1]).write(table)
     return f.getvalue().split(b"\n", 1)[1]
 
 
@@ -140,8 +140,8 @@ def test_edge_values_match_percent():
 
 
 def test_pow10_entries_are_correctly_rounded():
-    exponents = range(sweep._E_LO, sweep._E_HI + 1)
-    assert sweep._POW10.tolist() == [float(Fraction(10) ** (11 - e)) for e in exponents]
+    exponents = range(csvformat._E_LO, csvformat._E_HI + 1)
+    assert csvformat._POW10.tolist() == [float(Fraction(10) ** (11 - e)) for e in exponents]
 
 
 def _scaling_errors(values) -> list[Fraction]:
@@ -150,10 +150,10 @@ def _scaling_errors(values) -> list[Fraction]:
     exponent e of '%.11e' % x."""
     errors = []
     for x in np.abs(np.ravel(values)).tolist():
-        if not sweep._FAST_MIN <= x < sweep._FAST_MAX:
+        if not csvformat._FAST_MIN <= x < csvformat._FAST_MAX:
             continue
         e = int(("%.11e" % x)[14:])
-        power = sweep._POW10[e - sweep._E_LO]
+        power = csvformat._POW10[e - csvformat._E_LO]
         errors.append(abs(Fraction(x * power) - Fraction(x) * Fraction(10) ** (11 - e)))
     return errors
 
@@ -164,7 +164,7 @@ def test_one_product_stays_inside_the_tie_margin(table):
     leave it within 2.3e-4 of the exact product, which the margin covers."""
     errors = _scaling_errors(table()[:400])
     assert len(errors) > 1000
-    assert max(errors) < 2.3e-4 < sweep._TIE_MARGIN
+    assert max(errors) < 2.3e-4 < csvformat._TIE_MARGIN
 
 
 @pytest.mark.parametrize(
@@ -287,7 +287,7 @@ def test_blocks_after_the_first_allocate_nothing_of_a_blocks_size():
     with open(os.devnull, "wb") as f:
         tracemalloc.start()
         try:
-            writer = sweep._CsvWriter(f, ["c"] * 32)
+            writer = csvformat.CsvWriter(f, ["c"] * 32)
             writer.write(table[:BLOCK])
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
@@ -317,7 +317,7 @@ def test_blocks_of_any_layout_match_percent(layout):
     not C-contiguous gets them in place, not in a flattened copy."""
     block = layouts()[layout]
     assert not block.flags.c_contiguous
-    assert np.any((np.abs(block) < sweep._FAST_MIN) & (block != 0))
+    assert np.any((np.abs(block) < csvformat._FAST_MIN) & (block != 0))
     assert csv_rows(block) == "".join(csv_lines(block)).encode()
 
 
@@ -328,7 +328,7 @@ def test_every_cell_through_the_fallback_gives_the_same_bytes(monkeypatch):
         bit_patterns(rng.integers(0, 2**64, (200, 8), dtype=np.uint64)),
         np.reshape(EDGE_VALUES[:40], (5, 8)),
     ])
-    monkeypatch.setattr(sweep, "_TIE_MARGIN", 1.0)
+    monkeypatch.setattr(csvformat, "_TIE_MARGIN", 1.0)
     assert_written_as_oracle(table)
 
 
@@ -358,7 +358,7 @@ for table in tables:
 
 def test_tables_match_percent_at_the_x86_v2_dispatch_level():
     # the setting acts when numpy loads, so it needs a fresh interpreter
-    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(sweep.__file__))]
+    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(csvformat.__file__))]
     env = dict(os.environ, **X86_V2_HOST, PYTHONPATH=os.pathsep.join(path + sys.path))
     done = subprocess.run(
         [sys.executable, "-c", _WRITE_AT_BASELINE], env=env, capture_output=True, text=True

@@ -89,7 +89,9 @@ class Doubles:
 
 @dataclass(frozen=True)
 class Ints:
-    """Integers of [lo, hi], each bit length of ``x - lo`` as likely."""
+    """Integers of [lo, hi]: ``x - lo`` is k random bits, each k up to the
+    width of the range as likely, so small offsets are drawn as often as
+    large ones."""
 
     lo: int
     hi: int
